@@ -152,17 +152,17 @@ def fekete_points(set_: CompactSet, n: int, candidates: int = 4096) -> FeketeRes
     alone are not reliably monotone).  A set with fewer than ``n`` distinct
     candidate points yields all of them with ``degenerate=True``.
     """
-    if n < 2:
-        raise ValueError(f"fekete_points needs n >= 2, got {n}")
     if candidates < n:
         raise ValueError(f"candidates ({candidates}) must be >= n ({n})")
-    cand = _distinct(discretize(set_, candidates))
+    return _fekete_over(_distinct(discretize(set_, candidates)), n)
 
+
+def _fekete_over(cand: np.ndarray, n: int) -> FeketeResult:
+    """Near-Fekete selection of ``n`` points among distinct candidates."""
+    if n < 2:
+        raise ValueError(f"fekete_points needs n >= 2, got {n}")
     if len(cand) < n:
-        pts = cand
-        lv = _log_vdm(pts)
-        seq = _prefix_sequence_from_points(pts)
-        return FeketeResult(points=pts, log_vdm=lv, diameter_sequence=seq, degenerate=True)
+        return _degenerate_fekete(cand)
 
     sel, _ = _greedy_leja(cand, n)
     seq = []
@@ -177,11 +177,12 @@ def fekete_points(set_: CompactSet, n: int, candidates: int = 4096) -> FeketeRes
     return FeketeResult(points=pts, log_vdm=_log_vdm(pts), diameter_sequence=tuple(seq))
 
 
-def _prefix_sequence_from_points(pts: np.ndarray) -> tuple:
-    seq = []
-    for k in range(2, len(pts) + 1):
-        seq.append((k, math.exp(2.0 * _log_vdm(pts[:k]) / (k * (k - 1)))))
-    return tuple(seq)
+def _degenerate_fekete(pts: np.ndarray) -> FeketeResult:
+    """All of too few distinct points, with their prefix diameter sequence."""
+    seq = tuple((k, math.exp(2.0 * _log_vdm(pts[:k]) / (k * (k - 1))))
+                for k in range(2, len(pts) + 1))
+    return FeketeResult(points=pts, log_vdm=_log_vdm(pts), diameter_sequence=seq,
+                        degenerate=True)
 
 
 def _bias_correction(n: int) -> float:
@@ -191,35 +192,46 @@ def _bias_correction(n: int) -> float:
 
 def capacity(set_: CompactSet, n: int, candidates: int = 4096,
              eps_cap: float = EPS_CAP) -> CapacityEstimate:
-    """Logarithmic capacity estimate via the n-point transfinite diameter."""
+    """Logarithmic capacity estimate via the n-point transfinite diameter.
+
+    Continuous shapes are discretized with ``candidates`` points.  A
+    :class:`PointCloud` goes to :func:`capacity_of_cloud`: its distinct
+    points are the candidates and ``candidates`` does not apply.
+    """
     if n < 8:
         raise ValueError(f"capacity needs n >= 8, got {n}")
+    if isinstance(set_, PointCloud):
+        return capacity_of_cloud(set_.points, n=n, eps_cap=eps_cap)
     fek = fekete_points(set_, n, candidates=max(candidates, n))
-    return _estimate_from_fekete(fek, n, eps_cap)
+    return _estimate_from_fekete(fek, eps_cap)
 
 
 def capacity_of_cloud(points: Sequence[complex] | np.ndarray, n: int = 128,
                       eps_cap: float = EPS_CAP) -> CapacityEstimate:
     """Capacity of a finite point cloud at working resolution ``min(n, size)``.
 
-    Clouds with fewer than ``MIN_POINTS`` distinct points are polar at
-    sampled scale: value 0, Robin constant +inf.
+    Duplicates are removed and every distinct point is a candidate.  Clouds
+    with fewer than ``MIN_POINTS`` distinct points are polar at sampled
+    scale: value 0, Robin constant +inf.
     """
     pts = _distinct(np.asarray(points, dtype=np.complex128))
     if len(pts) < MIN_POINTS:
-        fek = FeketeResult(points=pts, log_vdm=_log_vdm(pts),
-                           diameter_sequence=_prefix_sequence_from_points(pts),
-                           degenerate=True)
-        return CapacityEstimate(value=0.0, n_used=len(pts), error_indicator=0.0,
-                                robin_constant=math.inf, polar=True,
-                                degenerate=True, fekete=fek)
-    n_eff = min(n, len(pts))
-    fek = fekete_points(PointCloud(tuple(complex(z) for z in pts)), n_eff,
-                        candidates=len(pts))
-    return _estimate_from_fekete(fek, n_eff, eps_cap)
+        return _estimate_from_fekete(_degenerate_fekete(pts), eps_cap)
+    return _estimate_from_fekete(_fekete_over(pts, min(n, len(pts))), eps_cap)
 
 
-def _estimate_from_fekete(fek: FeketeResult, n: int, eps_cap: float) -> CapacityEstimate:
+def quick_cloud_capacity(points: np.ndarray, n: int) -> float:
+    """Greedy-only capacity estimate of a cloud, for fiber positivity screening."""
+    pts = _distinct(points)
+    if len(pts) < MIN_POINTS:
+        return 0.0
+    n = min(n, len(pts))
+    _, prefix_lv = _greedy_leja(pts, n)
+    d_n = math.exp(2.0 * prefix_lv[n - 1] / (n * (n - 1)))
+    return d_n / _bias_correction(n)
+
+
+def _estimate_from_fekete(fek: FeketeResult, eps_cap: float) -> CapacityEstimate:
     if fek.degenerate or fek.n < 2:
         # cannot realize the requested resolution: polar at sampled scale
         return CapacityEstimate(value=0.0, n_used=fek.n, error_indicator=0.0,
@@ -311,9 +323,7 @@ def green_function(set_: CompactSet, method: str = "auto", n: int = 128,
         length = abs(set_.b - set_.a)
         return GreenEvaluator("analytic_segment", set_, -math.log(length / 4.0))
 
-    est = capacity(set_, n=n, candidates=candidates, eps_cap=eps_cap) \
-        if not isinstance(set_, PointCloud) or len(set_.points) >= n \
-        else capacity_of_cloud(np.asarray(set_.points), n=n, eps_cap=eps_cap)
+    est = capacity(set_, n=n, candidates=candidates, eps_cap=eps_cap)
     if est.polar:
         raise GreenUndefinedPolarSet(
             f"capacity estimate {est.value:.3e} below polar threshold {eps_cap:g}")
@@ -338,7 +348,4 @@ def robin_constant(set_: CompactSet, n: int = 128, candidates: int = 4096,
         return -math.log(set_.radius)
     if isinstance(set_, Segment):
         return math.log(4.0 / abs(set_.b - set_.a))
-    est = capacity_of_cloud(np.asarray(set_.points), n=n, eps_cap=eps_cap) \
-        if isinstance(set_, PointCloud) \
-        else capacity(set_, n=n, candidates=candidates, eps_cap=eps_cap)
-    return est.robin_constant
+    return capacity(set_, n=n, candidates=candidates, eps_cap=eps_cap).robin_constant

@@ -298,7 +298,8 @@ def main(argv=None) -> int:
         stage = err.stage or type(err).__name__
         print(f"pipeline failure [{stage}]: {err}", file=sys.stderr)
         return 3
-    except (OSError, json.JSONDecodeError, KeyError, ValueError, TypeError) as err:
+    except (OSError, json.JSONDecodeError, KeyError, ValueError, TypeError,
+            OverflowError) as err:
         print(f"input error: {err}", file=sys.stderr)
         return 2
 

@@ -21,7 +21,9 @@ used, so all claims are explicitly conditional on the supplied data.
 
 from __future__ import annotations
 
+import cmath
 import math
+import numbers
 from dataclasses import dataclass, field
 from math import comb, isqrt
 from typing import Callable
@@ -269,9 +271,10 @@ def uniform_bound_compact(seq: PolynomialSequence, stratum: PointCloud,
 
     The score phi(z2) = max_n |P_n(z2)| rho0^{-||n||} is finite on the
     samples, so doubling the sublevel threshold terminates; the first level
-    whose sublevel cloud is non-polar is kept.  Returns (C, rho1, M0) with
-    |P_n(z2)| <= M0 * rho1^{||n||} on C for every available n, exactly as
-    floating-point numbers (rho1 is nudged up by ulps when needed).
+    whose sublevel cloud is non-polar is kept.  Returns (C, rho1, M0, level)
+    with |P_n(z2)| <= M0 * rho1^{||n||} on C for every available n, exactly
+    as floating-point numbers (rho1 is nudged up by ulps when needed), and
+    the doubling level 2^j that selected C.
     """
     if rho0 <= 0:
         raise ValueError("rho0 must be positive")
@@ -383,6 +386,16 @@ class ExtendConfig:
     gamma_angular: int = 16
     sublinear_tol: float = 0.05
 
+    def __post_init__(self):
+        ints = ("i_max", "fekete_n", "candidates", "gamma_radial", "gamma_angular")
+        for name in ints + (("window",) if self.window is not None else ()):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"config field {name!r} must be an integer, got {value!r}")
+        if not (isinstance(self.theta, numbers.Real) and math.isfinite(self.theta)
+                and self.theta > 0):
+            raise ValueError(f"config field 'theta' must be finite and > 0, got {self.theta!r}")
+
     @classmethod
     def from_json(cls, doc: dict) -> "ExtendConfig":
         known = {f for f in cls.__dataclass_fields__}
@@ -414,9 +427,14 @@ def _run_stage(name: str, fn, *args, **kwargs):
         raise err.with_stage(name)
 
 
-def _pipeline(seq: PolynomialSequence, samples, cfg: ExtendConfig):
+def _certify(seq: PolynomialSequence, samples, cfg: ExtendConfig, c0: float, c1: float,
+             exponent: float, tail_slope: float, tail_start: int, c2_of,
+             **extra_thresholds) -> ExtensionCertificate:
+    """Stages shared by both modes, after the degree-growth fit.
+
+    ``c2_of(rho1, gammaC)`` is the mode's domain constant C2.
+    """
     window = cfg.window if cfg.window is not None else max(1, seq.max_norm // 2)
-    c0, c1 = _run_stage("fit_degree_growth", fit_degree_growth, seq)
     profile = _run_stage("radius_profile", radius_profile, seq, samples, window)
     i, stratum = _run_stage("stratify", stratify_and_find_nonpolar, profile,
                             cfg.i_max, cfg.eps_cap, cfg.fekete_n)
@@ -428,7 +446,24 @@ def _pipeline(seq: PolynomialSequence, samples, cfg: ExtendConfig):
     rho0 = i / cfg.theta
     witness, rho1, m0, level = _run_stage("uniform_bound", uniform_bound_compact,
                                           seq, stratum, rho0, cfg.eps_cap, cfg.fekete_n)
-    return window, c0, c1, i, rho0, witness, rho1, m0, level
+    green = _run_stage("green", green_function, witness, "auto",
+                       cfg.fekete_n, cfg.candidates, cfg.eps_cap)
+    gamma_c = _gamma_c(green, cfg.z2_max, cfg.gamma_radial, cfg.gamma_angular)
+    thresholds = {
+        "eps_cap": cfg.eps_cap, "theta": cfg.theta, "window": window,
+        "i_max": cfg.i_max, "z2_max": cfg.z2_max, "fekete_n": cfg.fekete_n,
+        "candidates": cfg.candidates, "gamma_radial": cfg.gamma_radial,
+        "gamma_angular": cfg.gamma_angular, "stratum_index": i,
+        "uniform_level": level, "tail_slope": tail_slope, "tail_start": tail_start,
+        **extra_thresholds,
+    }
+    cert = ExtensionCertificate(rho0=rho0, rho1=rho1, M0=m0, C0=c0, C1=c1,
+                                gammaC=gamma_c, C2=c2_of(rho1, gamma_c), exponent=exponent,
+                                witness=witness, N_used=seq.max_norm,
+                                thresholds=thresholds,
+                                exponent_differs=(exponent != 1.0))
+    cert._green = green
+    return cert
 
 
 def certify_extension(seq: PolynomialSequence, K_samples,
@@ -441,25 +476,9 @@ def certify_extension(seq: PolynomialSequence, K_samples,
     name attached.
     """
     cfg = config or ExtendConfig()
-    window, c0, c1, i, rho0, witness, rho1, m0, level = _pipeline(seq, K_samples, cfg)
-    green = _run_stage("green", green_function, witness, "auto",
-                       cfg.fekete_n, cfg.candidates, cfg.eps_cap)
-    gamma_c = _gamma_c(green, cfg.z2_max, cfg.gamma_radial, cfg.gamma_angular)
-    c2 = 1.0 / (rho1 * math.exp(c1 * gamma_c))
-    thresholds = {
-        "eps_cap": cfg.eps_cap, "theta": cfg.theta, "window": window,
-        "i_max": cfg.i_max, "z2_max": cfg.z2_max, "fekete_n": cfg.fekete_n,
-        "candidates": cfg.candidates, "gamma_radial": cfg.gamma_radial,
-        "gamma_angular": cfg.gamma_angular, "stratum_index": i,
-        "uniform_level": level, "tail_slope": c1, "tail_start": 0,
-    }
-    cert = ExtensionCertificate(rho0=rho0, rho1=rho1, M0=m0, C0=c0, C1=c1,
-                                gammaC=gamma_c, C2=c2, exponent=c1,
-                                witness=witness, N_used=seq.max_norm,
-                                thresholds=thresholds,
-                                exponent_differs=(c1 != 1.0))
-    cert._green = green
-    return cert
+    c0, c1 = _run_stage("fit_degree_growth", fit_degree_growth, seq)
+    return _certify(seq, K_samples, cfg, c0, c1, exponent=c1, tail_slope=c1, tail_start=0,
+                    c2_of=lambda rho1, gamma_c: 1.0 / (rho1 * math.exp(c1 * gamma_c)))
 
 
 def certify_uniform(seq: PolynomialSequence, K_samples,
@@ -493,26 +512,11 @@ def certify_uniform(seq: PolynomialSequence, K_samples,
             f"tail degree slope {best_slope:.4f} stays above tolerance "
             f"{cfg.sublinear_tol}").with_stage("sublinearity")
 
-    window, c0, c1, i, rho0, witness, rho1, m0, level = _pipeline(seq, K_samples, cfg)
-    green = _run_stage("green", green_function, witness, "auto",
-                       cfg.fekete_n, cfg.candidates, cfg.eps_cap)
-    gamma_c = _gamma_c(green, cfg.z2_max, cfg.gamma_radial, cfg.gamma_angular)
     eps = best_slope
-    c2 = (1.0 / rho1) * math.exp(-eps * gamma_c)
-    thresholds = {
-        "eps_cap": cfg.eps_cap, "theta": cfg.theta, "window": window,
-        "i_max": cfg.i_max, "z2_max": cfg.z2_max, "fekete_n": cfg.fekete_n,
-        "candidates": cfg.candidates, "gamma_radial": cfg.gamma_radial,
-        "gamma_angular": cfg.gamma_angular, "stratum_index": i,
-        "uniform_level": level, "tail_slope": eps, "tail_start": best_start,
-        "sublinear_tol": cfg.sublinear_tol,
-    }
-    cert = ExtensionCertificate(rho0=rho0, rho1=rho1, M0=m0, C0=c0, C1=c1,
-                                gammaC=gamma_c, C2=c2, exponent=0.0,
-                                witness=witness, N_used=seq.max_norm,
-                                thresholds=thresholds, exponent_differs=True)
-    cert._green = green
-    return cert
+    return _certify(seq, K_samples, cfg, c0, c1, exponent=0.0, tail_slope=eps,
+                    tail_start=best_start,
+                    c2_of=lambda rho1, gamma_c: (1.0 / rho1) * math.exp(-eps * gamma_c),
+                    sublinear_tol=cfg.sublinear_tol)
 
 
 def global_bound(cert: ExtensionCertificate, z2: complex, index,
@@ -564,10 +568,12 @@ def evaluate(cert: ExtensionCertificate, seq: PolynomialSequence, z1, z2: comple
     converge there; an unreachable tolerance raises
     :class:`InsufficientData` carrying the bound achievable at max_norm.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    k = seq.k
     z2 = complex(z2)
+    if not (np.all(np.isfinite(np.asarray(z1, dtype=np.complex128))) and cmath.isfinite(z2)
+            and math.isfinite(tol) and tol > 0):
+        raise ValueError(f"z1, z2 and tol must be finite and tol positive, "
+                         f"got {z1!r}, {z2!r}, {tol!r}")
+    k = seq.k
     r1 = _z1_norm(z1)
     if r1 == 0.0:
         zero_idx = MultiIndex((0,) * k)

@@ -25,7 +25,7 @@ from typing import Callable
 
 import numpy as np
 
-from .capacity import EPS_CAP, MIN_POINTS, capacity, capacity_of_cloud, _distinct, _greedy_leja, _bias_correction
+from .capacity import EPS_CAP, capacity, capacity_of_cloud, quick_cloud_capacity
 from .errors import GammaPolar, UnboundedSet
 from .sets import CompactSet, PointCloud, bounding_box, contains, discretize
 
@@ -179,25 +179,6 @@ def _coordinate_grid(coord_box, resolution: int) -> np.ndarray:
     return (re[:, None] + 1j * im[None, :]).ravel()
 
 
-def _quick_cloud_capacity(points: np.ndarray, n: int) -> float:
-    """Greedy-only capacity estimate, for fiber positivity screening."""
-    pts = _distinct(points)
-    if len(pts) < MIN_POINTS:
-        return 0.0
-    n = min(n, len(pts))
-    _, prefix_lv = _greedy_leja(pts, n)
-    d_n = math.exp(2.0 * prefix_lv[n - 1] / (n * (n - 1)))
-    return d_n / _bias_correction(n)
-
-
-def _shape_capacity(shape: CompactSet, grid: GridSpec, eps_cap: float) -> float:
-    if isinstance(shape, PointCloud):
-        return capacity_of_cloud(np.asarray(shape.points), n=grid.capacity_points,
-                                 eps_cap=eps_cap).value
-    return capacity(shape, n=grid.capacity_points, candidates=grid.shape_candidates,
-                    eps_cap=eps_cap).value
-
-
 def _empty_predicate(m: int) -> SetPredicate:
     def member(zs: np.ndarray) -> np.ndarray:
         zs = np.atleast_2d(np.asarray(zs, dtype=np.complex128))
@@ -223,8 +204,9 @@ def gamma_project(pred: SetPredicate, grid: GridSpec = GridSpec(),
     m = pred.dimension
 
     if pred.product_factors is not None:
-        fiber_cap = _shape_capacity(pred.product_factors[-1], grid, eps_cap)
-        if fiber_cap > eps_cap:
+        fiber = capacity(pred.product_factors[-1], n=grid.capacity_points,
+                         candidates=grid.shape_candidates, eps_cap=eps_cap)
+        if fiber.value > eps_cap:
             return product_predicate(pred.product_factors[:-1])
         return _empty_predicate(m - 1)
 
@@ -240,7 +222,7 @@ def gamma_project(pred: SetPredicate, grid: GridSpec = GridSpec(),
             stacked[:, :-1] = z
             stacked[:, -1] = fiber_grid
             alive = fiber_grid[inner(stacked)]
-            out[i] = _quick_cloud_capacity(alive, nfib) > eps_cap
+            out[i] = quick_cloud_capacity(alive, nfib) > eps_cap
         return out
 
     return SetPredicate(membership=member, bounding_box=pred.bounding_box[:-1], dimension=m - 1)
@@ -282,10 +264,12 @@ def gamma_cap(pred: SetPredicate, unitary_count: int = 1, seed: int = 0,
         p = transform_unitary(pred, u.matrix)
         for _ in range(m - 1):
             p = gamma_project(p, grid, eps_cap)
-        cloud = _final_cloud(p, grid)
-        est = capacity_of_cloud(cloud, n=grid.capacity_points, eps_cap=eps_cap) \
-            if len(cloud) else None
-        value = est.value if est is not None else 0.0
+        if p.product_factors is not None:
+            value = capacity(p.product_factors[0], n=grid.capacity_points,
+                             candidates=grid.shape_candidates, eps_cap=eps_cap).value
+        else:
+            value = capacity_of_cloud(_final_cloud(p, grid), n=grid.capacity_points,
+                                      eps_cap=eps_cap).value
         per.append((u.seed, value))
         if value > per[best_idx][1]:
             best_idx = k

@@ -11,7 +11,11 @@ from holocap.capacity import (
     robin_constant,
 )
 from holocap.errors import GreenUndefinedPolarSet
+from holocap.gamma import GridSpec, gamma_cap, product_predicate
 from holocap.sets import Disk, PointCloud, Segment
+
+CIRCLE_100 = tuple(np.exp(2j * np.pi * np.arange(100) / 100))
+DUPLICATED_CIRCLE = PointCloud(CIRCLE_100 + CIRCLE_100)
 
 
 def brute_force_d4_circle() -> float:
@@ -170,3 +174,29 @@ def test_robin_cross_check_against_capacity_estimate():
     for s, exact in ((Disk(0, 1), 0.0), (Segment(-1, 1), math.log(2))):
         est = capacity(s, 128)
         assert -math.log(est.value) == pytest.approx(exact, abs=0.11)
+
+
+def test_one_cloud_rule_for_duplicate_points():
+    # 100 distinct points, each listed twice: every consumer sees the same
+    # 100-point estimate, none calls the cloud polar
+    est = capacity(DUPLICATED_CIRCLE, 128)
+    assert not est.polar and est.n_used == 100
+    assert est.value == pytest.approx(1.0, abs=1e-6)
+    assert est == capacity_of_cloud(CIRCLE_100, 128)
+    assert green_function(DUPLICATED_CIRCLE).robin_constant == est.robin_constant
+    assert robin_constant(DUPLICATED_CIRCLE) == est.robin_constant
+    pred = product_predicate([DUPLICATED_CIRCLE, DUPLICATED_CIRCLE])
+    assert gamma_cap(pred).value == est.value
+
+
+def test_one_cloud_rule_beyond_default_candidates():
+    # more points than the 4096 default candidates: the cloud is not subsampled
+    rng = np.random.default_rng(3)
+    big = PointCloud(tuple(rng.uniform(-1, 1, 5000) + 1j * rng.uniform(-1, 1, 5000)))
+    est = capacity(big, 32)
+    assert est.fekete.points.size == 32
+    assert est == capacity_of_cloud(big.points, 32)
+    assert green_function(big, n=32).robin_constant == robin_constant(big, n=32)
+    assert robin_constant(big, n=32) == est.robin_constant
+    pred = product_predicate([big, Disk(0, 1)])
+    assert gamma_cap(pred, grid=GridSpec(capacity_points=32)).value == est.value

@@ -10,6 +10,9 @@ from holocap.cli import main
 DISK = {"shape": "disk", "center": [0, 0], "radius": 1.0}
 SEGMENT = {"shape": "segment", "a": [-1, 0], "b": [1, 0]}
 POINT = {"shape": "cloud", "points": [[0, 0]]}
+# 100 distinct unit-circle points, each listed twice
+DUPLICATED_CIRCLE = {"shape": "cloud", "points": 2 * [
+    [math.cos(2 * math.pi * k / 100), math.sin(2 * math.pi * k / 100)] for k in range(100)]}
 GEOMETRIC = {"kind": "geometric", "lambda": [1, 0], "max_norm": 60}
 CIRCLE_SAMPLES = [[math.cos(2 * math.pi * k / 200), math.sin(2 * math.pi * k / 200)]
                   for k in range(200)]
@@ -82,6 +85,12 @@ def test_green_values(tmp_path):
     rows = list(csv.reader(open(out2)))[1:]
     assert float(rows[0][2]) == pytest.approx(math.log(2 + math.sqrt(3)), abs=1e-9)
 
+    cloud_path = write(tmp_path / "cloud.json", DUPLICATED_CIRCLE)
+    out3 = tmp_path / "green3.csv"
+    assert main(["green", "--set", cloud_path, "--points", pts_path, "--out", str(out3)]) == 0
+    rows = list(csv.reader(open(out3)))[1:]
+    assert float(rows[0][2]) == pytest.approx(math.log(2), abs=0.02)
+
 
 def test_green_polar_exit_three(tmp_path):
     set_path = write(tmp_path / "pt.json", POINT)
@@ -102,6 +111,12 @@ def test_bernstein_report(tmp_path):
     doc = json.loads(out.read_text())
     assert doc["all_passed"]
     assert len(doc["checks"]) == 20
+
+    cloud_path = write(tmp_path / "cloud.json", DUPLICATED_CIRCLE)
+    out2 = tmp_path / "report2.json"
+    assert main(["bernstein", "--poly", poly_path, "--set", cloud_path,
+                 "--points", pts_path, "--out", str(out2)]) == 0
+    assert json.loads(out2.read_text())["all_passed"]
 
 
 def test_gammacap_command_and_reproducibility(tmp_path):
@@ -175,3 +190,46 @@ def test_eval_outside_domain_exit_three(tmp_path, capsys):
                  "--out", str(tmp_path / "v.json")])
     assert code == 3
     assert "OutsideCertifiedDomain" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("cfg, message", [
+    ({"theta": 0}, "'theta' must be finite and > 0"),
+    ({"window": "5"}, "'window' must be an integer"),
+], ids=["theta_zero", "window_string"])
+def test_extend_invalid_config_exit_two(tmp_path, capsys, cfg, message):
+    seq_path = write(tmp_path / "seq.json", GEOMETRIC)
+    samples_path = write(tmp_path / "samples.json", CIRCLE_SAMPLES)
+    cfg_path = write(tmp_path / "cfg.json", cfg)
+    code = main(["extend", "--seq", seq_path, "--samples", samples_path,
+                 "--config", cfg_path, "--out", str(tmp_path / "c.json")])
+    assert code == 2
+    assert message in capsys.readouterr().err
+
+
+def test_extend_overflowing_coefficients_exit_two(tmp_path, capsys):
+    seq_path = write(tmp_path / "seq.json",
+                     {"kind": "geometric", "lambda": [1e200, 0], "max_norm": 60})
+    samples_path = write(tmp_path / "samples.json", CIRCLE_SAMPLES)
+    code = main(["extend", "--seq", seq_path, "--samples", samples_path,
+                 "--out", str(tmp_path / "c.json")])
+    assert code == 2
+    assert "input error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("z1, z2, tol", [
+    ("0.1+0j", "nan", "1e-10"),
+    ("nan", "2+0j", "1e-10"),
+    ("0.1+0j", "2+0j", "inf"),
+], ids=["z2_nan", "z1_nan", "tol_inf"])
+def test_eval_non_finite_input_exit_two(tmp_path, capsys, z1, z2, tol):
+    seq_path = write(tmp_path / "seq.json", GEOMETRIC)
+    samples_path = write(tmp_path / "samples.json", CIRCLE_SAMPLES)
+    cert = tmp_path / "cert.json"
+    assert main(["extend", "--seq", seq_path, "--samples", samples_path,
+                 "--out", str(cert)]) == 0
+    out = tmp_path / "v.json"
+    code = main(["eval", "--cert", str(cert), "--seq", seq_path, "--z1", z1,
+                 "--z2", z2, "--tol", tol, "--out", str(out)])
+    assert code == 2
+    assert "must be finite" in capsys.readouterr().err
+    assert not out.exists()
