@@ -108,28 +108,43 @@ def _greedy_leja(cand: np.ndarray, n: int):
     return np.asarray(sel, dtype=np.intp), prefix_lv
 
 
+def _log_dist_row(cand: np.ndarray, s: int, row: np.ndarray) -> np.ndarray:
+    """Write log|cand - cand[s]| into ``row``, with 0 in place of log 0 at s."""
+    np.abs(cand - cand[s], out=row)
+    row[s] = 1.0
+    return np.log(row, out=row)
+
+
 def _exchange_refine(cand: np.ndarray, sel: np.ndarray) -> np.ndarray:
-    """Single-point exchange until no swap improves the log VDM."""
+    """Single-point exchange until no swap improves the log VDM.
+
+    Row i of ``logdist`` holds slot i's log distances to every candidate
+    (``cand`` must be distinct), with 0 at the slot's own candidate, so
+    ``total[c]`` is candidate c's log-distance sum to the selection and, for
+    a selected c, its sum to the other selected points.  The totals are
+    summed at the start of each sweep and updated by the row difference
+    after every accepted swap.
+    """
     n = len(sel)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        logdist = np.log(np.abs(cand[:, None] - cand[sel][None, :]))  # (N, n)
-        for _ in range(_MAX_SWEEPS):
-            improved = False
-            rowsum = logdist.sum(axis=1)
-            for i in range(n):
-                scores = rowsum - logdist[:, i]
-                scores[sel] = -np.inf  # a selected point cannot re-enter
-                cur = logdist[sel[i], :].copy()
-                cur[i] = 0.0
-                current = float(cur.sum())
-                best = int(np.argmax(scores))
-                if scores[best] - current > _EXCHANGE_TOL * max(1.0, abs(current)):
-                    sel[i] = best
-                    logdist[:, i] = np.log(np.abs(cand - cand[best]))
-                    rowsum = logdist.sum(axis=1)
-                    improved = True
-            if not improved:
-                break
+    logdist = np.empty((n, len(cand)))
+    for i in range(n):
+        _log_dist_row(cand, sel[i], logdist[i])
+    for _ in range(_MAX_SWEEPS):
+        improved = False
+        total = logdist.sum(axis=0)
+        for i in range(n):
+            scores = total - logdist[i]
+            scores[sel] = -np.inf  # a selected point cannot re-enter
+            current = float(total[sel[i]])
+            best = int(np.argmax(scores))
+            if scores[best] - current > _EXCHANGE_TOL * max(1.0, abs(current)):
+                sel[i] = best
+                new_row = _log_dist_row(cand, best, np.empty(len(cand)))
+                total += new_row - logdist[i]
+                logdist[i] = new_row
+                improved = True
+        if not improved:
+            break
     return sel
 
 

@@ -392,9 +392,14 @@ class ExtendConfig:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, numbers.Integral):
                 raise ValueError(f"config field {name!r} must be an integer, got {value!r}")
-        if not (isinstance(self.theta, numbers.Real) and math.isfinite(self.theta)
-                and self.theta > 0):
-            raise ValueError(f"config field 'theta' must be finite and > 0, got {self.theta!r}")
+        positive = ("theta", "z2_max", "eps_cap")
+        for name in positive + ("sublinear_tol",):
+            value = getattr(self, name)
+            strict = name in positive
+            if not (isinstance(value, numbers.Real) and math.isfinite(value)
+                    and (value > 0 if strict else value >= 0)):
+                raise ValueError(f"config field {name!r} must be finite and "
+                                 f"{'>' if strict else '>='} 0, got {value!r}")
 
     @classmethod
     def from_json(cls, doc: dict) -> "ExtendConfig":
@@ -679,16 +684,22 @@ def certificate_from_json(doc: dict) -> ExtensionCertificate:
         exponent_differs=bool(doc["exponent_differs"]))
 
 
+def _finite(value, what: str):
+    if not cmath.isfinite(value):
+        raise ValueError(f"{what} must be finite, got {value!r}")
+    return value
+
+
 def sequence_from_json(doc: dict) -> PolynomialSequence:
     """Builtin families and explicit tables; no code execution from input."""
     kind = doc.get("kind")
     max_norm = int(doc["max_norm"])
     k = int(doc.get("k", 1))
     if kind == "geometric":
-        lam = complex(doc["lambda"][0], doc["lambda"][1])
+        lam = _finite(complex(doc["lambda"][0], doc["lambda"][1]), "lambda")
         return geometric_sequence(lam, max_norm, k)
     if kind == "constant":
-        val = complex(doc["value"][0], doc["value"][1])
+        val = _finite(complex(doc["value"][0], doc["value"][1]), "value")
         return constant_sequence(val, max_norm, k)
     if kind == "sqrt_degree":
         return sqrt_degree_sequence(max_norm, k)
@@ -696,9 +707,10 @@ def sequence_from_json(doc: dict) -> PolynomialSequence:
         entries = {}
         for item in doc["entries"]:
             key = tuple(int(e) for e in item["index"])
-            coeffs = tuple(complex(c[0], c[1]) for c in item["coefficients"])
+            coeffs = tuple(_finite(complex(c[0], c[1]), f"coefficient of index {key}")
+                           for c in item["coefficients"])
             entries[key] = Polynomial1D(coeffs)
-        return table_sequence(entries, max_norm, k,
-                              declared_C0=doc.get("declared_C0"),
-                              declared_C1=doc.get("declared_C1"))
+        declared = {name: _finite(doc[name], name)
+                    for name in ("declared_C0", "declared_C1") if doc.get(name) is not None}
+        return table_sequence(entries, max_norm, k, **declared)
     raise ValueError(f"unknown sequence kind: {kind!r}")

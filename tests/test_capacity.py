@@ -4,6 +4,12 @@ import numpy as np
 import pytest
 
 from holocap.capacity import (
+    _EXCHANGE_TOL,
+    _MAX_SWEEPS,
+    _distinct,
+    _exchange_refine,
+    _greedy_leja,
+    _log_vdm,
     capacity,
     capacity_of_cloud,
     fekete_points,
@@ -12,7 +18,7 @@ from holocap.capacity import (
 )
 from holocap.errors import GreenUndefinedPolarSet
 from holocap.gamma import GridSpec, gamma_cap, product_predicate
-from holocap.sets import Disk, PointCloud, Segment
+from holocap.sets import Disk, PointCloud, Segment, UnionSet, discretize
 
 CIRCLE_100 = tuple(np.exp(2j * np.pi * np.arange(100) / 100))
 DUPLICATED_CIRCLE = PointCloud(CIRCLE_100 + CIRCLE_100)
@@ -110,6 +116,66 @@ def test_capacity_scaling(lam):
     base_seg = capacity(Segment(-1, 1), 96).value
     scaled_seg = capacity(Segment(-lam, lam), 96).value
     assert scaled_seg == pytest.approx(abs(lam) * base_seg, rel=0.01)
+
+
+def full_resum_exchange(cand, sel):
+    """Reference exchange: re-sums every candidate's log distances after each swap."""
+    n = len(sel)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        logdist = np.log(np.abs(cand[:, None] - cand[sel][None, :]))  # (N, n)
+        for _ in range(_MAX_SWEEPS):
+            improved = False
+            rowsum = logdist.sum(axis=1)
+            for i in range(n):
+                scores = rowsum - logdist[:, i]
+                scores[sel] = -np.inf
+                cur = logdist[sel[i], :].copy()
+                cur[i] = 0.0
+                current = float(cur.sum())
+                best = int(np.argmax(scores))
+                if scores[best] - current > _EXCHANGE_TOL * max(1.0, abs(current)):
+                    sel[i] = best
+                    logdist[:, i] = np.log(np.abs(cand - cand[best]))
+                    rowsum = logdist.sum(axis=1)
+                    improved = True
+            if not improved:
+                break
+    return sel
+
+
+def _exchange_inputs(count):
+    rng = np.random.default_rng(11)
+    cloud = rng.normal(size=300) + 1j * rng.normal(size=300)
+    return {
+        "segment": discretize(Segment(-1, 1), count),
+        "union": discretize(UnionSet((Segment(-2, -0.5), Segment(0.3, 1.7))), count),
+        "disk": discretize(Disk(0.5j, 2), count),
+        "cloud": cloud,
+    }
+
+
+@pytest.mark.parametrize("n", [16, 32, 64])
+@pytest.mark.parametrize("name", ["segment", "union", "disk", "cloud"])
+def test_exchange_matches_full_resum_reference(name, n):
+    cand = _distinct(_exchange_inputs(512)[name])
+    sel, _ = _greedy_leja(cand, n)
+    expected = full_resum_exchange(cand, sel.copy())
+    assert np.array_equal(_exchange_refine(cand, sel.copy()), expected)
+
+
+@pytest.mark.parametrize("name", ["segment", "union", "disk"])
+def test_exchange_result_is_locally_optimal(name):
+    cand = _distinct(_exchange_inputs(256)[name])
+    sel, _ = _greedy_leja(cand, 16)
+    sel = _exchange_refine(cand, sel)
+    lv = _log_vdm(cand[sel])
+    slack = _EXCHANGE_TOL * max(1.0, abs(lv))
+    outside = np.setdiff1d(np.arange(len(cand)), sel)
+    for i in range(len(sel)):
+        for c in outside:
+            swapped = sel.copy()
+            swapped[i] = c
+            assert _log_vdm(cand[swapped]) - lv <= slack
 
 
 # ---------------------------------------------------------------------------

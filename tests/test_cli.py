@@ -195,7 +195,11 @@ def test_eval_outside_domain_exit_three(tmp_path, capsys):
 @pytest.mark.parametrize("cfg, message", [
     ({"theta": 0}, "'theta' must be finite and > 0"),
     ({"window": "5"}, "'window' must be an integer"),
-], ids=["theta_zero", "window_string"])
+    ({"z2_max": -1}, "'z2_max' must be finite and > 0"),
+    ({"eps_cap": math.nan}, "'eps_cap' must be finite and > 0"),
+    ({"sublinear_tol": math.inf}, "'sublinear_tol' must be finite and >= 0"),
+], ids=["theta_zero", "window_string", "z2_max_negative", "eps_cap_nan",
+        "sublinear_tol_inf"])
 def test_extend_invalid_config_exit_two(tmp_path, capsys, cfg, message):
     seq_path = write(tmp_path / "seq.json", GEOMETRIC)
     samples_path = write(tmp_path / "samples.json", CIRCLE_SAMPLES)
@@ -214,6 +218,29 @@ def test_extend_overflowing_coefficients_exit_two(tmp_path, capsys):
                  "--out", str(tmp_path / "c.json")])
     assert code == 2
     assert "input error" in capsys.readouterr().err
+
+
+NAN_TABLE = {"kind": "table", "max_norm": 4, "entries": [
+    {"index": [n], "coefficients": [[1, 0]] if n != 2 else [[math.nan, 0]]}
+    for n in range(5)]}
+
+
+@pytest.mark.parametrize("seq, message", [
+    (NAN_TABLE, "coefficient of index (2,) must be finite"),
+    ({"kind": "geometric", "lambda": [math.inf, 0], "max_norm": 60}, "lambda must be finite"),
+    ({"kind": "constant", "value": [1, math.nan], "max_norm": 60}, "value must be finite"),
+    ({**NAN_TABLE, "entries": NAN_TABLE["entries"][:2], "declared_C0": math.nan},
+     "declared_C0 must be finite"),
+    ({**NAN_TABLE, "entries": NAN_TABLE["entries"][:2], "declared_C1": math.inf},
+     "declared_C1 must be finite"),
+], ids=["table_nan", "lambda_inf", "constant_nan", "declared_c0_nan", "declared_c1_inf"])
+def test_extend_non_finite_coefficients_exit_two(tmp_path, capsys, seq, message):
+    seq_path = write(tmp_path / "seq.json", seq)
+    samples_path = write(tmp_path / "samples.json", CIRCLE_SAMPLES)
+    code = main(["extend", "--seq", seq_path, "--samples", samples_path,
+                 "--out", str(tmp_path / "c.json")])
+    assert code == 2
+    assert message in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("z1, z2, tol", [
