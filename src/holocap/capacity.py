@@ -356,11 +356,9 @@ def robin_constant(set_: CompactSet, n: int = 128, candidates: int = 4096,
                    eps_cap: float = EPS_CAP) -> float:
     """Robin constant lim_{|z| -> inf} (g(z) - log|z|) of the complement.
 
-    Closed forms for disks (-log r) and segments (log(4/length)); otherwise
-    -log of the capacity estimate.  Polar sets get the +inf marker.
+    Disks and segments take the closed form of their analytic Green function;
+    otherwise -log of the capacity estimate.  Polar sets get the +inf marker.
     """
-    if isinstance(set_, Disk):
-        return -math.log(set_.radius)
-    if isinstance(set_, Segment):
-        return math.log(4.0 / abs(set_.b - set_.a))
+    if isinstance(set_, (Disk, Segment)):
+        return green_function(set_).robin_constant
     return capacity(set_, n=n, candidates=candidates, eps_cap=eps_cap).robin_constant

@@ -3,7 +3,8 @@
 Every command embeds (or writes alongside CSV outputs) a run manifest:
 command name, SHA-256 digest of the input files, seed, tool version, and the
 thresholds in effect.  Outputs are deterministic functions of the manifest,
-so re-running a command reproduces them byte for byte.
+so re-running a command reproduces them byte for byte.  ``COMMANDS`` declares
+each command's flags and input files; ``main`` builds and writes every manifest.
 
 Exit codes: 0 success (including negative mathematical findings such as a
 polar capacity estimate), 2 malformed input, 3 pipeline-stage failure (the
@@ -18,7 +19,9 @@ import hashlib
 import json
 import math
 import sys
+from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -26,15 +29,8 @@ from . import __version__
 from .bernstein import Polynomial1D, verify_bernstein
 from .capacity import EPS_CAP, capacity, green_function
 from .errors import HolocapError
-from .extension import (
-    ExtendConfig,
-    certificate_from_json,
-    certificate_to_json,
-    certify_extension,
-    certify_uniform,
-    evaluate,
-    sequence_from_json,
-)
+from .extension import (ExtendConfig, certificate_from_json, certificate_to_json,
+                        certify_extension, certify_uniform, evaluate, sequence_from_json)
 from .gamma import GridSpec, gamma_cap, predicate_from_json
 from .sets import set_from_json
 
@@ -61,35 +57,19 @@ def _read_points_csv(path: str) -> list:
     return points
 
 
-def _digest(paths) -> str:
-    h = hashlib.sha256()
-    for p in paths:
-        h.update(Path(p).read_bytes())
-    return h.hexdigest()
-
-
-def _manifest(command: str, input_paths, seed: int, thresholds: dict) -> dict:
-    return {
-        "command": command,
-        "input_digest": _digest(input_paths),
-        "seed": seed,
-        "tool_version": __version__,
-        "thresholds": thresholds,
-    }
-
-
-def _write_json(path: str, doc: dict) -> None:
-    text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
-    Path(path).write_text(text, encoding="utf-8")
-
-
 def _write_csv(path: str, header, rows) -> None:
+    """Header plus rows; lazy ``rows`` are consumed first, so a row that raises leaves no file."""
+    cells = [[repr(float(v)) if isinstance(v, (float, np.floating)) else v for v in row]
+             for row in rows]
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([repr(float(v)) if isinstance(v, (float, np.floating)) else v
-                             for v in row])
+        writer.writerows(cells)
+
+
+def _sidecar(out: str, suffix: str) -> str:
+    """``out`` without its extension, plus ``suffix``: est.json -> est_dn.csv."""
+    return str(Path(out).with_suffix("")) + suffix
 
 
 def _parse_complex(text: str) -> complex:
@@ -97,97 +77,60 @@ def _parse_complex(text: str) -> complex:
 
 
 # ---------------------------------------------------------------------------
-# commands
+# each command returns (document, thresholds, sidecar CSV tables) and writes no
+# file but green's CSV at --out; main writes the JSON, then the sidecars' lazy rows
 # ---------------------------------------------------------------------------
 
-def _cmd_cap(args) -> int:
-    set_ = set_from_json(_read_json(args.set))
-    est = capacity(set_, n=args.n, candidates=args.candidates)
-    manifest = _manifest("cap", [args.set], args.seed,
-                         {"n": args.n, "candidates": args.candidates, "eps_cap": EPS_CAP})
-    doc = {
-        "capacity": {
-            "value": est.value,
-            "n_used": est.n_used,
-            "error_indicator": est.error_indicator,
-            "robin_constant": "inf" if math.isinf(est.robin_constant) else est.robin_constant,
-            "polar": est.polar,
-            "degenerate": est.degenerate,
-        },
-        "manifest": manifest,
-    }
-    _write_json(args.out, doc)
-    seq_path = str(Path(args.out).with_suffix("")) + "_dn.csv"
-    _write_csv(seq_path, ["n", "d_n"],
-               [(k, float(d)) for k, d in est.fekete.diameter_sequence])
-    return 0
+def _cap(args):
+    est = capacity(set_from_json(_read_json(args.set)), n=args.n, candidates=args.candidates)
+    doc = {"capacity": {
+        "value": est.value, "n_used": est.n_used, "error_indicator": est.error_indicator,
+        "robin_constant": "inf" if math.isinf(est.robin_constant) else est.robin_constant,
+        "polar": est.polar, "degenerate": est.degenerate}}
+    d_n = ("_dn.csv", ["n", "d_n"], ((k, float(d)) for k, d in est.fekete.diameter_sequence))
+    return doc, {"n": args.n, "candidates": args.candidates, "eps_cap": EPS_CAP}, [d_n]
 
 
-def _cmd_green(args) -> int:
+def _green(args):
     set_ = set_from_json(_read_json(args.set))
     points = _read_points_csv(args.points)
     green = green_function(set_)
     values = green(np.asarray(points, dtype=np.complex128))
     _write_csv(args.out, ["re", "im", "g"],
                [(z.real, z.imag, float(v)) for z, v in zip(points, values)])
-    manifest = _manifest("green", [args.set, args.points], args.seed,
-                         {"backing": green.backing,
-                          "robin_constant": green.robin_constant,
-                          "clamp_magnitude": green.clamp_magnitude})
-    _write_json(args.out + ".manifest.json", {"manifest": manifest})
-    return 0
+    return {}, {"backing": green.backing, "robin_constant": green.robin_constant,
+                "clamp_magnitude": green.clamp_magnitude}, []
 
 
-def _cmd_bernstein(args) -> int:
+def _bernstein(args):
     poly_doc = _read_json(args.poly)
     p = Polynomial1D(tuple(complex(c[0], c[1]) for c in poly_doc["coefficients"]))
     set_ = set_from_json(_read_json(args.set))
-    points = _read_points_csv(args.points)
-    report = verify_bernstein(p, set_, points)
-    manifest = _manifest("bernstein", [args.poly, args.set, args.points], args.seed,
-                         {"slack": report.slack,
-                          "clamp_magnitude": report.clamp_magnitude})
-    doc = {
-        "all_passed": report.all_passed,
-        "slack": report.slack,
-        "checks": [
-            {"z": [c.z.real, c.z.imag], "abs_value": c.abs_value, "bound": c.bound,
-             "ratio": c.ratio, "passed": c.passed}
-            for c in report.checks
-        ],
-        "manifest": manifest,
-    }
-    _write_json(args.out, doc)
-    return 0
+    report = verify_bernstein(p, set_, _read_points_csv(args.points))
+    checks = [{"z": [c.z.real, c.z.imag], "abs_value": c.abs_value, "bound": c.bound,
+               "ratio": c.ratio, "passed": c.passed} for c in report.checks]
+    doc = {"all_passed": report.all_passed, "slack": report.slack, "checks": checks}
+    return doc, {"slack": report.slack, "clamp_magnitude": report.clamp_magnitude}, []
 
 
-def _cmd_gammacap(args) -> int:
+def _gammacap(args):
     pred = predicate_from_json(_read_json(args.set))
     grid = GridSpec()
     result = gamma_cap(pred, unitary_count=args.unitaries, seed=args.seed, grid=grid)
-    manifest = _manifest("gammacap", [args.set], args.seed,
-                         {"unitaries": args.unitaries,
-                          "fiber_threshold": result.fiber_threshold,
-                          "fiber_resolution": grid.fiber_resolution,
-                          "projected_resolution": grid.projected_resolution,
-                          "fiber_capacity_points": grid.fiber_capacity_points,
-                          "capacity_points": grid.capacity_points})
     best = result.best_unitary
-    doc = {
-        "value": result.value,
-        "best_unitary": {
-            "seed": best.seed,
-            "matrix": [[[v.real, v.imag] for v in row] for row in best.matrix],
-        },
-        "per_unitary": [[s, v] for s, v in result.per_unitary],
-        "fiber_threshold": result.fiber_threshold,
-        "manifest": manifest,
-    }
-    _write_json(args.out, doc)
-    return 0
+    doc = {"value": result.value,
+           "best_unitary": {"seed": best.seed,
+                            "matrix": [[[v.real, v.imag] for v in row] for row in best.matrix]},
+           "per_unitary": [[s, v] for s, v in result.per_unitary],
+           "fiber_threshold": result.fiber_threshold}
+    return doc, {"unitaries": args.unitaries, "fiber_threshold": result.fiber_threshold,
+                 "fiber_resolution": grid.fiber_resolution,
+                 "projected_resolution": grid.projected_resolution,
+                 "fiber_capacity_points": grid.fiber_capacity_points,
+                 "capacity_points": grid.capacity_points}, []
 
 
-def _cmd_extend(args) -> int:
+def _extend(args):
     seq = sequence_from_json(_read_json(args.seq))
     samples = [complex(v[0], v[1]) for v in _read_json(args.samples)]
     cfg_doc = dict(_read_json(args.config)) if args.config else {}
@@ -198,40 +141,67 @@ def _cmd_extend(args) -> int:
     certify = {"extension": certify_extension, "uniform": certify_uniform}.get(mode)
     if certify is None:
         raise ValueError(f"unknown mode {mode!r} (use 'extension' or 'uniform')")
-
     cert = certify(seq, samples, cfg)
-    inputs = [args.seq, args.samples] + ([args.config] if args.config else [])
-    doc = certificate_to_json(cert)
-    doc["manifest"] = _manifest("extend", inputs, args.seed,
-                                {**cert.thresholds, "mode": mode})
-    _write_json(args.out, doc)
-
     radii = np.concatenate([[0.0], np.geomspace(1e-2, cfg.z2_max, 199)])
-    _write_csv(str(Path(args.out).with_suffix("")) + "_domain.csv",
-               ["abs_z2", "certified_radius"],
-               [(float(t), float(cert.certified_radius(float(t)))) for t in radii])
-    return 0
+    domain = ("_domain.csv", ["abs_z2", "certified_radius"],
+              ((float(t), float(cert.certified_radius(float(t)))) for t in radii))
+    return certificate_to_json(cert), {**cert.thresholds, "mode": mode}, [domain]
 
 
-def _cmd_eval(args) -> int:
+def _eval(args):
     cert = certificate_from_json(_read_json(args.cert))
     seq = sequence_from_json(_read_json(args.seq))
     z1 = [_parse_complex(part) for part in args.z1.split(",")]
     z1 = z1[0] if len(z1) == 1 else tuple(z1)
-    z2 = _parse_complex(args.z2)
-    result = evaluate(cert, seq, z1, z2, args.tol)
-    manifest = _manifest("eval", [args.cert, args.seq], args.seed, {"tol": args.tol})
-    doc = {
-        "value": [result.value.real, result.value.imag],
-        "tail_bound": result.tail_bound,
-        "terms_used": result.terms_used,
-        "manifest": manifest,
-    }
-    _write_json(args.out, doc)
-    return 0
+    result = evaluate(cert, seq, z1, _parse_complex(args.z2), args.tol)
+    doc = {"value": [result.value.real, result.value.imag], "tail_bound": result.tail_bound,
+           "terms_used": result.terms_used}
+    return doc, {"tol": args.tol}, []
 
 
-# ---------------------------------------------------------------------------
+@dataclass(frozen=True)
+class _Command:
+    help: str
+    run: Callable
+    inputs: tuple              # input-file flags in digest order: (flag, add_argument keywords)
+    options: tuple = ()        # the other flags, likewise
+    manifest_suffix: str = ""  # the manifest JSON goes to <out> + this
+
+
+_REQUIRED = {"required": True}
+
+COMMANDS = {
+    "cap": _Command(
+        "capacity estimate of a compact set", _cap,
+        inputs=(("--set", dict(_REQUIRED, help="set JSON")),),
+        options=(("--n", dict(type=int, default=128)),
+                 ("--candidates", dict(type=int, default=4096)))),
+    "green": _Command(
+        "Green function values at points", _green,
+        inputs=(("--set", _REQUIRED), ("--points", dict(_REQUIRED, help="CSV of re,im rows"))),
+        manifest_suffix=".manifest.json"),
+    "bernstein": _Command(
+        "verify the polynomial growth bound", _bernstein,
+        inputs=(("--poly", dict(_REQUIRED, help="polynomial JSON")), ("--set", _REQUIRED),
+                ("--points", _REQUIRED))),
+    "gammacap": _Command(
+        "projection capacity of a predicate", _gammacap,
+        inputs=(("--set", dict(_REQUIRED, help="predicate JSON")),),
+        options=(("--unitaries", dict(type=int, default=1)),)),
+    "extend": _Command(
+        "produce an extension certificate", _extend,
+        inputs=(("--seq", dict(_REQUIRED, help="sequence JSON")),
+                ("--samples", dict(_REQUIRED, help="JSON list of [re,im] samples")),
+                ("--config", dict(default=None, help="config JSON"))),
+        options=(("--z2-max", dict(type=float, default=None)),)),
+    "eval": _Command(
+        "evaluate a certified series", _eval,
+        inputs=(("--cert", _REQUIRED), ("--seq", _REQUIRED)),
+        options=(("--z1", dict(_REQUIRED,
+                               help="complex, e.g. 0.1+0.2j (comma-separated for k>1)")),
+                 ("--z2", _REQUIRED), ("--tol", dict(type=float, default=1e-10)))),
+}
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -239,61 +209,32 @@ def build_parser() -> argparse.ArgumentParser:
         description="capacity, Green functions, growth bounds, and certified "
                     "power-series extension domains")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
+    for name, cmd in COMMANDS.items():
+        p = sub.add_parser(name, help=cmd.help)
+        for flag, keywords in cmd.inputs + cmd.options:
+            p.add_argument(flag, **keywords)
         p.add_argument("--out", required=True, help="output file")
         p.add_argument("--seed", type=int, default=0)
-
-    p = sub.add_parser("cap", help="capacity estimate of a compact set")
-    p.add_argument("--set", required=True, help="set JSON")
-    p.add_argument("--n", type=int, default=128)
-    p.add_argument("--candidates", type=int, default=4096)
-    common(p)
-    p.set_defaults(fn=_cmd_cap)
-
-    p = sub.add_parser("green", help="Green function values at points")
-    p.add_argument("--set", required=True)
-    p.add_argument("--points", required=True, help="CSV of re,im rows")
-    common(p)
-    p.set_defaults(fn=_cmd_green)
-
-    p = sub.add_parser("bernstein", help="verify the polynomial growth bound")
-    p.add_argument("--poly", required=True, help="polynomial JSON")
-    p.add_argument("--set", required=True)
-    p.add_argument("--points", required=True)
-    common(p)
-    p.set_defaults(fn=_cmd_bernstein)
-
-    p = sub.add_parser("gammacap", help="projection capacity of a predicate")
-    p.add_argument("--set", required=True, help="predicate JSON")
-    p.add_argument("--unitaries", type=int, default=1)
-    common(p)
-    p.set_defaults(fn=_cmd_gammacap)
-
-    p = sub.add_parser("extend", help="produce an extension certificate")
-    p.add_argument("--seq", required=True, help="sequence JSON")
-    p.add_argument("--samples", required=True, help="JSON list of [re,im] samples")
-    p.add_argument("--config", default=None, help="config JSON")
-    p.add_argument("--z2-max", dest="z2_max", type=float, default=None)
-    common(p)
-    p.set_defaults(fn=_cmd_extend)
-
-    p = sub.add_parser("eval", help="evaluate a certified series")
-    p.add_argument("--cert", required=True)
-    p.add_argument("--seq", required=True)
-    p.add_argument("--z1", required=True, help="complex, e.g. 0.1+0.2j (comma-separated for k>1)")
-    p.add_argument("--z2", required=True)
-    p.add_argument("--tol", type=float, default=1e-10)
-    common(p)
-    p.set_defaults(fn=_cmd_eval)
-
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    cmd = COMMANDS[args.command]
     try:
-        return args.fn(args)
+        doc, thresholds, tables = cmd.run(args)
+        digest = hashlib.sha256()
+        for flag, _ in cmd.inputs:
+            path = getattr(args, flag[2:])
+            if path is not None:  # an optional input counts only when given
+                digest.update(Path(path).read_bytes())
+        doc["manifest"] = {"command": args.command, "seed": args.seed, "tool_version": __version__,
+                           "input_digest": digest.hexdigest(), "thresholds": thresholds}
+        text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
+        Path(args.out + cmd.manifest_suffix).write_text(text, encoding="utf-8")
+        for suffix, header, rows in tables:
+            _write_csv(_sidecar(args.out, suffix), header, rows)
+        return 0
     except HolocapError as err:
         stage = err.stage or type(err).__name__
         print(f"pipeline failure [{stage}]: {err}", file=sys.stderr)

@@ -22,6 +22,7 @@ used, so all claims are explicitly conditional on the supplied data.
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 import numbers
 from dataclasses import dataclass, field
@@ -203,11 +204,16 @@ def fit_degree_growth(seq: PolynomialSequence) -> tuple:
     for idx, deg in degrees:
         if idx.norm == 0 and deg > c0:
             c0 = float(deg)
-    c1 = 0.0
+    return c0, _degree_slope(degrees, c0)
+
+
+def _degree_slope(degrees, c0: float) -> float:
+    """Least slope >= 0 with deg <= c0 + slope * ||n|| over non-zero (index, degree) pairs."""
+    slope = 0.0
     for idx, deg in degrees:
         if idx.norm >= 1 and deg != -math.inf:
-            c1 = max(c1, (deg - c0) / idx.norm)
-    return c0, c1
+            slope = max(slope, (deg - c0) / idx.norm)
+    return slope
 
 
 # ---------------------------------------------------------------------------
@@ -354,11 +360,7 @@ class ExtensionCertificate:
 
     def green(self) -> GreenEvaluator:
         if self._green is None:
-            self._green = green_function(
-                self.witness, method="auto",
-                n=int(self.thresholds.get("fekete_n", 128)),
-                candidates=int(self.thresholds.get("candidates", 4096)),
-                eps_cap=float(self.thresholds.get("eps_cap", EPS_CAP)))
+            self._green = _witness_green(self.witness, self.thresholds)
         return self._green
 
     @property
@@ -425,6 +427,13 @@ def _gamma_c(green: GreenEvaluator, z2_max: float, n_radial: int, n_angular: int
     return float(max(vals.max(), green.robin_constant))
 
 
+def _witness_green(witness: CompactSet, thresholds: dict) -> GreenEvaluator:
+    """Green function of the witness, built from the certificate's thresholds."""
+    return green_function(witness, "auto", int(thresholds.get("fekete_n", 128)),
+                          int(thresholds.get("candidates", 4096)),
+                          float(thresholds.get("eps_cap", EPS_CAP)))
+
+
 def _run_stage(name: str, fn, *args, **kwargs):
     try:
         return fn(*args, **kwargs)
@@ -451,9 +460,6 @@ def _certify(seq: PolynomialSequence, samples, cfg: ExtendConfig, c0: float, c1:
     rho0 = i / cfg.theta
     witness, rho1, m0, level = _run_stage("uniform_bound", uniform_bound_compact,
                                           seq, stratum, rho0, cfg.eps_cap, cfg.fekete_n)
-    green = _run_stage("green", green_function, witness, "auto",
-                       cfg.fekete_n, cfg.candidates, cfg.eps_cap)
-    gamma_c = _gamma_c(green, cfg.z2_max, cfg.gamma_radial, cfg.gamma_angular)
     thresholds = {
         "eps_cap": cfg.eps_cap, "theta": cfg.theta, "window": window,
         "i_max": cfg.i_max, "z2_max": cfg.z2_max, "fekete_n": cfg.fekete_n,
@@ -462,6 +468,8 @@ def _certify(seq: PolynomialSequence, samples, cfg: ExtendConfig, c0: float, c1:
         "uniform_level": level, "tail_slope": tail_slope, "tail_start": tail_start,
         **extra_thresholds,
     }
+    green = _run_stage("green", _witness_green, witness, thresholds)
+    gamma_c = _gamma_c(green, cfg.z2_max, cfg.gamma_radial, cfg.gamma_angular)
     cert = ExtensionCertificate(rho0=rho0, rho1=rho1, M0=m0, C0=c0, C1=c1,
                                 gammaC=gamma_c, C2=c2_of(rho1, gamma_c), exponent=exponent,
                                 witness=witness, N_used=seq.max_norm,
@@ -505,11 +513,7 @@ def certify_uniform(seq: PolynomialSequence, K_samples,
         start = seq.max_norm - max(1, seq.max_norm >> j)
         if start < 1:
             continue
-        slope = 0.0
-        for idx in seq.indices(start):
-            deg = seq.poly(idx).degree
-            if deg != -math.inf:
-                slope = max(slope, (deg - c0) / idx.norm)
+        slope = _degree_slope(((idx, seq.poly(idx).degree) for idx in seq.indices(start)), c0)
         if slope < best_slope:
             best_slope, best_start = slope, start
     if best_slope > cfg.sublinear_tol:
@@ -635,7 +639,8 @@ def ring_multiply(f: PolynomialSequence, g: PolynomialSequence,
     table = {}
     for idx in iter_indices(f.k, 0, n_max):
         acc = np.zeros(1, dtype=np.complex128)
-        for a_entries in _below(idx.entries):
+        # every componentwise-smaller-or-equal a, in lexicographic order
+        for a_entries in itertools.product(*(range(e + 1) for e in idx.entries)):
             a = MultiIndex(a_entries)
             b = MultiIndex(tuple(n - x for n, x in zip(idx.entries, a_entries)))
             pa = np.asarray(f.poly(a).coefficients, dtype=np.complex128)
@@ -643,17 +648,6 @@ def ring_multiply(f: PolynomialSequence, g: PolynomialSequence,
             acc = P.polyadd(acc, P.polymul(pa, pb))
         table[idx.entries] = Polynomial1D(tuple(acc))
     return table_sequence(table, max_norm=n_max, k=f.k)
-
-
-def _below(entries: tuple):
-    """All componentwise-smaller-or-equal tuples, lexicographic order."""
-    if len(entries) == 1:
-        for a in range(entries[0] + 1):
-            yield (a,)
-        return
-    for a in range(entries[0] + 1):
-        for rest in _below(entries[1:]):
-            yield (a,) + rest
 
 
 # ---------------------------------------------------------------------------

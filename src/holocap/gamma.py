@@ -236,6 +236,15 @@ def _final_cloud(pred: SetPredicate, grid: GridSpec) -> np.ndarray:
     return scan[pred.membership(scan[:, None])]
 
 
+def _project_to_m1(pred: SetPredicate, unitary: np.ndarray, grid: GridSpec,
+                   eps_cap: float) -> SetPredicate:
+    """The set's image under the unitary, projected down to C^1."""
+    p = transform_unitary(pred, unitary)
+    for _ in range(pred.dimension - 1):
+        p = gamma_project(p, grid, eps_cap)
+    return p
+
+
 def gamma_cap(pred: SetPredicate, unitary_count: int = 1, seed: int = 0,
               grid: GridSpec = GridSpec(), eps_cap: float = EPS_CAP) -> GammaCapResult:
     """Sampled-maximum projection capacity of the set.
@@ -261,9 +270,7 @@ def gamma_cap(pred: SetPredicate, unitary_count: int = 1, seed: int = 0,
     per = []
     best_idx = 0
     for k, u in enumerate(unitaries):
-        p = transform_unitary(pred, u.matrix)
-        for _ in range(m - 1):
-            p = gamma_project(p, grid, eps_cap)
+        p = _project_to_m1(pred, u.matrix, grid, eps_cap)
         if p.product_factors is not None:
             value = capacity(p.product_factors[0], n=grid.capacity_points,
                              candidates=grid.shape_candidates, eps_cap=eps_cap).value
@@ -289,9 +296,7 @@ def reduce_to_m1(pred: SetPredicate, result: GammaCapResult) -> tuple:
         raise GammaPolar(
             f"projection capacity {result.value:.3e} is polar at threshold "
             f"{result.fiber_threshold:g}")
-    p = transform_unitary(pred, result.best_unitary.matrix)
-    for _ in range(pred.dimension - 1):
-        p = gamma_project(p, result.grid, result.fiber_threshold)
+    p = _project_to_m1(pred, result.best_unitary.matrix, result.grid, result.fiber_threshold)
     cloud = _final_cloud(p, result.grid)
     return PointCloud(tuple(complex(z) for z in cloud)), result.best_unitary
 

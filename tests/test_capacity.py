@@ -233,6 +233,9 @@ def test_robin_constants():
     assert robin_constant(Segment(-1, 1)) == pytest.approx(math.log(2), abs=1e-12)
     assert robin_constant(Disk(0, math.e)) == pytest.approx(-1.0, abs=1e-12)
     assert math.isinf(robin_constant(PointCloud((1 + 1j,))))
+    # one closed form per analytic shape: the Green function's, to the last bit
+    for shape in (Segment(0, 3), Disk(0, 2)):
+        assert robin_constant(shape) == green_function(shape).robin_constant
 
 
 def test_robin_cross_check_against_capacity_estimate():

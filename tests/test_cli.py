@@ -1,10 +1,12 @@
 import csv
+import hashlib
 import json
 import math
 
 import numpy as np
 import pytest
 
+from holocap import __version__
 from holocap.cli import main
 
 DISK = {"shape": "disk", "center": [0, 0], "radius": 1.0}
@@ -260,3 +262,58 @@ def test_eval_non_finite_input_exit_two(tmp_path, capsys, z1, z2, tol):
     assert code == 2
     assert "must be finite" in capsys.readouterr().err
     assert not out.exists()
+
+
+EXTEND_KEYS = {"eps_cap", "theta", "window", "i_max", "z2_max", "fekete_n", "candidates",
+               "gamma_radial", "gamma_angular", "stratum_index", "uniform_level",
+               "tail_slope", "tail_start", "mode"}
+
+
+def _manifest_case(tmp_path, case):
+    """(argv, input files in digest order, manifest path, threshold keys) of one command."""
+    out = str(tmp_path / "out.json")
+    disk = write(tmp_path / "disk.json", DISK)
+    seq = write(tmp_path / "seq.json", GEOMETRIC)
+    samples = write(tmp_path / "samples.json", CIRCLE_SAMPLES)
+    if case == "cap":
+        return (["cap", "--set", disk, "--n", "16"], [disk], out,
+                {"n", "candidates", "eps_cap"})
+    if case == "green":
+        pts = write_points_csv(tmp_path / "pts.csv", [2 + 0j, 0.3 + 0j])
+        return (["green", "--set", disk, "--points", pts], [disk, pts], out + ".manifest.json",
+                {"backing", "robin_constant", "clamp_magnitude"})
+    if case == "bernstein":
+        poly = write(tmp_path / "p.json", {"coefficients": [[0, 0], [1, 0]]})
+        pts = write_points_csv(tmp_path / "pts.csv", [2 + 0j])
+        return (["bernstein", "--poly", poly, "--set", disk, "--points", pts],
+                [poly, disk, pts], out, {"slack", "clamp_magnitude"})
+    if case == "gammacap":
+        pred = write(tmp_path / "pred.json", {"kind": "product", "factors": [DISK, DISK]})
+        return (["gammacap", "--set", pred], [pred], out,
+                {"unitaries", "fiber_threshold", "fiber_resolution", "projected_resolution",
+                 "fiber_capacity_points", "capacity_points"})
+    if case == "extend":
+        return (["extend", "--seq", seq, "--samples", samples], [seq, samples], out, EXTEND_KEYS)
+    if case == "extend_config":
+        seq = write(tmp_path / "seq.json", {"kind": "sqrt_degree", "max_norm": 400})
+        cfg = write(tmp_path / "cfg.json", {"mode": "uniform"})
+        return (["extend", "--seq", seq, "--samples", samples, "--config", cfg],
+                [seq, samples, cfg], out, EXTEND_KEYS | {"sublinear_tol"})
+    cert = str(tmp_path / "cert.json")
+    assert main(["extend", "--seq", seq, "--samples", samples, "--out", cert]) == 0
+    return (["eval", "--cert", cert, "--seq", seq, "--z1", "0.1+0j", "--z2", "2+0j"],
+            [cert, seq], out, {"tol"})
+
+
+@pytest.mark.parametrize("case", ["cap", "green", "bernstein", "gammacap", "extend",
+                                  "extend_config", "eval"])
+def test_manifest_digest_seed_and_thresholds(tmp_path, case):
+    argv, inputs, manifest_path, keys = _manifest_case(tmp_path, case)
+    assert main(argv + ["--seed", "7", "--out", str(tmp_path / "out.json")]) == 0
+    manifest = json.loads(open(manifest_path, encoding="utf-8").read())["manifest"]
+    digest = hashlib.sha256(b"".join(open(p, "rb").read() for p in inputs)).hexdigest()
+    assert manifest["command"] == argv[0]
+    assert manifest["input_digest"] == digest
+    assert manifest["seed"] == 7
+    assert manifest["tool_version"] == __version__
+    assert set(manifest["thresholds"]) == keys

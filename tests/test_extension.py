@@ -247,6 +247,8 @@ def test_certificate_json_round_trip_lossless():
     assert back.witness == cert.witness
     assert back.thresholds == cert.thresholds
     assert doc["tool_version"]
+    grid = np.linspace(-3.0, 3.0, 7)[:, None] + 1j * np.linspace(-3.0, 3.0, 7)[None, :]
+    assert np.array_equal(back.green()(grid), cert.green()(grid))  # same Green, bit for bit
 
 
 # ---------------------------------------------------------------------------
@@ -358,6 +360,17 @@ def test_ring_identity():
     prod = ring_multiply(f, delta_sequence(1, 15), 15)
     for n in range(16):
         assert prod.poly(MultiIndex.single(n)) == f.poly(MultiIndex.single(n))
+
+
+def test_ring_multiply_two_variables():
+    # (f f)_n sums P_a P_{n-a} over the (n1 + 1)(n2 + 1) indices a <= n
+    f = geometric_sequence(2.0, 6, k=2)
+    prod = ring_multiply(f, f, 6)
+    for entries in ((0, 0), (1, 0), (0, 3), (2, 4), (3, 3)):
+        n1, n2 = entries
+        p = prod.poly(MultiIndex(entries))
+        assert p.degree == n1 + n2
+        assert p.coefficients[-1] == (n1 + 1) * (n2 + 1) * 2.0 ** (n1 + n2)
 
 
 def test_ring_insufficient_norm():
