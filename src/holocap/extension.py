@@ -101,7 +101,8 @@ class PolynomialSequence:
     ``provider`` must be total on indices with norm <= max_norm and safe to
     call concurrently (results are cached here).  Declared growth constants,
     when present, are validated by :func:`fit_degree_growth` against every
-    available degree.
+    available degree.  The certification stages read the coefficients from
+    one :class:`CoefficientTable` (see :meth:`table`).
     """
 
     provider: Callable[[MultiIndex], Polynomial1D]
@@ -110,6 +111,7 @@ class PolynomialSequence:
     declared_C0: float | None = None
     declared_C1: float | None = None
     _cache: dict = field(default_factory=dict, repr=False, compare=False)
+    _table: "CoefficientTable | None" = field(default=None, repr=False, compare=False)
 
     def poly(self, index: MultiIndex) -> Polynomial1D:
         if index.k != self.k:
@@ -124,6 +126,89 @@ class PolynomialSequence:
 
     def indices(self, lo: int = 0, hi: int | None = None):
         return iter_indices(self.k, lo, self.max_norm if hi is None else hi)
+
+    def table(self) -> "CoefficientTable":
+        """The coefficient table of every index up to max_norm, built on first use."""
+        t = self._table
+        if t is None or len(t.starts) != self.max_norm + 2 or t.entries.shape[1] != self.k:
+            t = self._table = CoefficientTable.of(self)
+        return t
+
+
+_CHUNK_CELLS = 1 << 15   # rows x points that norm_peaks evaluates at once (512 KB of complex)
+
+
+@dataclass(frozen=True)
+class CoefficientTable:
+    """The indices of a sequence up to its cutoff, one row each in ``indices()`` order.
+
+    Row r is the index ``entries[r]`` of norm ``norms[r]``; its polynomial has
+    degree ``degrees[r]`` (-inf for zero) and the ``counts[r]`` coefficients
+    ``coeffs[offsets[r]:offsets[r] + counts[r]]``, ascending, where an empty
+    coefficient tuple counts as one zero.  The rows of norm j are
+    ``starts[j]:starts[j + 1]``.
+    """
+
+    entries: np.ndarray
+    norms: np.ndarray
+    degrees: np.ndarray
+    counts: np.ndarray
+    offsets: np.ndarray
+    coeffs: np.ndarray
+    starts: np.ndarray
+
+    @classmethod
+    def of(cls, seq: PolynomialSequence) -> "CoefficientTable":
+        indices = list(seq.indices())
+        polys = [seq.poly(idx) for idx in indices]
+        coefficients = [p.coefficients or (0j,) for p in polys]
+        entries = np.array([idx.entries for idx in indices], dtype=np.int64).reshape(-1, seq.k)
+        norms = entries.sum(axis=1)
+        counts = np.array([len(c) for c in coefficients], dtype=np.int64)
+        return cls(entries=entries, norms=norms,
+                   degrees=np.array([p.degree for p in polys], dtype=np.float64),
+                   counts=counts, offsets=np.cumsum(counts) - counts,
+                   coeffs=np.array([c for cs in coefficients for c in cs], dtype=np.complex128),
+                   starts=np.searchsorted(norms, np.arange(seq.max_norm + 2)))
+
+    def norm_peaks(self, zs, lo: int, hi: int) -> np.ndarray:
+        """Array whose entry (j - lo, z) is max over ||n|| = j of |P_n(z)|, lo <= j <= hi.
+
+        Each row runs Horner's rule in the operation order of
+        ``Polynomial1D.__call__`` (numpy's polyval), so every |P_n(z)| is
+        bit-identical to it.  Rows are evaluated in chunks of about
+        ``_CHUNK_CELLS`` values, each reduced to per-norm peaks before the
+        next; within a chunk, rows are sorted by coefficient count and a row
+        joins the batch update when its own leading coefficient is reached.
+        NaN values propagate into their norm's peak.
+        """
+        zs = np.asarray(zs, dtype=np.complex128)
+        peaks = np.full((hi - lo + 1, len(zs)), -np.inf)
+        start, stop = self.starts[lo], self.starts[hi + 1]
+        step = max(1, _CHUNK_CELLS // max(1, len(zs)))
+        # numpy rounds a complex product differently in its loops for a
+        # broadcast operand and for an in-place one-element product, so each
+        # product takes two same-shape operands and a separate output, as
+        # in polyval
+        grid = np.tile(zs, (min(step, stop - start), 1))
+        prod = np.empty_like(grid)
+        for a in range(start, stop, step):
+            b = min(a + step, stop)
+            order = np.argsort(-self.counts[a:b], kind="stable")
+            counts, offsets = self.counts[a:b][order], self.offsets[a:b][order]
+            joined = np.searchsorted(-counts, -np.arange(counts[0]))  # rows with count > i
+            acc = np.zeros((b - a, len(zs)), dtype=np.complex128)
+            for i in range(counts[0] - 1, -1, -1):
+                m = joined[i]
+                np.multiply(acc[:m], grid[:m], out=prod[:m])
+                np.add(prod[:m], self.coeffs[offsets[:m] + i][:, None], out=acc[:m])
+            vals = np.empty((b - a, len(zs)))
+            vals[order] = np.abs(acc)
+            first, last = self.norms[a], self.norms[b - 1]
+            segments = np.maximum(self.starts[first:last + 1], a) - a
+            block = peaks[first - lo:last - lo + 1]
+            np.maximum(block, np.maximum.reduceat(vals, segments, axis=0), out=block)
+        return peaks
 
 
 def geometric_sequence(lam: complex, max_norm: int, k: int = 1) -> PolynomialSequence:
@@ -188,32 +273,29 @@ def fit_degree_growth(seq: PolynomialSequence) -> tuple:
     """
     if seq.max_norm < 1:
         raise ValueError("degree-growth fit needs at least 2 available indices")
-    degrees = [(idx, seq.poly(idx).degree) for idx in seq.indices()]
+    table = seq.table()
 
     if seq.declared_C0 is not None or seq.declared_C1 is not None:
         c0 = float(seq.declared_C0 or 0.0)
         c1 = float(seq.declared_C1 or 0.0)
-        for idx, deg in degrees:
-            if deg > c0 + c1 * idx.norm:
-                raise DegreeGrowthViolated(
-                    f"deg P_{idx.entries} = {deg} exceeds declared "
-                    f"{c0} + {c1} * {idx.norm}")
+        violated = np.flatnonzero(table.degrees > c0 + c1 * table.norms)
+        if len(violated):
+            r = violated[0]
+            raise DegreeGrowthViolated(
+                f"deg P_{tuple(table.entries[r].tolist())} = {int(table.degrees[r])} "
+                f"exceeds declared {c0} + {c1} * {int(table.norms[r])}")
         return c0, c1
 
-    c0 = 0.0
-    for idx, deg in degrees:
-        if idx.norm == 0 and deg > c0:
-            c0 = float(deg)
-    return c0, _degree_slope(degrees, c0)
+    c0 = max(0.0, float(table.degrees[0]))   # row 0 is the norm-zero index
+    return c0, _degree_slope(table, c0)
 
 
-def _degree_slope(degrees, c0: float) -> float:
-    """Least slope >= 0 with deg <= c0 + slope * ||n|| over non-zero (index, degree) pairs."""
-    slope = 0.0
-    for idx, deg in degrees:
-        if idx.norm >= 1 and deg != -math.inf:
-            slope = max(slope, (deg - c0) / idx.norm)
-    return slope
+def _degree_slope(table: CoefficientTable, c0: float, start: int = 1) -> float:
+    """Least slope >= 0 with deg <= c0 + slope * ||n|| over non-zero rows of norm >= start."""
+    rows = slice(table.starts[start], None)
+    degrees, norms = table.degrees[rows], table.norms[rows]
+    nonzero = degrees != -math.inf
+    return float(np.max((degrees[nonzero] - c0) / norms[nonzero], initial=0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -237,14 +319,10 @@ def radius_profile(seq: PolynomialSequence, samples, window: int) -> RadiusProfi
     if window < 1 or window > seq.max_norm:
         raise WindowEmpty(f"tail window {window} not within 1..{seq.max_norm}")
     lo = max(1, seq.max_norm - window + 1)
-    tail = list(seq.indices(lo, seq.max_norm))
-    if not tail:
-        raise WindowEmpty("no indices in the tail window")
     zs = np.asarray(list(samples), dtype=np.complex128)
     rate = np.zeros(len(zs))
-    for idx in tail:
-        vals = np.abs(seq.poly(idx)(zs))
-        np.maximum(rate, np.where(vals > 0.0, vals ** (1.0 / idx.norm), 0.0), out=rate)
+    for j, vals in enumerate(seq.table().norm_peaks(zs, lo, seq.max_norm), lo):
+        np.maximum(rate, np.where(vals > 0.0, vals ** (1.0 / j), 0.0), out=rate)
     out = tuple((complex(z), (1.0 / r) if r > 0.0 else math.inf)
                 for z, r in zip(zs, rate))
     return RadiusProfile(samples=out)
@@ -285,12 +363,10 @@ def uniform_bound_compact(seq: PolynomialSequence, stratum: PointCloud,
     if rho0 <= 0:
         raise ValueError("rho0 must be positive")
     pts = np.asarray(stratum.points, dtype=np.complex128)
-    values = {}   # index -> |P_n| over the stratum cloud
+    peaks = seq.table().norm_peaks(pts, 0, seq.max_norm)   # row j: max_{||n||=j} |P_n|
     phi = np.zeros(len(pts))
-    for idx in seq.indices():
-        vals = np.abs(seq.poly(idx)(pts))
-        values[idx.entries] = vals
-        np.maximum(phi, vals * rho0 ** (-idx.norm), out=phi)
+    for j, vals in enumerate(peaks):
+        np.maximum(phi, vals * rho0 ** (-j), out=phi)
 
     chosen = None
     for exp2 in range(0, 65):
@@ -306,23 +382,19 @@ def uniform_bound_compact(seq: PolynomialSequence, stratum: PointCloud,
         raise NoUniformStratum("no doubling level up to 2^64 gives a non-polar sublevel cloud")
     level, mask = chosen
 
-    m0 = 1.0
+    kept = peaks[:, mask]
+    m0 = max(1.0, float(kept[0].max()))
     rho1 = 0.0
-    for idx in seq.indices():
-        vals = values[idx.entries][mask]
-        if idx.norm == 0:
-            m0 = max(m0, float(vals.max()))
-        else:
-            nz = vals[vals > 0.0]
-            if len(nz):
-                rho1 = max(rho1, float(np.max(nz ** (1.0 / idx.norm))))
+    for j in range(1, len(kept)):
+        nz = kept[j][kept[j] > 0.0]
+        if len(nz):
+            rho1 = max(rho1, float(np.max(nz ** (1.0 / j))))
     if rho1 == 0.0:
         rho1 = 1.0  # only the constant term constrains the bound
 
     # enforce |P_n| <= M0 * rho1^||n|| exactly despite pow rounding
-    for idx in seq.indices(1):
-        vals = values[idx.entries][mask]
-        while np.any(vals > m0 * rho1 ** idx.norm):
+    for j in range(1, len(kept)):
+        while np.any(kept[j] > m0 * rho1 ** j):
             rho1 = math.nextafter(rho1, math.inf)
 
     cloud = PointCloud(tuple(complex(z) for z in pts[mask]))
@@ -372,7 +444,10 @@ class ExtensionCertificate:
         return int(self.thresholds.get("tail_start", 0))
 
     def certified_radius(self, z2: complex) -> float:
-        return self.C2 / (1.0 + abs(z2)) ** self.exponent
+        try:
+            return self.C2 / (1.0 + abs(z2)) ** self.exponent
+        except OverflowError:
+            return 0.0   # the true radius is below C2 / 1.8e308
 
 
 @dataclass(frozen=True)
@@ -494,6 +569,20 @@ def certify_extension(seq: PolynomialSequence, K_samples,
                     c2_of=lambda rho1, gamma_c: 1.0 / (rho1 * math.exp(c1 * gamma_c)))
 
 
+def _tail_slope(seq: PolynomialSequence, c0: float) -> tuple:
+    """(slope, start): the least degree slope over the tail windows ||n|| >= start."""
+    table = seq.table()
+    best_slope, best_start = math.inf, 0
+    for j in range(1, 7):
+        start = seq.max_norm - max(1, seq.max_norm >> j)
+        if start < 1:
+            continue
+        slope = _degree_slope(table, c0, start)
+        if slope < best_slope:
+            best_slope, best_start = slope, start
+    return best_slope, best_start
+
+
 def certify_uniform(seq: PolynomialSequence, K_samples,
                     config: ExtendConfig | None = None) -> ExtensionCertificate:
     """Uniform-domain variant for sublinear degree growth.
@@ -507,23 +596,14 @@ def certify_uniform(seq: PolynomialSequence, K_samples,
     cfg = config or ExtendConfig()
     c0, c1 = _run_stage("fit_degree_growth", fit_degree_growth, seq)
 
-    best_slope = math.inf
-    best_start = 0
-    for j in range(1, 7):
-        start = seq.max_norm - max(1, seq.max_norm >> j)
-        if start < 1:
-            continue
-        slope = _degree_slope(((idx, seq.poly(idx).degree) for idx in seq.indices(start)), c0)
-        if slope < best_slope:
-            best_slope, best_start = slope, start
-    if best_slope > cfg.sublinear_tol:
+    eps, start = _tail_slope(seq, c0)
+    if eps > cfg.sublinear_tol:
         raise NotSublinear(
-            f"tail degree slope {best_slope:.4f} stays above tolerance "
+            f"tail degree slope {eps:.4f} stays above tolerance "
             f"{cfg.sublinear_tol}").with_stage("sublinearity")
 
-    eps = best_slope
     return _certify(seq, K_samples, cfg, c0, c1, exponent=0.0, tail_slope=eps,
-                    tail_start=best_start,
+                    tail_start=start,
                     c2_of=lambda rho1, gamma_c: (1.0 / rho1) * math.exp(-eps * gamma_c),
                     sublinear_tol=cfg.sublinear_tol)
 

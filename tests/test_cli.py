@@ -222,6 +222,22 @@ def test_extend_overflowing_coefficients_exit_two(tmp_path, capsys):
     assert "input error" in capsys.readouterr().err
 
 
+def test_extend_overflowing_domain_radius_is_zero(tmp_path):
+    # deg P_n = 200 n: (1 + |z2|)^200 passes 1.8e308 before z2_max = 1e3
+    seq_path = write(tmp_path / "seq.json", {"kind": "table", "max_norm": 4, "entries": [
+        {"index": [n], "coefficients": [[0, 0]] * (200 * n) + [[1, 0]]} for n in range(5)]})
+    samples_path = write(tmp_path / "samples.json", CIRCLE_SAMPLES)
+    out = tmp_path / "cert.json"
+    assert main(["extend", "--seq", seq_path, "--samples", samples_path,
+                 "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["exponent"] == 200.0
+    rows = list(csv.reader(open(tmp_path / "cert_domain.csv")))[1:]
+    radii = [float(r[1]) for r in rows]
+    assert all(b <= a for a, b in zip(radii, radii[1:]))
+    assert radii[0] > 0.0
+    assert [r[1] for r in rows[-10:]] == ["0.0"] * 10
+
+
 NAN_TABLE = {"kind": "table", "max_norm": 4, "entries": [
     {"index": [n], "coefficients": [[1, 0]] if n != 2 else [[math.nan, 0]]}
     for n in range(5)]}

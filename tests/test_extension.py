@@ -1,17 +1,23 @@
+import cmath
 import json
 import math
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from holocap import extension
 from holocap.bernstein import Polynomial1D
+from holocap.capacity import MIN_POINTS, capacity_of_cloud
 from holocap.errors import (
     AllStrataPolar,
     DegreeGrowthViolated,
     InsufficientData,
     NotSublinear,
+    NoUniformStratum,
     OutsideCertifiedDomain,
     WindowEmpty,
 )
@@ -20,6 +26,7 @@ from holocap.extension import (
     ExtensionCertificate,
     MultiIndex,
     RadiusProfile,
+    _tail_slope,
     certificate_from_json,
     certificate_to_json,
     certify_extension,
@@ -30,6 +37,7 @@ from holocap.extension import (
     fit_degree_growth,
     geometric_sequence,
     global_bound,
+    iter_indices,
     radius_profile,
     ring_multiply,
     sequence_from_json,
@@ -418,6 +426,215 @@ def test_ring_multiply_k2():
     prod = ring_multiply(f, delta_sequence(1, 6, k=2), 6)
     idx = MultiIndex((2, 3))
     assert prod.poly(idx).coefficients == f.poly(idx).coefficients
+
+
+# ---------------------------------------------------------------------------
+# coefficient table: bit-identity with the per-index loops it replaced
+# ---------------------------------------------------------------------------
+
+# Frozen copies of the per-index loops that fit_degree_growth, radius_profile,
+# uniform_bound_compact and certify_uniform ran before the coefficient table.
+# Every stage on the table must reproduce them exactly.
+
+def _ref_fit_degree_growth(seq):
+    if seq.max_norm < 1:
+        raise ValueError("degree-growth fit needs at least 2 available indices")
+    degrees = [(idx, seq.poly(idx).degree) for idx in seq.indices()]
+    if seq.declared_C0 is not None or seq.declared_C1 is not None:
+        c0 = float(seq.declared_C0 or 0.0)
+        c1 = float(seq.declared_C1 or 0.0)
+        for idx, deg in degrees:
+            if deg > c0 + c1 * idx.norm:
+                raise DegreeGrowthViolated(
+                    f"deg P_{idx.entries} = {deg} exceeds declared "
+                    f"{c0} + {c1} * {idx.norm}")
+        return c0, c1
+    c0 = 0.0
+    for idx, deg in degrees:
+        if idx.norm == 0 and deg > c0:
+            c0 = float(deg)
+    return c0, _ref_degree_slope(degrees, c0)
+
+
+def _ref_degree_slope(degrees, c0):
+    slope = 0.0
+    for idx, deg in degrees:
+        if idx.norm >= 1 and deg != -math.inf:
+            slope = max(slope, (deg - c0) / idx.norm)
+    return slope
+
+
+def _ref_tail_slope(seq, c0):
+    best_slope, best_start = math.inf, 0
+    for j in range(1, 7):
+        start = seq.max_norm - max(1, seq.max_norm >> j)
+        if start < 1:
+            continue
+        slope = _ref_degree_slope(((idx, seq.poly(idx).degree)
+                                   for idx in seq.indices(start)), c0)
+        if slope < best_slope:
+            best_slope, best_start = slope, start
+    return best_slope, best_start
+
+
+def _ref_radius_profile(seq, samples, window):
+    lo = max(1, seq.max_norm - window + 1)
+    zs = np.asarray(list(samples), dtype=np.complex128)
+    rate = np.zeros(len(zs))
+    for idx in seq.indices(lo, seq.max_norm):
+        vals = np.abs(seq.poly(idx)(zs))
+        np.maximum(rate, np.where(vals > 0.0, vals ** (1.0 / idx.norm), 0.0), out=rate)
+    return RadiusProfile(tuple((complex(z), (1.0 / r) if r > 0.0 else math.inf)
+                               for z, r in zip(zs, rate)))
+
+
+def _ref_uniform_bound_compact(seq, stratum, rho0, eps_cap, fekete_n):
+    pts = np.asarray(stratum.points, dtype=np.complex128)
+    values = {}
+    phi = np.zeros(len(pts))
+    for idx in seq.indices():
+        vals = np.abs(seq.poly(idx)(pts))
+        values[idx.entries] = vals
+        np.maximum(phi, vals * rho0 ** (-idx.norm), out=phi)
+    chosen = None
+    for exp2 in range(0, 65):
+        level = float(2 ** exp2)
+        mask = phi <= level
+        if int(mask.sum()) < MIN_POINTS:
+            continue
+        est = capacity_of_cloud(pts[mask], n=fekete_n, eps_cap=eps_cap)
+        if est.value > eps_cap:
+            chosen = (level, mask)
+            break
+    if chosen is None:
+        raise NoUniformStratum("no doubling level up to 2^64 gives a non-polar sublevel cloud")
+    level, mask = chosen
+    m0 = 1.0
+    rho1 = 0.0
+    for idx in seq.indices():
+        vals = values[idx.entries][mask]
+        if idx.norm == 0:
+            m0 = max(m0, float(vals.max()))
+        else:
+            nz = vals[vals > 0.0]
+            if len(nz):
+                rho1 = max(rho1, float(np.max(nz ** (1.0 / idx.norm))))
+    if rho1 == 0.0:
+        rho1 = 1.0
+    for idx in seq.indices(1):
+        vals = values[idx.entries][mask]
+        while np.any(vals > m0 * rho1 ** idx.norm):
+            rho1 = math.nextafter(rho1, math.inf)
+    cloud = PointCloud(tuple(complex(z) for z in pts[mask]))
+    return cloud, rho1, m0, level
+
+
+def _outcome(fn, *args):
+    """A call's result, or its exception type and message, for exact comparison."""
+    try:
+        return "ok", repr(fn(*args))
+    except Exception as err:  # both sides must fail the same way
+        return type(err).__name__, str(err)
+
+
+def _polar(modulus_lo: float, modulus_hi: float):
+    return st.builds(lambda e, a: 10.0 ** e * cmath.exp(1j * a),
+                     st.floats(math.log10(modulus_lo), math.log10(modulus_hi)),
+                     st.floats(0.0, 2.0 * math.pi))
+
+
+# coefficient tuples: empty, exact zeros, mixed lengths and trailing zeros
+_COEFFS = st.builds(lambda head, zeros: tuple(head) + (0j,) * zeros,
+                    st.lists(st.one_of(st.just(0j), _polar(1e-3, 1e3)), max_size=6),
+                    st.integers(0, 3))
+
+
+@st.composite
+def _table_sequences(draw, max_norm_hi: int = 6):
+    """table_sequence with k in {1, 2, 3}; a skipped index is the zero polynomial."""
+    k = draw(st.sampled_from((1, 2, 3)))
+    max_norm = draw(st.integers(1, max_norm_hi))
+    entries = {idx.entries: Polynomial1D(draw(_COEFFS))
+               for idx in iter_indices(k, 0, max_norm) if draw(st.booleans())}
+    return table_sequence(entries, max_norm, k)
+
+
+_POINTS = st.lists(_polar(1e-3, 1e3), min_size=1, max_size=30)
+
+
+@given(_table_sequences(), _POINTS, st.integers(1, 400), st.data())
+@settings(max_examples=80, deadline=None)
+def test_norm_peaks_bit_identical_to_polyval(seq, points, chunk_cells, data):
+    zs = np.asarray(points, dtype=np.complex128)
+    lo = data.draw(st.integers(0, seq.max_norm))
+    hi = data.draw(st.integers(lo, seq.max_norm))
+    # a small chunk splits norm blocks across chunks, as large inputs do
+    with mock.patch.object(extension, "_CHUNK_CELLS", chunk_cells):
+        peaks = seq.table().norm_peaks(zs, lo, hi)
+    assert peaks.shape == (hi - lo + 1, len(zs))
+    for j in range(lo, hi + 1):
+        expect = np.max([np.abs(seq.poly(idx)(zs)) for idx in seq.indices(j, j)], axis=0)
+        assert peaks[j - lo].tobytes() == expect.tobytes()
+
+
+_DECLARED = st.one_of(st.none(), st.sampled_from((0.0, 1.0, 2.0, 5.0)))
+
+
+@given(_table_sequences(), _DECLARED, _DECLARED, _POINTS, st.data())
+@settings(max_examples=80, deadline=None)
+def test_degree_and_radius_stages_match_reference(seq, c0, c1, points, data):
+    seq.declared_C0, seq.declared_C1 = c0, c1
+    assert _outcome(fit_degree_growth, seq) == _outcome(_ref_fit_degree_growth, seq)
+    seq.declared_C0 = seq.declared_C1 = None
+    fit_c0, _ = fit_degree_growth(seq)
+    assert _tail_slope(seq, fit_c0) == _ref_tail_slope(seq, fit_c0)
+    window = data.draw(st.integers(1, seq.max_norm))
+    assert (repr(radius_profile(seq, points, window))
+            == repr(_ref_radius_profile(seq, points, window)))
+
+
+def _uniform_cases():
+    rng = np.random.default_rng(2024)
+    tables = []
+    for k in (1, 2, 3):
+        entries = {idx.entries: Polynomial1D(tuple(rng.normal(size=int(rng.integers(0, 5)))
+                                                   * 10.0 ** rng.uniform(-2, 2)))
+                   for idx in iter_indices(k, 0, 6)}
+        tables.append(table_sequence(entries, 6, k))
+    return [geometric_sequence(1.3 - 0.4j, 30), geometric_sequence(0.9 + 0.5j, 12, k=2),
+            geometric_sequence(1.1, 8, k=3), sqrt_degree_sequence(60),
+            constant_sequence(2 - 1j, 20, k=2), delta_sequence(7, 10)] + tables
+
+
+@pytest.mark.parametrize("seq", _uniform_cases(), ids=lambda s: f"k{s.k}N{s.max_norm}")
+@pytest.mark.parametrize("radius, rho0", [(1.0, 4.0), (0.4, 0.5), (2.5, 3.0)])
+def test_uniform_bound_matches_reference(seq, radius, rho0):
+    cloud = PointCloud(tuple(radius * z for z in CIRCLE[::5]))
+    args = (seq, cloud, rho0, 1e-4, 32)
+    assert _outcome(uniform_bound_compact, *args) == _outcome(_ref_uniform_bound_compact, *args)
+
+
+@pytest.mark.parametrize("seq", [sqrt_degree_sequence(400), constant_sequence(1, 60)],
+                         ids=["sqrt", "constant"])
+def test_certify_uniform_tail_matches_reference(seq):
+    cert = certify_uniform(seq, CIRCLE)
+    c0, _ = _ref_fit_degree_growth(seq)
+    assert (cert.tail_slope, cert.tail_start) == _ref_tail_slope(seq, c0)
+
+
+def test_norm_peaks_memory_is_bounded():
+    # 12,341 rows: one (rows x points) complex array would take 79 MB
+    seq = geometric_sequence(0.9 + 0.2j, 40, k=3)
+    table = seq.table()
+    zs = 1.3 * np.exp(2j * np.pi * np.arange(400) / 400)
+    tracemalloc.start()
+    try:
+        peaks = table.norm_peaks(zs, 0, 40)
+        _, peak_bytes = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peaks.shape == (41, 400)
+    assert peak_bytes < 4e6
 
 
 # ---------------------------------------------------------------------------
