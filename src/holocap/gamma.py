@@ -12,9 +12,15 @@ used as a positivity hypothesis.
 Sets are supplied as predicates over C^m with finite bounding boxes.
 Membership is exact (no grid-cell thickening): a fiber that is a finite
 point set, or a curve the scan grid misses, is polar at sampled scale.
-Products of 1-D shapes keep their structure through identity projections,
-so common cases (polydisks, products with clouds or segments) are resolved
-from the shape geometry instead of the scan grid.
+Two structures are carried instead of scanned.  Products of 1-D shapes keep
+their structure through identity projections, so polydisks and products
+with clouds or segments are resolved from the shape geometry.  Balls and
+their linear images (unitary images included) are ellipsoids
+{z : |B(z - c)| <= r}; every fiber of an ellipsoid is a disk, a disk's
+capacity is its radius, and the prefixes whose fiber disk has radius above
+``eps_cap`` form an ellipsoid again, so these sets resolve exactly in closed
+form.  Everything else (linear images of products, opaque predicates) is
+scanned.
 """
 
 from __future__ import annotations
@@ -27,7 +33,7 @@ import numpy as np
 
 from .capacity import EPS_CAP, capacity, capacity_of_cloud, quick_cloud_capacity
 from .errors import GammaPolar, UnboundedSet
-from .sets import CompactSet, PointCloud, bounding_box, contains, discretize
+from .sets import CompactSet, Disk, PointCloud, bounding_box, contains, discretize
 
 MAX_DIMENSION = 3
 
@@ -50,13 +56,16 @@ class SetPredicate:
     ``membership`` maps an (N, m) complex array to an (N,) boolean array and
     must be deterministic.  ``bounding_box`` holds ((re_lo, re_hi), (im_lo, im_hi))
     per coordinate.  ``product_factors`` carries the 1-D factor shapes when
-    the set is a known coordinate product (enables exact fibers).
+    the set is a known coordinate product, and ``ellipsoid`` holds (c, B, r)
+    when the set is {z : |B(z - c)| <= r} with B invertible (both enable
+    exact fibers).
     """
 
     membership: Callable = field(compare=False)
     bounding_box: tuple
     dimension: int
     product_factors: tuple | None = None
+    ellipsoid: tuple | None = field(default=None, compare=False)
 
     def __post_init__(self):
         if self.dimension < 1:
@@ -117,8 +126,10 @@ def product_predicate(factors) -> SetPredicate:
 def ball_predicate(center, radius: float) -> SetPredicate:
     """Closed Euclidean ball in C^m."""
     center = np.asarray(center, dtype=np.complex128)
-    if radius <= 0:
-        raise ValueError("ball radius must be positive")
+    if not (math.isfinite(radius) and radius > 0):
+        raise ValueError(f"ball radius must be positive and finite, got {radius}")
+    if not np.all(np.isfinite(center)):
+        raise ValueError(f"ball center must have finite coordinates, got {center.tolist()}")
 
     def member(zs: np.ndarray) -> np.ndarray:
         zs = np.atleast_2d(np.asarray(zs, dtype=np.complex128))
@@ -126,7 +137,8 @@ def ball_predicate(center, radius: float) -> SetPredicate:
 
     box = tuple(((c.real - radius, c.real + radius), (c.imag - radius, c.imag + radius))
                 for c in center)
-    return SetPredicate(membership=member, bounding_box=box, dimension=len(center))
+    return SetPredicate(membership=member, bounding_box=box, dimension=len(center),
+                        ellipsoid=(center, np.eye(len(center), dtype=np.complex128), radius))
 
 
 def _enclosing_radius(box: tuple) -> float:
@@ -141,6 +153,10 @@ def linear_image(matrix, pred: SetPredicate) -> SetPredicate:
     a = np.asarray(matrix, dtype=np.complex128)
     if a.shape != (pred.dimension, pred.dimension):
         raise ValueError("matrix shape must match the predicate dimension")
+    bad = np.argwhere(~np.isfinite(a))
+    if len(bad):
+        raise ValueError("linear image matrix entries must be finite, got "
+                         + ", ".join(f"{a[i, j]} at ({i}, {j})" for i, j in bad))
     inv = np.linalg.inv(a)
     inner = pred.membership
 
@@ -150,7 +166,12 @@ def linear_image(matrix, pred: SetPredicate) -> SetPredicate:
 
     r = _enclosing_radius(pred.bounding_box) * float(np.linalg.norm(a, 2))
     box = tuple(((-r, r), (-r, r)) for _ in range(pred.dimension))
-    return SetPredicate(membership=member, bounding_box=box, dimension=pred.dimension)
+    ellipsoid = None
+    if pred.ellipsoid is not None:
+        c, b, radius = pred.ellipsoid
+        ellipsoid = (a @ c, b @ inv, radius)
+    return SetPredicate(membership=member, bounding_box=box, dimension=pred.dimension,
+                        ellipsoid=ellipsoid)
 
 
 def transform_unitary(pred: SetPredicate, unitary: np.ndarray) -> SetPredicate:
@@ -189,14 +210,54 @@ def _empty_predicate(m: int) -> SetPredicate:
                         dimension=m)
 
 
+def _project_ellipsoid(pred: SetPredicate, eps_cap: float) -> SetPredicate:
+    """Closed-form projection of {z : |B(z - c)| <= r}.
+
+    With b the last column of B, the fiber over a prefix p is a disk of
+    radius sqrt(r^2 - |R(p - c')|^2) / |b|, where R is the triangular factor
+    of B's other columns with their b component removed.  The disk's
+    capacity is its radius, so the kept prefixes form the ellipsoid
+    (c', R, sqrt(r^2 - eps_cap^2 |b|^2)), empty when that radicand is not
+    positive.  A non-finite or zero column can only come from over- or
+    underflow in composing near-singular maps; the projection is then empty
+    rather than a NaN.
+    """
+    c, b, r = pred.ellipsoid
+    empty = _empty_predicate(pred.dimension - 1)
+    if not np.all(np.isfinite(b)):
+        return empty
+    last = b[:, -1]
+    norm = math.hypot(*np.abs(last))    # scaled, so the squares cannot overflow
+    q = eps_cap * norm / r              # eps_cap over the largest fiber radius
+    if not (norm > 0 and q < 1):
+        return empty
+    unit = last / norm
+    rest = b[:, :-1]
+    _, tri = np.linalg.qr(rest - np.outer(unit, unit.conj() @ rest))
+    kept = r * math.sqrt(1.0 - q * q)
+    if not (kept > 0 and np.all(np.isfinite(tri))):
+        return empty
+    centre = c[:-1]
+
+    def member(zs: np.ndarray) -> np.ndarray:
+        zs = np.atleast_2d(np.asarray(zs, dtype=np.complex128))
+        return np.sum(np.abs((zs - centre) @ tri.T) ** 2, axis=1) <= kept * kept
+
+    return SetPredicate(membership=member, bounding_box=pred.bounding_box[:-1],
+                        dimension=pred.dimension - 1, ellipsoid=(centre, tri, kept))
+
+
 def gamma_project(pred: SetPredicate, grid: GridSpec = GridSpec(),
                   eps_cap: float = EPS_CAP) -> SetPredicate:
     """Drop the last coordinate, keeping points with a non-polar fiber.
 
-    The result is true at z in C^{m-1} iff the sampled fiber
-    {w : (z, w) in K} has a capacity estimate above ``eps_cap``.  For
+    The result is true at z in C^{m-1} iff the fiber {w : (z, w) in K} has
+    a capacity above ``eps_cap``.  Two structures resolve exactly: for
     coordinate products the fiber equals the last factor everywhere over the
-    prefix product, so the projection is resolved exactly.
+    prefix product, and for balls and their linear images (ellipsoids) each
+    fiber is a disk, kept iff its radius exceeds ``eps_cap``.  Any other
+    predicate is scanned: its fiber is sampled on a grid over the last
+    coordinate's box and screened by a quick capacity estimate.
     """
     if pred.dimension < 2:
         raise ValueError("gamma_project needs dimension >= 2")
@@ -209,6 +270,8 @@ def gamma_project(pred: SetPredicate, grid: GridSpec = GridSpec(),
         if fiber.value > eps_cap:
             return product_predicate(pred.product_factors[:-1])
         return _empty_predicate(m - 1)
+    if pred.ellipsoid is not None:
+        return _project_ellipsoid(pred, eps_cap)
 
     fiber_grid = _coordinate_grid(pred.bounding_box[-1], grid.fiber_resolution)
     inner = pred.membership
@@ -228,10 +291,28 @@ def gamma_project(pred: SetPredicate, grid: GridSpec = GridSpec(),
     return SetPredicate(membership=member, bounding_box=pred.bounding_box[:-1], dimension=m - 1)
 
 
+def _shape_1d(pred: SetPredicate) -> CompactSet | None:
+    """The 1-D shape of a structured predicate in C^1, or None when it must be scanned.
+
+    An ellipsoid in C^1 is Disk(c, r / |B|); one whose radius is not a
+    positive float (under- or overflow) falls back to the scan.
+    """
+    if pred.product_factors is not None:
+        return pred.product_factors[0]
+    if pred.ellipsoid is not None:
+        c, b, r = pred.ellipsoid
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            radius = float(r / np.abs(b[0, 0]))
+        if 0.0 < radius < math.inf:
+            return Disk(complex(c[0]), radius)
+    return None
+
+
 def _final_cloud(pred: SetPredicate, grid: GridSpec) -> np.ndarray:
     """Point cloud of a 1-D predicate: shape discretization or grid scan."""
-    if pred.product_factors is not None:
-        return np.asarray(discretize(pred.product_factors[0], grid.shape_candidates))
+    shape = _shape_1d(pred)
+    if shape is not None:
+        return np.asarray(discretize(shape, grid.shape_candidates))
     scan = _coordinate_grid(pred.bounding_box[0], grid.projected_resolution)
     return scan[pred.membership(scan[:, None])]
 
@@ -271,8 +352,9 @@ def gamma_cap(pred: SetPredicate, unitary_count: int = 1, seed: int = 0,
     best_idx = 0
     for k, u in enumerate(unitaries):
         p = _project_to_m1(pred, u.matrix, grid, eps_cap)
-        if p.product_factors is not None:
-            value = capacity(p.product_factors[0], n=grid.capacity_points,
+        shape = _shape_1d(p)
+        if shape is not None:
+            value = capacity(shape, n=grid.capacity_points,
                              candidates=grid.shape_candidates, eps_cap=eps_cap).value
         else:
             value = capacity_of_cloud(_final_cloud(p, grid), n=grid.capacity_points,

@@ -136,6 +136,41 @@ def test_gammacap_command_and_reproducibility(tmp_path):
     assert doc["per_unitary"][0][1] >= 0.9
 
 
+BALL = {"kind": "ball", "center": [[0, 0], [0, 0]], "radius": 1.0}
+
+
+def _diagonal_image(d1, d2):
+    return {"kind": "linear_image", "matrix": [[[d1, 0], [0, 0]], [[0, 0], [d2, 0]]], "of": BALL}
+
+
+@pytest.mark.parametrize("pred, message", [
+    ({**BALL, "radius": math.nan}, "ball radius must be positive and finite"),
+    ({**BALL, "radius": math.inf}, "ball radius must be positive and finite"),
+    ({**BALL, "radius": -1.0}, "ball radius must be positive and finite"),
+    ({**BALL, "center": [[0, math.nan], [0, 0]]}, "ball center must have finite coordinates"),
+    (_diagonal_image(math.nan, 1), "matrix entries must be finite, got (nan+0j) at (0, 0)"),
+    (_diagonal_image(1, math.inf), "matrix entries must be finite, got (inf+0j) at (1, 1)"),
+    (_diagonal_image(1, 0), "Singular matrix"),
+], ids=["radius_nan", "radius_inf", "radius_negative", "center_nan", "matrix_nan",
+        "matrix_inf", "matrix_singular"])
+def test_gammacap_invalid_predicate_exit_two(tmp_path, capsys, pred, message):
+    pred_path = write(tmp_path / "pred.json", pred)
+    code = main(["gammacap", "--set", pred_path, "--out", str(tmp_path / "g.json")])
+    assert code == 2
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("d1, d2", [(1.0, 1e-300), (1e-300, 1.0)])
+def test_gammacap_near_singular_image_is_finite(tmp_path, d1, d2):
+    # |b|^2 overflows for diag(1, 1e-300); the shadow disk has radius 1e-300 for diag(1e-300, 1)
+    pred_path = write(tmp_path / "pred.json", _diagonal_image(d1, d2))
+    out = tmp_path / "g.json"
+    assert main(["gammacap", "--set", pred_path, "--unitaries", "3", "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    values = [doc["value"]] + [v for _, v in doc["per_unitary"]]
+    assert all(math.isfinite(v) and 0.0 <= v <= 1e-299 for v in values)
+
+
 def test_extend_eval_round_trip(tmp_path):
     seq_path = write(tmp_path / "seq.json", GEOMETRIC)
     samples_path = write(tmp_path / "samples.json", CIRCLE_SAMPLES)

@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -174,3 +176,70 @@ def test_predicate_json():
                "of": {"kind": "product", "factors": [{"shape": "segment", "a": [-1, 0], "b": [1, 0]}]}}
     pred_i = predicate_from_json(img_doc)
     assert pred_i.membership(np.array([[0.5j]]))[0]
+
+
+def _random_image_of_ball(m, seed):
+    """(A, c, r) with A well conditioned, so eps_cap shrinks the shadow by < 1e-7."""
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m)) + 3 * np.eye(m)
+    c = rng.standard_normal(m) + 1j * rng.standard_normal(m)
+    return a, c, rng.uniform(0.5, 2.0)
+
+
+@pytest.mark.parametrize("m", [2, 3])
+@pytest.mark.parametrize("seed", range(4))
+def test_linear_image_of_ball_matches_shadow(m, seed):
+    # the first coordinate of A(ball(c, r)) sweeps a disk of radius r |A[0, :]|
+    a, c, r = _random_image_of_ball(m, seed)
+    res = gamma_cap(linear_image(a, ball_predicate(c, r)), unitary_count=1, seed=0)
+    assert res.value == pytest.approx(r * np.linalg.norm(a[0]), rel=1e-6)
+
+
+def test_ball_value_is_radius_under_every_unitary():
+    # a ball is unitarily invariant: every shadow is a disk of its radius
+    for m, r in ((2, 0.7), (3, 1.6)):
+        res = gamma_cap(ball_predicate([0.3 - 0.2j] * m, r), unitary_count=5, seed=8)
+        for _, value in res.per_unitary:
+            assert value == pytest.approx(r, rel=1e-6)
+
+
+def test_c3_unit_ball_at_default_grid():
+    start = time.perf_counter()
+    res = gamma_cap(ball_predicate([0j, 0j, 0j], 1.0))
+    assert time.perf_counter() - start < 5.0
+    assert res.value == pytest.approx(1.0, rel=0.05)
+
+
+def test_balls_and_their_images_never_scan(monkeypatch):
+    def no_scan(points, n):
+        raise AssertionError("fiber scan reached")
+
+    monkeypatch.setattr("holocap.gamma.quick_cloud_capacity", no_scan)
+    a, c, r = _random_image_of_ball(2, 11)
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=4, spawn_key=(1,)))
+    ball = ball_predicate(c, r)
+    for pred in (ball, linear_image(haar_unitary(2, rng), ball), linear_image(a, ball)):
+        assert gamma_cap(pred, unitary_count=3, seed=2).value > 0.1
+
+
+@pytest.mark.parametrize("m, eps_cap", [(2, 1e-4), (2, 0.4), (3, 1e-4), (3, 0.4)])
+def test_projected_ellipsoid_membership_matches_fiber_radius(m, eps_cap):
+    a, c, r = _random_image_of_ball(m, 20 + m)
+    proj = gamma_project(linear_image(a, ball_predicate(c, r)), eps_cap=eps_cap)
+    # the image is {z : |inv(A) z - c| <= r}; its fiber over p is a disk of radius
+    # sqrt(r^2 - d^2) / |inv(A)[:, -1]|, d the least-squares residual over the last coordinate
+    inv = np.linalg.inv(a)
+    centre = (a @ c)[:-1]
+    rng = np.random.default_rng(m)
+    checked = 0
+    for _ in range(400):
+        p = centre + 2 * r * (rng.standard_normal(m - 1) + 1j * rng.standard_normal(m - 1))
+        rhs = c - inv[:, :-1] @ p
+        w = np.linalg.lstsq(inv[:, -1:], rhs, rcond=None)[0]
+        d2 = np.linalg.norm(inv[:, -1:] @ w - rhs) ** 2
+        radius = np.sqrt(max(r * r - d2, 0.0)) / np.linalg.norm(inv[:, -1]) if d2 < r * r else -1.0
+        if abs(radius - eps_cap) < 1e-3:
+            continue
+        assert proj.membership(p[None, :])[0] == (radius > eps_cap)
+        checked += 1
+    assert checked > 300
