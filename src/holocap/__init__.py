@@ -12,9 +12,11 @@ __version__ = "0.1.0"
 from .sets import (  # noqa: F401
     CompactSet,
     Disk,
+    Intersection,
     PointCloud,
     Segment,
     UnionSet,
+    affine_image,
     bounding_box,
     contains,
     discretize,

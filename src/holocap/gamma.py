@@ -10,17 +10,21 @@ lower-bound estimator, which is the useful direction when the quantity is
 used as a positivity hypothesis.
 
 Sets are supplied as predicates over C^m with finite bounding boxes.
-Membership is exact (no grid-cell thickening): a fiber that is a finite
-point set, or a curve the scan grid misses, is polar at sampled scale.
-Two structures are carried instead of scanned.  Products of 1-D shapes keep
-their structure through identity projections, so polydisks and products
-with clouds or segments are resolved from the shape geometry.  Balls and
-their linear images (unitary images included) are ellipsoids
-{z : |B(z - c)| <= r}; every fiber of an ellipsoid is a disk, a disk's
-capacity is its radius, and the prefixes whose fiber disk has radius above
-``eps_cap`` form an ellipsoid again, so these sets resolve exactly in closed
-form.  Everything else (linear images of products, opaque predicates) is
-scanned.
+Membership is exact (no grid-cell thickening).  Two structures are carried
+instead of scanned.  Products of 1-D shapes and all their linear images are
+preimages {z : (M z)_i in K_i} of a product under an invertible M; the fiber
+over a prefix is the intersection of the affine images of the factors that
+the last coordinate enters, so the projection is empty when one of those
+images is polar at scale (cap(K_i)/|b_i| <= ``eps_cap``), is again a preimage
+when only one factor is involved, and is otherwise decided prefix by prefix
+from the closed-form capacity of the intersection (exact for segments,
+bracketed for two disks, the cloud rule for point clouds).  Balls and their
+linear images are ellipsoids {z : |B(z - c)| <= r}; every fiber of an
+ellipsoid is a disk, a disk's capacity is its radius, and the prefixes whose
+fiber disk has radius above ``eps_cap`` form an ellipsoid again, so these sets
+resolve exactly in closed form.  Only opaque predicates are scanned; there a
+fiber that is a finite point set, or a curve the scan grid misses, is polar
+at sampled scale.
 """
 
 from __future__ import annotations
@@ -33,7 +37,8 @@ import numpy as np
 
 from .capacity import EPS_CAP, capacity, capacity_of_cloud, quick_cloud_capacity
 from .errors import GammaPolar, UnboundedSet
-from .sets import CompactSet, Disk, PointCloud, bounding_box, contains, discretize
+from .sets import (MEMBERSHIP_TOL, CompactSet, Disk, Intersection, PointCloud, Segment,
+                   affine_image, bounding_box, contains, discretize)
 
 MAX_DIMENSION = 3
 
@@ -55,16 +60,17 @@ class SetPredicate:
 
     ``membership`` maps an (N, m) complex array to an (N,) boolean array and
     must be deterministic.  ``bounding_box`` holds ((re_lo, re_hi), (im_lo, im_hi))
-    per coordinate.  ``product_factors`` carries the 1-D factor shapes when
-    the set is a known coordinate product, and ``ellipsoid`` holds (c, B, r)
-    when the set is {z : |B(z - c)| <= r} with B invertible (both enable
-    exact fibers).
+    per coordinate.  ``preimage`` holds (M, factors) when the set is
+    {z : (M z)_i in factors[i] for every i} with M invertible and the factors
+    1-D shapes (M = I for a coordinate product), and ``ellipsoid`` holds
+    (c, B, r) when the set is {z : |B(z - c)| <= r} with B invertible (both
+    enable exact fibers).
     """
 
     membership: Callable = field(compare=False)
     bounding_box: tuple
     dimension: int
-    product_factors: tuple | None = None
+    preimage: tuple | None = field(default=None, compare=False)
     ellipsoid: tuple | None = field(default=None, compare=False)
 
     def __post_init__(self):
@@ -109,18 +115,23 @@ def product_predicate(factors) -> SetPredicate:
     factors = tuple(factors)
     if not factors:
         raise ValueError("product needs at least one factor")
+    return _preimage_predicate(np.eye(len(factors), dtype=np.complex128), factors,
+                               tuple(bounding_box(f) for f in factors))
+
+
+def _preimage_predicate(mat: np.ndarray, factors: tuple, box: tuple) -> SetPredicate:
+    """{z : (mat z)_i in factors[i] for every i}."""
 
     def member(zs: np.ndarray) -> np.ndarray:
         zs = np.atleast_2d(np.asarray(zs, dtype=np.complex128))
+        images = zs @ mat.T
         ok = np.ones(len(zs), dtype=bool)
         for i, f in enumerate(factors):
-            ok &= contains(f, zs[:, i])
+            ok &= contains(f, images[:, i])
         return ok
 
-    return SetPredicate(membership=member,
-                        bounding_box=tuple(bounding_box(f) for f in factors),
-                        dimension=len(factors),
-                        product_factors=factors)
+    return SetPredicate(membership=member, bounding_box=box, dimension=mat.shape[1],
+                        preimage=(mat, factors))
 
 
 def ball_predicate(center, radius: float) -> SetPredicate:
@@ -142,10 +153,8 @@ def ball_predicate(center, radius: float) -> SetPredicate:
 
 
 def _enclosing_radius(box: tuple) -> float:
-    s = 0.0
-    for (re_lo, re_hi), (im_lo, im_hi) in box:
-        s += max(re_lo ** 2, re_hi ** 2) + max(im_lo ** 2, im_hi ** 2)
-    return math.sqrt(s)
+    """Radius of a ball about 0 holding the box; a scaled norm, so no square overflows."""
+    return math.hypot(*(max(abs(lo), abs(hi)) for coord in box for lo, hi in coord))
 
 
 def linear_image(matrix, pred: SetPredicate) -> SetPredicate:
@@ -166,12 +175,15 @@ def linear_image(matrix, pred: SetPredicate) -> SetPredicate:
 
     r = _enclosing_radius(pred.bounding_box) * float(np.linalg.norm(a, 2))
     box = tuple(((-r, r), (-r, r)) for _ in range(pred.dimension))
-    ellipsoid = None
+    preimage = ellipsoid = None
+    if pred.preimage is not None:
+        mat, factors = pred.preimage
+        preimage = (mat @ inv, factors)
     if pred.ellipsoid is not None:
         c, b, radius = pred.ellipsoid
         ellipsoid = (a @ c, b @ inv, radius)
     return SetPredicate(membership=member, bounding_box=box, dimension=pred.dimension,
-                        ellipsoid=ellipsoid)
+                        preimage=preimage, ellipsoid=ellipsoid)
 
 
 def transform_unitary(pred: SetPredicate, unitary: np.ndarray) -> SetPredicate:
@@ -247,29 +259,178 @@ def _project_ellipsoid(pred: SetPredicate, eps_cap: float) -> SetPredicate:
                         dimension=pred.dimension - 1, ellipsoid=(centre, tri, kept))
 
 
+def _factor_capacity(shape: CompactSet, grid: GridSpec, eps_cap: float) -> float:
+    """Capacity of a factor: r for a disk, |b - a|/4 for a segment, else the estimate."""
+    if isinstance(shape, Disk):
+        return shape.radius
+    if isinstance(shape, Segment):
+        return abs(shape.b - shape.a) / 4.0
+    return capacity(shape, n=grid.capacity_points, candidates=grid.shape_candidates,
+                    eps_cap=eps_cap).value
+
+
+def _lens_capacity_bounds(dist: np.ndarray, r1: float, r2: float) -> tuple:
+    """Bounds on the capacity of the intersection of two disks at centre distance ``dist``.
+
+    Nested disks give the smaller one and disjoint (or tangent) disks a
+    polar set, both exactly.  A proper lens is convex, so diam/4 <= cap <=
+    diam/2 (Ransford 1995, ch. 5): it holds the common chord (length 2h) and
+    an inscribed disk of diameter t = r1 + r2 - dist, so cap >= max(t, h)/2;
+    it lies in the smaller disk, and when both of its arcs are minor in the
+    2h-by-t rectangle over the chord.
+    """
+    small, big = min(r1, r2), max(r1, r2)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        x = (dist + (r1 - r2) / dist * (r1 + r2)) / 2.0   # signed distance from c1 to the chord
+        h = np.sqrt(np.maximum(r1 - x, 0.0)) * np.sqrt(np.maximum(r1 + x, 0.0))
+    t = r1 + r2 - dist
+    lower = np.maximum(t, h) / 2.0
+    minor = (x >= 0) & (x <= dist)
+    upper = np.where(minor, np.minimum(small, np.hypot(2.0 * h, t) / 2.0), small)
+    nested, apart = dist + small <= big, dist >= r1 + r2
+    lower = np.where(nested, small, np.where(apart, 0.0, lower))
+    upper = np.where(nested, small, np.where(apart, 0.0, upper))
+    return lower, upper
+
+
+def _clip_segment(seg: Segment, scale: complex, offsets: np.ndarray, others) -> np.ndarray:
+    """Capacity of the fiber (seg - offset)/scale cut by the ``others`` parts, per prefix.
+
+    A segment part cut by disks and collinear segments is a sub-segment, whose
+    capacity is its length over 4; a non-collinear segment leaves at most a
+    point.  Positions are parameters t of w = origin + t * step, t in [0, 1].
+    """
+    origin = (seg.a - offsets) / scale
+    step = (seg.b - seg.a) / scale
+    lo, hi = np.zeros(len(offsets)), np.ones(len(offsets))
+    for part, b, off in others:
+        tol = MEMBERSHIP_TOL / abs(b * step)
+        if isinstance(part, Disk):
+            u = ((part.center - off) / b - origin) / step
+            reach = part.radius / abs(b * step) + tol
+            across = np.abs(u.imag)
+            half = np.sqrt(np.maximum(reach - across, 0.0)) * np.sqrt(reach + across)
+            lo, hi = np.maximum(lo, u.real - half), np.minimum(hi, u.real + half)
+            hi[across > reach] = -np.inf
+        else:
+            ta = ((part.a - off) / b - origin) / step
+            tb = ((part.b - off) / b - origin) / step
+            lo = np.maximum(lo, np.minimum(ta.real, tb.real))
+            hi = np.minimum(hi, np.maximum(ta.real, tb.real))
+            hi[(np.abs(ta.imag) > tol) | (np.abs(tb.imag) > tol)] = -np.inf
+    return np.maximum(hi - lo, 0.0) * abs(step) / 4.0
+
+
+def _fiber_capacity_bounds(parts: tuple, scales: np.ndarray, offsets: np.ndarray,
+                           cloud_value: Callable) -> tuple:
+    """Lower and upper bounds on cap(intersection of (K_i - offsets[:, i]) / scales[i]).
+
+    One row of ``offsets`` per prefix.  A point-cloud part is cut to its
+    points inside every other part, and ``cloud_value`` gives the cloud
+    rule's capacity of those points (scaled, not shifted); a segment part is clipped exactly; two disks are bracketed.
+    Unions and three or more disks get the trivial bounds (0, inf).
+    """
+    kinds = [type(p) for p in parts]
+    if PointCloud in kinds:
+        c = kinds.index(PointCloud)
+        pts = np.asarray(parts[c].points)
+        w = (pts[None, :] - offsets[:, c:c + 1]) / scales[c]
+        inside = np.ones(w.shape, dtype=bool)
+        for j, part in enumerate(parts):
+            if j != c:
+                inside &= contains(part, offsets[:, j:j + 1] + scales[j] * w)
+        values = np.array([cloud_value(pts[mask] / scales[c]) for mask in inside])
+        return values, values
+    if Segment in kinds and set(kinds) <= {Disk, Segment}:
+        s = kinds.index(Segment)
+        others = [(p, scales[j], offsets[:, j]) for j, p in enumerate(parts) if j != s]
+        values = _clip_segment(parts[s], scales[s], offsets[:, s], others)
+        return values, values
+    if kinds == [Disk, Disk]:
+        (d1, d2), (b1, b2) = parts, scales
+        dist = np.abs((d2.center - offsets[:, 1]) / b2 - (d1.center - offsets[:, 0]) / b1)
+        return _lens_capacity_bounds(dist, d1.radius / abs(b1), d2.radius / abs(b2))
+    return np.zeros(len(offsets)), np.full(len(offsets), np.inf)
+
+
+def _project_preimage(pred: SetPredicate, grid: GridSpec, eps_cap: float) -> SetPredicate:
+    """Drop the last coordinate of {z : (M z)_i in K_i}.
+
+    With b = M[:, -1] and a_i the rest of row i, the fiber over a prefix p
+    is the intersection of (K_i - a_i p) / b_i over the rows with b_i != 0;
+    the rows with b_i = 0 constrain p alone.  Each such part has capacity
+    cap(K_i)/|b_i| whatever p is, so by monotonicity the projection is empty
+    when one of them is at most ``eps_cap``.  With one such row the fiber is
+    that part, and the kept set is the preimage of the other rows.  With
+    several, each prefix is decided from bounds on the intersection's
+    capacity, and a prefix the bounds leave open gets a quick capacity of the
+    intersection's boundary samples.  A non-finite M can only come from
+    over- or underflow in composing near-singular maps; the projection is
+    then empty rather than a NaN.
+    """
+    mat, factors = pred.preimage
+    empty = _empty_predicate(pred.dimension - 1)
+    if not np.all(np.isfinite(mat)):
+        return empty
+    last = mat[:, -1]
+    cut = np.flatnonzero(last != 0)
+    if any(_factor_capacity(factors[i], grid, eps_cap) <= eps_cap * abs(last[i]) for i in cut):
+        return empty
+    free = np.flatnonzero(last == 0)
+    kept = _preimage_predicate(mat[free, :-1], tuple(factors[i] for i in free),
+                               pred.bounding_box[:-1])
+    if len(cut) == 1:
+        return kept
+
+    parts, scales, enter = tuple(factors[i] for i in cut), last[cut], mat[cut, :-1]
+    cloud_values = {}
+
+    def cloud_value(points: np.ndarray) -> float:
+        key = points.tobytes()
+        if key not in cloud_values:
+            cloud_values[key] = capacity_of_cloud(points, n=grid.capacity_points,
+                                                  eps_cap=eps_cap).value
+        return cloud_values[key]
+
+    def fiber_member(zs: np.ndarray) -> np.ndarray:
+        zs = np.atleast_2d(np.asarray(zs, dtype=np.complex128))
+        ok = kept.membership(zs)
+        idx = np.flatnonzero(ok)
+        offsets = zs[idx] @ enter.T
+        lower, upper = _fiber_capacity_bounds(parts, scales, offsets, cloud_value)
+        keep = lower > eps_cap
+        for k in np.flatnonzero(~keep & (upper > eps_cap)):
+            fiber = Intersection(tuple(affine_image(f, 1 / b, -off / b)
+                                       for f, b, off in zip(parts, scales, offsets[k])))
+            keep[k] = quick_cloud_capacity(discretize(fiber, grid.shape_candidates),
+                                           grid.fiber_capacity_points) > eps_cap
+        ok[idx] = keep
+        return ok
+
+    return SetPredicate(membership=fiber_member, bounding_box=pred.bounding_box[:-1],
+                        dimension=pred.dimension - 1)
+
+
 def gamma_project(pred: SetPredicate, grid: GridSpec = GridSpec(),
                   eps_cap: float = EPS_CAP) -> SetPredicate:
     """Drop the last coordinate, keeping points with a non-polar fiber.
 
     The result is true at z in C^{m-1} iff the fiber {w : (z, w) in K} has
-    a capacity above ``eps_cap``.  Two structures resolve exactly: for
-    coordinate products the fiber equals the last factor everywhere over the
-    prefix product, and for balls and their linear images (ellipsoids) each
-    fiber is a disk, kept iff its radius exceeds ``eps_cap``.  Any other
-    predicate is scanned: its fiber is sampled on a grid over the last
-    coordinate's box and screened by a quick capacity estimate.
+    a capacity above ``eps_cap``.  Two structures resolve without a scan:
+    preimages of products (coordinate products and all their linear images),
+    whose fiber is an intersection of affine images of the factors, and
+    ellipsoids (balls and their linear images), whose fiber is a disk, kept
+    iff its radius exceeds ``eps_cap``.  Only an opaque predicate is
+    scanned: its fiber is sampled on a grid over the last coordinate's box
+    and screened by a quick capacity estimate.
     """
     if pred.dimension < 2:
         raise ValueError("gamma_project needs dimension >= 2")
     _require_finite_box(pred)
     m = pred.dimension
 
-    if pred.product_factors is not None:
-        fiber = capacity(pred.product_factors[-1], n=grid.capacity_points,
-                         candidates=grid.shape_candidates, eps_cap=eps_cap)
-        if fiber.value > eps_cap:
-            return product_predicate(pred.product_factors[:-1])
-        return _empty_predicate(m - 1)
+    if pred.preimage is not None:
+        return _project_preimage(pred, grid, eps_cap)
     if pred.ellipsoid is not None:
         return _project_ellipsoid(pred, eps_cap)
 
@@ -294,11 +455,16 @@ def gamma_project(pred: SetPredicate, grid: GridSpec = GridSpec(),
 def _shape_1d(pred: SetPredicate) -> CompactSet | None:
     """The 1-D shape of a structured predicate in C^1, or None when it must be scanned.
 
-    An ellipsoid in C^1 is Disk(c, r / |B|); one whose radius is not a
-    positive float (under- or overflow) falls back to the scan.
+    A preimage in C^1 is the factor's image K / M; an ellipsoid is
+    Disk(c, r / |B|).  A shape whose size under- or overflows falls back to
+    the scan.
     """
-    if pred.product_factors is not None:
-        return pred.product_factors[0]
+    if pred.preimage is not None:
+        mat, (factor,) = pred.preimage
+        try:
+            return affine_image(factor, 1 / complex(mat[0, 0]))
+        except ValueError:
+            return None
     if pred.ellipsoid is not None:
         c, b, r = pred.ellipsoid
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):

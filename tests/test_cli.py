@@ -171,6 +171,24 @@ def test_gammacap_near_singular_image_is_finite(tmp_path, d1, d2):
     assert all(math.isfinite(v) and 0.0 <= v <= 1e-299 for v in values)
 
 
+HUGE_DISK = {"shape": "disk", "center": [0, 0], "radius": 1e200}
+
+
+@pytest.mark.parametrize("pred, unitaries", [
+    ({**BALL, "radius": 1e200}, "2"),
+    ({"kind": "linear_image", "matrix": [[[0.6, 0], [-0.8, 0]], [[0.8, 0], [0.6, 0]]],
+      "of": {"kind": "product", "factors": [HUGE_DISK, DISK]}}, "1"),
+], ids=["ball", "image_of_product"])
+def test_gammacap_huge_but_bounded_set_is_finite(tmp_path, capsys, pred, unitaries):
+    # squaring the box corners of a radius-1e200 set overflows; the set is still bounded
+    pred_path = write(tmp_path / "pred.json", pred)
+    out = tmp_path / "g.json"
+    assert main(["gammacap", "--set", pred_path, "--unitaries", unitaries, "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    value = json.loads(out.read_text())["value"]
+    assert math.isfinite(value) and value > 1e199
+
+
 def test_extend_eval_round_trip(tmp_path):
     seq_path = write(tmp_path / "seq.json", GEOMETRIC)
     samples_path = write(tmp_path / "samples.json", CIRCLE_SAMPLES)

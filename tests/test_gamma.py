@@ -18,7 +18,8 @@ from holocap.gamma import (
     reduce_to_m1,
     transform_unitary,
 )
-from holocap.sets import Disk, PointCloud, Segment
+from holocap.capacity import capacity
+from holocap.sets import Disk, Intersection, PointCloud, Segment, UnionSet, affine_image
 
 BIDISK = product_predicate([Disk(0, 1), Disk(0, 1)])
 # complex line {w = 0}, truncated to a bounded box
@@ -243,3 +244,119 @@ def test_projected_ellipsoid_membership_matches_fiber_radius(m, eps_cap):
         assert proj.membership(p[None, :])[0] == (radius > eps_cap)
         checked += 1
     assert checked > 300
+
+
+SCAN = "gamma_project.<locals>.member"
+DISK_SEGMENT = product_predicate([Disk(0, 1), Segment(-1, 1)])
+
+
+def _haar(entropy, m=2):
+    return haar_unitary(m, np.random.default_rng(np.random.SeedSequence(entropy=entropy,
+                                                                        spawn_key=(1,))))
+
+
+def _projection_qualnames(monkeypatch):
+    """Record the membership qualname of every predicate gamma_project returns."""
+    seen = []
+    real = gamma_project
+
+    def spy(*args, **kwargs):
+        result = real(*args, **kwargs)
+        seen.append(result.membership.__qualname__)
+        return result
+
+    monkeypatch.setattr("holocap.gamma.gamma_project", spy)
+    return seen
+
+
+def test_products_and_their_images_never_scan(monkeypatch):
+    seen = _projection_qualnames(monkeypatch)
+    circle20 = PointCloud(tuple(0.8 * np.exp(2j * np.pi * k / 20) for k in range(20)))
+    nested = linear_image(np.array([[1.0, 0.5j], [0.2, 2.0]]),
+                          linear_image(_haar(3), DISK_SEGMENT))
+    two_intervals = UnionSet((Segment(-2, -1), Segment(1, 2)))
+    for pred in (LINE, linear_image(_haar(1), BIDISK), linear_image(_haar(2), DISK_SEGMENT),
+                 nested, product_predicate([Disk(0, 1), circle20]),
+                 product_predicate([Disk(0, 1), two_intervals])):
+        gamma_cap(pred, unitary_count=3, seed=7)
+    assert len(seen) == 18
+    assert SCAN not in seen
+
+
+def test_opaque_predicate_still_scans(monkeypatch):
+    seen = _projection_qualnames(monkeypatch)
+    opaque = SetPredicate(membership=BIDISK.membership, bounding_box=BIDISK.bounding_box,
+                          dimension=2)
+    res = gamma_cap(opaque, unitary_count=1, seed=0)
+    assert seen == [SCAN]
+    assert 0.8 <= res.value <= 1.1
+
+
+@pytest.mark.parametrize("entropy", range(6))
+def test_rotated_disk_times_segment_shadow(entropy):
+    # the first coordinate of U(D x S) sweeps the stadium U00 D + U01 S: it holds a
+    # disk of radius |U00| and lies in one of radius |U00| + |U01|; the final cloud
+    # is a grid sample of it, so the lower bound gives one grid step
+    u = _haar(entropy)
+    pred = linear_image(u, DISK_SEGMENT)
+    (re_lo, re_hi), _ = pred.bounding_box[0]
+    step = (re_hi - re_lo) / (GridSpec().projected_resolution - 1)
+    res = gamma_cap(pred, unitary_count=1, seed=0)
+    assert abs(u[0, 0]) - step <= res.value <= abs(u[0, 0]) + abs(u[0, 1])
+    cloud, _ = reduce_to_m1(pred, res)
+    assert len(cloud.points) > 0
+
+
+@pytest.mark.parametrize("eps_cap", [1e-4, 0.1])
+def test_rotated_disk_times_segment_membership_matches_chord(eps_cap):
+    # over a prefix p the fiber is the chord {w : M (p, w) in D x S}, M = inv(U):
+    # w = (y - M10 p) / M11 for y in S with |M00 p + M01 w| <= 1, so its length
+    # is the measure of those y over |M11|, and its capacity a quarter of that
+    u = _haar(17)
+    inv = np.linalg.inv(u)
+    proj = gamma_project(linear_image(u, DISK_SEGMENT), eps_cap=eps_cap)
+    ys = np.linspace(-1.0, 1.0, 200001)
+    rng = np.random.default_rng(5)
+    checked = 0
+    for p in 1.2 * (rng.standard_normal(300) + 1j * rng.standard_normal(300)):
+        w = (ys - inv[1, 0] * p) / inv[1, 1]
+        inside = ys[np.abs(inv[0, 0] * p + inv[0, 1] * w) <= 1.0]
+        cap = (inside[-1] - inside[0]) / abs(inv[1, 1]) / 4.0 if len(inside) else 0.0
+        if abs(cap - eps_cap) < 5e-5:   # within the chord's sampling error
+            continue
+        assert proj.membership(np.array([[p]]))[0] == (cap > eps_cap)
+        checked += 1
+    assert checked > 250
+
+
+@pytest.mark.parametrize("dist, r1, r2", [
+    (0.0, 1.0, 0.5), (0.3, 1.0, 0.5), (0.9, 1.0, 0.5), (1.4, 1.0, 0.5),
+    (1.0, 1.0, 1.0), (1.9, 1.0, 1.0), (1.99, 1.0, 1.0), (2.5, 1.0, 1.0)])
+def test_lens_bounds_bracket_the_capacity(dist, r1, r2):
+    from holocap.gamma import _lens_capacity_bounds
+
+    lower, upper = _lens_capacity_bounds(np.array([dist]), r1, r2)
+    lens = Intersection((Disk(0, r1), Disk(dist, r2)))
+    estimate = capacity(lens, n=128, candidates=8192).value if dist < r1 + r2 else 0.0
+    assert lower[0] <= upper[0]
+    assert lower[0] * (1 - 0.02) <= estimate <= upper[0] * (1 + 0.02)
+
+
+def test_rotated_bidisk_membership_matches_lens_capacity():
+    # at eps_cap = 0.3 many fibers are lenses whose bounds straddle the threshold,
+    # so those prefixes are decided from the lens's boundary samples
+    u = _haar(4)
+    inv = np.linalg.inv(u)
+    eps_cap = 0.3
+    proj = gamma_project(linear_image(u, BIDISK), eps_cap=eps_cap)
+    rng = np.random.default_rng(2)
+    checked = 0
+    for p in 0.8 * (rng.standard_normal(120) + 1j * rng.standard_normal(120)):
+        fiber = Intersection(tuple(affine_image(Disk(0, 1), 1 / inv[i, 1], -inv[i, 0] * p / inv[i, 1])
+                                   for i in range(2)))
+        estimate = capacity(fiber, n=32).value
+        if abs(estimate - eps_cap) < 0.05 * eps_cap:
+            continue
+        assert proj.membership(np.array([[p]]))[0] == (estimate > eps_cap)
+        checked += 1
+    assert checked > 100
