@@ -12,7 +12,6 @@ __version__ = "0.1.0"
 from .sets import (  # noqa: F401
     CompactSet,
     Disk,
-    Intersection,
     PointCloud,
     Segment,
     UnionSet,

@@ -37,8 +37,8 @@ import numpy as np
 
 from .capacity import EPS_CAP, capacity, capacity_of_cloud, quick_cloud_capacity
 from .errors import GammaPolar, UnboundedSet
-from .sets import (MEMBERSHIP_TOL, CompactSet, Disk, Intersection, PointCloud, Segment,
-                   affine_image, bounding_box, contains, discretize)
+from .sets import (MEMBERSHIP_TOL, CompactSet, Disk, PointCloud, Segment, affine_image,
+                   bounding_box, contains, discretize)
 
 MAX_DIMENSION = 3
 
@@ -327,8 +327,9 @@ def _fiber_capacity_bounds(parts: tuple, scales: np.ndarray, offsets: np.ndarray
 
     One row of ``offsets`` per prefix.  A point-cloud part is cut to its
     points inside every other part, and ``cloud_value`` gives the cloud
-    rule's capacity of those points (scaled, not shifted); a segment part is clipped exactly; two disks are bracketed.
-    Unions and three or more disks get the trivial bounds (0, inf).
+    rule's capacity of those points (scaled, not shifted); a segment part is
+    clipped exactly; two disks are bracketed.  Unions and three or more disks
+    get the trivial bounds (0, inf).
     """
     kinds = [type(p) for p in parts]
     if PointCloud in kinds:
@@ -351,6 +352,23 @@ def _fiber_capacity_bounds(parts: tuple, scales: np.ndarray, offsets: np.ndarray
         dist = np.abs((d2.center - offsets[:, 1]) / b2 - (d1.center - offsets[:, 0]) / b1)
         return _lens_capacity_bounds(dist, d1.radius / abs(b1), d2.radius / abs(b2))
     return np.zeros(len(offsets)), np.full(len(offsets), np.inf)
+
+
+def _intersection_samples(parts: tuple, count: int) -> np.ndarray:
+    """Boundary samples of the intersection of 1-D shapes.
+
+    The intersection's boundary lies in the union of the parts' boundaries,
+    so it is sampled by each part's samples that lie in all the other parts.
+    """
+    per = max(-(-count // len(parts)), 2)
+    kept = []
+    for i, part in enumerate(parts):
+        pts = discretize(part, per)
+        for j, other in enumerate(parts):
+            if j != i:
+                pts = pts[contains(other, pts)]
+        kept.append(pts)
+    return np.concatenate(kept)
 
 
 def _project_preimage(pred: SetPredicate, grid: GridSpec, eps_cap: float) -> SetPredicate:
@@ -400,9 +418,9 @@ def _project_preimage(pred: SetPredicate, grid: GridSpec, eps_cap: float) -> Set
         lower, upper = _fiber_capacity_bounds(parts, scales, offsets, cloud_value)
         keep = lower > eps_cap
         for k in np.flatnonzero(~keep & (upper > eps_cap)):
-            fiber = Intersection(tuple(affine_image(f, 1 / b, -off / b)
-                                       for f, b, off in zip(parts, scales, offsets[k])))
-            keep[k] = quick_cloud_capacity(discretize(fiber, grid.shape_candidates),
+            fiber = tuple(affine_image(f, 1 / b, -off / b)
+                          for f, b, off in zip(parts, scales, offsets[k]))
+            keep[k] = quick_cloud_capacity(_intersection_samples(fiber, grid.shape_candidates),
                                            grid.fiber_capacity_points) > eps_cap
         ok[idx] = keep
         return ok

@@ -90,25 +90,7 @@ class UnionSet:
         object.__setattr__(self, "parts", parts)
 
 
-@dataclass(frozen=True)
-class Intersection:
-    """Finite intersection of compact sets.
-
-    Its boundary lies in the union of the parts' boundaries, so it is
-    discretized by each part's samples that lie in all the other parts.
-    """
-
-    parts: tuple
-    boundary_samples: int = DEFAULT_BOUNDARY_SAMPLES
-
-    def __post_init__(self):
-        parts = tuple(self.parts)
-        if not parts:
-            raise ValueError("Intersection must have at least one part")
-        object.__setattr__(self, "parts", parts)
-
-
-CompactSet = Union[Disk, Segment, PointCloud, UnionSet, Intersection]
+CompactSet = Union[Disk, Segment, PointCloud, UnionSet]
 
 
 def discretize(set_: CompactSet, count: int) -> np.ndarray:
@@ -137,16 +119,6 @@ def discretize(set_: CompactSet, count: int) -> np.ndarray:
         per = -(-count // len(set_.parts))  # ceil division
         per = max(per, 2)
         return np.concatenate([discretize(p, per) for p in set_.parts])
-    if isinstance(set_, Intersection):
-        per = max(-(-count // len(set_.parts)), 2)
-        kept = []
-        for i, part in enumerate(set_.parts):
-            pts = discretize(part, per)
-            for j, other in enumerate(set_.parts):
-                if j != i:
-                    pts = pts[contains(other, pts)]
-            kept.append(pts)
-        return np.concatenate(kept)
     raise TypeError(f"not a CompactSet: {set_!r}")
 
 
@@ -162,9 +134,9 @@ def affine_image(set_: CompactSet, scale: complex, shift: complex = 0j) -> Compa
         return Segment(set_.a * scale + shift, set_.b * scale + shift, set_.boundary_samples)
     if isinstance(set_, PointCloud):
         return PointCloud(tuple(p * scale + shift for p in set_.points), set_.boundary_samples)
-    if isinstance(set_, (UnionSet, Intersection)):
-        return type(set_)(tuple(affine_image(p, scale, shift) for p in set_.parts),
-                          set_.boundary_samples)
+    if isinstance(set_, UnionSet):
+        return UnionSet(tuple(affine_image(p, scale, shift) for p in set_.parts),
+                        set_.boundary_samples)
     raise TypeError(f"not a CompactSet: {set_!r}")
 
 
@@ -187,8 +159,6 @@ def distance_to(set_: CompactSet, z: np.ndarray) -> np.ndarray:
 
 def contains(set_: CompactSet, z: np.ndarray, tol: float = MEMBERSHIP_TOL) -> np.ndarray:
     """Membership test at tolerance ``tol`` (closed-set semantics)."""
-    if isinstance(set_, Intersection):
-        return np.logical_and.reduce([contains(p, z, tol) for p in set_.parts])
     return distance_to(set_, z) <= tol
 
 

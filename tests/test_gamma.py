@@ -18,8 +18,8 @@ from holocap.gamma import (
     reduce_to_m1,
     transform_unitary,
 )
-from holocap.capacity import capacity
-from holocap.sets import Disk, Intersection, PointCloud, Segment, UnionSet, affine_image
+from holocap.capacity import capacity_of_cloud
+from holocap.sets import Disk, PointCloud, Segment, UnionSet, contains, discretize
 
 BIDISK = product_predicate([Disk(0, 1), Disk(0, 1)])
 # complex line {w = 0}, truncated to a bounded box
@@ -53,7 +53,8 @@ def test_finite_fibers_are_polar():
 
 
 def test_generic_projection_via_grid_scan():
-    # rotate the bidisk: fibers become ellipse-like regions, found by scanning
+    # rotate the bidisk: each fiber is a lens, the intersection of two disks,
+    # decided in closed form without a scan
     rng = np.random.default_rng(np.random.SeedSequence(entropy=9, spawn_key=(1,)))
     u = haar_unitary(2, rng)
     proj = gamma_project(transform_unitary(BIDISK, u))
@@ -329,6 +330,15 @@ def test_rotated_disk_times_segment_membership_matches_chord(eps_cap):
     assert checked > 250
 
 
+def _lens_capacity(disks, samples=16384):
+    """Capacity estimate of the intersection of two disks from a dense sample of its
+    boundary: the arcs of each circle inside the other disk."""
+    arcs = [discretize(d, samples) for d in disks]
+    pts = np.concatenate([arcs[0][contains(disks[1], arcs[0])],
+                          arcs[1][contains(disks[0], arcs[1])]])
+    return capacity_of_cloud(pts, n=128).value
+
+
 @pytest.mark.parametrize("dist, r1, r2", [
     (0.0, 1.0, 0.5), (0.3, 1.0, 0.5), (0.9, 1.0, 0.5), (1.4, 1.0, 0.5),
     (1.0, 1.0, 1.0), (1.9, 1.0, 1.0), (1.99, 1.0, 1.0), (2.5, 1.0, 1.0)])
@@ -336,8 +346,7 @@ def test_lens_bounds_bracket_the_capacity(dist, r1, r2):
     from holocap.gamma import _lens_capacity_bounds
 
     lower, upper = _lens_capacity_bounds(np.array([dist]), r1, r2)
-    lens = Intersection((Disk(0, r1), Disk(dist, r2)))
-    estimate = capacity(lens, n=128, candidates=8192).value if dist < r1 + r2 else 0.0
+    estimate = _lens_capacity((Disk(0, r1), Disk(dist, r2))) if dist < r1 + r2 else 0.0
     assert lower[0] <= upper[0]
     assert lower[0] * (1 - 0.02) <= estimate <= upper[0] * (1 + 0.02)
 
@@ -352,9 +361,9 @@ def test_rotated_bidisk_membership_matches_lens_capacity():
     rng = np.random.default_rng(2)
     checked = 0
     for p in 0.8 * (rng.standard_normal(120) + 1j * rng.standard_normal(120)):
-        fiber = Intersection(tuple(affine_image(Disk(0, 1), 1 / inv[i, 1], -inv[i, 0] * p / inv[i, 1])
-                                   for i in range(2)))
-        estimate = capacity(fiber, n=32).value
+        # over p the fiber is the intersection of the disks |M_i0 p + M_i1 w| <= 1, M = inv(U)
+        estimate = _lens_capacity([Disk(-inv[i, 0] * p / inv[i, 1], 1 / abs(inv[i, 1]))
+                                   for i in range(2)])
         if abs(estimate - eps_cap) < 0.05 * eps_cap:
             continue
         assert proj.membership(np.array([[p]]))[0] == (estimate > eps_cap)
