@@ -44,7 +44,6 @@ from .bernstein import (  # noqa: F401
 )
 from .gamma import (  # noqa: F401
     GammaCapResult,
-    GridSpec,
     SetPredicate,
     UnitarySample,
     ball_predicate,

@@ -37,6 +37,10 @@ EPS_CAP = 1e-4
 #: clouds with fewer distinct points than this are polar at sampled scale
 MIN_POINTS = 8
 
+#: working resolution: Fekete points per estimate, candidates per discretized shape
+FEKETE_N = 128
+CANDIDATES = 4096
+
 _EXCHANGE_TOL = 1e-12
 _MAX_SWEEPS = 30
 
@@ -158,7 +162,7 @@ def _checkpoints(n: int) -> list:
     return sorted(ks)
 
 
-def fekete_points(set_: CompactSet, n: int, candidates: int = 4096) -> FeketeResult:
+def fekete_points(set_: CompactSet, n: int, candidates: int = CANDIDATES) -> FeketeResult:
     """Near-Fekete configuration of ``n`` points on the set.
 
     Greedy Leja selection over the candidate discretization followed by
@@ -205,7 +209,7 @@ def _bias_correction(n: int) -> float:
     return n ** (1.0 / (n - 1)) if n >= 2 else 1.0
 
 
-def capacity(set_: CompactSet, n: int, candidates: int = 4096,
+def capacity(set_: CompactSet, n: int, candidates: int = CANDIDATES,
              eps_cap: float = EPS_CAP) -> CapacityEstimate:
     """Logarithmic capacity estimate via the n-point transfinite diameter.
 
@@ -213,15 +217,15 @@ def capacity(set_: CompactSet, n: int, candidates: int = 4096,
     :class:`PointCloud` goes to :func:`capacity_of_cloud`: its distinct
     points are the candidates and ``candidates`` does not apply.
     """
-    if n < 8:
-        raise ValueError(f"capacity needs n >= 8, got {n}")
+    if n < MIN_POINTS:
+        raise ValueError(f"capacity needs n >= {MIN_POINTS}, got {n}")
     if isinstance(set_, PointCloud):
         return capacity_of_cloud(set_.points, n=n, eps_cap=eps_cap)
     fek = fekete_points(set_, n, candidates=max(candidates, n))
     return _estimate_from_fekete(fek, eps_cap)
 
 
-def capacity_of_cloud(points: Sequence[complex] | np.ndarray, n: int = 128,
+def capacity_of_cloud(points: Sequence[complex] | np.ndarray, n: int = FEKETE_N,
                       eps_cap: float = EPS_CAP) -> CapacityEstimate:
     """Capacity of a finite point cloud at working resolution ``min(n, size)``.
 
@@ -318,8 +322,8 @@ class GreenEvaluator:
         return float(g[0]) if scalar and g.size == 1 else g.reshape(np.shape(z))
 
 
-def green_function(set_: CompactSet, method: str = "auto", n: int = 128,
-                   candidates: int = 4096, eps_cap: float = EPS_CAP) -> GreenEvaluator:
+def green_function(set_: CompactSet, method: str = "auto", n: int = FEKETE_N,
+                   candidates: int = CANDIDATES, eps_cap: float = EPS_CAP) -> GreenEvaluator:
     """Green evaluator for the complement of the set.
 
     ``method`` is "auto", "analytic" (disks and segments only) or "fekete".
@@ -352,7 +356,7 @@ def green_function(set_: CompactSet, method: str = "auto", n: int = 128,
     return ev
 
 
-def robin_constant(set_: CompactSet, n: int = 128, candidates: int = 4096,
+def robin_constant(set_: CompactSet, n: int = FEKETE_N, candidates: int = CANDIDATES,
                    eps_cap: float = EPS_CAP) -> float:
     """Robin constant lim_{|z| -> inf} (g(z) - log|z|) of the complement.
 

@@ -27,11 +27,12 @@ import numpy as np
 
 from . import __version__
 from .bernstein import Polynomial1D, verify_bernstein
-from .capacity import EPS_CAP, capacity, green_function
+from .capacity import CANDIDATES, EPS_CAP, FEKETE_N, capacity, green_function
 from .errors import HolocapError
 from .extension import (ExtendConfig, certificate_from_json, certificate_to_json,
                         certify_extension, certify_uniform, evaluate, sequence_from_json)
-from .gamma import GridSpec, gamma_cap, predicate_from_json
+from .gamma import (FIBER_CAPACITY_POINTS, FIBER_RESOLUTION, PROJECTED_RESOLUTION, gamma_cap,
+                    predicate_from_json)
 from .sets import set_from_json
 
 
@@ -115,8 +116,7 @@ def _bernstein(args):
 
 def _gammacap(args):
     pred = predicate_from_json(_read_json(args.set))
-    grid = GridSpec()
-    result = gamma_cap(pred, unitary_count=args.unitaries, seed=args.seed, grid=grid)
+    result = gamma_cap(pred, unitary_count=args.unitaries, seed=args.seed)
     best = result.best_unitary
     doc = {"value": result.value,
            "best_unitary": {"seed": best.seed,
@@ -124,10 +124,10 @@ def _gammacap(args):
            "per_unitary": [[s, v] for s, v in result.per_unitary],
            "fiber_threshold": result.fiber_threshold}
     return doc, {"unitaries": args.unitaries, "fiber_threshold": result.fiber_threshold,
-                 "fiber_resolution": grid.fiber_resolution,
-                 "projected_resolution": grid.projected_resolution,
-                 "fiber_capacity_points": grid.fiber_capacity_points,
-                 "capacity_points": grid.capacity_points}, []
+                 "fiber_resolution": FIBER_RESOLUTION,
+                 "projected_resolution": PROJECTED_RESOLUTION,
+                 "fiber_capacity_points": FIBER_CAPACITY_POINTS,
+                 "capacity_points": FEKETE_N}, []
 
 
 def _extend(args):
@@ -174,8 +174,8 @@ COMMANDS = {
     "cap": _Command(
         "capacity estimate of a compact set", _cap,
         inputs=(("--set", dict(_REQUIRED, help="set JSON")),),
-        options=(("--n", dict(type=int, default=128)),
-                 ("--candidates", dict(type=int, default=4096)))),
+        options=(("--n", dict(type=int, default=FEKETE_N)),
+                 ("--candidates", dict(type=int, default=CANDIDATES)))),
     "green": _Command(
         "Green function values at points", _green,
         inputs=(("--set", _REQUIRED), ("--points", dict(_REQUIRED, help="CSV of re,im rows"))),

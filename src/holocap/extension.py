@@ -33,7 +33,8 @@ import numpy as np
 
 from . import __version__
 from .bernstein import Polynomial1D
-from .capacity import EPS_CAP, MIN_POINTS, GreenEvaluator, capacity_of_cloud, green_function
+from .capacity import (CANDIDATES, EPS_CAP, FEKETE_N, MIN_POINTS, GreenEvaluator,
+                       capacity_of_cloud, green_function)
 from .errors import (
     AllStrataPolar,
     DegreeGrowthViolated,
@@ -330,7 +331,7 @@ def radius_profile(seq: PolynomialSequence, samples, window: int) -> RadiusProfi
 
 def stratify_and_find_nonpolar(profile: RadiusProfile, i_max: int = 100,
                                eps_cap: float = EPS_CAP,
-                               fekete_n: int = 128) -> tuple:
+                               fekete_n: int = FEKETE_N) -> tuple:
     """Smallest stratum index i whose cloud {R >= 1/i} is non-polar.
 
     Raises :class:`AllStrataPolar` when no stratum up to ``i_max`` clears
@@ -350,7 +351,7 @@ def stratify_and_find_nonpolar(profile: RadiusProfile, i_max: int = 100,
 
 def uniform_bound_compact(seq: PolynomialSequence, stratum: PointCloud,
                           rho0: float, eps_cap: float = EPS_CAP,
-                          fekete_n: int = 128) -> tuple:
+                          fekete_n: int = FEKETE_N) -> tuple:
     """Sub-cloud C with a uniform coefficient bound, via a doubling search.
 
     The score phi(z2) = max_n |P_n(z2)| rho0^{-||n||} is finite on the
@@ -457,18 +458,21 @@ class ExtendConfig:
     theta: float = 0.5               # rate margin: rho0 = stratum index / theta
     z2_max: float = 1e3
     eps_cap: float = EPS_CAP
-    fekete_n: int = 128
-    candidates: int = 4096
+    fekete_n: int = FEKETE_N
+    candidates: int = CANDIDATES
     gamma_radial: int = 48
     gamma_angular: int = 16
     sublinear_tol: float = 0.05
 
     def __post_init__(self):
-        ints = ("i_max", "fekete_n", "candidates", "gamma_radial", "gamma_angular")
-        for name in ints + (("window",) if self.window is not None else ()):
+        least = {"i_max": 1, "fekete_n": MIN_POINTS, "candidates": 2, "gamma_radial": 1,
+                 "gamma_angular": 1, **({"window": 1} if self.window is not None else {})}
+        for name, low in least.items():
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, numbers.Integral):
                 raise ValueError(f"config field {name!r} must be an integer, got {value!r}")
+            if value < low:
+                raise ValueError(f"config field {name!r} must be >= {low}, got {value!r}")
         positive = ("theta", "z2_max", "eps_cap")
         for name in positive + ("sublinear_tol",):
             value = getattr(self, name)
@@ -504,8 +508,8 @@ def _gamma_c(green: GreenEvaluator, z2_max: float, n_radial: int, n_angular: int
 
 def _witness_green(witness: CompactSet, thresholds: dict) -> GreenEvaluator:
     """Green function of the witness, built from the certificate's thresholds."""
-    return green_function(witness, "auto", int(thresholds.get("fekete_n", 128)),
-                          int(thresholds.get("candidates", 4096)),
+    return green_function(witness, "auto", int(thresholds.get("fekete_n", FEKETE_N)),
+                          int(thresholds.get("candidates", CANDIDATES)),
                           float(thresholds.get("eps_cap", EPS_CAP)))
 
 
@@ -627,18 +631,12 @@ class EvaluationResult:
     terms_used: int
 
 
-def _z1_norm(z1) -> float:
-    if np.isscalar(z1) or isinstance(z1, complex):
-        return abs(complex(z1))
-    return max(abs(complex(c)) for c in z1)
-
-
-def _z1_power(z1, idx: MultiIndex) -> complex:
-    if np.isscalar(z1) or isinstance(z1, complex):
-        return complex(z1) ** idx.entries[0]
+def _z1_power(z1: tuple, idx: MultiIndex) -> complex:
+    if len(z1) == 1:
+        return z1[0] ** idx.entries[0]
     out = 1.0 + 0j
     for c, e in zip(z1, idx.entries):
-        out *= complex(c) ** e
+        out *= c ** e
     return out
 
 
@@ -656,14 +654,18 @@ def evaluate(cert: ExtensionCertificate, seq: PolynomialSequence, z1, z2: comple
     q >= 1 are outside the certified domain even if the series happens to
     converge there; an unreachable tolerance raises
     :class:`InsufficientData` carrying the bound achievable at max_norm.
+    ``z1`` is a number when k = 1 and k numbers otherwise.
     """
+    k = seq.k
+    coords = tuple(complex(c) for c in ((z1,) if np.ndim(z1) == 0 else z1))
+    if len(coords) != k:
+        raise ValueError(f"z1 needs k = {k} coordinates, got {len(coords)}")
     z2 = complex(z2)
-    if not (np.all(np.isfinite(np.asarray(z1, dtype=np.complex128))) and cmath.isfinite(z2)
+    if not (all(map(cmath.isfinite, coords)) and cmath.isfinite(z2)
             and math.isfinite(tol) and tol > 0):
         raise ValueError(f"z1, z2 and tol must be finite and tol positive, "
                          f"got {z1!r}, {z2!r}, {tol!r}")
-    k = seq.k
-    r1 = _z1_norm(z1)
+    r1 = max(map(abs, coords))
     if r1 == 0.0:
         zero_idx = MultiIndex((0,) * k)
         return EvaluationResult(value=complex(seq.poly(zero_idx)(z2)),
@@ -694,7 +696,7 @@ def evaluate(cert: ExtensionCertificate, seq: PolynomialSequence, z1, z2: comple
 
     value = 0j
     for idx in seq.indices(0, n_used):
-        value += complex(seq.poly(idx)(z2)) * _z1_power(z1, idx)
+        value += complex(seq.poly(idx)(z2)) * _z1_power(coords, idx)
     return EvaluationResult(value=value, tail_bound=tail_at(n_used), terms_used=n_used)
 
 

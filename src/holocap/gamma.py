@@ -25,6 +25,11 @@ fiber disk has radius above ``eps_cap`` form an ellipsoid again, so these sets
 resolve exactly in closed form.  Only opaque predicates are scanned; there a
 fiber that is a finite point set, or a curve the scan grid misses, is polar
 at sampled scale.
+
+Resolutions are fixed: a scanned fiber is a ``FIBER_RESOLUTION`` (64) square
+grid screened by a greedy capacity of ``FIBER_CAPACITY_POINTS`` (32) points, a
+scanned final set a ``PROJECTED_RESOLUTION`` (32) square grid, and capacities
+run at the working resolution of :mod:`holocap.capacity`.
 """
 
 from __future__ import annotations
@@ -35,23 +40,17 @@ from typing import Callable
 
 import numpy as np
 
-from .capacity import EPS_CAP, capacity, capacity_of_cloud, quick_cloud_capacity
+from .capacity import (CANDIDATES, EPS_CAP, FEKETE_N, capacity, capacity_of_cloud,
+                       quick_cloud_capacity)
 from .errors import GammaPolar, UnboundedSet
 from .sets import (MEMBERSHIP_TOL, CompactSet, Disk, PointCloud, Segment, affine_image,
                    bounding_box, contains, discretize)
 
 MAX_DIMENSION = 3
 
-
-@dataclass(frozen=True)
-class GridSpec:
-    """Scan resolutions; recorded in every result for reproducibility."""
-
-    fiber_resolution: int = 64       # grid points per real dimension, fiber plane
-    projected_resolution: int = 32   # per real dimension, final plane
-    fiber_capacity_points: int = 32  # quick capacity size for fiber positivity
-    capacity_points: int = 128       # capacity size for the final cloud
-    shape_candidates: int = 4096     # discretization of structural 1-D shapes
+FIBER_RESOLUTION = 64
+PROJECTED_RESOLUTION = 32
+FIBER_CAPACITY_POINTS = 32
 
 
 @dataclass(frozen=True)
@@ -94,7 +93,6 @@ class GammaCapResult:
     best_unitary: UnitarySample
     per_unitary: tuple            # ((seed, capacity value), ...)
     fiber_threshold: float
-    grid: GridSpec
 
 
 def _require_finite_box(pred: SetPredicate) -> None:
@@ -259,14 +257,13 @@ def _project_ellipsoid(pred: SetPredicate, eps_cap: float) -> SetPredicate:
                         dimension=pred.dimension - 1, ellipsoid=(centre, tri, kept))
 
 
-def _factor_capacity(shape: CompactSet, grid: GridSpec, eps_cap: float) -> float:
+def _factor_capacity(shape: CompactSet, eps_cap: float) -> float:
     """Capacity of a factor: r for a disk, |b - a|/4 for a segment, else the estimate."""
     if isinstance(shape, Disk):
         return shape.radius
     if isinstance(shape, Segment):
         return abs(shape.b - shape.a) / 4.0
-    return capacity(shape, n=grid.capacity_points, candidates=grid.shape_candidates,
-                    eps_cap=eps_cap).value
+    return capacity(shape, n=FEKETE_N, eps_cap=eps_cap).value
 
 
 def _lens_capacity_bounds(dist: np.ndarray, r1: float, r2: float) -> tuple:
@@ -371,7 +368,7 @@ def _intersection_samples(parts: tuple, count: int) -> np.ndarray:
     return np.concatenate(kept)
 
 
-def _project_preimage(pred: SetPredicate, grid: GridSpec, eps_cap: float) -> SetPredicate:
+def _project_preimage(pred: SetPredicate, eps_cap: float) -> SetPredicate:
     """Drop the last coordinate of {z : (M z)_i in K_i}.
 
     With b = M[:, -1] and a_i the rest of row i, the fiber over a prefix p
@@ -392,7 +389,7 @@ def _project_preimage(pred: SetPredicate, grid: GridSpec, eps_cap: float) -> Set
         return empty
     last = mat[:, -1]
     cut = np.flatnonzero(last != 0)
-    if any(_factor_capacity(factors[i], grid, eps_cap) <= eps_cap * abs(last[i]) for i in cut):
+    if any(_factor_capacity(factors[i], eps_cap) <= eps_cap * abs(last[i]) for i in cut):
         return empty
     free = np.flatnonzero(last == 0)
     kept = _preimage_predicate(mat[free, :-1], tuple(factors[i] for i in free),
@@ -406,8 +403,7 @@ def _project_preimage(pred: SetPredicate, grid: GridSpec, eps_cap: float) -> Set
     def cloud_value(points: np.ndarray) -> float:
         key = points.tobytes()
         if key not in cloud_values:
-            cloud_values[key] = capacity_of_cloud(points, n=grid.capacity_points,
-                                                  eps_cap=eps_cap).value
+            cloud_values[key] = capacity_of_cloud(points, eps_cap=eps_cap).value
         return cloud_values[key]
 
     def fiber_member(zs: np.ndarray) -> np.ndarray:
@@ -420,8 +416,8 @@ def _project_preimage(pred: SetPredicate, grid: GridSpec, eps_cap: float) -> Set
         for k in np.flatnonzero(~keep & (upper > eps_cap)):
             fiber = tuple(affine_image(f, 1 / b, -off / b)
                           for f, b, off in zip(parts, scales, offsets[k]))
-            keep[k] = quick_cloud_capacity(_intersection_samples(fiber, grid.shape_candidates),
-                                           grid.fiber_capacity_points) > eps_cap
+            keep[k] = quick_cloud_capacity(_intersection_samples(fiber, CANDIDATES),
+                                           FIBER_CAPACITY_POINTS) > eps_cap
         ok[idx] = keep
         return ok
 
@@ -429,8 +425,7 @@ def _project_preimage(pred: SetPredicate, grid: GridSpec, eps_cap: float) -> Set
                         dimension=pred.dimension - 1)
 
 
-def gamma_project(pred: SetPredicate, grid: GridSpec = GridSpec(),
-                  eps_cap: float = EPS_CAP) -> SetPredicate:
+def gamma_project(pred: SetPredicate, eps_cap: float = EPS_CAP) -> SetPredicate:
     """Drop the last coordinate, keeping points with a non-polar fiber.
 
     The result is true at z in C^{m-1} iff the fiber {w : (z, w) in K} has
@@ -439,8 +434,8 @@ def gamma_project(pred: SetPredicate, grid: GridSpec = GridSpec(),
     whose fiber is an intersection of affine images of the factors, and
     ellipsoids (balls and their linear images), whose fiber is a disk, kept
     iff its radius exceeds ``eps_cap``.  Only an opaque predicate is
-    scanned: its fiber is sampled on a grid over the last coordinate's box
-    and screened by a quick capacity estimate.
+    scanned: its fiber is sampled on a 64 x 64 grid over the last
+    coordinate's box and screened by a 32-point greedy capacity.
     """
     if pred.dimension < 2:
         raise ValueError("gamma_project needs dimension >= 2")
@@ -448,13 +443,12 @@ def gamma_project(pred: SetPredicate, grid: GridSpec = GridSpec(),
     m = pred.dimension
 
     if pred.preimage is not None:
-        return _project_preimage(pred, grid, eps_cap)
+        return _project_preimage(pred, eps_cap)
     if pred.ellipsoid is not None:
         return _project_ellipsoid(pred, eps_cap)
 
-    fiber_grid = _coordinate_grid(pred.bounding_box[-1], grid.fiber_resolution)
+    fiber_grid = _coordinate_grid(pred.bounding_box[-1], FIBER_RESOLUTION)
     inner = pred.membership
-    nfib = grid.fiber_capacity_points
 
     def member(zs: np.ndarray) -> np.ndarray:
         zs = np.atleast_2d(np.asarray(zs, dtype=np.complex128))
@@ -464,7 +458,7 @@ def gamma_project(pred: SetPredicate, grid: GridSpec = GridSpec(),
             stacked[:, :-1] = z
             stacked[:, -1] = fiber_grid
             alive = fiber_grid[inner(stacked)]
-            out[i] = quick_cloud_capacity(alive, nfib) > eps_cap
+            out[i] = quick_cloud_capacity(alive, FIBER_CAPACITY_POINTS) > eps_cap
         return out
 
     return SetPredicate(membership=member, bounding_box=pred.bounding_box[:-1], dimension=m - 1)
@@ -492,33 +486,34 @@ def _shape_1d(pred: SetPredicate) -> CompactSet | None:
     return None
 
 
-def _final_cloud(pred: SetPredicate, grid: GridSpec) -> np.ndarray:
+def _final_cloud(pred: SetPredicate) -> np.ndarray:
     """Point cloud of a 1-D predicate: shape discretization or grid scan."""
     shape = _shape_1d(pred)
     if shape is not None:
-        return np.asarray(discretize(shape, grid.shape_candidates))
-    scan = _coordinate_grid(pred.bounding_box[0], grid.projected_resolution)
+        return np.asarray(discretize(shape, CANDIDATES))
+    scan = _coordinate_grid(pred.bounding_box[0], PROJECTED_RESOLUTION)
     return scan[pred.membership(scan[:, None])]
 
 
-def _project_to_m1(pred: SetPredicate, unitary: np.ndarray, grid: GridSpec,
-                   eps_cap: float) -> SetPredicate:
+def _project_to_m1(pred: SetPredicate, unitary: np.ndarray, eps_cap: float) -> SetPredicate:
     """The set's image under the unitary, projected down to C^1."""
     p = transform_unitary(pred, unitary)
     for _ in range(pred.dimension - 1):
-        p = gamma_project(p, grid, eps_cap)
+        p = gamma_project(p, eps_cap)
     return p
 
 
 def gamma_cap(pred: SetPredicate, unitary_count: int = 1, seed: int = 0,
-              grid: GridSpec = GridSpec(), eps_cap: float = EPS_CAP) -> GammaCapResult:
+              eps_cap: float = EPS_CAP) -> GammaCapResult:
     """Sampled-maximum projection capacity of the set.
 
     The identity is always evaluated; further unitaries are Haar samples
     drawn from per-index generators split off ``seed``, so results do not
     depend on evaluation order.  ``value`` is the max over the sample, a
     lower bound for the supremum over all unitaries.  At dimension 1 this
-    degenerates to the plain 1-D capacity estimate.
+    degenerates to the plain 1-D capacity estimate.  Scans use the fixed grids
+    of the module docstring; the final capacity uses 128 points on 4,096
+    candidates (``capacity.FEKETE_N``, ``capacity.CANDIDATES``).
     """
     if unitary_count < 1:
         raise ValueError("unitary_count must be >= 1")
@@ -535,20 +530,18 @@ def gamma_cap(pred: SetPredicate, unitary_count: int = 1, seed: int = 0,
     per = []
     best_idx = 0
     for k, u in enumerate(unitaries):
-        p = _project_to_m1(pred, u.matrix, grid, eps_cap)
+        p = _project_to_m1(pred, u.matrix, eps_cap)
         shape = _shape_1d(p)
         if shape is not None:
-            value = capacity(shape, n=grid.capacity_points,
-                             candidates=grid.shape_candidates, eps_cap=eps_cap).value
+            value = capacity(shape, n=FEKETE_N, eps_cap=eps_cap).value
         else:
-            value = capacity_of_cloud(_final_cloud(p, grid), n=grid.capacity_points,
-                                      eps_cap=eps_cap).value
+            value = capacity_of_cloud(_final_cloud(p), eps_cap=eps_cap).value
         per.append((u.seed, value))
         if value > per[best_idx][1]:
             best_idx = k
 
     return GammaCapResult(value=per[best_idx][1], best_unitary=unitaries[best_idx],
-                          per_unitary=tuple(per), fiber_threshold=eps_cap, grid=grid)
+                          per_unitary=tuple(per), fiber_threshold=eps_cap)
 
 
 def reduce_to_m1(pred: SetPredicate, result: GammaCapResult) -> tuple:
@@ -562,8 +555,8 @@ def reduce_to_m1(pred: SetPredicate, result: GammaCapResult) -> tuple:
         raise GammaPolar(
             f"projection capacity {result.value:.3e} is polar at threshold "
             f"{result.fiber_threshold:g}")
-    p = _project_to_m1(pred, result.best_unitary.matrix, result.grid, result.fiber_threshold)
-    cloud = _final_cloud(p, result.grid)
+    p = _project_to_m1(pred, result.best_unitary.matrix, result.fiber_threshold)
+    cloud = _final_cloud(p)
     return PointCloud(tuple(complex(z) for z in cloud)), result.best_unitary
 
 

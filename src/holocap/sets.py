@@ -157,9 +157,9 @@ def distance_to(set_: CompactSet, z: np.ndarray) -> np.ndarray:
     raise TypeError(f"not a CompactSet: {set_!r}")
 
 
-def contains(set_: CompactSet, z: np.ndarray, tol: float = MEMBERSHIP_TOL) -> np.ndarray:
-    """Membership test at tolerance ``tol`` (closed-set semantics)."""
-    return distance_to(set_, z) <= tol
+def contains(set_: CompactSet, z: np.ndarray) -> np.ndarray:
+    """Membership test at tolerance ``MEMBERSHIP_TOL`` (closed-set semantics)."""
+    return distance_to(set_, z) <= MEMBERSHIP_TOL
 
 
 def bounding_box(set_: CompactSet) -> tuple:

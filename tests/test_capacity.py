@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from holocap.capacity import (
+    FEKETE_N,
     _EXCHANGE_TOL,
     _MAX_SWEEPS,
     _distinct,
@@ -17,7 +18,7 @@ from holocap.capacity import (
     robin_constant,
 )
 from holocap.errors import GreenUndefinedPolarSet
-from holocap.gamma import GridSpec, gamma_cap, product_predicate
+from holocap.gamma import gamma_cap, product_predicate
 from holocap.sets import Disk, PointCloud, Segment, UnionSet, discretize
 
 CIRCLE_100 = tuple(np.exp(2j * np.pi * np.arange(100) / 100))
@@ -268,4 +269,4 @@ def test_one_cloud_rule_beyond_default_candidates():
     assert green_function(big, n=32).robin_constant == robin_constant(big, n=32)
     assert robin_constant(big, n=32) == est.robin_constant
     pred = product_predicate([big, Disk(0, 1)])
-    assert gamma_cap(pred, grid=GridSpec(capacity_points=32)).value == est.value
+    assert gamma_cap(pred).value == capacity(big, FEKETE_N).value

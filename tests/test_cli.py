@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from holocap import __version__
-from holocap.cli import main
+from holocap.cli import build_parser, main
 
 DISK = {"shape": "disk", "center": [0, 0], "radius": 1.0}
 SEGMENT = {"shape": "segment", "a": [-1, 0], "b": [1, 0]}
@@ -253,8 +253,15 @@ def test_eval_outside_domain_exit_three(tmp_path, capsys):
     ({"z2_max": -1}, "'z2_max' must be finite and > 0"),
     ({"eps_cap": math.nan}, "'eps_cap' must be finite and > 0"),
     ({"sublinear_tol": math.inf}, "'sublinear_tol' must be finite and >= 0"),
+    ({"i_max": 0}, "'i_max' must be >= 1, got 0"),
+    ({"window": 0}, "'window' must be >= 1, got 0"),
+    ({"gamma_angular": 0}, "'gamma_angular' must be >= 1, got 0"),
+    ({"gamma_radial": -1}, "'gamma_radial' must be >= 1, got -1"),
+    ({"fekete_n": 4}, "'fekete_n' must be >= 8, got 4"),
+    ({"candidates": 1}, "'candidates' must be >= 2, got 1"),
 ], ids=["theta_zero", "window_string", "z2_max_negative", "eps_cap_nan",
-        "sublinear_tol_inf"])
+        "sublinear_tol_inf", "i_max_zero", "window_zero", "gamma_angular_zero",
+        "gamma_radial_negative", "fekete_n_small", "candidates_one"])
 def test_extend_invalid_config_exit_two(tmp_path, capsys, cfg, message):
     seq_path = write(tmp_path / "seq.json", GEOMETRIC)
     samples_path = write(tmp_path / "samples.json", CIRCLE_SAMPLES)
@@ -314,12 +321,13 @@ def test_extend_non_finite_coefficients_exit_two(tmp_path, capsys, seq, message)
     assert message in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("z1, z2, tol", [
-    ("0.1+0j", "nan", "1e-10"),
-    ("nan", "2+0j", "1e-10"),
-    ("0.1+0j", "2+0j", "inf"),
-], ids=["z2_nan", "z1_nan", "tol_inf"])
-def test_eval_non_finite_input_exit_two(tmp_path, capsys, z1, z2, tol):
+@pytest.mark.parametrize("z1, z2, tol, message", [
+    ("0.1+0j", "nan", "1e-10", "must be finite"),
+    ("nan", "2+0j", "1e-10", "must be finite"),
+    ("0.1+0j", "2+0j", "inf", "must be finite"),
+    ("0.05,0.3", "0.3+0j", "1e-10", "z1 needs k = 1 coordinates, got 2"),
+], ids=["z2_nan", "z1_nan", "tol_inf", "z1_too_long"])
+def test_eval_non_finite_input_exit_two(tmp_path, capsys, z1, z2, tol, message):
     seq_path = write(tmp_path / "seq.json", GEOMETRIC)
     samples_path = write(tmp_path / "samples.json", CIRCLE_SAMPLES)
     cert = tmp_path / "cert.json"
@@ -329,7 +337,7 @@ def test_eval_non_finite_input_exit_two(tmp_path, capsys, z1, z2, tol):
     code = main(["eval", "--cert", str(cert), "--seq", seq_path, "--z1", z1,
                  "--z2", z2, "--tol", tol, "--out", str(out)])
     assert code == 2
-    assert "must be finite" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -339,7 +347,10 @@ EXTEND_KEYS = {"eps_cap", "theta", "window", "i_max", "z2_max", "fekete_n", "can
 
 
 def _manifest_case(tmp_path, case):
-    """(argv, input files in digest order, manifest path, threshold keys) of one command."""
+    """(argv, input files in digest order, manifest path, threshold keys) of one command.
+
+    The keys come as a dict when their values are pinned too.
+    """
     out = str(tmp_path / "out.json")
     disk = write(tmp_path / "disk.json", DISK)
     seq = write(tmp_path / "seq.json", GEOMETRIC)
@@ -359,8 +370,9 @@ def _manifest_case(tmp_path, case):
     if case == "gammacap":
         pred = write(tmp_path / "pred.json", {"kind": "product", "factors": [DISK, DISK]})
         return (["gammacap", "--set", pred], [pred], out,
-                {"unitaries", "fiber_threshold", "fiber_resolution", "projected_resolution",
-                 "fiber_capacity_points", "capacity_points"})
+                {"unitaries": 1, "fiber_threshold": 1e-4, "fiber_resolution": 64,
+                 "projected_resolution": 32, "fiber_capacity_points": 32,
+                 "capacity_points": 128})
     if case == "extend":
         return (["extend", "--seq", seq, "--samples", samples], [seq, samples], out, EXTEND_KEYS)
     if case == "extend_config":
@@ -385,4 +397,11 @@ def test_manifest_digest_seed_and_thresholds(tmp_path, case):
     assert manifest["input_digest"] == digest
     assert manifest["seed"] == 7
     assert manifest["tool_version"] == __version__
-    assert set(manifest["thresholds"]) == keys
+    assert set(manifest["thresholds"]) == set(keys)
+    if isinstance(keys, dict):   # pinned values
+        assert manifest["thresholds"] == keys
+
+
+def test_cap_resolution_defaults():
+    args = build_parser().parse_args(["cap", "--set", "s.json", "--out", "o.json"])
+    assert (args.n, args.candidates) == (128, 4096)

@@ -350,6 +350,14 @@ def test_evaluate_two_series_variables():
     assert abs(res.value - truth) <= 1e-9
 
 
+@pytest.mark.parametrize("k, z1", [(3, (0.01, 0.02)), (1, (0.05, 0.3))], ids=["k3_two", "k1_two"])
+def test_evaluate_rejects_wrong_z1_length(k, z1):
+    seq = geometric_sequence(1, 40, k=k)
+    cert = certify_extension(seq, CIRCLE)
+    with pytest.raises(ValueError, match=f"z1 needs k = {k} coordinates, got 2"):
+        evaluate(cert, seq, z1, 2.0, tol=1e-9)
+
+
 # ---------------------------------------------------------------------------
 # ring structure
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ import pytest
 
 from holocap.errors import GammaPolar, UnboundedSet
 from holocap.gamma import (
-    GridSpec,
+    PROJECTED_RESOLUTION,
     SetPredicate,
     ball_predicate,
     gamma_cap,
@@ -301,7 +301,7 @@ def test_rotated_disk_times_segment_shadow(entropy):
     u = _haar(entropy)
     pred = linear_image(u, DISK_SEGMENT)
     (re_lo, re_hi), _ = pred.bounding_box[0]
-    step = (re_hi - re_lo) / (GridSpec().projected_resolution - 1)
+    step = (re_hi - re_lo) / (PROJECTED_RESOLUTION - 1)
     res = gamma_cap(pred, unitary_count=1, seed=0)
     assert abs(u[0, 0]) - step <= res.value <= abs(u[0, 0]) + abs(u[0, 1])
     cloud, _ = reduce_to_m1(pred, res)
