@@ -27,7 +27,6 @@ import math
 import numbers
 from dataclasses import dataclass, field
 from math import comb, isqrt
-from typing import Callable
 
 import numpy as np
 
@@ -79,132 +78,121 @@ class MultiIndex:
         return cls((n,))
 
 
-def _compositions(total: int, parts: int):
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
+def _index_rows(k: int, max_norm: int) -> np.ndarray:
+    """Every multi-index of length k and norm <= max_norm, one row each, by norm then lex."""
+    for name, value, low in (("k", k, 1), ("max_norm", max_norm, 0)):
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
+            raise ValueError(f"sequence field {name!r} must be an integer >= {low}, got {value!r}")
+    rows = np.zeros((1, 0), dtype=np.int64)
+    for _ in range(k):   # extend each row by every admissible last entry, keeping lex order
+        reps = max_norm + 1 - rows.sum(axis=1)
+        last = np.arange(reps.sum()) - np.repeat(np.cumsum(reps) - reps, reps)
+        rows = np.column_stack([np.repeat(rows, reps, axis=0), last])
+    return rows[np.argsort(rows.sum(axis=1), kind="stable")]
+
+
+def _row(entries: tuple) -> int:
+    """Row of a multi-index in the enumeration of :func:`_index_rows`."""
+    k = len(entries)
+    rest = sum(entries)
+    row = comb(rest + k - 1, k)   # the indices of smaller norm
+    for i, e in enumerate(entries[:-1]):
+        parts = k - 1 - i         # compositions of rest with a smaller entry at i
+        row += comb(rest + parts, parts) - comb(rest - e + parts, parts)
+        rest -= e
+    return row
 
 
 def iter_indices(k: int, lo: int, hi: int):
     """All multi-indices of length k with lo <= norm <= hi, by norm then lex."""
-    for j in range(lo, hi + 1):
-        for entries in _compositions(j, k):
-            yield MultiIndex(entries)
+    rows = _index_rows(k, max(hi, 0))
+    norms = rows.sum(axis=1)
+    for entries in rows[(norms >= lo) & (norms <= hi)].tolist():
+        yield MultiIndex(tuple(entries))
 
 
-@dataclass
+_CHUNK_CELLS = 1 << 15   # rows x points that norm_peaks evaluates at once (512 KB of complex)
+
+
 class PolynomialSequence:
-    """Coefficient family of a power series, available up to a norm cutoff.
+    """Coefficient family of a power series: every index up to a norm cutoff.
 
-    ``provider`` must be total on indices with norm <= max_norm and safe to
-    call concurrently (results are cached here).  Declared growth constants,
-    when present, are validated by :func:`fit_degree_growth` against every
-    available degree.  The certification stages read the coefficients from
-    one :class:`CoefficientTable` (see :meth:`table`).
+    Row r is the index ``entries[r]`` of norm ``norms[r]``, in
+    :func:`iter_indices` order.  Its polynomial has degree ``degrees[r]``
+    (-inf for zero) and the ``counts[r]`` >= 1 coefficients
+    ``coeffs[offsets[r]:offsets[r] + counts[r]]``, ascending.  The rows of
+    norm j are ``starts[j]:starts[j + 1]``.  Declared growth constants, when
+    present, are validated by :func:`fit_degree_growth` against every degree.
     """
 
-    provider: Callable[[MultiIndex], Polynomial1D]
-    max_norm: int
-    k: int = 1
-    declared_C0: float | None = None
-    declared_C1: float | None = None
-    _cache: dict = field(default_factory=dict, repr=False, compare=False)
-    _table: "CoefficientTable | None" = field(default=None, repr=False, compare=False)
+    def __init__(self, entries: np.ndarray, counts: np.ndarray, coeffs: np.ndarray,
+                 declared_C0: float | None = None, declared_C1: float | None = None):
+        self.entries = entries
+        self.counts = counts
+        self.coeffs = coeffs
+        self.declared_C0 = declared_C0
+        self.declared_C1 = declared_C1
+        self.norms = entries.sum(axis=1)
+        self.offsets = np.cumsum(counts) - counts
+        self.starts = np.searchsorted(self.norms, np.arange(self.norms[-1] + 2))
+        place = np.arange(len(coeffs)) - np.repeat(self.offsets, counts)
+        self.degrees = np.maximum.reduceat(np.where(coeffs != 0, place, -math.inf),
+                                           self.offsets)
+        self.max_norm = len(self.starts) - 2
+        self.k = entries.shape[1]
 
     def poly(self, index: MultiIndex) -> Polynomial1D:
         if index.k != self.k:
             raise ValueError(f"index length {index.k} != sequence k {self.k}")
         if index.norm > self.max_norm:
             raise ValueError(f"index norm {index.norm} beyond available {self.max_norm}")
-        p = self._cache.get(index.entries)
-        if p is None:
-            p = self.provider(index)
-            self._cache[index.entries] = p
-        return p
+        r = _row(index.entries)
+        a = self.offsets[r]
+        return Polynomial1D(tuple(self.coeffs[a:a + self.counts[r]].tolist()))
 
     def indices(self, lo: int = 0, hi: int | None = None):
         return iter_indices(self.k, lo, self.max_norm if hi is None else hi)
 
-    def table(self) -> "CoefficientTable":
-        """The coefficient table of every index up to max_norm, built on first use."""
-        t = self._table
-        if t is None or len(t.starts) != self.max_norm + 2 or t.entries.shape[1] != self.k:
-            t = self._table = CoefficientTable.of(self)
-        return t
+    def _horner(self, zs: np.ndarray, a: int, b: int) -> np.ndarray:
+        """P_n(z) for rows a:b (in row order) and every point of zs.
 
-
-_CHUNK_CELLS = 1 << 15   # rows x points that norm_peaks evaluates at once (512 KB of complex)
-
-
-@dataclass(frozen=True)
-class CoefficientTable:
-    """The indices of a sequence up to its cutoff, one row each in ``indices()`` order.
-
-    Row r is the index ``entries[r]`` of norm ``norms[r]``; its polynomial has
-    degree ``degrees[r]`` (-inf for zero) and the ``counts[r]`` coefficients
-    ``coeffs[offsets[r]:offsets[r] + counts[r]]``, ascending, where an empty
-    coefficient tuple counts as one zero.  The rows of norm j are
-    ``starts[j]:starts[j + 1]``.
-    """
-
-    entries: np.ndarray
-    norms: np.ndarray
-    degrees: np.ndarray
-    counts: np.ndarray
-    offsets: np.ndarray
-    coeffs: np.ndarray
-    starts: np.ndarray
-
-    @classmethod
-    def of(cls, seq: PolynomialSequence) -> "CoefficientTable":
-        indices = list(seq.indices())
-        polys = [seq.poly(idx) for idx in indices]
-        coefficients = [p.coefficients or (0j,) for p in polys]
-        entries = np.array([idx.entries for idx in indices], dtype=np.int64).reshape(-1, seq.k)
-        norms = entries.sum(axis=1)
-        counts = np.array([len(c) for c in coefficients], dtype=np.int64)
-        return cls(entries=entries, norms=norms,
-                   degrees=np.array([p.degree for p in polys], dtype=np.float64),
-                   counts=counts, offsets=np.cumsum(counts) - counts,
-                   coeffs=np.array([c for cs in coefficients for c in cs], dtype=np.complex128),
-                   starts=np.searchsorted(norms, np.arange(seq.max_norm + 2)))
+        Each row runs Horner's rule in the operation order of
+        ``Polynomial1D.__call__`` (numpy's polyval), so every value is
+        bit-identical to it.  Rows are sorted by coefficient count and a row
+        joins the batch update when its own leading coefficient is reached.
+        """
+        order = np.argsort(-self.counts[a:b], kind="stable")
+        counts, offsets = self.counts[a:b][order], self.offsets[a:b][order]
+        joined = np.searchsorted(-counts, -np.arange(counts[0]))  # rows with count > i
+        # numpy rounds a complex product differently in its loops for a
+        # broadcast operand and for an in-place one-element product, so each
+        # product takes two same-shape operands and a separate output, as
+        # in polyval
+        grid = np.tile(zs, (b - a, 1))
+        prod = np.empty_like(grid)
+        acc = np.zeros_like(grid)
+        for i in range(counts[0] - 1, -1, -1):
+            m = joined[i]
+            np.multiply(acc[:m], grid[:m], out=prod[:m])
+            np.add(prod[:m], self.coeffs[offsets[:m] + i][:, None], out=acc[:m])
+        out = np.empty_like(acc)
+        out[order] = acc
+        return out
 
     def norm_peaks(self, zs, lo: int, hi: int) -> np.ndarray:
         """Array whose entry (j - lo, z) is max over ||n|| = j of |P_n(z)|, lo <= j <= hi.
 
-        Each row runs Horner's rule in the operation order of
-        ``Polynomial1D.__call__`` (numpy's polyval), so every |P_n(z)| is
-        bit-identical to it.  Rows are evaluated in chunks of about
-        ``_CHUNK_CELLS`` values, each reduced to per-norm peaks before the
-        next; within a chunk, rows are sorted by coefficient count and a row
-        joins the batch update when its own leading coefficient is reached.
-        NaN values propagate into their norm's peak.
+        Rows are evaluated in chunks of about ``_CHUNK_CELLS`` values, each
+        reduced to per-norm peaks before the next.  NaN values propagate
+        into their norm's peak.
         """
         zs = np.asarray(zs, dtype=np.complex128)
         peaks = np.full((hi - lo + 1, len(zs)), -np.inf)
         start, stop = self.starts[lo], self.starts[hi + 1]
         step = max(1, _CHUNK_CELLS // max(1, len(zs)))
-        # numpy rounds a complex product differently in its loops for a
-        # broadcast operand and for an in-place one-element product, so each
-        # product takes two same-shape operands and a separate output, as
-        # in polyval
-        grid = np.tile(zs, (min(step, stop - start), 1))
-        prod = np.empty_like(grid)
         for a in range(start, stop, step):
             b = min(a + step, stop)
-            order = np.argsort(-self.counts[a:b], kind="stable")
-            counts, offsets = self.counts[a:b][order], self.offsets[a:b][order]
-            joined = np.searchsorted(-counts, -np.arange(counts[0]))  # rows with count > i
-            acc = np.zeros((b - a, len(zs)), dtype=np.complex128)
-            for i in range(counts[0] - 1, -1, -1):
-                m = joined[i]
-                np.multiply(acc[:m], grid[:m], out=prod[:m])
-                np.add(prod[:m], self.coeffs[offsets[:m] + i][:, None], out=acc[:m])
-            vals = np.empty((b - a, len(zs)))
-            vals[order] = np.abs(acc)
+            vals = np.abs(self._horner(zs, a, b))
             first, last = self.norms[a], self.norms[b - 1]
             segments = np.maximum(self.starts[first:last + 1], a) - a
             block = peaks[first - lo:last - lo + 1]
@@ -212,39 +200,58 @@ class CoefficientTable:
         return peaks
 
 
+def _family(k: int, max_norm: int, count, lead) -> PolynomialSequence:
+    """Each index of norm j gets count(j) coefficients: zeros, then lead(j)."""
+    entries = _index_rows(k, max_norm)
+    norms = entries.sum(axis=1)
+    counts = np.array([count(j) for j in range(max_norm + 1)], dtype=np.int64)[norms]
+    leads = np.array([lead(j) for j in range(max_norm + 1)], dtype=np.complex128)
+    coeffs = np.zeros(counts.sum(), dtype=np.complex128)
+    coeffs[np.cumsum(counts) - 1] = leads[norms]
+    return PolynomialSequence(entries, counts, coeffs)
+
+
 def geometric_sequence(lam: complex, max_norm: int, k: int = 1) -> PolynomialSequence:
     """P_n(z) = (lam * z)^{||n||}."""
     lam = complex(lam)
-
-    def provider(idx: MultiIndex) -> Polynomial1D:
-        j = idx.norm
-        return Polynomial1D((0,) * j + (lam ** j,))
-
-    return PolynomialSequence(provider=provider, max_norm=max_norm, k=k)
+    return _family(k, max_norm, lambda j: j + 1, lambda j: lam ** j)
 
 
 def constant_sequence(value: complex, max_norm: int, k: int = 1) -> PolynomialSequence:
     """P_n = value for every index."""
-    p = Polynomial1D((complex(value),))
-    return PolynomialSequence(provider=lambda idx: p, max_norm=max_norm, k=k)
+    return _family(k, max_norm, lambda j: 1, lambda j: complex(value))
 
 
 def delta_sequence(value: complex, max_norm: int, k: int = 1) -> PolynomialSequence:
     """P_0 = value, every other index zero (multiplicative unit at value=1)."""
-    unit = Polynomial1D((complex(value),))
-    zero = Polynomial1D((0j,))
-    return PolynomialSequence(provider=lambda idx: unit if idx.norm == 0 else zero,
-                              max_norm=max_norm, k=k)
+    return _family(k, max_norm, lambda j: 1, lambda j: complex(value) if j == 0 else 0j)
 
 
 def sqrt_degree_sequence(max_norm: int, k: int = 1) -> PolynomialSequence:
     """P_n(z) = z^{isqrt(||n||)}; degrees grow like the square root of the norm."""
+    return _family(k, max_norm, lambda j: isqrt(j) + 1, lambda j: 1)
 
-    def provider(idx: MultiIndex) -> Polynomial1D:
-        d = isqrt(idx.norm)
-        return Polynomial1D((0,) * d + (1,))
 
-    return PolynomialSequence(provider=provider, max_norm=max_norm, k=k)
+def _table(items, max_norm: int, k: int, declared_C0: float | None = None,
+           declared_C1: float | None = None) -> PolynomialSequence:
+    """Sequence of (index, coefficient tuple) pairs, as in :func:`table_sequence`."""
+    entries = _index_rows(k, max_norm)
+    polys = [(0j,)] * len(entries)
+    seen = set()
+    for index, coefficients in items:
+        if len(index) != k or any(isinstance(e, bool) or not isinstance(e, numbers.Integral)
+                                  or e < 0 for e in index):
+            raise ValueError(f"table index {index!r} must have length {k} and nonnegative "
+                             "integer entries")
+        r = _row(tuple(int(e) for e in index))
+        if r in seen:
+            raise ValueError(f"table index {index!r} is repeated")
+        seen.add(r)
+        if r < len(polys):   # norm <= max_norm
+            polys[r] = coefficients or (0j,)
+    counts = np.array([len(c) for c in polys], dtype=np.int64)
+    coeffs = np.array([c for cs in polys for c in cs], dtype=np.complex128)
+    return PolynomialSequence(entries, counts, coeffs, declared_C0, declared_C1)
 
 
 def table_sequence(entries: dict, max_norm: int, k: int = 1,
@@ -252,13 +259,12 @@ def table_sequence(entries: dict, max_norm: int, k: int = 1,
                    declared_C1: float | None = None) -> PolynomialSequence:
     """Sequence backed by an explicit {entries tuple: Polynomial1D} table.
 
-    Missing indices are the zero polynomial.
+    Every index must be k nonnegative integers, or ValueError names it.
+    Missing indices are the zero polynomial; indices of norm above max_norm
+    are ignored.
     """
-    zero = Polynomial1D((0j,))
-    table = {tuple(int(e) for e in key): p for key, p in entries.items()}
-    return PolynomialSequence(provider=lambda idx: table.get(idx.entries, zero),
-                              max_norm=max_norm, k=k,
-                              declared_C0=declared_C0, declared_C1=declared_C1)
+    return _table(((key, p.coefficients) for key, p in entries.items()), max_norm, k,
+                  declared_C0, declared_C1)
 
 
 # ---------------------------------------------------------------------------
@@ -274,27 +280,26 @@ def fit_degree_growth(seq: PolynomialSequence) -> tuple:
     """
     if seq.max_norm < 1:
         raise ValueError("degree-growth fit needs at least 2 available indices")
-    table = seq.table()
 
     if seq.declared_C0 is not None or seq.declared_C1 is not None:
         c0 = float(seq.declared_C0 or 0.0)
         c1 = float(seq.declared_C1 or 0.0)
-        violated = np.flatnonzero(table.degrees > c0 + c1 * table.norms)
+        violated = np.flatnonzero(seq.degrees > c0 + c1 * seq.norms)
         if len(violated):
             r = violated[0]
             raise DegreeGrowthViolated(
-                f"deg P_{tuple(table.entries[r].tolist())} = {int(table.degrees[r])} "
-                f"exceeds declared {c0} + {c1} * {int(table.norms[r])}")
+                f"deg P_{tuple(seq.entries[r].tolist())} = {int(seq.degrees[r])} "
+                f"exceeds declared {c0} + {c1} * {int(seq.norms[r])}")
         return c0, c1
 
-    c0 = max(0.0, float(table.degrees[0]))   # row 0 is the norm-zero index
-    return c0, _degree_slope(table, c0)
+    c0 = max(0.0, float(seq.degrees[0]))   # row 0 is the norm-zero index
+    return c0, _degree_slope(seq, c0)
 
 
-def _degree_slope(table: CoefficientTable, c0: float, start: int = 1) -> float:
+def _degree_slope(seq: PolynomialSequence, c0: float, start: int = 1) -> float:
     """Least slope >= 0 with deg <= c0 + slope * ||n|| over non-zero rows of norm >= start."""
-    rows = slice(table.starts[start], None)
-    degrees, norms = table.degrees[rows], table.norms[rows]
+    rows = slice(seq.starts[start], None)
+    degrees, norms = seq.degrees[rows], seq.norms[rows]
     nonzero = degrees != -math.inf
     return float(np.max((degrees[nonzero] - c0) / norms[nonzero], initial=0.0))
 
@@ -322,7 +327,7 @@ def radius_profile(seq: PolynomialSequence, samples, window: int) -> RadiusProfi
     lo = max(1, seq.max_norm - window + 1)
     zs = np.asarray(list(samples), dtype=np.complex128)
     rate = np.zeros(len(zs))
-    for j, vals in enumerate(seq.table().norm_peaks(zs, lo, seq.max_norm), lo):
+    for j, vals in enumerate(seq.norm_peaks(zs, lo, seq.max_norm), lo):
         np.maximum(rate, np.where(vals > 0.0, vals ** (1.0 / j), 0.0), out=rate)
     out = tuple((complex(z), (1.0 / r) if r > 0.0 else math.inf)
                 for z, r in zip(zs, rate))
@@ -364,7 +369,7 @@ def uniform_bound_compact(seq: PolynomialSequence, stratum: PointCloud,
     if rho0 <= 0:
         raise ValueError("rho0 must be positive")
     pts = np.asarray(stratum.points, dtype=np.complex128)
-    peaks = seq.table().norm_peaks(pts, 0, seq.max_norm)   # row j: max_{||n||=j} |P_n|
+    peaks = seq.norm_peaks(pts, 0, seq.max_norm)   # row j: max_{||n||=j} |P_n|
     phi = np.zeros(len(pts))
     for j, vals in enumerate(peaks):
         np.maximum(phi, vals * rho0 ** (-j), out=phi)
@@ -575,13 +580,12 @@ def certify_extension(seq: PolynomialSequence, K_samples,
 
 def _tail_slope(seq: PolynomialSequence, c0: float) -> tuple:
     """(slope, start): the least degree slope over the tail windows ||n|| >= start."""
-    table = seq.table()
     best_slope, best_start = math.inf, 0
     for j in range(1, 7):
         start = seq.max_norm - max(1, seq.max_norm >> j)
         if start < 1:
             continue
-        slope = _degree_slope(table, c0, start)
+        slope = _degree_slope(seq, c0, start)
         if slope < best_slope:
             best_slope, best_start = slope, start
     return best_slope, best_start
@@ -631,11 +635,11 @@ class EvaluationResult:
     terms_used: int
 
 
-def _z1_power(z1: tuple, idx: MultiIndex) -> complex:
+def _z1_power(z1: tuple, entries: list) -> complex:
     if len(z1) == 1:
-        return z1[0] ** idx.entries[0]
+        return z1[0] ** entries[0]
     out = 1.0 + 0j
-    for c, e in zip(z1, idx.entries):
+    for c, e in zip(z1, entries):
         out *= c ** e
     return out
 
@@ -667,8 +671,7 @@ def evaluate(cert: ExtensionCertificate, seq: PolynomialSequence, z1, z2: comple
                          f"got {z1!r}, {z2!r}, {tol!r}")
     r1 = max(map(abs, coords))
     if r1 == 0.0:
-        zero_idx = MultiIndex((0,) * k)
-        return EvaluationResult(value=complex(seq.poly(zero_idx)(z2)),
+        return EvaluationResult(value=complex(seq._horner(np.array([z2]), 0, 1)[0, 0]),
                                 tail_bound=0.0, terms_used=0)
 
     g = float(cert.green()(z2))
@@ -694,9 +697,11 @@ def evaluate(cert: ExtensionCertificate, seq: PolynomialSequence, z1, z2: comple
             f"tolerance {tol:g} unreachable with indices up to {seq.max_norm}",
             achievable_tail_bound=tail_at(seq.max_norm))
 
+    stop = seq.starts[n_used + 1]
     value = 0j
-    for idx in seq.indices(0, n_used):
-        value += complex(seq.poly(idx)(z2)) * _z1_power(coords, idx)
+    for term, entries in zip(seq._horner(np.array([z2]), 0, stop)[:, 0].tolist(),
+                             seq.entries[:stop].tolist()):
+        value += term * _z1_power(coords, entries)
     return EvaluationResult(value=value, tail_bound=tail_at(n_used), terms_used=n_used)
 
 
@@ -769,8 +774,8 @@ def _finite(value, what: str):
 def sequence_from_json(doc: dict) -> PolynomialSequence:
     """Builtin families and explicit tables; no code execution from input."""
     kind = doc.get("kind")
-    max_norm = int(doc["max_norm"])
-    k = int(doc.get("k", 1))
+    max_norm = doc["max_norm"]
+    k = doc.get("k", 1)
     if kind == "geometric":
         lam = _finite(complex(doc["lambda"][0], doc["lambda"][1]), "lambda")
         return geometric_sequence(lam, max_norm, k)
@@ -780,13 +785,12 @@ def sequence_from_json(doc: dict) -> PolynomialSequence:
     if kind == "sqrt_degree":
         return sqrt_degree_sequence(max_norm, k)
     if kind == "table":
-        entries = {}
+        items = []
         for item in doc["entries"]:
-            key = tuple(int(e) for e in item["index"])
-            coeffs = tuple(_finite(complex(c[0], c[1]), f"coefficient of index {key}")
-                           for c in item["coefficients"])
-            entries[key] = Polynomial1D(coeffs)
+            what = f"coefficient of index {tuple(item['index'])}"
+            items.append((item["index"], tuple(_finite(complex(c[0], c[1]), what)
+                                               for c in item["coefficients"])))
         declared = {name: _finite(doc[name], name)
                     for name in ("declared_C0", "declared_C1") if doc.get(name) is not None}
-        return table_sequence(entries, max_norm, k, **declared)
+        return _table(items, max_norm, k, **declared)
     raise ValueError(f"unknown sequence kind: {kind!r}")

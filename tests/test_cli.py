@@ -311,7 +311,24 @@ NAN_TABLE = {"kind": "table", "max_norm": 4, "entries": [
      "declared_C0 must be finite"),
     ({**NAN_TABLE, "entries": NAN_TABLE["entries"][:2], "declared_C1": math.inf},
      "declared_C1 must be finite"),
-], ids=["table_nan", "lambda_inf", "constant_nan", "declared_c0_nan", "declared_c1_inf"])
+    ({**GEOMETRIC, "k": 0}, "'k' must be an integer >= 1, got 0"),
+    ({**GEOMETRIC, "k": -2}, "'k' must be an integer >= 1, got -2"),
+    ({**GEOMETRIC, "k": 1.9}, "'k' must be an integer >= 1, got 1.9"),
+    ({**GEOMETRIC, "k": True}, "'k' must be an integer >= 1, got True"),
+    ({**GEOMETRIC, "max_norm": 10.9}, "'max_norm' must be an integer >= 0, got 10.9"),
+    ({**GEOMETRIC, "max_norm": -1}, "'max_norm' must be an integer >= 0, got -1"),
+    ({**NAN_TABLE, "entries": [{"index": [-1], "coefficients": [[1, 0]]}]},
+     "table index [-1] must have length 1 and nonnegative integer entries"),
+    ({**NAN_TABLE, "entries": [{"index": [1, 2], "coefficients": [[1, 0]]}]},
+     "table index [1, 2] must have length 1"),
+    ({**NAN_TABLE, "entries": [{"index": [1.5], "coefficients": [[1, 0]]}]},
+     "table index [1.5] must have length 1"),
+    ({**NAN_TABLE, "entries": NAN_TABLE["entries"][:2] + NAN_TABLE["entries"][1:2]},
+     "table index [1] is repeated"),
+], ids=["table_nan", "lambda_inf", "constant_nan", "declared_c0_nan", "declared_c1_inf",
+        "k_zero", "k_negative", "k_fractional", "k_bool", "max_norm_fractional",
+        "max_norm_negative", "index_negative", "index_too_long", "index_fractional",
+        "index_repeated"])
 def test_extend_non_finite_coefficients_exit_two(tmp_path, capsys, seq, message):
     seq_path = write(tmp_path / "seq.json", seq)
     samples_path = write(tmp_path / "samples.json", CIRCLE_SAMPLES)

@@ -1,6 +1,7 @@
 import cmath
 import json
 import math
+import re
 import tracemalloc
 from unittest import mock
 
@@ -578,7 +579,7 @@ def test_norm_peaks_bit_identical_to_polyval(seq, points, chunk_cells, data):
     hi = data.draw(st.integers(lo, seq.max_norm))
     # a small chunk splits norm blocks across chunks, as large inputs do
     with mock.patch.object(extension, "_CHUNK_CELLS", chunk_cells):
-        peaks = seq.table().norm_peaks(zs, lo, hi)
+        peaks = seq.norm_peaks(zs, lo, hi)
     assert peaks.shape == (hi - lo + 1, len(zs))
     for j in range(lo, hi + 1):
         expect = np.max([np.abs(seq.poly(idx)(zs)) for idx in seq.indices(j, j)], axis=0)
@@ -633,16 +634,236 @@ def test_certify_uniform_tail_matches_reference(seq):
 def test_norm_peaks_memory_is_bounded():
     # 12,341 rows: one (rows x points) complex array would take 79 MB
     seq = geometric_sequence(0.9 + 0.2j, 40, k=3)
-    table = seq.table()
     zs = 1.3 * np.exp(2j * np.pi * np.arange(400) / 400)
     tracemalloc.start()
     try:
-        peaks = table.norm_peaks(zs, 0, 40)
+        peaks = seq.norm_peaks(zs, 0, 40)
         _, peak_bytes = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peaks.shape == (41, 400)
     assert peak_bytes < 4e6
+
+
+# ---------------------------------------------------------------------------
+# sequence arrays and evaluate: bit-identity with the per-index code they replaced
+# ---------------------------------------------------------------------------
+
+# Frozen copies of the recursive enumeration, the per-index providers of the
+# builtin families and the table build that read them one index at a time.
+
+def _ref_compositions(total, parts):
+    if parts == 1:
+        yield (total,)
+        return
+    for first in range(total + 1):
+        for rest in _ref_compositions(total - first, parts - 1):
+            yield (first,) + rest
+
+
+def _ref_geometric(lam):
+    lam = complex(lam)
+    return lambda idx: Polynomial1D((0,) * idx.norm + (lam ** idx.norm,))
+
+
+def _ref_constant(value):
+    p = Polynomial1D((complex(value),))
+    return lambda idx: p
+
+
+def _ref_delta(value):
+    unit, zero = Polynomial1D((complex(value),)), Polynomial1D((0j,))
+    return lambda idx: unit if idx.norm == 0 else zero
+
+
+def _ref_sqrt_degree():
+    return lambda idx: Polynomial1D((0,) * math.isqrt(idx.norm) + (1,))
+
+
+def _ref_arrays(provider, k, max_norm):
+    indices = [MultiIndex(e) for j in range(max_norm + 1) for e in _ref_compositions(j, k)]
+    polys = [provider(idx) for idx in indices]
+    coefficients = [p.coefficients or (0j,) for p in polys]
+    entries = np.array([idx.entries for idx in indices], dtype=np.int64).reshape(-1, k)
+    norms = entries.sum(axis=1)
+    counts = np.array([len(c) for c in coefficients], dtype=np.int64)
+    return {"entries": entries, "norms": norms,
+            "degrees": np.array([p.degree for p in polys], dtype=np.float64),
+            "counts": counts, "offsets": np.cumsum(counts) - counts,
+            "coeffs": np.array([c for cs in coefficients for c in cs], dtype=np.complex128),
+            "starts": np.searchsorted(norms, np.arange(max_norm + 2))}
+
+
+def _assert_arrays_equal(seq, ref):
+    assert (seq.k, seq.max_norm) == (ref["entries"].shape[1], len(ref["starts"]) - 2)
+    for name, want in ref.items():
+        got = getattr(seq, name)
+        assert (got.dtype, got.shape) == (want.dtype, want.shape), name
+        assert got.tobytes() == want.tobytes(), name
+
+
+_FAMILIES = [(geometric_sequence, (1.0,), _ref_geometric(1.0)),
+             (geometric_sequence, (0.7 + 0.3j,), _ref_geometric(0.7 + 0.3j)),
+             (geometric_sequence, (-3 + 2j,), _ref_geometric(-3 + 2j)),
+             (geometric_sequence, (0,), _ref_geometric(0)),
+             (constant_sequence, (2 - 1j,), _ref_constant(2 - 1j)),
+             (constant_sequence, (0,), _ref_constant(0)),
+             (delta_sequence, (7,), _ref_delta(7)),
+             (delta_sequence, (0,), _ref_delta(0)),
+             (sqrt_degree_sequence, (), _ref_sqrt_degree())]
+
+
+@pytest.mark.parametrize("family", _FAMILIES,
+                         ids=lambda f: f"{f[0].__name__[:-9]}{f[1]}".replace(" ", ""))
+@pytest.mark.parametrize("k, max_norm", [(1, 0), (1, 30), (2, 1), (2, 9), (3, 7), (4, 5)])
+def test_builtin_family_arrays_match_reference(family, k, max_norm):
+    build, args, provider = family
+    _assert_arrays_equal(build(*args, max_norm, k), _ref_arrays(provider, k, max_norm))
+
+
+@st.composite
+def _tables(draw):
+    """(entries, max_norm, k) of a table_sequence; some entries lie beyond max_norm."""
+    k = draw(st.sampled_from((1, 2, 3)))
+    max_norm = draw(st.integers(0, 5))
+    entries = {idx.entries: Polynomial1D(draw(_COEFFS))
+               for idx in iter_indices(k, 0, max_norm + 1) if draw(st.booleans())}
+    return entries, max_norm, k
+
+
+@given(_tables())
+@settings(max_examples=60, deadline=None)
+def test_table_arrays_match_reference(table):
+    entries, max_norm, k = table
+    zero = Polynomial1D((0j,))
+    ref = _ref_arrays(lambda idx: entries.get(idx.entries, zero), k, max_norm)
+    _assert_arrays_equal(table_sequence(entries, max_norm, k), ref)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_iter_indices_match_recursive_enumeration(k):
+    rows = [e for j in range(9) for e in _ref_compositions(j, k)]
+    assert [extension._row(e) for e in rows] == list(range(len(rows)))
+    for lo in range(9):
+        for hi in range(lo, 9):
+            want = [MultiIndex(e) for e in rows if lo <= sum(e) <= hi]
+            assert list(iter_indices(k, lo, hi)) == want
+
+
+@pytest.mark.parametrize("index, message", [
+    ((-1,), "table index (-1,) must have length 1"),
+    ((1, 2), "table index (1, 2) must have length 1"),
+    ((1.5,), "table index (1.5,) must have length 1"),
+    ((True,), "table index (True,) must have length 1"),
+], ids=["negative", "too_long", "fractional", "bool"])
+def test_table_sequence_rejects_malformed_index(index, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        table_sequence({index: Polynomial1D((1,))}, 4)
+
+
+def _ref_z1_power(z1, idx):
+    if len(z1) == 1:
+        return z1[0] ** idx.entries[0]
+    out = 1.0 + 0j
+    for c, e in zip(z1, idx.entries):
+        out *= c ** e
+    return out
+
+
+def _ref_evaluate(cert, seq, z1, z2, tol):
+    """The per-index evaluate loop: one polyval per index, in indices() order."""
+    k = seq.k
+    coords = tuple(complex(c) for c in ((z1,) if np.ndim(z1) == 0 else z1))
+    if len(coords) != k:
+        raise ValueError(f"z1 needs k = {k} coordinates, got {len(coords)}")
+    z2 = complex(z2)
+    if not (all(map(cmath.isfinite, coords)) and cmath.isfinite(z2)
+            and math.isfinite(tol) and tol > 0):
+        raise ValueError(f"z1, z2 and tol must be finite and tol positive, "
+                         f"got {z1!r}, {z2!r}, {tol!r}")
+    r1 = max(map(abs, coords))
+    if r1 == 0.0:
+        zero_idx = MultiIndex((0,) * k)
+        return extension.EvaluationResult(value=complex(seq.poly(zero_idx)(z2)),
+                                          tail_bound=0.0, terms_used=0)
+    g = float(cert.green()(z2))
+    q = cert.rho1 * math.exp(cert.tail_slope * g) * r1
+    if q >= 1.0:
+        raise OutsideCertifiedDomain(
+            f"q = {q:.6g} >= 1 at z1 norm {r1:.6g}, z2 = {z2}")
+    amp = cert.M0 * math.exp(cert.C0 * g)
+
+    def tail_at(n):
+        c = (n + k) / (n + 1)
+        if c * q >= 1.0:
+            return math.inf
+        return amp * math.comb(n + k - 1, k - 1) * q ** (n + 1) * c / (1.0 - c * q)
+
+    n_used = None
+    for n in range(cert.tail_start, seq.max_norm + 1):
+        if tail_at(n) <= tol:
+            n_used = n
+            break
+    if n_used is None:
+        raise InsufficientData(
+            f"tolerance {tol:g} unreachable with indices up to {seq.max_norm}",
+            achievable_tail_bound=tail_at(seq.max_norm))
+    value = 0j
+    for idx in seq.indices(0, n_used):
+        value += complex(seq.poly(idx)(z2)) * _ref_z1_power(coords, idx)
+    return extension.EvaluationResult(value=value, tail_bound=tail_at(n_used),
+                                      terms_used=n_used)
+
+
+def _family_sequences():
+    lam = st.one_of(st.just(0j), _polar(0.1, 3.0))
+    return st.builds(lambda build, k, max_norm: build(k, max_norm),
+                     st.sampled_from([
+                         lambda k, n, lam=l: geometric_sequence(lam, n, k) for l in
+                         (1.0, 0.6 - 0.2j, 2.5j)] + [
+                         lambda k, n: constant_sequence(1.5 - 0.5j, n, k),
+                         lambda k, n: delta_sequence(3, n, k),
+                         lambda k, n: sqrt_degree_sequence(n, k)]),
+                     st.sampled_from((1, 2, 3)), st.integers(1, 12))
+
+
+def _disk_cert(rho1, m0, c0, slope, start, radius):
+    return ExtensionCertificate(rho0=2.0, rho1=rho1, M0=m0, C0=c0, C1=slope, gammaC=0.0,
+                                C2=1.0, exponent=slope, witness=Disk(0, radius), N_used=0,
+                                thresholds={"tail_slope": slope, "tail_start": start})
+
+
+@given(st.one_of(_table_sequences(), _family_sequences()), st.data())
+@settings(max_examples=300, deadline=None)
+def test_evaluate_matches_reference(seq, data):
+    cert = _disk_cert(data.draw(st.floats(0.3, 3.0)), data.draw(st.floats(1.0, 10.0)),
+                      data.draw(st.sampled_from((0.0, 1.0, 2.0))),
+                      data.draw(st.sampled_from((0.0, 0.5, 1.0))),
+                      data.draw(st.integers(0, seq.max_norm)),
+                      data.draw(st.sampled_from((0.5, 1.0, 2.0))))
+    z2 = data.draw(_polar(1e-3, 10.0))
+    # q = share: 0 is the z1 = 0 branch, >= 1 lies outside the certified domain
+    share = data.draw(st.one_of(st.just(0.0), st.floats(0.01, 0.9), st.floats(1.0, 1.5)))
+    r1 = share / (cert.rho1 * math.exp(cert.tail_slope * float(cert.green()(z2))))
+    z1 = tuple(r1 * data.draw(st.sampled_from((1.0, 0.5, 0.1)))
+               * cmath.exp(1j * data.draw(st.floats(0.0, 2.0 * math.pi))) for _ in range(seq.k))
+    z1 = z1[0] if seq.k == 1 and data.draw(st.booleans()) else z1
+    tol = data.draw(st.sampled_from((1e-2, 1e-5, 1e-9, 1e-13)))
+    args = (cert, seq, z1, z2, tol)
+    assert _outcome(evaluate, *args) == _outcome(_ref_evaluate, *args)
+
+
+@pytest.mark.parametrize("z1, tol, kind", [
+    ((0j, 0j), 1e-9, "ok"),
+    ((0.05 + 0.01j, -0.02j), 1e-9, "ok"),
+    ((0.3, 0.28j), 1e-12, "InsufficientData"),
+    ((0.9, 0.1), 1e-9, "OutsideCertifiedDomain"),
+], ids=["z1_zero", "inside", "insufficient", "outside"])
+def test_evaluate_matches_reference_at_each_outcome(z1, tol, kind):
+    seq = geometric_sequence(0.8 - 0.3j, 12, k=2)
+    args = (_disk_cert(1.2, 1.0, 0.0, 1.0, 0, 1.0), seq, z1, 0.7 + 0.2j, tol)
+    assert _outcome(evaluate, *args) == _outcome(_ref_evaluate, *args)
+    assert _outcome(evaluate, *args)[0] == kind
 
 
 # ---------------------------------------------------------------------------
