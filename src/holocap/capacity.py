@@ -23,6 +23,7 @@ lowest index, reductions run in a fixed order.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -53,6 +54,8 @@ class FeketeResult:
     log_vdm: float                     # sum over pairs of log distances
     diameter_sequence: tuple           # ((k, d_k), ...) at refined checkpoints
     degenerate: bool = False           # fewer distinct candidates than requested
+    # positions of ``points`` in the candidate array the solve ran over
+    selection: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     @property
     def n(self) -> int:
@@ -193,7 +196,8 @@ def _fekete_over(cand: np.ndarray, n: int) -> FeketeResult:
         if k == n:
             final_sel = sel_k
     pts = cand[final_sel]
-    return FeketeResult(points=pts, log_vdm=_log_vdm(pts), diameter_sequence=tuple(seq))
+    return FeketeResult(points=pts, log_vdm=_log_vdm(pts), diameter_sequence=tuple(seq),
+                        selection=final_sel)
 
 
 def _degenerate_fekete(pts: np.ndarray) -> FeketeResult:
@@ -201,7 +205,7 @@ def _degenerate_fekete(pts: np.ndarray) -> FeketeResult:
     seq = tuple((k, math.exp(2.0 * _log_vdm(pts[:k]) / (k * (k - 1))))
                 for k in range(2, len(pts) + 1))
     return FeketeResult(points=pts, log_vdm=_log_vdm(pts), diameter_sequence=seq,
-                        degenerate=True)
+                        degenerate=True, selection=np.arange(len(pts)))
 
 
 def _bias_correction(n: int) -> float:
@@ -277,16 +281,20 @@ class GreenEvaluator:
     ``backing`` is one of "analytic_disk", "analytic_segment",
     "fekete_potential".  Evaluations clamp tiny negative values (discrete
     potentials can dip below zero near the set) to 0; the construction-time
-    clamp magnitude is exposed so consumers can widen tolerances.
+    clamp magnitude is exposed so consumers can widen tolerances.  A Fekete
+    backing keeps its potential's ``points`` and their ``selection``, the
+    positions of the points among the solve's candidates.
     """
 
     def __init__(self, backing: str, domain_set: CompactSet, robin_constant: float,
-                 points: np.ndarray | None = None, clamp_magnitude: float = 0.0):
+                 points: np.ndarray | None = None, clamp_magnitude: float = 0.0,
+                 selection: np.ndarray | None = None):
         self.backing = backing
         self.domain_set = domain_set
         self.robin_constant = robin_constant
         self.points = points
         self.clamp_magnitude = clamp_magnitude
+        self.selection = selection
 
     def _raw(self, z: np.ndarray) -> np.ndarray:
         s = self.domain_set
@@ -347,13 +355,55 @@ def green_function(set_: CompactSet, method: str = "auto", n: int = FEKETE_N,
         raise GreenUndefinedPolarSet(
             f"capacity estimate {est.value:.3e} below polar threshold {eps_cap:g}")
     ev = GreenEvaluator("fekete_potential", set_, est.robin_constant,
-                        points=est.fekete.points)
+                        points=est.fekete.points, selection=est.fekete.selection)
     # clamp magnitude: worst negative dip of the raw potential on the set itself
     probe = discretize(set_, min(candidates, 4096))
     raw = ev._raw(np.asarray(probe, dtype=np.complex128))
     raw = raw[np.isfinite(raw)]
     ev.clamp_magnitude = float(max(0.0, -raw.min())) if len(raw) else 0.0
     return ev
+
+
+def _candidates(set_: CompactSet, n: int, candidates: int) -> np.ndarray:
+    """The distinct candidates ``capacity(set_, n, candidates)`` selects from."""
+    if isinstance(set_, PointCloud):
+        return _distinct(np.asarray(set_.points, dtype=np.complex128))
+    return _distinct(discretize(set_, max(candidates, n)))
+
+
+def green_from_selection(set_: CompactSet, selection, clamp_magnitude: float,
+                         n: int = FEKETE_N, candidates: int = CANDIDATES,
+                         eps_cap: float = EPS_CAP) -> GreenEvaluator:
+    """The Fekete-backed evaluator of :func:`green_function`, rebuilt from its selection.
+
+    ``selection`` and ``clamp_magnitude`` are an evaluator's own, so no
+    solve runs: the Robin constant is recomputed from the selected points in
+    their order, which reproduces every value bit for bit.  The selection is
+    checked as outside input (distinct integer positions among the
+    candidates, as many as the solve selects, a capacity not below
+    ``eps_cap``); a violation raises ``ValueError``.
+    """
+    cand = _candidates(set_, n, candidates)
+    size = min(n, len(cand)) if isinstance(set_, PointCloud) else n
+    if len(selection) != size:
+        raise ValueError(f"{len(selection)} indices where the solve selects {size}")
+    for i in selection:
+        if isinstance(i, bool) or not isinstance(i, numbers.Integral):
+            raise ValueError(f"index {i!r} is not an integer")
+        if not 0 <= i < len(cand):
+            raise ValueError(f"index {i} is out of range for {len(cand)} candidates")
+    sel = np.asarray(selection, dtype=np.intp)
+    if len(np.unique(sel)) != len(sel):
+        raise ValueError("an index repeats")
+    pts = cand[sel]
+    fek = FeketeResult(points=pts, log_vdm=_log_vdm(pts), diameter_sequence=(),
+                       degenerate=len(pts) < MIN_POINTS, selection=sel)
+    est = _estimate_from_fekete(fek, eps_cap)
+    if est.polar:
+        raise ValueError(f"capacity {est.value:.3e} of the selected points is below "
+                         f"eps_cap {eps_cap:g}")
+    return GreenEvaluator("fekete_potential", set_, est.robin_constant, points=pts,
+                          clamp_magnitude=clamp_magnitude, selection=sel)
 
 
 def robin_constant(set_: CompactSet, n: int = FEKETE_N, candidates: int = CANDIDATES,

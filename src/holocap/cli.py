@@ -58,10 +58,13 @@ def _read_points_csv(path: str) -> list:
     return points
 
 
-def _write_csv(path: str, header, rows) -> None:
-    """Header plus rows; lazy ``rows`` are consumed first, so a row that raises leaves no file."""
-    cells = [[repr(float(v)) if isinstance(v, (float, np.floating)) else v for v in row]
-             for row in rows]
+def _cells(rows) -> list:
+    """CSV cells of (lazy) ``rows``; floats print as their repr."""
+    return [[repr(float(v)) if isinstance(v, (float, np.floating)) else v for v in row]
+            for row in rows]
+
+
+def _write_csv(path: str, header, cells) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
@@ -78,8 +81,8 @@ def _parse_complex(text: str) -> complex:
 
 
 # ---------------------------------------------------------------------------
-# each command returns (document, thresholds, sidecar CSV tables) and writes no
-# file but green's CSV at --out; main writes the JSON, then the sidecars' lazy rows
+# each command returns (document, thresholds, CSV tables as (path, header, lazy
+# rows)) and writes no file; main renders every table before it writes anything
 # ---------------------------------------------------------------------------
 
 def _cap(args):
@@ -88,7 +91,8 @@ def _cap(args):
         "value": est.value, "n_used": est.n_used, "error_indicator": est.error_indicator,
         "robin_constant": "inf" if math.isinf(est.robin_constant) else est.robin_constant,
         "polar": est.polar, "degenerate": est.degenerate}}
-    d_n = ("_dn.csv", ["n", "d_n"], ((k, float(d)) for k, d in est.fekete.diameter_sequence))
+    d_n = (_sidecar(args.out, "_dn.csv"), ["n", "d_n"],
+           ((k, float(d)) for k, d in est.fekete.diameter_sequence))
     return doc, {"n": args.n, "candidates": args.candidates, "eps_cap": EPS_CAP}, [d_n]
 
 
@@ -97,10 +101,10 @@ def _green(args):
     points = _read_points_csv(args.points)
     green = green_function(set_)
     values = green(np.asarray(points, dtype=np.complex128))
-    _write_csv(args.out, ["re", "im", "g"],
-               [(z.real, z.imag, float(v)) for z, v in zip(points, values)])
+    table = (args.out, ["re", "im", "g"],
+             ((z.real, z.imag, float(v)) for z, v in zip(points, values)))
     return {}, {"backing": green.backing, "robin_constant": green.robin_constant,
-                "clamp_magnitude": green.clamp_magnitude}, []
+                "clamp_magnitude": green.clamp_magnitude}, [table]
 
 
 def _bernstein(args):
@@ -143,7 +147,7 @@ def _extend(args):
         raise ValueError(f"unknown mode {mode!r} (use 'extension' or 'uniform')")
     cert = certify(seq, samples, cfg)
     radii = np.concatenate([[0.0], np.geomspace(1e-2, cfg.z2_max, 199)])
-    domain = ("_domain.csv", ["abs_z2", "certified_radius"],
+    domain = (_sidecar(args.out, "_domain.csv"), ["abs_z2", "certified_radius"],
               ((float(t), float(cert.certified_radius(float(t)))) for t in radii))
     return certificate_to_json(cert), {**cert.thresholds, "mode": mode}, [domain]
 
@@ -203,7 +207,12 @@ COMMANDS = {
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The holocap parser; naming a command gives only its subparser flags.
+
+    Every subparser is registered either way, so help, usage and error text
+    are those of the full parser.
+    """
     parser = argparse.ArgumentParser(
         prog="holocap",
         description="capacity, Green functions, growth bounds, and certified "
@@ -211,6 +220,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name, cmd in COMMANDS.items():
         p = sub.add_parser(name, help=cmd.help)
+        if command in COMMANDS and name != command:
+            continue
         for flag, keywords in cmd.inputs + cmd.options:
             p.add_argument(flag, **keywords)
         p.add_argument("--out", required=True, help="output file")
@@ -219,10 +230,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = build_parser(argv[0] if argv else None).parse_args(argv)
     cmd = COMMANDS[args.command]
     try:
         doc, thresholds, tables = cmd.run(args)
+        tables = [(path, header, _cells(rows)) for path, header, rows in tables]
         digest = hashlib.sha256()
         for flag, _ in cmd.inputs:
             path = getattr(args, flag[2:])
@@ -232,8 +245,8 @@ def main(argv=None) -> int:
                            "input_digest": digest.hexdigest(), "thresholds": thresholds}
         text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
         Path(args.out + cmd.manifest_suffix).write_text(text, encoding="utf-8")
-        for suffix, header, rows in tables:
-            _write_csv(_sidecar(args.out, suffix), header, rows)
+        for path, header, cells in tables:
+            _write_csv(path, header, cells)
         return 0
     except HolocapError as err:
         stage = err.stage or type(err).__name__

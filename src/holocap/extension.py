@@ -33,7 +33,7 @@ import numpy as np
 from . import __version__
 from .bernstein import Polynomial1D
 from .capacity import (CANDIDATES, EPS_CAP, FEKETE_N, MIN_POINTS, GreenEvaluator,
-                       capacity_of_cloud, green_function)
+                       capacity_of_cloud, green_from_selection, green_function)
 from .errors import (
     AllStrataPolar,
     DegreeGrowthViolated,
@@ -44,7 +44,7 @@ from .errors import (
     OutsideCertifiedDomain,
     WindowEmpty,
 )
-from .sets import CompactSet, PointCloud, set_from_json, set_to_json
+from .sets import CompactSet, Disk, PointCloud, Segment, set_from_json, set_to_json
 
 
 # ---------------------------------------------------------------------------
@@ -511,11 +511,16 @@ def _gamma_c(green: GreenEvaluator, z2_max: float, n_radial: int, n_angular: int
     return float(max(vals.max(), green.robin_constant))
 
 
+def _green_resolution(thresholds: dict) -> dict:
+    """The Green-solve settings recorded in a certificate's thresholds."""
+    return {"n": int(thresholds.get("fekete_n", FEKETE_N)),
+            "candidates": int(thresholds.get("candidates", CANDIDATES)),
+            "eps_cap": float(thresholds.get("eps_cap", EPS_CAP))}
+
+
 def _witness_green(witness: CompactSet, thresholds: dict) -> GreenEvaluator:
     """Green function of the witness, built from the certificate's thresholds."""
-    return green_function(witness, "auto", int(thresholds.get("fekete_n", FEKETE_N)),
-                          int(thresholds.get("candidates", CANDIDATES)),
-                          float(thresholds.get("eps_cap", EPS_CAP)))
+    return green_function(witness, "auto", **_green_resolution(thresholds))
 
 
 def _run_stage(name: str, fn, *args, **kwargs):
@@ -742,7 +747,13 @@ def ring_multiply(f: PolynomialSequence, g: PolynomialSequence,
 # ---------------------------------------------------------------------------
 
 def certificate_to_json(cert: ExtensionCertificate) -> dict:
-    return {
+    """The certificate as JSON; a Fekete-backed witness Green adds its selection.
+
+    ``green_points`` lists the positions of the potential's points among the
+    witness's candidates, in selection order, and ``clamp_magnitude`` is the
+    evaluator's, so :func:`certificate_from_json` rebuilds it without a solve.
+    """
+    doc = {
         "rho0": cert.rho0, "rho1": cert.rho1, "M0": cert.M0,
         "C0": cert.C0, "C1": cert.C1, "gammaC": cert.gammaC, "C2": cert.C2,
         "exponent": cert.exponent, "N_used": cert.N_used,
@@ -753,16 +764,70 @@ def certificate_to_json(cert: ExtensionCertificate) -> dict:
         "guarantee": ("termwise geometric domination: |P_n(z2) z1^n| <= "
                       "M0 exp(C0 g(z2)) q^{||n||}, q = rho1 exp(slope g(z2)) |z1|"),
     }
+    green = cert.green()
+    if green.backing == "fekete_potential":
+        doc["green_points"] = green.selection.tolist()
+        doc["clamp_magnitude"] = green.clamp_magnitude
+    return doc
+
+
+_FIELD_KINDS = {numbers.Real: "a number", numbers.Integral: "an integer", bool: "a boolean",
+                dict: "an object", list: "a list"}
+
+
+def _field(doc: dict, name: str, kind: type, default=None, where: str = "certificate field"):
+    """``doc[name]`` checked against ``kind``; a missing name without a default raises."""
+    if name not in doc:
+        if default is None:
+            raise ValueError(f"{where} {name!r} is missing")
+        return default
+    value = doc[name]
+    if isinstance(value, bool) != (kind is bool) or not isinstance(value, kind):
+        raise ValueError(f"{where} {name!r} must be {_FIELD_KINDS[kind]}, got {value!r}")
+    return value
 
 
 def certificate_from_json(doc: dict) -> ExtensionCertificate:
-    return ExtensionCertificate(
-        rho0=float(doc["rho0"]), rho1=float(doc["rho1"]), M0=float(doc["M0"]),
-        C0=float(doc["C0"]), C1=float(doc["C1"]), gammaC=float(doc["gammaC"]),
-        C2=float(doc["C2"]), exponent=float(doc["exponent"]),
-        witness=set_from_json(doc["witness"]), N_used=int(doc["N_used"]),
-        thresholds=dict(doc["thresholds"]),
-        exponent_differs=bool(doc["exponent_differs"]))
+    """Certificate from :func:`certificate_to_json` output, every field checked.
+
+    A witness without a closed-form Green function (not a disk or segment)
+    needs ``green_points`` and ``clamp_magnitude``; its evaluator is rebuilt
+    from them and no Fekete solve runs.  A missing, wrong-typed or
+    inconsistent field raises ``ValueError`` naming it.
+    """
+    if not isinstance(doc, dict):
+        raise ValueError(f"a certificate must be a JSON object, got {type(doc).__name__}")
+    floats = {name: float(_field(doc, name, numbers.Real))
+              for name in ("rho0", "rho1", "M0", "C0", "C1", "gammaC", "C2", "exponent")}
+    thresholds = dict(_field(doc, "thresholds", dict))
+    where = "certificate threshold"
+    _field(thresholds, "tail_slope", numbers.Real, where=where)
+    for name, kind, default in (("tail_start", numbers.Integral, 0),
+                                ("fekete_n", numbers.Integral, FEKETE_N),
+                                ("candidates", numbers.Integral, CANDIDATES),
+                                ("eps_cap", numbers.Real, EPS_CAP)):
+        _field(thresholds, name, kind, default, where=where)
+    witness_doc = _field(doc, "witness", dict)
+    try:
+        witness = set_from_json(witness_doc)
+    except (KeyError, IndexError, TypeError, ValueError) as err:
+        raise ValueError(f"certificate field 'witness' is malformed: {err!r}") from None
+    cert = ExtensionCertificate(
+        **floats, witness=witness, N_used=int(_field(doc, "N_used", numbers.Integral)),
+        thresholds=thresholds, exponent_differs=_field(doc, "exponent_differs", bool))
+    if isinstance(witness, (Disk, Segment)):   # analytic Green backing, nothing stored
+        return cert
+    selection = _field(doc, "green_points", list)
+    clamp = float(_field(doc, "clamp_magnitude", numbers.Real))
+    if not (math.isfinite(clamp) and clamp >= 0.0):
+        raise ValueError(f"certificate field 'clamp_magnitude' must be finite and >= 0, "
+                         f"got {clamp!r}")
+    try:
+        cert._green = green_from_selection(witness, selection, clamp,
+                                           **_green_resolution(thresholds))
+    except ValueError as err:
+        raise ValueError(f"certificate field 'green_points': {err}") from None
+    return cert
 
 
 def _finite(value, what: str):

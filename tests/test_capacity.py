@@ -14,6 +14,7 @@ from holocap.capacity import (
     capacity,
     capacity_of_cloud,
     fekete_points,
+    green_from_selection,
     green_function,
     robin_constant,
 )
@@ -270,3 +271,24 @@ def test_one_cloud_rule_beyond_default_candidates():
     assert robin_constant(big, n=32) == est.robin_constant
     pred = product_predicate([big, Disk(0, 1)])
     assert gamma_cap(pred).value == capacity(big, FEKETE_N).value
+
+
+def _big_cloud() -> PointCloud:
+    rng = np.random.default_rng(5)
+    return PointCloud(tuple(rng.uniform(-1, 1, 5000) + 1j * rng.uniform(-1, 1, 5000)))
+
+
+@pytest.mark.parametrize("set_, n", [
+    (DUPLICATED_CIRCLE, 128),
+    (_big_cloud(), 32),
+    (UnionSet((Segment(-2, -1), Disk(1, 0.5))), 32),
+], ids=["duplicated_circle", "cloud_beyond_candidates", "union"])
+def test_green_from_selection_reproduces_the_solve(set_, n):
+    green = green_function(set_, "fekete", n=n)
+    back = green_from_selection(set_, green.selection.tolist(), green.clamp_magnitude, n=n)
+    assert np.array_equal(back.points, green.points)
+    assert np.array_equal(back.selection, green.selection)
+    assert back.robin_constant == green.robin_constant
+    assert back.clamp_magnitude == green.clamp_magnitude
+    grid = np.linspace(-3.0, 3.0, 9)[:, None] + 1j * np.linspace(-3.0, 3.0, 9)[None, :]
+    assert np.array_equal(back(grid), green(grid))

@@ -1,13 +1,16 @@
 import csv
 import hashlib
+import importlib
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
 
 from holocap import __version__
-from holocap.cli import build_parser, main
+from holocap.cli import COMMANDS, build_parser, main
+from holocap.extension import ExtensionCertificate
 
 DISK = {"shape": "disk", "center": [0, 0], "radius": 1.0}
 SEGMENT = {"shape": "segment", "a": [-1, 0], "b": [1, 0]}
@@ -356,6 +359,124 @@ def test_eval_non_finite_input_exit_two(tmp_path, capsys, z1, z2, tol, message):
     assert code == 2
     assert message in capsys.readouterr().err
     assert not out.exists()
+
+
+def _extend_cert(tmp_path):
+    """(seq path, cert path) of a geometric certificate on the 200-point circle."""
+    seq_path = write(tmp_path / "seq.json", GEOMETRIC)
+    samples_path = write(tmp_path / "samples.json", CIRCLE_SAMPLES)
+    cert = tmp_path / "cert.json"
+    assert main(["extend", "--seq", seq_path, "--samples", samples_path,
+                 "--out", str(cert)]) == 0
+    return seq_path, cert
+
+
+def _drop(name):
+    return lambda doc: doc.pop(name)
+
+
+def _set(name, value):
+    return lambda doc: doc.__setitem__(name, value)
+
+
+def _set_index(i, value):
+    return lambda doc: doc["green_points"].__setitem__(i, value)
+
+
+@pytest.mark.parametrize("mutate, message", [
+    (_drop("rho0"), "certificate field 'rho0' is missing"),
+    (_set("rho1", "0.5"), "certificate field 'rho1' must be a number, got '0.5'"),
+    (_set("N_used", 60.0), "certificate field 'N_used' must be an integer"),
+    (_set("exponent_differs", 0), "certificate field 'exponent_differs' must be a boolean"),
+    (_drop("witness"), "certificate field 'witness' is missing"),
+    (_set("witness", {"shape": "cloud"}), "certificate field 'witness' is malformed"),
+    (_set("thresholds", []), "certificate field 'thresholds' must be an object"),
+    (lambda doc: doc["thresholds"].pop("tail_slope"),
+     "certificate threshold 'tail_slope' is missing"),
+    (lambda doc: doc["thresholds"].__setitem__("fekete_n", "128"),
+     "certificate threshold 'fekete_n' must be an integer"),
+    (_drop("green_points"), "certificate field 'green_points' is missing"),
+    (_set("green_points", "0,1"), "certificate field 'green_points' must be a list"),
+    (_set_index(3, 1.5), "'green_points': index 1.5 is not an integer"),
+    (_set_index(3, True), "'green_points': index True is not an integer"),
+    (_set_index(3, 10**6), "'green_points': index 1000000 is out of range for 200 candidates"),
+    (_set_index(3, -1), "'green_points': index -1 is out of range for 200 candidates"),
+    (lambda doc: doc["green_points"].__setitem__(1, doc["green_points"][0]),
+     "'green_points': an index repeats"),
+    (lambda doc: doc["green_points"].pop(),
+     "'green_points': 127 indices where the solve selects 128"),
+    (lambda doc: doc["thresholds"].__setitem__("eps_cap", 1e9),
+     "of the selected points is below eps_cap 1e+09"),
+    (_drop("clamp_magnitude"), "certificate field 'clamp_magnitude' is missing"),
+    (_set("clamp_magnitude", -1e-3), "'clamp_magnitude' must be finite and >= 0"),
+], ids=["rho0_missing", "rho1_string", "N_used_float", "exponent_differs_int",
+        "witness_missing", "witness_malformed", "thresholds_list", "tail_slope_missing",
+        "fekete_n_string", "green_points_missing", "green_points_string", "index_float",
+        "index_bool", "index_too_large", "index_negative", "index_repeats", "count_short",
+        "selection_polar", "clamp_missing", "clamp_negative"])
+def test_eval_malformed_certificate_exit_two(tmp_path, capsys, mutate, message):
+    seq_path, cert = _extend_cert(tmp_path)
+    doc = json.loads(cert.read_text())
+    mutate(doc)
+    bad = write(tmp_path / "bad.json", doc)
+    out = tmp_path / "v.json"
+    code = main(["eval", "--cert", bad, "--seq", seq_path, "--z1", "0.1+0j", "--z2", "2+0j",
+                 "--out", str(out)])
+    assert code == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_eval_runs_no_fekete_solve(tmp_path, monkeypatch):
+    seq_path, cert = _extend_cert(tmp_path)
+    argv = ["eval", "--cert", str(cert), "--seq", seq_path, "--z1", "0.1+0j", "--z2", "2+0j"]
+    plain, patched = tmp_path / "plain.json", tmp_path / "patched.json"
+    assert main(argv + ["--out", str(plain)]) == 0
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("eval ran a Fekete solve")
+
+    # the package attribute holocap.capacity is the function; patch the modules
+    for module, name in (("holocap.capacity", "_fekete_over"),
+                         ("holocap.capacity", "green_function"),
+                         ("holocap.extension", "green_function")):
+        monkeypatch.setattr(importlib.import_module(module), name, no_solve)
+    assert main(argv + ["--out", str(patched)]) == 0
+    assert patched.read_bytes() == plain.read_bytes()
+
+
+def test_extend_failing_table_writes_nothing(tmp_path, capsys, monkeypatch):
+    def broken(self, z2):
+        raise ValueError("no radius today")
+
+    monkeypatch.setattr(ExtensionCertificate, "certified_radius", broken)
+    seq_path = write(tmp_path / "seq.json", GEOMETRIC)
+    samples_path = write(tmp_path / "samples.json", CIRCLE_SAMPLES)
+    code = main(["extend", "--seq", seq_path, "--samples", samples_path,
+                 "--out", str(tmp_path / "cert.json")])
+    assert code == 2
+    assert "no radius today" in capsys.readouterr().err
+    assert not (tmp_path / "cert.json").exists()
+    assert not (tmp_path / "cert_domain.csv").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["--help"], [], ["nope"],
+    *([name, "--help"] for name in COMMANDS), *([name] for name in COMMANDS),
+], ids=lambda argv: " ".join(argv) or "no_arguments")
+def test_parser_text_matches_full_parser(capsys, monkeypatch, argv):
+    # help, usage and error text do not depend on which subparser got its flags
+    with pytest.raises(SystemExit) as full:
+        build_parser().parse_args(argv)
+    expected = capsys.readouterr()
+    assert expected.out or expected.err
+    with pytest.raises(SystemExit) as own:
+        main(argv)
+    assert (own.value.code, capsys.readouterr()) == (full.value.code, expected)
+    monkeypatch.setattr(sys, "argv", ["holocap", *argv])
+    with pytest.raises(SystemExit) as own:
+        main()
+    assert (own.value.code, capsys.readouterr()) == (full.value.code, expected)
 
 
 EXTEND_KEYS = {"eps_cap", "theta", "window", "i_max", "z2_max", "fekete_n", "candidates",

@@ -256,8 +256,14 @@ def test_certificate_json_round_trip_lossless():
     assert back.witness == cert.witness
     assert back.thresholds == cert.thresholds
     assert doc["tool_version"]
+    assert doc["green_points"] == cert.green().selection.tolist()
+    # the Green function is rebuilt from the stored selection, bit for bit
+    assert np.array_equal(back.green().points, cert.green().points)
+    assert back.green().robin_constant == cert.green().robin_constant
+    assert back.green().clamp_magnitude == cert.green().clamp_magnitude
     grid = np.linspace(-3.0, 3.0, 7)[:, None] + 1j * np.linspace(-3.0, 3.0, 7)[None, :]
-    assert np.array_equal(back.green()(grid), cert.green()(grid))  # same Green, bit for bit
+    assert np.array_equal(back.green()(grid), cert.green()(grid))
+    assert certificate_to_json(back) == doc
 
 
 # ---------------------------------------------------------------------------
