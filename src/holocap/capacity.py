@@ -168,15 +168,16 @@ def _checkpoints(n: int) -> list:
 def fekete_points(set_: CompactSet, n: int, candidates: int = CANDIDATES) -> FeketeResult:
     """Near-Fekete configuration of ``n`` points on the set.
 
-    Greedy Leja selection over the candidate discretization followed by
-    pairwise-exchange refinement.  The diameter sequence is computed at a
+    Greedy Leja selection over the candidates of :func:`capacity` (a cloud's
+    distinct points, else the ``candidates``-point discretization) followed
+    by pairwise-exchange refinement.  The diameter sequence is computed at a
     doubling schedule of sizes, each refined independently (greedy prefixes
     alone are not reliably monotone).  A set with fewer than ``n`` distinct
     candidate points yields all of them with ``degenerate=True``.
     """
     if candidates < n:
         raise ValueError(f"candidates ({candidates}) must be >= n ({n})")
-    return _fekete_over(_distinct(discretize(set_, candidates)), n)
+    return _fekete_over(_candidates(set_, n, candidates), n)
 
 
 def _fekete_over(cand: np.ndarray, n: int) -> FeketeResult:
@@ -365,7 +366,7 @@ def green_function(set_: CompactSet, method: str = "auto", n: int = FEKETE_N,
 
 
 def _candidates(set_: CompactSet, n: int, candidates: int) -> np.ndarray:
-    """The distinct candidates ``capacity(set_, n, candidates)`` selects from."""
+    """The distinct candidates ``capacity`` and ``fekete_points`` select from."""
     if isinstance(set_, PointCloud):
         return _distinct(np.asarray(set_.points, dtype=np.complex128))
     return _distinct(discretize(set_, max(candidates, n)))

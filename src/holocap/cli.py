@@ -139,8 +139,6 @@ def _extend(args):
     samples = [complex(v[0], v[1]) for v in _read_json(args.samples)]
     cfg_doc = dict(_read_json(args.config)) if args.config else {}
     mode = cfg_doc.pop("mode", "extension")
-    if args.z2_max is not None:
-        cfg_doc["z2_max"] = args.z2_max
     cfg = ExtendConfig.from_json(cfg_doc)
     certify = {"extension": certify_extension, "uniform": certify_uniform}.get(mode)
     if certify is None:
@@ -196,8 +194,7 @@ COMMANDS = {
         "produce an extension certificate", _extend,
         inputs=(("--seq", dict(_REQUIRED, help="sequence JSON")),
                 ("--samples", dict(_REQUIRED, help="JSON list of [re,im] samples")),
-                ("--config", dict(default=None, help="config JSON"))),
-        options=(("--z2-max", dict(type=float, default=None)),)),
+                ("--config", dict(default=None, help="config JSON")))),
     "eval": _Command(
         "evaluate a certified series", _eval,
         inputs=(("--cert", _REQUIRED), ("--seq", _REQUIRED)),

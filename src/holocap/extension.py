@@ -458,20 +458,17 @@ class ExtensionCertificate:
 
 @dataclass(frozen=True)
 class ExtendConfig:
+    """The hypotheses a certificate is conditional on; the resolution it records is fixed."""
+
     window: int | None = None        # tail window; defaults to max_norm // 2
     i_max: int = 100
     theta: float = 0.5               # rate margin: rho0 = stratum index / theta
     z2_max: float = 1e3
     eps_cap: float = EPS_CAP
-    fekete_n: int = FEKETE_N
-    candidates: int = CANDIDATES
-    gamma_radial: int = 48
-    gamma_angular: int = 16
     sublinear_tol: float = 0.05
 
     def __post_init__(self):
-        least = {"i_max": 1, "fekete_n": MIN_POINTS, "candidates": 2, "gamma_radial": 1,
-                 "gamma_angular": 1, **({"window": 1} if self.window is not None else {})}
+        least = {"i_max": 1, **({"window": 1} if self.window is not None else {})}
         for name, low in least.items():
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, numbers.Integral):
@@ -496,15 +493,19 @@ class ExtendConfig:
         return cls(**doc)
 
 
-def _gamma_c(green: GreenEvaluator, z2_max: float, n_radial: int, n_angular: int) -> float:
+GAMMA_RADIAL = 48
+GAMMA_ANGULAR = 16
+
+
+def _gamma_c(green: GreenEvaluator, z2_max: float) -> float:
     """sup of g(z) - log(1 + |z|) over a radial-angular grid plus the limit.
 
     The limit as |z| -> inf equals the evaluator's Robin constant, so the
     supremum is covered whether it is attained at finite radius or at
     infinity.
     """
-    radii = np.geomspace(1e-2, z2_max, n_radial)
-    angles = np.exp(1j * np.linspace(0.0, 2.0 * np.pi, n_angular, endpoint=False))
+    radii = np.geomspace(1e-2, z2_max, GAMMA_RADIAL)
+    angles = np.exp(1j * np.linspace(0.0, 2.0 * np.pi, GAMMA_ANGULAR, endpoint=False))
     zs = np.concatenate([np.zeros(1, dtype=np.complex128),
                          (radii[:, None] * angles[None, :]).ravel()])
     vals = green(zs) - np.log1p(np.abs(zs))
@@ -540,7 +541,7 @@ def _certify(seq: PolynomialSequence, samples, cfg: ExtendConfig, c0: float, c1:
     window = cfg.window if cfg.window is not None else max(1, seq.max_norm // 2)
     profile = _run_stage("radius_profile", radius_profile, seq, samples, window)
     i, stratum = _run_stage("stratify", stratify_and_find_nonpolar, profile,
-                            cfg.i_max, cfg.eps_cap, cfg.fekete_n)
+                            cfg.i_max, cfg.eps_cap)
     # rho0 is a growth-rate bound: on the stratum the coefficient rates
     # |P_n|^{1/||n||} stay near or below i, so rho0 = i/theta (theta < 1 a
     # margin) keeps the sublevel score max_n |P_n| rho0^{-||n||} small and
@@ -548,17 +549,17 @@ def _certify(seq: PolynomialSequence, samples, cfg: ExtendConfig, c0: float, c1:
     # geometrically in max_norm and the search cannot terminate.
     rho0 = i / cfg.theta
     witness, rho1, m0, level = _run_stage("uniform_bound", uniform_bound_compact,
-                                          seq, stratum, rho0, cfg.eps_cap, cfg.fekete_n)
+                                          seq, stratum, rho0, cfg.eps_cap)
     thresholds = {
         "eps_cap": cfg.eps_cap, "theta": cfg.theta, "window": window,
-        "i_max": cfg.i_max, "z2_max": cfg.z2_max, "fekete_n": cfg.fekete_n,
-        "candidates": cfg.candidates, "gamma_radial": cfg.gamma_radial,
-        "gamma_angular": cfg.gamma_angular, "stratum_index": i,
+        "i_max": cfg.i_max, "z2_max": cfg.z2_max, "fekete_n": FEKETE_N,
+        "candidates": CANDIDATES, "gamma_radial": GAMMA_RADIAL,
+        "gamma_angular": GAMMA_ANGULAR, "stratum_index": i,
         "uniform_level": level, "tail_slope": tail_slope, "tail_start": tail_start,
         **extra_thresholds,
     }
     green = _run_stage("green", _witness_green, witness, thresholds)
-    gamma_c = _gamma_c(green, cfg.z2_max, cfg.gamma_radial, cfg.gamma_angular)
+    gamma_c = _gamma_c(green, cfg.z2_max)
     cert = ExtensionCertificate(rho0=rho0, rho1=rho1, M0=m0, C0=c0, C1=c1,
                                 gammaC=gamma_c, C2=c2_of(rho1, gamma_c), exponent=exponent,
                                 witness=witness, N_used=seq.max_norm,

@@ -46,7 +46,7 @@ from .errors import GammaPolar, UnboundedSet
 from .sets import (MEMBERSHIP_TOL, CompactSet, Disk, PointCloud, Segment, affine_image,
                    bounding_box, contains, discretize)
 
-MAX_DIMENSION = 3
+MAX_DIMENSION = 3   # products and scans only: ellipsoids project in closed form
 
 FIBER_RESOLUTION = 64
 PROJECTED_RESOLUTION = 32
@@ -518,7 +518,7 @@ def gamma_cap(pred: SetPredicate, unitary_count: int = 1, seed: int = 0,
     if unitary_count < 1:
         raise ValueError("unitary_count must be >= 1")
     m = pred.dimension
-    if m > MAX_DIMENSION:
+    if m > MAX_DIMENSION and pred.ellipsoid is None:
         raise ValueError(f"dimension {m} exceeds the supported maximum {MAX_DIMENSION}")
     _require_finite_box(pred)
 

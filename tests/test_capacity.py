@@ -273,6 +273,14 @@ def test_one_cloud_rule_beyond_default_candidates():
     assert gamma_cap(pred).value == capacity(big, FEKETE_N).value
 
 
+def test_fekete_points_selects_among_every_cloud_point():
+    # a 5,000-point circle: fekete_points takes the candidates capacity takes
+    circle = PointCloud(tuple(np.exp(2j * np.pi * np.arange(5000) / 5000)))
+    fek, solved = fekete_points(circle, FEKETE_N), capacity(circle, FEKETE_N).fekete
+    assert np.array_equal(fek.points, solved.points)
+    assert np.array_equal(fek.selection, solved.selection)
+
+
 def _big_cloud() -> PointCloud:
     rng = np.random.default_rng(5)
     return PointCloud(tuple(rng.uniform(-1, 1, 5000) + 1j * rng.uniform(-1, 1, 5000)))

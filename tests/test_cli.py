@@ -174,6 +174,22 @@ def test_gammacap_near_singular_image_is_finite(tmp_path, d1, d2):
     assert all(math.isfinite(v) and 0.0 <= v <= 1e-299 for v in values)
 
 
+def test_gammacap_ball_beyond_max_dimension(tmp_path):
+    # every projection of an ellipsoid is closed form, so no dimension cap applies
+    pred_path = write(tmp_path / "pred.json", {"kind": "ball", "center": [[0, 0]] * 8,
+                                               "radius": 2.0})
+    out = tmp_path / "g.json"
+    assert main(["gammacap", "--set", pred_path, "--unitaries", "8", "--out", str(out)]) == 0
+    assert abs(json.loads(out.read_text())["value"] - 2.0) <= 1e-6
+
+
+def test_gammacap_product_beyond_max_dimension_exit_two(tmp_path, capsys):
+    pred_path = write(tmp_path / "pred.json", {"kind": "product", "factors": [DISK] * 4})
+    code = main(["gammacap", "--set", pred_path, "--out", str(tmp_path / "g.json")])
+    assert code == 2
+    assert "dimension 4 exceeds the supported maximum 3" in capsys.readouterr().err
+
+
 HUGE_DISK = {"shape": "disk", "center": [0, 0], "radius": 1e200}
 
 
@@ -258,10 +274,11 @@ def test_eval_outside_domain_exit_three(tmp_path, capsys):
     ({"sublinear_tol": math.inf}, "'sublinear_tol' must be finite and >= 0"),
     ({"i_max": 0}, "'i_max' must be >= 1, got 0"),
     ({"window": 0}, "'window' must be >= 1, got 0"),
-    ({"gamma_angular": 0}, "'gamma_angular' must be >= 1, got 0"),
-    ({"gamma_radial": -1}, "'gamma_radial' must be >= 1, got -1"),
-    ({"fekete_n": 4}, "'fekete_n' must be >= 8, got 4"),
-    ({"candidates": 1}, "'candidates' must be >= 2, got 1"),
+    # the resolution is fixed: its recorded values are not config keys
+    ({"gamma_angular": 0}, "unknown config keys: ['gamma_angular']"),
+    ({"gamma_radial": -1}, "unknown config keys: ['gamma_radial']"),
+    ({"fekete_n": 4}, "unknown config keys: ['fekete_n']"),
+    ({"candidates": 1}, "unknown config keys: ['candidates']"),
 ], ids=["theta_zero", "window_string", "z2_max_negative", "eps_cap_nan",
         "sublinear_tol_inf", "i_max_zero", "window_zero", "gamma_angular_zero",
         "gamma_radial_negative", "fekete_n_small", "candidates_one"])
@@ -273,6 +290,16 @@ def test_extend_invalid_config_exit_two(tmp_path, capsys, cfg, message):
                  "--config", cfg_path, "--out", str(tmp_path / "c.json")])
     assert code == 2
     assert message in capsys.readouterr().err
+
+
+def test_extend_has_no_z2_max_option(tmp_path):
+    seq_path = write(tmp_path / "seq.json", GEOMETRIC)
+    samples_path = write(tmp_path / "samples.json", CIRCLE_SAMPLES)
+    with pytest.raises(SystemExit) as exc:
+        main(["extend", "--seq", seq_path, "--samples", samples_path, "--z2-max", "10",
+              "--out", str(tmp_path / "c.json")])
+    assert exc.value.code == 2
+    assert not (tmp_path / "c.json").exists()
 
 
 def test_extend_overflowing_coefficients_exit_two(tmp_path, capsys):
@@ -479,9 +506,10 @@ def test_parser_text_matches_full_parser(capsys, monkeypatch, argv):
     assert (own.value.code, capsys.readouterr()) == (full.value.code, expected)
 
 
-EXTEND_KEYS = {"eps_cap", "theta", "window", "i_max", "z2_max", "fekete_n", "candidates",
-               "gamma_radial", "gamma_angular", "stratum_index", "uniform_level",
-               "tail_slope", "tail_start", "mode"}
+EXTEND_RESOLUTION = {"fekete_n": 128, "candidates": 4096, "gamma_radial": 48,
+                     "gamma_angular": 16}
+EXTEND_KEYS = {"eps_cap", "theta", "window", "i_max", "z2_max", "stratum_index",
+               "uniform_level", "tail_slope", "tail_start", "mode", *EXTEND_RESOLUTION}
 
 
 def _manifest_case(tmp_path, case):
@@ -538,6 +566,8 @@ def test_manifest_digest_seed_and_thresholds(tmp_path, case):
     assert set(manifest["thresholds"]) == set(keys)
     if isinstance(keys, dict):   # pinned values
         assert manifest["thresholds"] == keys
+    if argv[0] == "extend":      # the fixed resolution, recorded
+        assert {k: manifest["thresholds"][k] for k in EXTEND_RESOLUTION} == EXTEND_RESOLUTION
 
 
 def test_cap_resolution_defaults():
