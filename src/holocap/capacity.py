@@ -175,7 +175,7 @@ def fekete_points(set_: CompactSet, n: int, candidates: int = CANDIDATES) -> Fek
     alone are not reliably monotone).  A set with fewer than ``n`` distinct
     candidate points yields all of them with ``degenerate=True``.
     """
-    if candidates < n:
+    if candidates < n and not isinstance(set_, PointCloud):
         raise ValueError(f"candidates ({candidates}) must be >= n ({n})")
     return _fekete_over(_candidates(set_, n, candidates), n)
 
@@ -351,7 +351,14 @@ def green_function(set_: CompactSet, method: str = "auto", n: int = FEKETE_N,
         length = abs(set_.b - set_.a)
         return GreenEvaluator("analytic_segment", set_, -math.log(length / 4.0))
 
-    est = capacity(set_, n=n, candidates=candidates, eps_cap=eps_cap)
+    return fekete_green(set_, capacity(set_, n=n, candidates=candidates, eps_cap=eps_cap),
+                        candidates, eps_cap)
+
+
+def fekete_green(set_: CompactSet, est: CapacityEstimate, candidates: int = CANDIDATES,
+                 eps_cap: float = EPS_CAP) -> GreenEvaluator:
+    """:func:`green_function`'s Fekete-backed evaluator, built from the set's own
+    estimate ``est`` without a solve; raises :class:`GreenUndefinedPolarSet` if polar."""
     if est.polar:
         raise GreenUndefinedPolarSet(
             f"capacity estimate {est.value:.3e} below polar threshold {eps_cap:g}")

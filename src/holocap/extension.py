@@ -33,7 +33,7 @@ import numpy as np
 from . import __version__
 from .bernstein import Polynomial1D
 from .capacity import (CANDIDATES, EPS_CAP, FEKETE_N, MIN_POINTS, GreenEvaluator,
-                       capacity_of_cloud, green_from_selection, green_function)
+                       capacity_of_cloud, fekete_green, green_from_selection, green_function)
 from .errors import (
     AllStrataPolar,
     DegreeGrowthViolated,
@@ -334,24 +334,42 @@ def radius_profile(seq: PolynomialSequence, samples, window: int) -> RadiusProfi
     return RadiusProfile(samples=out)
 
 
+def _first_nonpolar(clouds, eps_cap: float, fekete_n: int) -> tuple | None:
+    """First (key, points, estimate) of ``clouds``, nested (key, points, own estimate
+    or None) triples, with >= MIN_POINTS points and capacity above ``eps_cap``, or
+    None.  A cloud no larger than the one before is that one: it is not solved again."""
+    last = 0
+    for key, pts, est in clouds:
+        if len(pts) >= MIN_POINTS and len(pts) > last:
+            est = est if est is not None else capacity_of_cloud(pts, n=fekete_n, eps_cap=eps_cap)
+            if est.value > eps_cap:
+                return key, pts, est
+        last = len(pts)
+    return None
+
+
 def stratify_and_find_nonpolar(profile: RadiusProfile, i_max: int = 100,
-                               eps_cap: float = EPS_CAP,
-                               fekete_n: int = FEKETE_N) -> tuple:
+                               eps_cap: float = EPS_CAP, fekete_n: int = FEKETE_N) -> tuple:
     """Smallest stratum index i whose cloud {R >= 1/i} is non-polar.
 
     Raises :class:`AllStrataPolar` when no stratum up to ``i_max`` clears
     the capacity threshold.
     """
+    return _stratify(profile, i_max, eps_cap, fekete_n)[:2]
+
+
+def _stratify(profile: RadiusProfile, i_max: int, eps_cap: float,
+              fekete_n: int = FEKETE_N) -> tuple:
+    """:func:`stratify_and_find_nonpolar` plus the stratum's capacity estimate."""
     if not profile.samples:
         raise ValueError("radius profile is empty")
-    for i in range(1, i_max + 1):
-        pts = [z for z, r in profile.samples if r >= 1.0 / i]
-        if len(pts) < MIN_POINTS:
-            continue
-        est = capacity_of_cloud(np.asarray(pts), n=fekete_n, eps_cap=eps_cap)
-        if est.value > eps_cap:
-            return i, PointCloud(tuple(pts))
-    raise AllStrataPolar(f"no stratum up to i_max={i_max} has a non-polar cloud")
+    strata = ((i, [z for z, r in profile.samples if r >= 1.0 / i], None)
+              for i in range(1, i_max + 1))
+    found = _first_nonpolar(strata, eps_cap, fekete_n)
+    if found is None:
+        raise AllStrataPolar(f"no stratum up to i_max={i_max} has a non-polar cloud")
+    i, pts, est = found
+    return i, PointCloud(tuple(pts)), est
 
 
 def uniform_bound_compact(seq: PolynomialSequence, stratum: PointCloud,
@@ -366,6 +384,13 @@ def uniform_bound_compact(seq: PolynomialSequence, stratum: PointCloud,
     as floating-point numbers (rho1 is nudged up by ulps when needed), and
     the doubling level 2^j that selected C.
     """
+    return _uniform_bound(seq, stratum, rho0, eps_cap, fekete_n)[:4]
+
+
+def _uniform_bound(seq: PolynomialSequence, stratum: PointCloud, rho0: float,
+                   eps_cap: float, fekete_n: int = FEKETE_N, stratum_est=None) -> tuple:
+    """:func:`uniform_bound_compact` plus C's capacity estimate.  A level that
+    keeps the whole stratum takes ``stratum_est``, the stratum's own, unsolved."""
     if rho0 <= 0:
         raise ValueError("rho0 must be positive")
     pts = np.asarray(stratum.points, dtype=np.complex128)
@@ -374,19 +399,12 @@ def uniform_bound_compact(seq: PolynomialSequence, stratum: PointCloud,
     for j, vals in enumerate(peaks):
         np.maximum(phi, vals * rho0 ** (-j), out=phi)
 
-    chosen = None
-    for exp2 in range(0, 65):
-        level = float(2 ** exp2)
-        mask = phi <= level
-        if int(mask.sum()) < MIN_POINTS:
-            continue
-        est = capacity_of_cloud(pts[mask], n=fekete_n, eps_cap=eps_cap)
-        if est.value > eps_cap:
-            chosen = (level, mask)
-            break
-    if chosen is None:
+    masks = ((level, phi <= level) for level in (2.0 ** exp2 for exp2 in range(0, 65)))
+    found = _first_nonpolar((((level, mask), pts[mask], stratum_est if mask.all() else None)
+                             for level, mask in masks), eps_cap, fekete_n)
+    if found is None:
         raise NoUniformStratum("no doubling level up to 2^64 gives a non-polar sublevel cloud")
-    level, mask = chosen
+    (level, mask), _, est = found
 
     kept = peaks[:, mask]
     m0 = max(1.0, float(kept[0].max()))
@@ -404,7 +422,7 @@ def uniform_bound_compact(seq: PolynomialSequence, stratum: PointCloud,
             rho1 = math.nextafter(rho1, math.inf)
 
     cloud = PointCloud(tuple(complex(z) for z in pts[mask]))
-    return cloud, rho1, m0, level
+    return cloud, rho1, m0, level, est
 
 
 # ---------------------------------------------------------------------------
@@ -438,7 +456,8 @@ class ExtensionCertificate:
 
     def green(self) -> GreenEvaluator:
         if self._green is None:
-            self._green = _witness_green(self.witness, self.thresholds)
+            self._green = green_function(self.witness, "auto",
+                                         **_green_resolution(self.thresholds))
         return self._green
 
     @property
@@ -519,11 +538,6 @@ def _green_resolution(thresholds: dict) -> dict:
             "eps_cap": float(thresholds.get("eps_cap", EPS_CAP))}
 
 
-def _witness_green(witness: CompactSet, thresholds: dict) -> GreenEvaluator:
-    """Green function of the witness, built from the certificate's thresholds."""
-    return green_function(witness, "auto", **_green_resolution(thresholds))
-
-
 def _run_stage(name: str, fn, *args, **kwargs):
     try:
         return fn(*args, **kwargs)
@@ -540,16 +554,15 @@ def _certify(seq: PolynomialSequence, samples, cfg: ExtendConfig, c0: float, c1:
     """
     window = cfg.window if cfg.window is not None else max(1, seq.max_norm // 2)
     profile = _run_stage("radius_profile", radius_profile, seq, samples, window)
-    i, stratum = _run_stage("stratify", stratify_and_find_nonpolar, profile,
-                            cfg.i_max, cfg.eps_cap)
+    i, stratum, est = _run_stage("stratify", _stratify, profile, cfg.i_max, cfg.eps_cap)
     # rho0 is a growth-rate bound: on the stratum the coefficient rates
     # |P_n|^{1/||n||} stay near or below i, so rho0 = i/theta (theta < 1 a
     # margin) keeps the sublevel score max_n |P_n| rho0^{-||n||} small and
     # the doubling search short.  A rate below i makes the score blow up
     # geometrically in max_norm and the search cannot terminate.
     rho0 = i / cfg.theta
-    witness, rho1, m0, level = _run_stage("uniform_bound", uniform_bound_compact,
-                                          seq, stratum, rho0, cfg.eps_cap)
+    witness, rho1, m0, level, est = _run_stage("uniform_bound", _uniform_bound, seq, stratum,
+                                               rho0, cfg.eps_cap, stratum_est=est)
     thresholds = {
         "eps_cap": cfg.eps_cap, "theta": cfg.theta, "window": window,
         "i_max": cfg.i_max, "z2_max": cfg.z2_max, "fekete_n": FEKETE_N,
@@ -558,7 +571,7 @@ def _certify(seq: PolynomialSequence, samples, cfg: ExtendConfig, c0: float, c1:
         "uniform_level": level, "tail_slope": tail_slope, "tail_start": tail_start,
         **extra_thresholds,
     }
-    green = _run_stage("green", _witness_green, witness, thresholds)
+    green = _run_stage("green", fekete_green, witness, est, CANDIDATES, cfg.eps_cap)
     gamma_c = _gamma_c(green, cfg.z2_max)
     cert = ExtensionCertificate(rho0=rho0, rho1=rho1, M0=m0, C0=c0, C1=c1,
                                 gammaC=gamma_c, C2=c2_of(rho1, gamma_c), exponent=exponent,

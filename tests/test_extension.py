@@ -1,7 +1,9 @@
 import cmath
+import hashlib
 import json
 import math
 import re
+import sys
 import tracemalloc
 from unittest import mock
 
@@ -12,7 +14,7 @@ from hypothesis import strategies as st
 
 from holocap import extension
 from holocap.bernstein import Polynomial1D
-from holocap.capacity import MIN_POINTS, capacity_of_cloud
+from holocap.capacity import FEKETE_N, MIN_POINTS, capacity_of_cloud, green_function
 from holocap.errors import (
     AllStrataPolar,
     DegreeGrowthViolated,
@@ -244,6 +246,79 @@ def test_certify_uniform_constant_sequence():
     cert = certify_uniform(constant_sequence(1, 60), CIRCLE)
     assert cert.exponent == 0.0
     assert cert.C2 == pytest.approx(1.0 / cert.rho1, rel=1e-12)
+
+
+def _run_certify(kind, seq, samples, config=None):
+    certify = certify_uniform if kind == "uniform" else certify_extension
+    return certify(seq, samples, config)
+
+
+RING = [0.3 * z for z in CIRCLE[::2]] + [0.9 * z for z in CIRCLE[1::2]]
+
+# (mode, sequence, samples, config).  stratum_2: i = 2, and the first level
+# keeps the whole stratum.  strict_subcloud: i = 1, and theta = 2 (rho0 = 0.5)
+# makes the first level keep only the 0.3 circle of the two-circle stratum.
+CARRIED_CASES = {
+    "geometric_k1": ("extension", geometric_sequence(1, 60), CIRCLE, None),
+    "geometric_k3": ("extension", geometric_sequence(0.5, 12, k=3), CIRCLE[::2], None),
+    "sqrt_degree": ("uniform", sqrt_degree_sequence(400), CIRCLE, None),
+    "stratum_2": ("extension", geometric_sequence(1.5, 60), CIRCLE, None),
+    "strict_subcloud": ("extension", geometric_sequence(1, 60), RING, ExtendConfig(theta=2.0)),
+}
+
+
+@pytest.fixture
+def solves(monkeypatch):
+    """(hash of the candidate array, n) of every _fekete_over call, in order."""
+    # the package attribute holocap.capacity is the function; patch the module
+    module = sys.modules["holocap.capacity"]
+    solve, solved = module._fekete_over, []
+
+    def counted(cand, n):
+        solved.append((hashlib.sha256(cand.tobytes()).hexdigest(), n))
+        return solve(cand, n)
+
+    monkeypatch.setattr(module, "_fekete_over", counted)
+    return solved
+
+
+@pytest.mark.parametrize("case", ["geometric_k1", "geometric_k3", "sqrt_degree"])
+def test_extend_solves_each_candidate_array_once(solves, case):
+    _run_certify(*CARRIED_CASES[case])
+    assert solves
+    assert len(set(solves)) == len(solves)
+
+
+def test_repeated_polar_stratum_is_solved_once(solves):
+    # strata 1-4 are the same 10 points within 1e-6 of 0, which are polar;
+    # the circle joins at i = 5
+    tiny = [1e-6 * cmath.exp(2j * math.pi * k / 10) for k in range(10)]
+    prof = RadiusProfile(tuple([(z, 1.5) for z in tiny] + [(z, 0.21) for z in CIRCLE[::2]]))
+    assert stratify_and_find_nonpolar(prof)[0] == 5
+    assert len(solves) == 2
+    assert len(set(solves)) == 2
+
+
+@pytest.mark.parametrize("case", ["geometric_k1", "stratum_2", "strict_subcloud"])
+def test_carried_green_matches_fresh_build(case):
+    mode, seq, samples, config = CARRIED_CASES[case]
+    cert = _run_certify(mode, seq, samples, config)
+    _, stratum = stratify_and_find_nonpolar(radius_profile(seq, samples, seq.max_norm // 2))
+    if case == "stratum_2":
+        assert cert.thresholds["stratum_index"] == 2
+    strict = len(cert.witness.points) < len(stratum.points)
+    assert strict == (case == "strict_subcloud")
+    carried = cert.green()
+    fresh = green_function(cert.witness, n=FEKETE_N, eps_cap=cert.thresholds["eps_cap"])
+    assert carried.robin_constant == fresh.robin_constant
+    assert carried.points.tobytes() == fresh.points.tobytes()
+    assert carried.selection.tobytes() == fresh.selection.tobytes()
+    assert carried.clamp_magnitude == fresh.clamp_magnitude
+    radii = np.geomspace(1e-2, cert.thresholds["z2_max"], extension.GAMMA_RADIAL)
+    angles = np.exp(1j * np.linspace(0.0, 2.0 * np.pi, extension.GAMMA_ANGULAR,
+                                     endpoint=False))
+    grid = np.concatenate([np.zeros(1), (radii[:, None] * angles[None, :]).ravel()])
+    assert carried(grid).tobytes() == fresh(grid).tobytes()
 
 
 def test_certificate_json_round_trip_lossless():
