@@ -189,16 +189,12 @@ def _fekete_over(cand: np.ndarray, n: int) -> FeketeResult:
 
     sel, _ = _greedy_leja(cand, n)
     seq = []
-    final_sel = None
-    for k in _checkpoints(n):
+    for k in _checkpoints(n):   # the last checkpoint is k = n: the result
         sel_k = _exchange_refine(cand, sel[:k].copy())
         lv_k = _log_vdm(cand[sel_k])
         seq.append((k, math.exp(2.0 * lv_k / (k * (k - 1)))))
-        if k == n:
-            final_sel = sel_k
-    pts = cand[final_sel]
-    return FeketeResult(points=pts, log_vdm=_log_vdm(pts), diameter_sequence=tuple(seq),
-                        selection=final_sel)
+    return FeketeResult(points=cand[sel_k], log_vdm=lv_k, diameter_sequence=tuple(seq),
+                        selection=sel_k)
 
 
 def _degenerate_fekete(pts: np.ndarray) -> FeketeResult:

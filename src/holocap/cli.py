@@ -33,7 +33,7 @@ from .extension import (ExtendConfig, certificate_from_json, certificate_to_json
                         certify_extension, certify_uniform, evaluate, sequence_from_json)
 from .gamma import (FIBER_CAPACITY_POINTS, FIBER_RESOLUTION, PROJECTED_RESOLUTION, gamma_cap,
                     predicate_from_json)
-from .sets import set_from_json
+from .sets import _j2c, set_from_json
 
 
 def _read_json(path: str):
@@ -45,9 +45,12 @@ def _read_points_csv(path: str) -> list:
     """CSV rows "re,im"; a non-numeric first row is treated as a header."""
     points = []
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        for row in csv.reader(fh):
+        reader = csv.reader(fh)
+        for row in reader:
             if not row:
                 continue
+            if len(row) < 2:
+                raise ValueError(f"{path} line {reader.line_num}: expected re,im, got {row!r}")
             try:
                 points.append(complex(float(row[0]), float(row[1])))
             except ValueError:
@@ -109,7 +112,7 @@ def _green(args):
 
 def _bernstein(args):
     poly_doc = _read_json(args.poly)
-    p = Polynomial1D(tuple(complex(c[0], c[1]) for c in poly_doc["coefficients"]))
+    p = Polynomial1D(tuple(_j2c(c) for c in poly_doc["coefficients"]))
     set_ = set_from_json(_read_json(args.set))
     report = verify_bernstein(p, set_, _read_points_csv(args.points))
     checks = [{"z": [c.z.real, c.z.imag], "abs_value": c.abs_value, "bound": c.bound,
@@ -136,7 +139,7 @@ def _gammacap(args):
 
 def _extend(args):
     seq = sequence_from_json(_read_json(args.seq))
-    samples = [complex(v[0], v[1]) for v in _read_json(args.samples)]
+    samples = [_j2c(v) for v in _read_json(args.samples)]
     cfg_doc = dict(_read_json(args.config)) if args.config else {}
     mode = cfg_doc.pop("mode", "extension")
     cfg = ExtendConfig.from_json(cfg_doc)

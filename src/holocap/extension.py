@@ -44,7 +44,7 @@ from .errors import (
     OutsideCertifiedDomain,
     WindowEmpty,
 )
-from .sets import CompactSet, Disk, PointCloud, Segment, set_from_json, set_to_json
+from .sets import CompactSet, Disk, PointCloud, Segment, _j2c, set_from_json, set_to_json
 
 
 # ---------------------------------------------------------------------------
@@ -334,14 +334,14 @@ def radius_profile(seq: PolynomialSequence, samples, window: int) -> RadiusProfi
     return RadiusProfile(samples=out)
 
 
-def _first_nonpolar(clouds, eps_cap: float, fekete_n: int) -> tuple | None:
+def _first_nonpolar(clouds, eps_cap: float) -> tuple | None:
     """First (key, points, estimate) of ``clouds``, nested (key, points, own estimate
     or None) triples, with >= MIN_POINTS points and capacity above ``eps_cap``, or
     None.  A cloud no larger than the one before is that one: it is not solved again."""
     last = 0
     for key, pts, est in clouds:
         if len(pts) >= MIN_POINTS and len(pts) > last:
-            est = est if est is not None else capacity_of_cloud(pts, n=fekete_n, eps_cap=eps_cap)
+            est = est if est is not None else capacity_of_cloud(pts, n=FEKETE_N, eps_cap=eps_cap)
             if est.value > eps_cap:
                 return key, pts, est
         last = len(pts)
@@ -349,48 +349,37 @@ def _first_nonpolar(clouds, eps_cap: float, fekete_n: int) -> tuple | None:
 
 
 def stratify_and_find_nonpolar(profile: RadiusProfile, i_max: int = 100,
-                               eps_cap: float = EPS_CAP, fekete_n: int = FEKETE_N) -> tuple:
+                               eps_cap: float = EPS_CAP) -> tuple:
     """Smallest stratum index i whose cloud {R >= 1/i} is non-polar.
 
-    Raises :class:`AllStrataPolar` when no stratum up to ``i_max`` clears
-    the capacity threshold.
+    Returns (i, stratum, estimate), the estimate being the stratum's
+    capacity.  Raises :class:`AllStrataPolar` when no stratum up to
+    ``i_max`` clears the capacity threshold.
     """
-    return _stratify(profile, i_max, eps_cap, fekete_n)[:2]
-
-
-def _stratify(profile: RadiusProfile, i_max: int, eps_cap: float,
-              fekete_n: int = FEKETE_N) -> tuple:
-    """:func:`stratify_and_find_nonpolar` plus the stratum's capacity estimate."""
     if not profile.samples:
         raise ValueError("radius profile is empty")
     strata = ((i, [z for z, r in profile.samples if r >= 1.0 / i], None)
               for i in range(1, i_max + 1))
-    found = _first_nonpolar(strata, eps_cap, fekete_n)
+    found = _first_nonpolar(strata, eps_cap)
     if found is None:
         raise AllStrataPolar(f"no stratum up to i_max={i_max} has a non-polar cloud")
     i, pts, est = found
     return i, PointCloud(tuple(pts)), est
 
 
-def uniform_bound_compact(seq: PolynomialSequence, stratum: PointCloud,
-                          rho0: float, eps_cap: float = EPS_CAP,
-                          fekete_n: int = FEKETE_N) -> tuple:
+def uniform_bound_compact(seq: PolynomialSequence, stratum: PointCloud, rho0: float,
+                          eps_cap: float = EPS_CAP, stratum_est=None) -> tuple:
     """Sub-cloud C with a uniform coefficient bound, via a doubling search.
 
     The score phi(z2) = max_n |P_n(z2)| rho0^{-||n||} is finite on the
     samples, so doubling the sublevel threshold terminates; the first level
-    whose sublevel cloud is non-polar is kept.  Returns (C, rho1, M0, level)
-    with |P_n(z2)| <= M0 * rho1^{||n||} on C for every available n, exactly
-    as floating-point numbers (rho1 is nudged up by ulps when needed), and
-    the doubling level 2^j that selected C.
+    whose sublevel cloud is non-polar is kept.  Returns (C, rho1, M0, level,
+    estimate) with |P_n(z2)| <= M0 * rho1^{||n||} on C for every available
+    n, exactly as floating-point numbers (rho1 is nudged up by ulps when
+    needed), the doubling level 2^j that selected C and C's capacity
+    estimate.  A level that keeps the whole stratum takes ``stratum_est``,
+    the stratum's estimate, if given, in place of a second solve.
     """
-    return _uniform_bound(seq, stratum, rho0, eps_cap, fekete_n)[:4]
-
-
-def _uniform_bound(seq: PolynomialSequence, stratum: PointCloud, rho0: float,
-                   eps_cap: float, fekete_n: int = FEKETE_N, stratum_est=None) -> tuple:
-    """:func:`uniform_bound_compact` plus C's capacity estimate.  A level that
-    keeps the whole stratum takes ``stratum_est``, the stratum's own, unsolved."""
     if rho0 <= 0:
         raise ValueError("rho0 must be positive")
     pts = np.asarray(stratum.points, dtype=np.complex128)
@@ -401,7 +390,7 @@ def _uniform_bound(seq: PolynomialSequence, stratum: PointCloud, rho0: float,
 
     masks = ((level, phi <= level) for level in (2.0 ** exp2 for exp2 in range(0, 65)))
     found = _first_nonpolar((((level, mask), pts[mask], stratum_est if mask.all() else None)
-                             for level, mask in masks), eps_cap, fekete_n)
+                             for level, mask in masks), eps_cap)
     if found is None:
         raise NoUniformStratum("no doubling level up to 2^64 gives a non-polar sublevel cloud")
     (level, mask), _, est = found
@@ -554,15 +543,16 @@ def _certify(seq: PolynomialSequence, samples, cfg: ExtendConfig, c0: float, c1:
     """
     window = cfg.window if cfg.window is not None else max(1, seq.max_norm // 2)
     profile = _run_stage("radius_profile", radius_profile, seq, samples, window)
-    i, stratum, est = _run_stage("stratify", _stratify, profile, cfg.i_max, cfg.eps_cap)
+    i, stratum, est = _run_stage("stratify", stratify_and_find_nonpolar, profile, cfg.i_max,
+                                 cfg.eps_cap)
     # rho0 is a growth-rate bound: on the stratum the coefficient rates
     # |P_n|^{1/||n||} stay near or below i, so rho0 = i/theta (theta < 1 a
     # margin) keeps the sublevel score max_n |P_n| rho0^{-||n||} small and
     # the doubling search short.  A rate below i makes the score blow up
     # geometrically in max_norm and the search cannot terminate.
     rho0 = i / cfg.theta
-    witness, rho1, m0, level, est = _run_stage("uniform_bound", _uniform_bound, seq, stratum,
-                                               rho0, cfg.eps_cap, stratum_est=est)
+    witness, rho1, m0, level, est = _run_stage("uniform_bound", uniform_bound_compact, seq,
+                                               stratum, rho0, cfg.eps_cap, stratum_est=est)
     thresholds = {
         "eps_cap": cfg.eps_cap, "theta": cfg.theta, "window": window,
         "i_max": cfg.i_max, "z2_max": cfg.z2_max, "fekete_n": FEKETE_N,
@@ -852,14 +842,16 @@ def _finite(value, what: str):
 
 def sequence_from_json(doc: dict) -> PolynomialSequence:
     """Builtin families and explicit tables; no code execution from input."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"a sequence must be a JSON object, got {type(doc).__name__}")
     kind = doc.get("kind")
     max_norm = doc["max_norm"]
     k = doc.get("k", 1)
     if kind == "geometric":
-        lam = _finite(complex(doc["lambda"][0], doc["lambda"][1]), "lambda")
+        lam = _finite(_j2c(doc["lambda"]), "lambda")
         return geometric_sequence(lam, max_norm, k)
     if kind == "constant":
-        val = _finite(complex(doc["value"][0], doc["value"][1]), "value")
+        val = _finite(_j2c(doc["value"]), "value")
         return constant_sequence(val, max_norm, k)
     if kind == "sqrt_degree":
         return sqrt_degree_sequence(max_norm, k)
@@ -867,7 +859,7 @@ def sequence_from_json(doc: dict) -> PolynomialSequence:
         items = []
         for item in doc["entries"]:
             what = f"coefficient of index {tuple(item['index'])}"
-            items.append((item["index"], tuple(_finite(complex(c[0], c[1]), what)
+            items.append((item["index"], tuple(_finite(_j2c(c), what)
                                                for c in item["coefficients"])))
         declared = {name: _finite(doc[name], name)
                     for name in ("declared_C0", "declared_C1") if doc.get(name) is not None}

@@ -43,8 +43,8 @@ import numpy as np
 from .capacity import (CANDIDATES, EPS_CAP, FEKETE_N, capacity, capacity_of_cloud,
                        quick_cloud_capacity)
 from .errors import GammaPolar, UnboundedSet
-from .sets import (MEMBERSHIP_TOL, CompactSet, Disk, PointCloud, Segment, affine_image,
-                   bounding_box, contains, discretize)
+from .sets import (MEMBERSHIP_TOL, CompactSet, Disk, PointCloud, Segment, _j2c, affine_image,
+                   bounding_box, contains, discretize, set_from_json)
 
 MAX_DIMENSION = 3   # products and scans only: ellipsoids project in closed form
 
@@ -566,15 +566,14 @@ def reduce_to_m1(pred: SetPredicate, result: GammaCapResult) -> tuple:
 # ---------------------------------------------------------------------------
 
 def predicate_from_json(doc: dict) -> SetPredicate:
-    from .sets import set_from_json
-
+    if not isinstance(doc, dict):
+        raise ValueError(f"a predicate must be a JSON object, got {type(doc).__name__}")
     kind = doc.get("kind")
     if kind == "product":
         return product_predicate([set_from_json(f) for f in doc["factors"]])
     if kind == "ball":
-        center = [complex(c[0], c[1]) for c in doc["center"]]
-        return ball_predicate(center, float(doc["radius"]))
+        return ball_predicate([_j2c(c) for c in doc["center"]], float(doc["radius"]))
     if kind == "linear_image":
-        matrix = [[complex(e[0], e[1]) for e in row] for row in doc["matrix"]]
+        matrix = [[_j2c(e) for e in row] for row in doc["matrix"]]
         return linear_image(np.asarray(matrix), predicate_from_json(doc["of"]))
     raise ValueError(f"unknown predicate kind: {kind!r}")

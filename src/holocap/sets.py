@@ -217,7 +217,12 @@ def _c2j(z: complex) -> list:
 
 
 def _j2c(v) -> complex:
-    return complex(float(v[0]), float(v[1]))
+    """The complex number of a JSON [re, im] pair; anything else raises ``ValueError``."""
+    if type(v) is list and len(v) == 2:
+        re, im = v
+        if type(re) in (int, float) and type(im) in (int, float):   # a bool is not a number
+            return complex(re, im)
+    raise ValueError(f"expected an [re, im] pair of numbers, got {v!r}")
 
 
 def set_to_json(set_: CompactSet) -> dict:
@@ -237,6 +242,8 @@ def set_to_json(set_: CompactSet) -> dict:
 
 
 def set_from_json(doc: dict) -> CompactSet:
+    if not isinstance(doc, dict):
+        raise ValueError(f"a set must be a JSON object, got {type(doc).__name__}")
     kind = doc.get("shape")
     bs = int(doc.get("boundary_samples", DEFAULT_BOUNDARY_SAMPLES))
     if kind == "disk":

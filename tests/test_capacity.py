@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from holocap.capacity import (
     FEKETE_N,
     _EXCHANGE_TOL,
     _MAX_SWEEPS,
+    _checkpoints,
     _distinct,
     _exchange_refine,
     _greedy_leja,
@@ -71,6 +73,17 @@ def test_fekete_degenerate_single_point():
     est = capacity_of_cloud([0j])
     assert est.value == 0.0 and est.polar
     assert math.isinf(est.robin_constant)
+
+
+@pytest.mark.parametrize("n", [8, 100, 128])
+def test_fekete_solve_computes_log_vdm_once_per_checkpoint(monkeypatch, n):
+    # the package attribute holocap.capacity is the function; patch the module
+    module = sys.modules["holocap.capacity"]
+    log_vdm, sizes = module._log_vdm, []
+    monkeypatch.setattr(module, "_log_vdm", lambda pts: sizes.append(len(pts)) or log_vdm(pts))
+    fek = capacity_of_cloud(np.exp(2j * np.pi * np.arange(200) / 200), n=n).fekete
+    assert sizes == _checkpoints(n)
+    assert fek.log_vdm == log_vdm(fek.points)
 
 
 def test_capacity_disk():

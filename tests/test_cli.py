@@ -163,6 +163,48 @@ def test_gammacap_invalid_predicate_exit_two(tmp_path, capsys, pred, message):
     assert message in capsys.readouterr().err
 
 
+PAIR = "expected an [re, im] pair of numbers, got "
+TABLE = {"kind": "table", "max_norm": 2,
+         "entries": [{"index": [0], "coefficients": [[1, 0]]},
+                     {"index": [1], "coefficients": [[0, 0], [1]]}]}
+
+
+@pytest.mark.parametrize("command, inputs, message", [
+    ("cap", {"--set": {**DISK, "center": [1]}}, PAIR + "[1]"),
+    ("cap", {"--set": {**DISK, "center": ["1", "0"]}}, PAIR + "['1', '0']"),
+    ("cap", {"--set": {**DISK, "center": [True, 0]}}, PAIR + "[True, 0]"),
+    ("cap", {"--set": {**SEGMENT, "b": [1, 0, 0]}}, PAIR + "[1, 0, 0]"),
+    ("cap", {"--set": []}, "a set must be a JSON object, got list"),
+    ("extend", {"--seq": {**GEOMETRIC, "lambda": [1]}, "--samples": CIRCLE_SAMPLES},
+     PAIR + "[1]"),
+    ("extend", {"--seq": {"kind": "constant", "value": 1, "max_norm": 4},
+                "--samples": CIRCLE_SAMPLES}, PAIR + "1"),
+    ("extend", {"--seq": TABLE, "--samples": CIRCLE_SAMPLES}, PAIR + "[1]"),
+    ("extend", {"--seq": GEOMETRIC, "--samples": [[1]]}, PAIR + "[1]"),
+    ("extend", {"--seq": [], "--samples": CIRCLE_SAMPLES},
+     "a sequence must be a JSON object, got list"),
+    ("bernstein", {"--poly": {"coefficients": [[1]]}, "--set": SEGMENT,
+                   "--points": "re,im\n2,0\n"}, PAIR + "[1]"),
+    ("gammacap", {"--set": {**BALL, "center": [[0], [0, 0]]}}, PAIR + "[0]"),
+    ("gammacap", {"--set": {**_diagonal_image(1, 1), "matrix": [[[1], [0, 0]], [[0, 0], [1, 0]]]}},
+     PAIR + "[1]"),
+    ("gammacap", {"--set": []}, "a predicate must be a JSON object, got list"),
+    ("green", {"--set": DISK, "--points": "re,im\n2,0\n1.0\n"},
+     "line 3: expected re,im, got ['1.0']"),
+], ids=["set_pair_short", "set_pair_strings", "set_pair_bool", "set_pair_long", "set_list",
+        "lambda_short", "value_number", "coefficient_short", "sample_short", "sequence_list",
+        "poly_coefficient_short", "ball_center_short", "matrix_entry_short", "predicate_list",
+        "points_row_short"])
+def test_malformed_input_exit_two(tmp_path, capsys, command, inputs, message):
+    argv = [command]
+    for flag, doc in inputs.items():
+        path = tmp_path / flag[2:]
+        path.write_text(doc if isinstance(doc, str) else json.dumps(doc), encoding="utf-8")
+        argv += [flag, str(path)]
+    assert main(argv + ["--out", str(tmp_path / "out.json")]) == 2
+    assert message in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("d1, d2", [(1.0, 1e-300), (1e-300, 1.0)])
 def test_gammacap_near_singular_image_is_finite(tmp_path, d1, d2):
     # |b|^2 overflows for diag(1, 1e-300); the shadow disk has radius 1e-300 for diag(1e-300, 1)

@@ -138,14 +138,15 @@ def test_radius_window_validation():
 
 def test_stratify_half_radius():
     prof = RadiusProfile(tuple((z, 0.5) for z in CIRCLE))
-    i, cloud = stratify_and_find_nonpolar(prof)
+    i, cloud, est = stratify_and_find_nonpolar(prof)
     assert i == 2
     assert len(cloud.points) == len(CIRCLE)
+    assert est == capacity_of_cloud(CIRCLE)
 
 
 def test_stratify_infinite_radii():
     prof = RadiusProfile(tuple((z, math.inf) for z in CIRCLE))
-    i, _ = stratify_and_find_nonpolar(prof)
+    i, _, _ = stratify_and_find_nonpolar(prof)
     assert i == 1
 
 
@@ -161,7 +162,7 @@ def test_stratify_single_good_point_is_polar():
 
 def test_uniform_bound_geometric_rate_margin():
     # with rate 4 the score max_n |2 z|^n 4^{-n} is 1 on the circle
-    cloud, rho1, m0, level = uniform_bound_compact(
+    cloud, rho1, m0, level, _ = uniform_bound_compact(
         geometric_sequence(2, 60), CIRCLE_CLOUD, rho0=4.0)
     assert level == 1.0
     assert len(cloud.points) == len(CIRCLE)
@@ -171,7 +172,7 @@ def test_uniform_bound_geometric_rate_margin():
 
 def test_uniform_bound_geometric_tight_rate():
     # rate 0.5 makes the score 2^60; the doubling search still terminates
-    cloud, rho1, m0, level = uniform_bound_compact(
+    cloud, rho1, m0, level, _ = uniform_bound_compact(
         geometric_sequence(1, 60), CIRCLE_CLOUD, rho0=0.5)
     assert level <= 2.0 ** 61
     assert len(cloud.points) >= 8
@@ -181,7 +182,7 @@ def test_uniform_bound_geometric_tight_rate():
 
 def test_uniform_bound_constant_only():
     seq = delta_sequence(7, 20)
-    cloud, rho1, m0, level = uniform_bound_compact(seq, CIRCLE_CLOUD, rho0=2.0)
+    cloud, rho1, m0, level, _ = uniform_bound_compact(seq, CIRCLE_CLOUD, rho0=2.0)
     assert len(cloud.points) == len(CIRCLE)
     assert rho1 == 1.0  # empty max convention
     assert m0 == 7.0
@@ -189,7 +190,7 @@ def test_uniform_bound_constant_only():
 
 def test_uniform_bound_invariant_exact():
     seq = geometric_sequence(1 + 1j, 40)
-    cloud, rho1, m0, _ = uniform_bound_compact(seq, CIRCLE_CLOUD, rho0=4.0)
+    cloud, rho1, m0, _, _ = uniform_bound_compact(seq, CIRCLE_CLOUD, rho0=4.0)
     pts = np.asarray(cloud.points)
     for idx in seq.indices():
         vals = np.abs(seq.poly(idx)(pts))
@@ -299,11 +300,39 @@ def test_repeated_polar_stratum_is_solved_once(solves):
     assert len(set(solves)) == 2
 
 
+@pytest.mark.parametrize("case", list(CARRIED_CASES))
+def test_extend_runs_public_stages(monkeypatch, case):
+    want = json.dumps(certificate_to_json(_run_certify(*CARRIED_CASES[case])))
+    module = sys.modules["holocap.extension"]   # where perfbench's tracer wraps them
+    calls = []
+    for name in ("stratify_and_find_nonpolar", "uniform_bound_compact"):
+        def counted(*args, _name=name, _stage=getattr(module, name), **kwargs):
+            calls.append(_name)
+            return _stage(*args, **kwargs)
+        monkeypatch.setattr(module, name, counted)
+    got = json.dumps(certificate_to_json(_run_certify(*CARRIED_CASES[case])))
+    assert calls == ["stratify_and_find_nonpolar", "uniform_bound_compact"]
+    assert got == want
+
+
+@pytest.mark.parametrize("case", list(CARRIED_CASES))
+def test_uniform_bound_stratum_estimate_changes_nothing(case):
+    _, seq, samples, config = CARRIED_CASES[case]
+    i, stratum, est = stratify_and_find_nonpolar(radius_profile(seq, samples,
+                                                                seq.max_norm // 2))
+    rho0 = i / (config or ExtendConfig()).theta
+    carried = uniform_bound_compact(seq, stratum, rho0, stratum_est=est)
+    fresh = uniform_bound_compact(seq, stratum, rho0)
+    assert (carried[4] is est) == (case != "strict_subcloud")   # the estimate was reused
+    assert repr(carried) == repr(fresh)
+    assert carried[4].fekete.selection.tobytes() == fresh[4].fekete.selection.tobytes()
+
+
 @pytest.mark.parametrize("case", ["geometric_k1", "stratum_2", "strict_subcloud"])
 def test_carried_green_matches_fresh_build(case):
     mode, seq, samples, config = CARRIED_CASES[case]
     cert = _run_certify(mode, seq, samples, config)
-    _, stratum = stratify_and_find_nonpolar(radius_profile(seq, samples, seq.max_norm // 2))
+    _, stratum, _ = stratify_and_find_nonpolar(radius_profile(seq, samples, seq.max_norm // 2))
     if case == "stratum_2":
         assert cert.thresholds["stratum_index"] == 2
     strict = len(cert.witness.points) < len(stratum.points)
@@ -578,7 +607,7 @@ def _ref_radius_profile(seq, samples, window):
                                for z, r in zip(zs, rate)))
 
 
-def _ref_uniform_bound_compact(seq, stratum, rho0, eps_cap, fekete_n):
+def _ref_uniform_bound_compact(seq, stratum, rho0, eps_cap):
     pts = np.asarray(stratum.points, dtype=np.complex128)
     values = {}
     phi = np.zeros(len(pts))
@@ -592,13 +621,13 @@ def _ref_uniform_bound_compact(seq, stratum, rho0, eps_cap, fekete_n):
         mask = phi <= level
         if int(mask.sum()) < MIN_POINTS:
             continue
-        est = capacity_of_cloud(pts[mask], n=fekete_n, eps_cap=eps_cap)
+        est = capacity_of_cloud(pts[mask], n=FEKETE_N, eps_cap=eps_cap)
         if est.value > eps_cap:
-            chosen = (level, mask)
+            chosen = (level, mask, est)
             break
     if chosen is None:
         raise NoUniformStratum("no doubling level up to 2^64 gives a non-polar sublevel cloud")
-    level, mask = chosen
+    level, mask, est = chosen
     m0 = 1.0
     rho1 = 0.0
     for idx in seq.indices():
@@ -616,7 +645,7 @@ def _ref_uniform_bound_compact(seq, stratum, rho0, eps_cap, fekete_n):
         while np.any(vals > m0 * rho1 ** idx.norm):
             rho1 = math.nextafter(rho1, math.inf)
     cloud = PointCloud(tuple(complex(z) for z in pts[mask]))
-    return cloud, rho1, m0, level
+    return cloud, rho1, m0, level, est
 
 
 def _outcome(fn, *args):
@@ -700,7 +729,7 @@ def _uniform_cases():
 @pytest.mark.parametrize("radius, rho0", [(1.0, 4.0), (0.4, 0.5), (2.5, 3.0)])
 def test_uniform_bound_matches_reference(seq, radius, rho0):
     cloud = PointCloud(tuple(radius * z for z in CIRCLE[::5]))
-    args = (seq, cloud, rho0, 1e-4, 32)
+    args = (seq, cloud, rho0, 1e-4)
     assert _outcome(uniform_bound_compact, *args) == _outcome(_ref_uniform_bound_compact, *args)
 
 
