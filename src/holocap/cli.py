@@ -208,20 +208,23 @@ COMMANDS = {
 
 
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The holocap parser; naming a command gives only its subparser flags.
+    """The holocap parser; naming a command registers only its subparser.
 
-    Every subparser is registered either way, so help, usage and error text
-    are those of the full parser.
+    Any other ``command`` (None for help or no arguments, an unknown name)
+    registers all of them.  A lone subparser's usage still lists every
+    command, so usage and error text are those of the full parser.
     """
     parser = argparse.ArgumentParser(
         prog="holocap",
         description="capacity, Green functions, growth bounds, and certified "
                     "power-series extension domains")
-    sub = parser.add_subparsers(dest="command", required=True)
+    alone = command in COMMANDS
+    sub = parser.add_subparsers(dest="command", required=True,
+                                metavar="{" + ",".join(COMMANDS) + "}" if alone else None)
     for name, cmd in COMMANDS.items():
-        p = sub.add_parser(name, help=cmd.help)
-        if command in COMMANDS and name != command:
+        if alone and name != command:
             continue
+        p = sub.add_parser(name, help=cmd.help)
         for flag, keywords in cmd.inputs + cmd.options:
             p.add_argument(flag, **keywords)
         p.add_argument("--out", required=True, help="output file")

@@ -26,6 +26,7 @@ import itertools
 import math
 import numbers
 from dataclasses import dataclass, field
+from functools import cached_property
 from math import comb, isqrt
 
 import numpy as np
@@ -153,22 +154,41 @@ class PolynomialSequence:
     def indices(self, lo: int = 0, hi: int | None = None):
         return iter_indices(self.k, lo, self.max_norm if hi is None else hi)
 
-    def _horner(self, zs: np.ndarray, a: int, b: int) -> np.ndarray:
-        """P_n(z) for rows a:b (in row order) and every point of zs.
+    @cached_property
+    def _representatives(self) -> np.ndarray:
+        """For every row, the first row with the same coefficient bytes (so -0.0 != 0.0)."""
+        reps = np.arange(len(self.counts))
+        order = np.argsort(self.counts, kind="stable")   # rows grouped by count, ascending
+        for rows in np.split(order, np.flatnonzero(np.diff(self.counts[order])) + 1):
+            if len(rows) == 1:
+                continue
+            keys = self.coeffs[self.offsets[rows][:, None]
+                               + np.arange(self.counts[rows[0]])].view(np.uint64)
+            # sort by a hash of the bits, then keep a row's match only where all bits agree
+            hashes = keys @ np.cumprod(np.full(keys.shape[1], 0x9E3779B97F4A7C15, np.uint64))
+            by_hash = np.argsort(hashes, kind="stable")
+            runs = np.r_[True, np.diff(hashes[by_hash]) != 0]
+            first = by_hash[np.maximum.accumulate(np.where(runs, np.arange(len(rows)), 0))]
+            same = np.all(keys[by_hash] == keys[first], axis=1)
+            reps[rows[by_hash]] = np.where(same, rows[first], rows[by_hash])
+        return reps
+
+    def _horner(self, zs: np.ndarray, rows) -> np.ndarray:
+        """P_n(z) for ``rows`` (a slice or an index array, in its order) and every point of zs.
 
         Each row runs Horner's rule in the operation order of
         ``Polynomial1D.__call__`` (numpy's polyval), so every value is
         bit-identical to it.  Rows are sorted by coefficient count and a row
         joins the batch update when its own leading coefficient is reached.
         """
-        order = np.argsort(-self.counts[a:b], kind="stable")
-        counts, offsets = self.counts[a:b][order], self.offsets[a:b][order]
+        order = np.argsort(-self.counts[rows], kind="stable")
+        counts, offsets = self.counts[rows][order], self.offsets[rows][order]
         joined = np.searchsorted(-counts, -np.arange(counts[0]))  # rows with count > i
         # numpy rounds a complex product differently in its loops for a
         # broadcast operand and for an in-place one-element product, so each
         # product takes two same-shape operands and a separate output, as
         # in polyval
-        grid = np.tile(zs, (b - a, 1))
+        grid = np.tile(zs, (len(counts), 1))
         prod = np.empty_like(grid)
         acc = np.zeros_like(grid)
         for i in range(counts[0] - 1, -1, -1):
@@ -183,8 +203,8 @@ class PolynomialSequence:
         """Array whose entry (j - lo, z) is max over ||n|| = j of |P_n(z)|, lo <= j <= hi.
 
         Rows are evaluated in chunks of about ``_CHUNK_CELLS`` values, each
-        reduced to per-norm peaks before the next.  NaN values propagate
-        into their norm's peak.
+        reduced to per-norm peaks before the next; a chunk evaluates each of
+        its distinct rows once.  NaN values propagate into their norm's peak.
         """
         zs = np.asarray(zs, dtype=np.complex128)
         peaks = np.full((hi - lo + 1, len(zs)), -np.inf)
@@ -192,7 +212,8 @@ class PolynomialSequence:
         step = max(1, _CHUNK_CELLS // max(1, len(zs)))
         for a in range(start, stop, step):
             b = min(a + step, stop)
-            vals = np.abs(self._horner(zs, a, b))
+            distinct, inverse = np.unique(self._representatives[a:b], return_inverse=True)
+            vals = np.abs(self._horner(zs, distinct))[inverse]
             first, last = self.norms[a], self.norms[b - 1]
             segments = np.maximum(self.starts[first:last + 1], a) - a
             block = peaks[first - lo:last - lo + 1]
@@ -313,6 +334,7 @@ class RadiusProfile:
     """Per-sample estimated radius of convergence in the series variable."""
 
     samples: tuple   # ((z2, R), ...); R may be math.inf
+    peaks: np.ndarray | None = field(default=None, repr=False, compare=False)   # window rows
 
 
 def radius_profile(seq: PolynomialSequence, samples, window: int) -> RadiusProfile:
@@ -320,18 +342,18 @@ def radius_profile(seq: PolynomialSequence, samples, window: int) -> RadiusProfi
 
     The max runs over indices with max_norm - window < ||n|| <= max_norm
     (norm >= 1); vanishing values are skipped and an all-zero tail yields
-    the +inf marker.
+    the +inf marker.  The profile keeps those norms' ``norm_peaks`` rows.
     """
     if window < 1 or window > seq.max_norm:
         raise WindowEmpty(f"tail window {window} not within 1..{seq.max_norm}")
     lo = max(1, seq.max_norm - window + 1)
     zs = np.asarray(list(samples), dtype=np.complex128)
     rate = np.zeros(len(zs))
-    for j, vals in enumerate(seq.norm_peaks(zs, lo, seq.max_norm), lo):
+    peaks = seq.norm_peaks(zs, lo, seq.max_norm)
+    for j, vals in enumerate(peaks, lo):
         np.maximum(rate, np.where(vals > 0.0, vals ** (1.0 / j), 0.0), out=rate)
-    out = tuple((complex(z), (1.0 / r) if r > 0.0 else math.inf)
-                for z, r in zip(zs, rate))
-    return RadiusProfile(samples=out)
+    out = tuple((complex(z), (1.0 / r) if r > 0.0 else math.inf) for z, r in zip(zs, rate))
+    return RadiusProfile(samples=out, peaks=peaks)
 
 
 def _first_nonpolar(clouds, eps_cap: float) -> tuple | None:
@@ -368,7 +390,7 @@ def stratify_and_find_nonpolar(profile: RadiusProfile, i_max: int = 100,
 
 
 def uniform_bound_compact(seq: PolynomialSequence, stratum: PointCloud, rho0: float,
-                          eps_cap: float = EPS_CAP, stratum_est=None) -> tuple:
+                          eps_cap: float = EPS_CAP, stratum_est=None, window_peaks=None) -> tuple:
     """Sub-cloud C with a uniform coefficient bound, via a doubling search.
 
     The score phi(z2) = max_n |P_n(z2)| rho0^{-||n||} is finite on the
@@ -378,14 +400,16 @@ def uniform_bound_compact(seq: PolynomialSequence, stratum: PointCloud, rho0: fl
     n, exactly as floating-point numbers (rho1 is nudged up by ulps when
     needed), the doubling level 2^j that selected C and C's capacity
     estimate.  A level that keeps the whole stratum takes ``stratum_est``,
-    the stratum's estimate, if given, in place of a second solve.
+    the stratum's estimate, if given, in place of a second solve; the top
+    norms' rows are read from ``window_peaks``, the profile's on the stratum.
     """
     if rho0 <= 0:
         raise ValueError("rho0 must be positive")
     pts = np.asarray(stratum.points, dtype=np.complex128)
-    peaks = seq.norm_peaks(pts, 0, seq.max_norm)   # row j: max_{||n||=j} |P_n|
+    top = np.empty((0, len(pts))) if window_peaks is None else window_peaks
+    peaks = np.concatenate([seq.norm_peaks(pts, 0, seq.max_norm - len(top)), top])
     phi = np.zeros(len(pts))
-    for j, vals in enumerate(peaks):
+    for j, vals in enumerate(peaks):   # row j: max_{||n||=j} |P_n|
         np.maximum(phi, vals * rho0 ** (-j), out=phi)
 
     masks = ((level, phi <= level) for level in (2.0 ** exp2 for exp2 in range(0, 65)))
@@ -397,13 +421,8 @@ def uniform_bound_compact(seq: PolynomialSequence, stratum: PointCloud, rho0: fl
 
     kept = peaks[:, mask]
     m0 = max(1.0, float(kept[0].max()))
-    rho1 = 0.0
-    for j in range(1, len(kept)):
-        nz = kept[j][kept[j] > 0.0]
-        if len(nz):
-            rho1 = max(rho1, float(np.max(nz ** (1.0 / j))))
-    if rho1 == 0.0:
-        rho1 = 1.0  # only the constant term constrains the bound
+    rho1 = max((float(np.max(row[row > 0.0] ** (1.0 / j), initial=0.0))
+                for j, row in enumerate(kept[1:], 1)), default=0.0) or 1.0   # 1: only M0 binds
 
     # enforce |P_n| <= M0 * rho1^||n|| exactly despite pow rounding
     for j in range(1, len(kept)):
@@ -551,8 +570,10 @@ def _certify(seq: PolynomialSequence, samples, cfg: ExtendConfig, c0: float, c1:
     # the doubling search short.  A rate below i makes the score blow up
     # geometrically in max_norm and the search cannot terminate.
     rho0 = i / cfg.theta
+    cols = [r >= 1.0 / i for _, r in profile.samples]   # the stratum's samples
     witness, rho1, m0, level, est = _run_stage("uniform_bound", uniform_bound_compact, seq,
-                                               stratum, rho0, cfg.eps_cap, stratum_est=est)
+                                               stratum, rho0, cfg.eps_cap, stratum_est=est,
+                                               window_peaks=profile.peaks[:, cols])
     thresholds = {
         "eps_cap": cfg.eps_cap, "theta": cfg.theta, "window": window,
         "i_max": cfg.i_max, "z2_max": cfg.z2_max, "fekete_n": FEKETE_N,
@@ -680,7 +701,7 @@ def evaluate(cert: ExtensionCertificate, seq: PolynomialSequence, z1, z2: comple
                          f"got {z1!r}, {z2!r}, {tol!r}")
     r1 = max(map(abs, coords))
     if r1 == 0.0:
-        return EvaluationResult(value=complex(seq._horner(np.array([z2]), 0, 1)[0, 0]),
+        return EvaluationResult(value=complex(seq._horner(np.array([z2]), slice(0, 1))[0, 0]),
                                 tail_bound=0.0, terms_used=0)
 
     g = float(cert.green()(z2))
@@ -708,7 +729,7 @@ def evaluate(cert: ExtensionCertificate, seq: PolynomialSequence, z1, z2: comple
 
     stop = seq.starts[n_used + 1]
     value = 0j
-    for term, entries in zip(seq._horner(np.array([z2]), 0, stop)[:, 0].tolist(),
+    for term, entries in zip(seq._horner(np.array([z2]), slice(0, stop))[:, 0].tolist(),
                              seq.entries[:stop].tolist()):
         value += term * _z1_power(coords, entries)
     return EvaluationResult(value=value, tail_bound=tail_at(n_used), terms_used=n_used)

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import hashlib
 import importlib
@@ -545,6 +546,32 @@ def test_parser_text_matches_full_parser(capsys, monkeypatch, argv):
     monkeypatch.setattr(sys, "argv", ["holocap", *argv])
     with pytest.raises(SystemExit) as own:
         main()
+    assert (own.value.code, capsys.readouterr()) == (full.value.code, expected)
+
+
+def _subcommands(parser):
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return list(sub.choices)
+
+
+def test_build_parser_registers_only_the_named_command():
+    assert _subcommands(build_parser("eval")) == ["eval"]
+    for command in (None, "nope", "--help"):
+        assert _subcommands(build_parser(command)) == list(COMMANDS)
+
+
+@pytest.mark.parametrize("argv", [["eval", "--cert", "c", "--seq", "s", "--z1", "1", "--z2", "2",
+                                   "--out", "o", "extra"],
+                                  ["cap", "--set", "s", "--out", "o", "--bogus", "1"]],
+                         ids=["positional", "flag"])
+def test_unrecognized_argument_text_matches_full_parser(capsys, argv):
+    # the top-level parser reports these, with its usage line
+    with pytest.raises(SystemExit) as full:
+        build_parser().parse_args(argv)
+    expected = capsys.readouterr()
+    assert "unrecognized arguments" in expected.err
+    with pytest.raises(SystemExit) as own:
+        main(argv)
     assert (own.value.code, capsys.readouterr()) == (full.value.code, expected)
 
 

@@ -28,7 +28,9 @@ from holocap.extension import (
     ExtendConfig,
     ExtensionCertificate,
     MultiIndex,
+    PolynomialSequence,
     RadiusProfile,
+    _index_rows,
     _tail_slope,
     certificate_from_json,
     certificate_to_json,
@@ -753,6 +755,166 @@ def test_norm_peaks_memory_is_bounded():
         tracemalloc.stop()
     assert peaks.shape == (41, 400)
     assert peak_bytes < 4e6
+
+
+def test_norm_peaks_memory_is_bounded_on_distinct_rows():
+    # 12,341 distinct rows of degree = norm: the row map and the chunks stay small
+    rng = np.random.default_rng(40)
+    entries = _index_rows(3, 40)
+    counts = entries.sum(axis=1) + 1
+    seq = PolynomialSequence(entries, counts, rng.normal(size=(counts.sum(), 2)) @ [1, 1j])
+    zs = 1.3 * np.exp(2j * np.pi * np.arange(400) / 400)
+    tracemalloc.start()
+    try:
+        peaks = seq.norm_peaks(zs, 0, 40)
+        _, peak_bytes = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(np.unique(seq._representatives)) == len(counts)
+    assert peaks.shape == (41, 400)
+    assert peak_bytes < 4e6
+
+
+def test_norm_peaks_evaluates_each_distinct_row_once_per_chunk(monkeypatch):
+    seq = geometric_sequence(0.9 + 0.2j, 40, k=3)   # 12,341 rows, 41 distinct
+    assert evaluate(_analytic_circle_cert(), seq, (0.1, 0.1, 0.1), 0.5, 1e-3).terms_used > 0
+    assert "_representatives" not in vars(seq)   # built on the first norm_peaks call only
+    horner, rows = PolynomialSequence._horner, []
+
+    def counted(self, zs, which):
+        out = horner(self, zs, which)
+        rows.append(len(out))
+        return out
+
+    monkeypatch.setattr(PolynomialSequence, "_horner", counted)
+    seq.norm_peaks(1.3 * np.exp(2j * np.pi * np.arange(400) / 400), 0, 40)
+    assert len(np.unique(seq._representatives)) == 41
+    # 153 chunks of up to 81 rows; each evaluates one row per norm it touches
+    assert (len(rows), sum(rows)) == (153, 193)
+    assert sum(rows) < 0.05 * len(seq.counts)
+
+
+def test_representatives_are_byte_exact():
+    zero, signed = Polynomial1D((1j, 0j)), Polynomial1D((1j, complex(-0.0, 0.0)))
+    nan = Polynomial1D((complex(math.nan, 0.0),))
+    seq = table_sequence({(0,): zero, (1,): signed, (2,): zero, (3,): nan, (4,): nan,
+                          (5,): signed}, 6)
+    assert seq._representatives.tolist() == [0, 1, 0, 3, 3, 1, 6]
+
+
+def _twins(coeffs):
+    """coeffs, and copies of it that differ only in the sign of a zero or hold a NaN."""
+    return [coeffs] + [coeffs + (c,) for c in (0j, complex(-0.0, 0.0), complex(0.0, -0.0),
+                                                 complex(math.nan, 0.0))]
+
+
+@st.composite
+def _repeating_tables(draw):
+    """table_sequence whose rows repeat a few coefficient tuples and their twins, or
+    whose rows are all distinct."""
+    k = draw(st.sampled_from((1, 2, 3)))
+    max_norm = draw(st.integers(1, 6))
+    indices = list(iter_indices(k, 0, max_norm))
+    if draw(st.booleans()):   # row r leads with r + 1
+        rows = [(complex(r + 1),) + draw(_COEFFS) for r in range(len(indices))]
+    else:
+        pool = [c for _ in range(draw(st.integers(1, 3))) for c in _twins(draw(_COEFFS))]
+        rows = [draw(st.sampled_from(pool)) for _ in indices]
+    return table_sequence({idx.entries: Polynomial1D(c) for idx, c in zip(indices, rows)},
+                          max_norm, k)
+
+
+@given(_repeating_tables(), _POINTS, st.integers(1, 400), st.data())
+@settings(max_examples=80, deadline=None)
+def test_norm_peaks_of_repeated_rows_bit_identical_to_polyval(seq, points, chunk_cells, data):
+    zs = np.asarray(points, dtype=np.complex128)
+    lo = data.draw(st.integers(0, seq.max_norm))
+    hi = data.draw(st.integers(lo, seq.max_norm))
+    with mock.patch.object(extension, "_CHUNK_CELLS", chunk_cells):
+        peaks = seq.norm_peaks(zs, lo, hi)
+    for j in range(lo, hi + 1):
+        expect = np.max([np.abs(seq.poly(idx)(zs)) for idx in seq.indices(j, j)], axis=0)
+        nan = np.isnan(expect)
+        assert np.array_equal(np.isnan(peaks[j - lo]), nan)
+        assert peaks[j - lo][~nan].tobytes() == expect[~nan].tobytes()
+
+    def row_bytes(r):
+        return seq.coeffs[seq.offsets[r]:seq.offsets[r] + seq.counts[r]].tobytes()
+
+    for r, rep in enumerate(seq._representatives.tolist()):
+        assert rep <= r and row_bytes(rep) == row_bytes(r)
+
+
+def _shifted_geometric(lam: float, center: complex, max_norm: int):
+    """P_n(z) = (lam (z - center))^n, expanded; its values are not radial about 0."""
+    return table_sequence({(n,): Polynomial1D(tuple(lam ** n * math.comb(n, d)
+                                                    * (-center) ** (n - d) for d in range(n + 1)))
+                           for n in range(max_norm + 1)}, max_norm)
+
+
+# strict_stratum: i = 2, and the stratum is the 0.3 circle, half of the samples.
+# shifted: i = 1, and the stratum is the 63 samples within 0.5 of 0.3
+STRATA_CASES = {**CARRIED_CASES,
+                "strict_stratum": ("extension", geometric_sequence(4, 60), RING, None),
+                "shifted": ("extension", _shifted_geometric(2.0, 0.3, 30), RING, None)}
+
+
+@pytest.mark.parametrize("case", list(STRATA_CASES))
+def test_uniform_bound_window_peaks_change_nothing(case):
+    _, seq, samples, config = STRATA_CASES[case]
+    profile = radius_profile(seq, samples, seq.max_norm // 2)
+    i, stratum, est = stratify_and_find_nonpolar(profile)
+    cols = [r >= 1.0 / i for _, r in profile.samples]
+    assert sum(cols) == len(stratum.points)
+    if case in ("strict_stratum", "shifted"):
+        assert (i, len(stratum.points)) == {"strict_stratum": (2, 100), "shifted": (1, 63)}[case]
+    rho0 = i / (config or ExtendConfig()).theta
+    shared = uniform_bound_compact(seq, stratum, rho0, stratum_est=est,
+                                   window_peaks=profile.peaks[:, cols])
+    assert repr(shared) == repr(uniform_bound_compact(seq, stratum, rho0, stratum_est=est))
+
+
+@pytest.mark.parametrize("case", list(STRATA_CASES))
+def test_extend_with_window_peaks_matches_full_pass(monkeypatch, case):
+    shared = json.dumps(certificate_to_json(_run_certify(*STRATA_CASES[case])))
+    stage = uniform_bound_compact
+
+    def full_pass(*args, window_peaks=None, **kwargs):
+        assert window_peaks is not None
+        return stage(*args, **kwargs)
+
+    monkeypatch.setattr(sys.modules["holocap.extension"], "uniform_bound_compact", full_pass)
+    assert json.dumps(certificate_to_json(_run_certify(*STRATA_CASES[case]))) == shared
+
+
+def test_extend_evaluates_the_window_once(monkeypatch):
+    peaks, calls = PolynomialSequence.norm_peaks, []
+
+    def recorded(self, zs, lo, hi):
+        calls.append((len(zs), lo, hi))
+        return peaks(self, zs, lo, hi)
+
+    monkeypatch.setattr(PolynomialSequence, "norm_peaks", recorded)
+    _run_certify(*STRATA_CASES["strict_stratum"])
+    # the profile's window on all 200 samples, then the norms below it on the stratum
+    assert calls == [(200, 31, 60), (100, 0, 30)]
+
+
+@given(_table_sequences(), st.sampled_from((0.4, 1.0, 2.5)), st.sampled_from((0.5, 3.0, 4.0)),
+       st.data())
+@settings(max_examples=30, deadline=None)
+def test_uniform_bound_window_peaks_match_reference_pass(seq, radius, rho0, data):
+    samples = [radius * z for z in CIRCLE[::10]] + [2 * radius * z for z in CIRCLE[5::10]]
+    profile = radius_profile(seq, samples, data.draw(st.integers(1, seq.max_norm)))
+    cut = data.draw(st.sampled_from(sorted({r for _, r in profile.samples})))
+    cols = [r >= cut for _, r in profile.samples]
+    stratum = PointCloud(tuple(z for (z, r) in profile.samples if r >= cut))
+    args = (seq, stratum, rho0, 1e-4)
+
+    def shared(*args):
+        return uniform_bound_compact(*args, window_peaks=profile.peaks[:, cols])
+
+    assert _outcome(shared, *args) == _outcome(uniform_bound_compact, *args)
 
 
 # ---------------------------------------------------------------------------
