@@ -327,26 +327,19 @@ class GreenEvaluator:
         return float(g[0]) if scalar and g.size == 1 else g.reshape(np.shape(z))
 
 
-def green_function(set_: CompactSet, method: str = "auto", n: int = FEKETE_N,
-                   candidates: int = CANDIDATES, eps_cap: float = EPS_CAP) -> GreenEvaluator:
+def green_function(set_: CompactSet, n: int = FEKETE_N, candidates: int = CANDIDATES,
+                   eps_cap: float = EPS_CAP) -> GreenEvaluator:
     """Green evaluator for the complement of the set.
 
-    ``method`` is "auto", "analytic" (disks and segments only) or "fekete".
+    Disks and segments take their closed forms; any other set takes the
+    Fekete-backed evaluator of its capacity estimate (:func:`fekete_green`).
     Raises :class:`GreenUndefinedPolarSet` when the capacity estimate is
     polar: the Green function of the complement of a polar set degenerates.
     """
-    if method not in ("auto", "analytic", "fekete"):
-        raise ValueError(f"unknown Green method {method!r}")
-    analytic_ok = isinstance(set_, (Disk, Segment))
-    if method == "analytic" and not analytic_ok:
-        raise ValueError("analytic Green backing requires a Disk or Segment")
-
-    if method in ("auto", "analytic") and analytic_ok:
-        if isinstance(set_, Disk):
-            return GreenEvaluator("analytic_disk", set_, -math.log(set_.radius))
-        length = abs(set_.b - set_.a)
-        return GreenEvaluator("analytic_segment", set_, -math.log(length / 4.0))
-
+    if isinstance(set_, Disk):
+        return GreenEvaluator("analytic_disk", set_, -math.log(set_.radius))
+    if isinstance(set_, Segment):
+        return GreenEvaluator("analytic_segment", set_, -math.log(abs(set_.b - set_.a) / 4.0))
     return fekete_green(set_, capacity(set_, n=n, candidates=candidates, eps_cap=eps_cap),
                         candidates, eps_cap)
 

@@ -26,7 +26,6 @@ import itertools
 import math
 import numbers
 from dataclasses import dataclass, field
-from functools import cached_property
 from math import comb, isqrt
 
 import numpy as np
@@ -112,23 +111,27 @@ def iter_indices(k: int, lo: int, hi: int):
         yield MultiIndex(tuple(entries))
 
 
-_CHUNK_CELLS = 1 << 15   # rows x points that norm_peaks evaluates at once (512 KB of complex)
+_CHUNK_CELLS = 1 << 15   # (norm, block) pairs x points norm_peaks evaluates at once (512 KB)
 
 
 class PolynomialSequence:
     """Coefficient family of a power series: every index up to a norm cutoff.
 
     Row r is the index ``entries[r]`` of norm ``norms[r]``, in
-    :func:`iter_indices` order.  Its polynomial has degree ``degrees[r]``
-    (-inf for zero) and the ``counts[r]`` >= 1 coefficients
-    ``coeffs[offsets[r]:offsets[r] + counts[r]]``, ascending.  The rows of
-    norm j are ``starts[j]:starts[j + 1]``.  Declared growth constants, when
-    present, are validated by :func:`fit_degree_growth` against every degree.
+    :func:`iter_indices` order, and the rows of norm j are
+    ``starts[j]:starts[j + 1]``.  Its polynomial, of degree ``degrees[r]``
+    (-inf for zero), is coefficient block ``blocks[r]``; equal rows may share
+    a block.  Block b holds the ``counts[b]`` >= 1 coefficients
+    ``coeffs[offsets[b]:offsets[b] + counts[b]]``, ascending.  Declared growth
+    constants, when present, are validated by :func:`fit_degree_growth`
+    against every degree.
     """
 
-    def __init__(self, entries: np.ndarray, counts: np.ndarray, coeffs: np.ndarray,
-                 declared_C0: float | None = None, declared_C1: float | None = None):
+    def __init__(self, entries: np.ndarray, blocks: np.ndarray, counts: np.ndarray,
+                 coeffs: np.ndarray, declared_C0: float | None = None,
+                 declared_C1: float | None = None):
         self.entries = entries
+        self.blocks = blocks
         self.counts = counts
         self.coeffs = coeffs
         self.declared_C0 = declared_C0
@@ -138,7 +141,7 @@ class PolynomialSequence:
         self.starts = np.searchsorted(self.norms, np.arange(self.norms[-1] + 2))
         place = np.arange(len(coeffs)) - np.repeat(self.offsets, counts)
         self.degrees = np.maximum.reduceat(np.where(coeffs != 0, place, -math.inf),
-                                           self.offsets)
+                                           self.offsets)[blocks]
         self.max_norm = len(self.starts) - 2
         self.k = entries.shape[1]
 
@@ -147,43 +150,24 @@ class PolynomialSequence:
             raise ValueError(f"index length {index.k} != sequence k {self.k}")
         if index.norm > self.max_norm:
             raise ValueError(f"index norm {index.norm} beyond available {self.max_norm}")
-        r = _row(index.entries)
-        a = self.offsets[r]
-        return Polynomial1D(tuple(self.coeffs[a:a + self.counts[r]].tolist()))
+        b = self.blocks[_row(index.entries)]
+        a = self.offsets[b]
+        return Polynomial1D(tuple(self.coeffs[a:a + self.counts[b]].tolist()))
 
     def indices(self, lo: int = 0, hi: int | None = None):
         return iter_indices(self.k, lo, self.max_norm if hi is None else hi)
 
-    @cached_property
-    def _representatives(self) -> np.ndarray:
-        """For every row, the first row with the same coefficient bytes (so -0.0 != 0.0)."""
-        reps = np.arange(len(self.counts))
-        order = np.argsort(self.counts, kind="stable")   # rows grouped by count, ascending
-        for rows in np.split(order, np.flatnonzero(np.diff(self.counts[order])) + 1):
-            if len(rows) == 1:
-                continue
-            keys = self.coeffs[self.offsets[rows][:, None]
-                               + np.arange(self.counts[rows[0]])].view(np.uint64)
-            # sort by a hash of the bits, then keep a row's match only where all bits agree
-            hashes = keys @ np.cumprod(np.full(keys.shape[1], 0x9E3779B97F4A7C15, np.uint64))
-            by_hash = np.argsort(hashes, kind="stable")
-            runs = np.r_[True, np.diff(hashes[by_hash]) != 0]
-            first = by_hash[np.maximum.accumulate(np.where(runs, np.arange(len(rows)), 0))]
-            same = np.all(keys[by_hash] == keys[first], axis=1)
-            reps[rows[by_hash]] = np.where(same, rows[first], rows[by_hash])
-        return reps
+    def _horner(self, zs: np.ndarray, blocks: np.ndarray) -> np.ndarray:
+        """The polynomials of ``blocks`` (block indices, in their order) at every point of zs.
 
-    def _horner(self, zs: np.ndarray, rows) -> np.ndarray:
-        """P_n(z) for ``rows`` (a slice or an index array, in its order) and every point of zs.
-
-        Each row runs Horner's rule in the operation order of
+        Each block runs Horner's rule in the operation order of
         ``Polynomial1D.__call__`` (numpy's polyval), so every value is
-        bit-identical to it.  Rows are sorted by coefficient count and a row
-        joins the batch update when its own leading coefficient is reached.
+        bit-identical to it.  Blocks are sorted by coefficient count and a
+        block joins the batch update when its own leading coefficient is reached.
         """
-        order = np.argsort(-self.counts[rows], kind="stable")
-        counts, offsets = self.counts[rows][order], self.offsets[rows][order]
-        joined = np.searchsorted(-counts, -np.arange(counts[0]))  # rows with count > i
+        order = np.argsort(-self.counts[blocks], kind="stable")
+        counts, offsets = self.counts[blocks][order], self.offsets[blocks][order]
+        joined = np.searchsorted(-counts, -np.arange(counts[0]))  # blocks with count > i
         # numpy rounds a complex product differently in its loops for a
         # broadcast operand and for an in-place one-element product, so each
         # product takes two same-shape operands and a separate output, as
@@ -202,34 +186,35 @@ class PolynomialSequence:
     def norm_peaks(self, zs, lo: int, hi: int) -> np.ndarray:
         """Array whose entry (j - lo, z) is max over ||n|| = j of |P_n(z)|, lo <= j <= hi.
 
-        Rows are evaluated in chunks of about ``_CHUNK_CELLS`` values, each
-        reduced to per-norm peaks before the next; a chunk evaluates each of
-        its distinct rows once.  NaN values propagate into their norm's peak.
+        The distinct (norm, block) pairs of those rows are evaluated in
+        chunks of about ``_CHUNK_CELLS`` values, each reduced to per-norm
+        peaks before the next; a chunk evaluates each of its blocks once.
+        NaN values propagate into their norm's peak.
         """
         zs = np.asarray(zs, dtype=np.complex128)
         peaks = np.full((hi - lo + 1, len(zs)), -np.inf)
-        start, stop = self.starts[lo], self.starts[hi + 1]
+        rows = slice(self.starts[lo], self.starts[hi + 1])
+        width = len(self.counts)
+        norms, blocks = np.divmod(np.unique(self.norms[rows] * width + self.blocks[rows]), width)
         step = max(1, _CHUNK_CELLS // max(1, len(zs)))
-        for a in range(start, stop, step):
-            b = min(a + step, stop)
-            distinct, inverse = np.unique(self._representatives[a:b], return_inverse=True)
+        for a in range(0, len(norms), step):
+            chunk = norms[a:a + step]
+            distinct, inverse = np.unique(blocks[a:a + step], return_inverse=True)
             vals = np.abs(self._horner(zs, distinct))[inverse]
-            first, last = self.norms[a], self.norms[b - 1]
-            segments = np.maximum(self.starts[first:last + 1], a) - a
-            block = peaks[first - lo:last - lo + 1]
-            np.maximum(block, np.maximum.reduceat(vals, segments, axis=0), out=block)
+            segments = np.flatnonzero(np.r_[True, chunk[1:] != chunk[:-1]])
+            dest = peaks[chunk[0] - lo:chunk[-1] - lo + 1]
+            np.maximum(dest, np.maximum.reduceat(vals, segments, axis=0), out=dest)
         return peaks
 
 
 def _family(k: int, max_norm: int, count, lead) -> PolynomialSequence:
-    """Each index of norm j gets count(j) coefficients: zeros, then lead(j)."""
+    """Each index of norm j is block j: count(j) coefficients, zeros, then lead(j)."""
     entries = _index_rows(k, max_norm)
-    norms = entries.sum(axis=1)
-    counts = np.array([count(j) for j in range(max_norm + 1)], dtype=np.int64)[norms]
-    leads = np.array([lead(j) for j in range(max_norm + 1)], dtype=np.complex128)
+    counts = np.array([count(j) for j in range(max_norm + 1)], dtype=np.int64)
     coeffs = np.zeros(counts.sum(), dtype=np.complex128)
-    coeffs[np.cumsum(counts) - 1] = leads[norms]
-    return PolynomialSequence(entries, counts, coeffs)
+    coeffs[np.cumsum(counts) - 1] = np.array([lead(j) for j in range(max_norm + 1)],
+                                             dtype=np.complex128)
+    return PolynomialSequence(entries, entries.sum(axis=1), counts, coeffs)
 
 
 def geometric_sequence(lam: complex, max_norm: int, k: int = 1) -> PolynomialSequence:
@@ -270,9 +255,14 @@ def _table(items, max_norm: int, k: int, declared_C0: float | None = None,
         seen.add(r)
         if r < len(polys):   # norm <= max_norm
             polys[r] = coefficients or (0j,)
-    counts = np.array([len(c) for c in polys], dtype=np.int64)
-    coeffs = np.array([c for cs in polys for c in cs], dtype=np.complex128)
-    return PolynomialSequence(entries, counts, coeffs, declared_C0, declared_C1)
+    data = np.array([c for cs in polys for c in cs], dtype=np.complex128).tobytes()
+    ends, firsts = list(itertools.accumulate(16 * len(c) for c in polys)), {}
+    # rows with equal coefficient bytes (so -0.0 != 0.0) share a block, in first-seen order
+    blocks = np.array([firsts.setdefault(data[a:e], len(firsts))
+                       for a, e in zip([0] + ends, ends)], dtype=np.int64)
+    counts = np.array([len(b) // 16 for b in firsts], dtype=np.int64)
+    coeffs = np.frombuffer(b"".join(firsts), np.complex128)
+    return PolynomialSequence(entries, blocks, counts, coeffs, declared_C0, declared_C1)
 
 
 def table_sequence(entries: dict, max_norm: int, k: int = 1,
@@ -464,8 +454,7 @@ class ExtensionCertificate:
 
     def green(self) -> GreenEvaluator:
         if self._green is None:
-            self._green = green_function(self.witness, "auto",
-                                         **_green_resolution(self.thresholds))
+            self._green = green_function(self.witness, **_green_resolution(self.thresholds))
         return self._green
 
     @property
@@ -701,8 +690,8 @@ def evaluate(cert: ExtensionCertificate, seq: PolynomialSequence, z1, z2: comple
                          f"got {z1!r}, {z2!r}, {tol!r}")
     r1 = max(map(abs, coords))
     if r1 == 0.0:
-        return EvaluationResult(value=complex(seq._horner(np.array([z2]), slice(0, 1))[0, 0]),
-                                tail_bound=0.0, terms_used=0)
+        value = seq._horner(np.array([z2]), seq.blocks[:1])[0, 0]
+        return EvaluationResult(value=complex(value), tail_bound=0.0, terms_used=0)
 
     g = float(cert.green()(z2))
     q = cert.rho1 * math.exp(cert.tail_slope * g) * r1
@@ -729,7 +718,7 @@ def evaluate(cert: ExtensionCertificate, seq: PolynomialSequence, z1, z2: comple
 
     stop = seq.starts[n_used + 1]
     value = 0j
-    for term, entries in zip(seq._horner(np.array([z2]), slice(0, stop))[:, 0].tolist(),
+    for term, entries in zip(seq._horner(np.array([z2]), seq.blocks[:stop])[:, 0].tolist(),
                              seq.entries[:stop].tolist()):
         value += term * _z1_power(coords, entries)
     return EvaluationResult(value=value, tail_bound=tail_at(n_used), terms_used=n_used)

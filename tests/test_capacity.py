@@ -15,6 +15,7 @@ from holocap.capacity import (
     _log_vdm,
     capacity,
     capacity_of_cloud,
+    fekete_green,
     fekete_points,
     green_from_selection,
     green_function,
@@ -216,7 +217,7 @@ def test_green_segment_joukowski_value():
 
 
 def test_green_fekete_matches_analytic_on_disk():
-    g_fek = green_function(Disk(0, 1), method="fekete")
+    g_fek = fekete_green(Disk(0, 1), capacity(Disk(0, 1), FEKETE_N))
     zs = 2.0 * np.exp(1j * np.linspace(0, 2 * np.pi, 100, endpoint=False))
     err = np.max(np.abs(g_fek(zs) - np.log(np.abs(zs))))
     assert err <= 0.02
@@ -238,7 +239,7 @@ def test_green_polar_set_raises():
 def test_green_asymptotics_match_robin(method):
     """g(z) - log|z| approaches the evaluator's own Robin constant."""
     for s in (Disk(0, 1), Segment(-1, 1)):
-        g = green_function(s, method=method)
+        g = green_function(s) if method == "analytic" else fekete_green(s, capacity(s, FEKETE_N))
         for r in (1e3, 1e4):
             z = r * np.exp(0.37j)
             assert abs(float(g(z)) - math.log(r) - g.robin_constant) < 1e-3
@@ -317,7 +318,7 @@ def _big_cloud() -> PointCloud:
     (UnionSet((Segment(-2, -1), Disk(1, 0.5))), 32),
 ], ids=["duplicated_circle", "cloud_beyond_candidates", "union"])
 def test_green_from_selection_reproduces_the_solve(set_, n):
-    green = green_function(set_, "fekete", n=n)
+    green = green_function(set_, n=n)
     back = green_from_selection(set_, green.selection.tolist(), green.clamp_magnitude, n=n)
     assert np.array_equal(back.points, green.points)
     assert np.array_equal(back.selection, green.selection)

@@ -1,5 +1,6 @@
 import cmath
 import hashlib
+import itertools
 import json
 import math
 import re
@@ -31,6 +32,7 @@ from holocap.extension import (
     PolynomialSequence,
     RadiusProfile,
     _index_rows,
+    _row,
     _tail_slope,
     certificate_from_json,
     certificate_to_json,
@@ -758,11 +760,12 @@ def test_norm_peaks_memory_is_bounded():
 
 
 def test_norm_peaks_memory_is_bounded_on_distinct_rows():
-    # 12,341 distinct rows of degree = norm: the row map and the chunks stay small
+    # 12,341 distinct rows of degree = norm, one block each: the chunks stay small
     rng = np.random.default_rng(40)
     entries = _index_rows(3, 40)
     counts = entries.sum(axis=1) + 1
-    seq = PolynomialSequence(entries, counts, rng.normal(size=(counts.sum(), 2)) @ [1, 1j])
+    seq = PolynomialSequence(entries, np.arange(len(counts)), counts,
+                             rng.normal(size=(counts.sum(), 2)) @ [1, 1j])
     zs = 1.3 * np.exp(2j * np.pi * np.arange(400) / 400)
     tracemalloc.start()
     try:
@@ -770,36 +773,57 @@ def test_norm_peaks_memory_is_bounded_on_distinct_rows():
         _, peak_bytes = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert len(np.unique(seq._representatives)) == len(counts)
     assert peaks.shape == (41, 400)
     assert peak_bytes < 4e6
 
 
 def test_norm_peaks_evaluates_each_distinct_row_once_per_chunk(monkeypatch):
-    seq = geometric_sequence(0.9 + 0.2j, 40, k=3)   # 12,341 rows, 41 distinct
-    assert evaluate(_analytic_circle_cert(), seq, (0.1, 0.1, 0.1), 0.5, 1e-3).terms_used > 0
-    assert "_representatives" not in vars(seq)   # built on the first norm_peaks call only
-    horner, rows = PolynomialSequence._horner, []
+    seq = geometric_sequence(0.9 + 0.2j, 40, k=3)   # 12,341 rows, 41 blocks
+    horner, blocks = PolynomialSequence._horner, []
 
     def counted(self, zs, which):
         out = horner(self, zs, which)
-        rows.append(len(out))
+        blocks.append(len(out))
         return out
 
     monkeypatch.setattr(PolynomialSequence, "_horner", counted)
     seq.norm_peaks(1.3 * np.exp(2j * np.pi * np.arange(400) / 400), 0, 40)
-    assert len(np.unique(seq._representatives)) == 41
-    # 153 chunks of up to 81 rows; each evaluates one row per norm it touches
-    assert (len(rows), sum(rows)) == (153, 193)
-    assert sum(rows) < 0.05 * len(seq.counts)
+    # 41 (norm, block) pairs fit one chunk of up to 81; each block is evaluated once
+    assert (len(blocks), sum(blocks)) == (1, 41)
+    assert sum(blocks) < 0.05 * len(seq.blocks)
 
 
-def test_representatives_are_byte_exact():
+def test_table_blocks_are_byte_exact():
     zero, signed = Polynomial1D((1j, 0j)), Polynomial1D((1j, complex(-0.0, 0.0)))
     nan = Polynomial1D((complex(math.nan, 0.0),))
     seq = table_sequence({(0,): zero, (1,): signed, (2,): zero, (3,): nan, (4,): nan,
                           (5,): signed}, 6)
-    assert seq._representatives.tolist() == [0, 1, 0, 3, 3, 1, 6]
+    assert seq.blocks.tolist() == [0, 1, 0, 2, 2, 1, 3]
+
+
+def test_table_missing_indices_share_one_zero_block():
+    seq = table_sequence({(0, 0): Polynomial1D((2j,)), (1, 1): Polynomial1D((1, 3)),
+                          (0, 3): Polynomial1D(())}, 3, k=2)
+    given = [_row((0, 0)), _row((1, 1))]
+    zero = np.setdiff1d(np.arange(len(seq.blocks)), given)   # (0, 3) is empty: zero too
+    assert len(zero) == 8 and len(np.unique(seq.blocks[zero])) == 1
+    assert _row_coeffs(seq, zero[0]).tobytes() == np.zeros(1, np.complex128).tobytes()
+    assert len(seq.counts) == 3 and len(np.unique(seq.blocks[given])) == 2
+
+
+@pytest.mark.parametrize("k, max_norm", [(1, 12), (3, 6)])
+def test_constant_sequence_values_match_per_row_polyval(k, max_norm):
+    # one block per norm, every block holding the same value
+    value = 1.5 - 0.5j
+    seq = constant_sequence(value, max_norm, k)
+    zs = np.asarray(CIRCLE[::7]) * 1.7
+    expect = np.tile(np.abs(np.polynomial.polynomial.polyval(zs, np.array([value]))),
+                     (max_norm + 1, 1))
+    assert seq.norm_peaks(zs, 0, max_norm).tobytes() == expect.tobytes()
+    cert = _disk_cert(1.2, 2.0, 0.0, 0.0, 0, 1.0)
+    for z1 in ((0.0,) * k, (0.3,) * k, tuple(0.1j * (i + 1) for i in range(k))):
+        args = (cert, seq, z1, 0.4 - 0.9j, 1e-9)
+        assert _outcome(evaluate, *args) == _outcome(_ref_evaluate, *args)
 
 
 def _twins(coeffs):
@@ -838,11 +862,9 @@ def test_norm_peaks_of_repeated_rows_bit_identical_to_polyval(seq, points, chunk
         assert np.array_equal(np.isnan(peaks[j - lo]), nan)
         assert peaks[j - lo][~nan].tobytes() == expect[~nan].tobytes()
 
-    def row_bytes(r):
-        return seq.coeffs[seq.offsets[r]:seq.offsets[r] + seq.counts[r]].tobytes()
-
-    for r, rep in enumerate(seq._representatives.tolist()):
-        assert rep <= r and row_bytes(rep) == row_bytes(r)
+    row_bytes = [_row_coeffs(seq, r).tobytes() for r in range(len(seq.blocks))]
+    for r, q in itertools.combinations(range(len(row_bytes)), 2):
+        assert (seq.blocks[r] == seq.blocks[q]) == (row_bytes[r] == row_bytes[q])
 
 
 def _shifted_geometric(lam: float, center: complex, max_norm: int):
@@ -955,23 +977,31 @@ def _ref_sqrt_degree():
 def _ref_arrays(provider, k, max_norm):
     indices = [MultiIndex(e) for j in range(max_norm + 1) for e in _ref_compositions(j, k)]
     polys = [provider(idx) for idx in indices]
-    coefficients = [p.coefficients or (0j,) for p in polys]
     entries = np.array([idx.entries for idx in indices], dtype=np.int64).reshape(-1, k)
     norms = entries.sum(axis=1)
-    counts = np.array([len(c) for c in coefficients], dtype=np.int64)
     return {"entries": entries, "norms": norms,
             "degrees": np.array([p.degree for p in polys], dtype=np.float64),
-            "counts": counts, "offsets": np.cumsum(counts) - counts,
-            "coeffs": np.array([c for cs in coefficients for c in cs], dtype=np.complex128),
-            "starts": np.searchsorted(norms, np.arange(max_norm + 2))}
+            "starts": np.searchsorted(norms, np.arange(max_norm + 2)),
+            "rows": [np.array(p.coefficients or (0j,), dtype=np.complex128) for p in polys]}
+
+
+def _row_coeffs(seq, r):
+    """Row r's coefficients, read through its block."""
+    b = seq.blocks[r]
+    return seq.coeffs[seq.offsets[b]:seq.offsets[b] + seq.counts[b]]
 
 
 def _assert_arrays_equal(seq, ref):
     assert (seq.k, seq.max_norm) == (ref["entries"].shape[1], len(ref["starts"]) - 2)
-    for name, want in ref.items():
-        got = getattr(seq, name)
+    for name in ("entries", "norms", "degrees", "starts"):
+        got, want = getattr(seq, name), ref[name]
         assert (got.dtype, got.shape) == (want.dtype, want.shape), name
         assert got.tobytes() == want.tobytes(), name
+    assert seq.blocks.shape == (len(ref["rows"]),)
+    for r, want in enumerate(ref["rows"]):
+        got = _row_coeffs(seq, r)
+        assert (got.dtype, got.shape) == (want.dtype, want.shape), r
+        assert got.tobytes() == want.tobytes(), r
 
 
 _FAMILIES = [(geometric_sequence, (1.0,), _ref_geometric(1.0)),
@@ -991,6 +1021,19 @@ _FAMILIES = [(geometric_sequence, (1.0,), _ref_geometric(1.0)),
 def test_builtin_family_arrays_match_reference(family, k, max_norm):
     build, args, provider = family
     _assert_arrays_equal(build(*args, max_norm, k), _ref_arrays(provider, k, max_norm))
+
+
+@pytest.mark.parametrize("family", _FAMILIES,
+                         ids=lambda f: f"{f[0].__name__[:-9]}{f[1]}".replace(" ", ""))
+@pytest.mark.parametrize("k, max_norm", [(1, 30), (3, 7)])
+def test_builtin_family_stores_one_block_per_norm(family, k, max_norm):
+    build, args, provider = family
+    seq = build(*args, max_norm, k)
+    per_norm = [len(provider(MultiIndex((j,) + (0,) * (k - 1))).coefficients)
+                for j in range(max_norm + 1)]
+    assert len(seq.counts) == max_norm + 1 and seq.counts.tolist() == per_norm
+    assert len(seq.coeffs) == sum(per_norm)
+    assert seq.blocks.tolist() == seq.norms.tolist()
 
 
 @st.composite
