@@ -27,9 +27,11 @@ fiber that is a finite point set, or a curve the scan grid misses, is polar
 at sampled scale.
 
 Resolutions are fixed: a scanned fiber is a ``FIBER_RESOLUTION`` (64) square
-grid screened by a greedy capacity of ``FIBER_CAPACITY_POINTS`` (32) points, a
-scanned final set a ``PROJECTED_RESOLUTION`` (32) square grid, and capacities
-run at the working resolution of :mod:`holocap.capacity`.
+grid screened by a greedy capacity of ``FIBER_CAPACITY_POINTS`` (32) points,
+and a scanned final set a ``PROJECTED_RESOLUTION`` (32) square grid.  A final
+set in C^1 that is a disk or a segment takes its capacity in closed form (its
+radius, or its length over 4); unions, point clouds and scanned sets take the
+estimate at the working resolution of :mod:`holocap.capacity` (128 points).
 """
 
 from __future__ import annotations
@@ -258,7 +260,12 @@ def _project_ellipsoid(pred: SetPredicate, eps_cap: float) -> SetPredicate:
 
 
 def _factor_capacity(shape: CompactSet, eps_cap: float) -> float:
-    """Capacity of a factor: r for a disk, |b - a|/4 for a segment, else the estimate."""
+    """Capacity of a 1-D shape: r for a disk, |b - a|/4 for a segment, else the estimate.
+
+    The closed forms are exact (Ransford 1995, ch. 5).  Unions and point
+    clouds take the ``FEKETE_N``-point estimate of :func:`capacity.capacity`.
+    Both the fiber decisions and ``gamma_cap``'s final value read it.
+    """
     if isinstance(shape, Disk):
         return shape.radius
     if isinstance(shape, Segment):
@@ -511,9 +518,11 @@ def gamma_cap(pred: SetPredicate, unitary_count: int = 1, seed: int = 0,
     drawn from per-index generators split off ``seed``, so results do not
     depend on evaluation order.  ``value`` is the max over the sample, a
     lower bound for the supremum over all unitaries.  At dimension 1 this
-    degenerates to the plain 1-D capacity estimate.  Scans use the fixed grids
-    of the module docstring; the final capacity uses 128 points on 4,096
-    candidates (``capacity.FEKETE_N``, ``capacity.CANDIDATES``).
+    degenerates to the 1-D capacity of the set.  Scans use the fixed grids
+    of the module docstring.  A final set that is a disk or a segment takes
+    its closed form (:func:`_factor_capacity`); a union, a point cloud or a
+    scanned set takes the estimate at 128 points on 4,096 candidates
+    (``capacity.FEKETE_N``, ``capacity.CANDIDATES``).
     """
     if unitary_count < 1:
         raise ValueError("unitary_count must be >= 1")
@@ -533,7 +542,7 @@ def gamma_cap(pred: SetPredicate, unitary_count: int = 1, seed: int = 0,
         p = _project_to_m1(pred, u.matrix, eps_cap)
         shape = _shape_1d(p)
         if shape is not None:
-            value = capacity(shape, n=FEKETE_N, eps_cap=eps_cap).value
+            value = _factor_capacity(shape, eps_cap)
         else:
             value = capacity_of_cloud(_final_cloud(p), eps_cap=eps_cap).value
         per.append((u.seed, value))

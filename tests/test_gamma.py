@@ -1,3 +1,4 @@
+import math
 import time
 
 import numpy as np
@@ -18,7 +19,7 @@ from holocap.gamma import (
     reduce_to_m1,
     transform_unitary,
 )
-from holocap.capacity import capacity_of_cloud
+from holocap.capacity import EPS_CAP, FEKETE_N, capacity, capacity_of_cloud
 from holocap.sets import Disk, PointCloud, Segment, UnionSet, contains, discretize
 
 BIDISK = product_predicate([Disk(0, 1), Disk(0, 1)])
@@ -63,7 +64,7 @@ def test_generic_projection_via_grid_scan():
 
 def test_gamma_cap_bidisk_identity():
     res = gamma_cap(BIDISK, unitary_count=1, seed=0)
-    assert 0.9 <= res.value <= 1.1
+    assert res.value == 1.0
     assert res.per_unitary[0][0] == 0
     assert np.array_equal(res.best_unitary.matrix, np.eye(2))
 
@@ -75,14 +76,14 @@ def test_gamma_cap_line_is_polar():
 
 def test_gamma_cap_m1_segment():
     res = gamma_cap(predicate_from_set(Segment(-1, 1)), unitary_count=1, seed=0)
-    assert 0.45 <= res.value <= 0.55
+    assert res.value == 0.5
 
 
 def test_gamma_cap_rotation_invariance_m1():
     a = gamma_cap(predicate_from_set(Segment(-1, 1)), unitary_count=4, seed=3)
     rot = np.exp(0.7j)
     b = gamma_cap(predicate_from_set(Segment(-rot, rot)), unitary_count=4, seed=3)
-    assert b.value == pytest.approx(a.value, rel=0.05)
+    assert b.value == pytest.approx(a.value, rel=1e-15)
 
 
 def test_gamma_cap_monotone_in_set():
@@ -198,11 +199,44 @@ def test_linear_image_of_ball_matches_shadow(m, seed):
 
 
 def test_ball_value_is_radius_under_every_unitary():
-    # a ball is unitarily invariant: every shadow is a disk of its radius
+    # a ball is unitarily invariant: every shadow is a disk of its radius, and
+    # each of the m - 1 projections keeps the fibers of radius above eps_cap,
+    # which erodes the radius to sqrt(r^2 - (m - 1) eps_cap^2)
     for m, r in ((2, 0.7), (3, 1.6)):
         res = gamma_cap(ball_predicate([0.3 - 0.2j] * m, r), unitary_count=5, seed=8)
         for _, value in res.per_unitary:
-            assert value == pytest.approx(r, rel=1e-6)
+            assert value == pytest.approx(math.sqrt(r * r - (m - 1) * EPS_CAP ** 2), rel=1e-14)
+
+
+def _no_solve_on_disks_or_segments(monkeypatch):
+    def estimator(shape, *args, **kwargs):
+        if isinstance(shape, (Disk, Segment)):
+            raise AssertionError(f"capacity estimate of {shape}")
+        return capacity(shape, *args, **kwargs)
+
+    monkeypatch.setattr("holocap.gamma.capacity", estimator)
+
+
+def test_final_disk_or_segment_takes_its_closed_form(monkeypatch):
+    # a final disk or segment is never solved for: its value is r or length/4
+    _no_solve_on_disks_or_segments(monkeypatch)
+    r = 0.7
+    ball = ball_predicate([0.3 - 0.2j, 0.1j], r)
+    for pred in (ball, linear_image(_haar(5), ball)):
+        res = gamma_cap(pred, unitary_count=3, seed=4)
+        for _, value in res.per_unitary:
+            assert value == pytest.approx(math.sqrt(r * r - EPS_CAP ** 2), rel=1e-14)
+    assert gamma_cap(product_predicate([Disk(0.2, 0.7), Disk(1j, 1.3)])).value == 0.7
+    assert gamma_cap(product_predicate([Segment(-1, 1), Disk(0, 1)])).value == 0.5
+    assert gamma_cap(predicate_from_set(Segment(-1, 1))).value == 0.5
+
+
+def test_final_union_still_takes_the_estimate(monkeypatch):
+    # a union has no closed form: its value is the 128-point estimate
+    _no_solve_on_disks_or_segments(monkeypatch)
+    union = UnionSet((Segment(-2, -1), Segment(1, 2)))
+    res = gamma_cap(product_predicate([union, Disk(0, 1)]))
+    assert res.value == capacity(union, FEKETE_N).value
 
 
 def test_c3_unit_ball_at_default_grid():
