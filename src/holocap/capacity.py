@@ -22,6 +22,7 @@ lowest index, reductions run in a fixed order.
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 from dataclasses import dataclass, field
@@ -45,6 +46,9 @@ CANDIDATES = 4096
 _EXCHANGE_TOL = 1e-12
 _MAX_SWEEPS = 30
 
+#: point x node pairs a discrete Green potential evaluates at once (~6 MB of temporaries)
+_GREEN_CHUNK_CELLS = 1 << 18
+
 
 @dataclass(frozen=True)
 class FeketeResult:
@@ -52,7 +56,10 @@ class FeketeResult:
 
     points: np.ndarray                 # selected points, complex128
     log_vdm: float                     # sum over pairs of log distances
-    diameter_sequence: tuple           # ((k, d_k), ...) at refined checkpoints
+    # ((k, d_k), ...) at the refined sizes: the doubling schedule for
+    # fekete_points, capacity and capacity_of_cloud, n alone for the solve
+    # behind a Green function or Robin constant
+    diameter_sequence: tuple
     degenerate: bool = False           # fewer distinct candidates than requested
     # positions of ``points`` in the candidate array the solve ran over
     selection: np.ndarray | None = field(default=None, repr=False, compare=False)
@@ -177,11 +184,22 @@ def fekete_points(set_: CompactSet, n: int, candidates: int = CANDIDATES) -> Fek
     """
     if candidates < n and not isinstance(set_, PointCloud):
         raise ValueError(f"candidates ({candidates}) must be >= n ({n})")
-    return _fekete_over(_candidates(set_, n, candidates), n)
+    return _fekete_over(_candidates(set_, n, candidates), n, _checkpoints(n))
 
 
-def _fekete_over(cand: np.ndarray, n: int) -> FeketeResult:
-    """Near-Fekete selection of ``n`` points among distinct candidates."""
+def _final_size(n: int) -> tuple:
+    """The one size a solve that reads only its result refines."""
+    return (n,)
+
+
+def _fekete_over(cand: np.ndarray, n: int, checkpoints: Sequence[int]) -> FeketeResult:
+    """Near-Fekete selection of ``n`` points among distinct candidates.
+
+    Each size in ``checkpoints`` (increasing, the last one ``n``) is refined
+    by exchange from the greedy prefix of that size, independently of the
+    others, and the diameter sequence lists exactly these sizes; the size-n
+    refinement is the result.
+    """
     if n < 2:
         raise ValueError(f"fekete_points needs n >= 2, got {n}")
     if len(cand) < n:
@@ -189,7 +207,7 @@ def _fekete_over(cand: np.ndarray, n: int) -> FeketeResult:
 
     sel, _ = _greedy_leja(cand, n)
     seq = []
-    for k in _checkpoints(n):   # the last checkpoint is k = n: the result
+    for k in checkpoints:
         sel_k = _exchange_refine(cand, sel[:k].copy())
         lv_k = _log_vdm(cand[sel_k])
         seq.append((k, math.exp(2.0 * lv_k / (k * (k - 1)))))
@@ -218,12 +236,42 @@ def capacity(set_: CompactSet, n: int, candidates: int = CANDIDATES,
     :class:`PointCloud` goes to :func:`capacity_of_cloud`: its distinct
     points are the candidates and ``candidates`` does not apply.
     """
+    return _estimate(set_, n, candidates, eps_cap, capacity_of_cloud, fekete_points)
+
+
+def _estimate(set_: CompactSet, n: int, candidates: int, eps_cap: float,
+              of_cloud, of_shape) -> CapacityEstimate:
+    """The rules of every capacity solve of a set, in one place.
+
+    ``n`` must be at least ``MIN_POINTS``; a :class:`PointCloud` goes to
+    ``of_cloud(points, n, eps_cap)`` and any other set to
+    ``of_shape(set_, n, max(candidates, n))``.  :func:`capacity` passes
+    :func:`capacity_of_cloud` and :func:`fekete_points`, which refine the
+    whole doubling schedule, by their public names, so that a profiler
+    wrapping those names sees its solves; :func:`_final_estimate` passes
+    solves over the same candidates that refine the final size alone.
+    """
     if n < MIN_POINTS:
         raise ValueError(f"capacity needs n >= {MIN_POINTS}, got {n}")
     if isinstance(set_, PointCloud):
-        return capacity_of_cloud(set_.points, n=n, eps_cap=eps_cap)
-    fek = fekete_points(set_, n, candidates=max(candidates, n))
-    return _estimate_from_fekete(fek, eps_cap)
+        return of_cloud(set_.points, n, eps_cap)
+    return _estimate_from_fekete(of_shape(set_, n, max(candidates, n)), eps_cap)
+
+
+def _final_estimate(set_: CompactSet, n: int, candidates: int,
+                    eps_cap: float) -> CapacityEstimate:
+    """:func:`capacity`'s estimate with only its final size refined.
+
+    Selection, points, d_n, value and Robin constant are those of
+    :func:`capacity` bit for bit; the diameter sequence holds d_n alone, so
+    ``error_indicator`` reads 0 and the estimate never leaves this module:
+    the Green function and Robin constant read only what it shares with
+    :func:`capacity`'s.
+    """
+    return _estimate(set_, n, candidates, eps_cap,
+                     functools.partial(_cloud_estimate, checkpoints=_final_size),
+                     lambda shape, size, count: _fekete_over(
+                         _candidates(shape, size, count), size, _final_size(size)))
 
 
 def capacity_of_cloud(points: Sequence[complex] | np.ndarray, n: int = FEKETE_N,
@@ -234,10 +282,16 @@ def capacity_of_cloud(points: Sequence[complex] | np.ndarray, n: int = FEKETE_N,
     with fewer than ``MIN_POINTS`` distinct points are polar at sampled
     scale: value 0, Robin constant +inf.
     """
+    return _cloud_estimate(points, n, eps_cap, _checkpoints)
+
+
+def _cloud_estimate(points, n: int, eps_cap: float, checkpoints) -> CapacityEstimate:
+    """:func:`capacity_of_cloud`, refining the sizes ``checkpoints(min(n, size))``."""
     pts = _distinct(np.asarray(points, dtype=np.complex128))
     if len(pts) < MIN_POINTS:
         return _estimate_from_fekete(_degenerate_fekete(pts), eps_cap)
-    return _estimate_from_fekete(_fekete_over(pts, min(n, len(pts))), eps_cap)
+    size = min(n, len(pts))
+    return _estimate_from_fekete(_fekete_over(pts, size, checkpoints(size)), eps_cap)
 
 
 def quick_cloud_capacity(points: np.ndarray, n: int) -> float:
@@ -306,11 +360,12 @@ class GreenEvaluator:
             w = (2.0 * z - (s.a + s.b)) / (s.b - s.a)
             surd = np.sqrt(w - 1.0) * np.sqrt(w + 1.0)
             return np.log(np.abs(w + surd))
-        # discrete equilibrium potential of the near-Fekete points
+        # discrete equilibrium potential of the near-Fekete points; each
+        # point's mean is its own row's, so chunking leaves every value as is
         pts = self.points
         out = np.empty(z.shape, dtype=np.float64)
         flat = z.reshape(-1)
-        chunk = 65536
+        chunk = max(1, _GREEN_CHUNK_CELLS // len(pts))
         with np.errstate(divide="ignore"):
             for lo in range(0, len(flat), chunk):
                 blk = flat[lo:lo + chunk]
@@ -332,16 +387,20 @@ def green_function(set_: CompactSet, n: int = FEKETE_N, candidates: int = CANDID
     """Green evaluator for the complement of the set.
 
     Disks and segments take their closed forms; any other set takes the
-    Fekete-backed evaluator of its capacity estimate (:func:`fekete_green`).
-    Raises :class:`GreenUndefinedPolarSet` when the capacity estimate is
-    polar: the Green function of the complement of a polar set degenerates.
+    Fekete-backed evaluator (:func:`fekete_green`) of the solve that
+    :func:`capacity` runs, with only its final size n refined: the size-n
+    refinement starts from the same greedy prefix, so the Robin constant,
+    points, selection, clamp and every value equal those of
+    ``fekete_green(set_, capacity(set_, n, candidates, eps_cap))`` bit for
+    bit.  Raises :class:`GreenUndefinedPolarSet` when the capacity estimate
+    is polar: the Green function of the complement of a polar set
+    degenerates.
     """
     if isinstance(set_, Disk):
         return GreenEvaluator("analytic_disk", set_, -math.log(set_.radius))
     if isinstance(set_, Segment):
         return GreenEvaluator("analytic_segment", set_, -math.log(abs(set_.b - set_.a) / 4.0))
-    return fekete_green(set_, capacity(set_, n=n, candidates=candidates, eps_cap=eps_cap),
-                        candidates, eps_cap)
+    return fekete_green(set_, _final_estimate(set_, n, candidates, eps_cap), candidates, eps_cap)
 
 
 def fekete_green(set_: CompactSet, est: CapacityEstimate, candidates: int = CANDIDATES,
@@ -408,8 +467,10 @@ def robin_constant(set_: CompactSet, n: int = FEKETE_N, candidates: int = CANDID
     """Robin constant lim_{|z| -> inf} (g(z) - log|z|) of the complement.
 
     Disks and segments take the closed form of their analytic Green function;
-    otherwise -log of the capacity estimate.  Polar sets get the +inf marker.
+    otherwise -log of the capacity estimate, from a solve that refines only
+    its final size: it equals ``capacity(set_, n, candidates,
+    eps_cap).robin_constant`` bit for bit.  Polar sets get the +inf marker.
     """
     if isinstance(set_, (Disk, Segment)):
         return green_function(set_).robin_constant
-    return capacity(set_, n=n, candidates=candidates, eps_cap=eps_cap).robin_constant
+    return _final_estimate(set_, n, candidates, eps_cap).robin_constant

@@ -1,11 +1,14 @@
 import math
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from holocap.capacity import (
     FEKETE_N,
+    MIN_POINTS,
+    GreenEvaluator,
     _EXCHANGE_TOL,
     _MAX_SWEEPS,
     _checkpoints,
@@ -326,3 +329,93 @@ def test_green_from_selection_reproduces_the_solve(set_, n):
     assert back.clamp_magnitude == green.clamp_magnitude
     grid = np.linspace(-3.0, 3.0, 9)[:, None] + 1j * np.linspace(-3.0, 3.0, 9)[None, :]
     assert np.array_equal(back(grid), green(grid))
+
+
+# the sets of a Green solve: (set, n); the small cloud resolves to its 100 points
+GREEN_SOLVES = {
+    "union": (UnionSet((Segment(-2, -1), Segment(1, 2))), FEKETE_N),
+    "cloud": (PointCloud(tuple(np.random.default_rng(7).normal(size=300)
+                               + 1j * np.random.default_rng(8).normal(size=300))), 64),
+    "duplicated_cloud": (DUPLICATED_CIRCLE, 64),
+    "cloud_below_n": (DUPLICATED_CIRCLE, FEKETE_N),
+}
+
+
+def _exterior(count):
+    rng = np.random.default_rng(19)
+    return (3.0 + 2.0 * rng.random(count)) * np.exp(2j * np.pi * rng.random(count))
+
+
+@pytest.mark.parametrize("name", list(GREEN_SOLVES))
+def test_green_function_refines_only_its_final_size(monkeypatch, name):
+    set_, n = GREEN_SOLVES[name]
+    module = sys.modules["holocap.capacity"]
+    refine, log_vdm, refined, summed = module._exchange_refine, module._log_vdm, [], []
+    monkeypatch.setattr(module, "_exchange_refine",
+                        lambda cand, sel: refined.append(len(sel)) or refine(cand, sel))
+    monkeypatch.setattr(module, "_log_vdm", lambda pts: summed.append(len(pts)) or log_vdm(pts))
+    green = green_function(set_, n=n)
+    size = len(green.points)
+    assert size == (100 if name == "cloud_below_n" else n)
+    assert refined == [size]
+    assert summed == [size]
+
+
+@pytest.mark.parametrize("name", list(GREEN_SOLVES))
+def test_green_function_is_capacity_s_evaluator(name):
+    set_, n = GREEN_SOLVES[name]
+    green, est = green_function(set_, n=n), capacity(set_, n)
+    full = fekete_green(set_, est)
+    assert green.robin_constant == full.robin_constant == est.robin_constant
+    assert np.array_equal(green.points, full.points)
+    assert np.array_equal(green.selection, full.selection)
+    assert green.clamp_magnitude == full.clamp_magnitude
+    zs = _exterior(1000)
+    assert np.array_equal(green(zs), full(zs))
+    assert robin_constant(set_, n=n) == est.robin_constant
+    # capacity keeps the whole doubling schedule, for clouds at their own size
+    assert [k for k, _ in est.fekete.diameter_sequence] == _checkpoints(len(green.points))
+
+
+@pytest.mark.parametrize("set_", [UnionSet((Segment(-2, -1), Segment(1, 2))), CIRCLE_5000],
+                         ids=["union", "cloud"])
+def test_green_and_robin_keep_capacity_s_checks(set_):
+    for fn in (green_function, robin_constant, capacity):
+        with pytest.raises(ValueError, match=f"n >= {MIN_POINTS}"):
+            fn(set_, n=MIN_POINTS - 1)
+
+
+@pytest.mark.parametrize("cloud", [
+    PointCloud(tuple(complex(k) for k in range(MIN_POINTS - 1))),
+    PointCloud(tuple(1e-6 * np.exp(2j * np.pi * np.arange(10) / 10))),
+], ids=["too_few_points", "below_eps_cap"])
+def test_green_of_a_polar_cloud_raises(cloud):
+    with pytest.raises(GreenUndefinedPolarSet):
+        green_function(cloud)
+    assert math.isinf(robin_constant(cloud))
+
+
+def test_green_potential_memory_is_bounded():
+    nodes = np.exp(2j * np.pi * np.arange(256) / 256)
+    green = GreenEvaluator("fekete_potential", Disk(0, 1), 0.0, points=nodes)
+    zs = 2.0 * np.exp(2j * np.pi * np.arange(65536) / 65536)
+    tracemalloc.start()
+    try:
+        green(zs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # 256 x 65,536 complex differences at once would peak near 400 MB
+    assert peak < 16 * 2**20
+
+
+@pytest.mark.parametrize("set_, n", [
+    (UnionSet((Segment(-2, -1), Disk(1, 0.5))), 64),
+    (DUPLICATED_CIRCLE, FEKETE_N),
+], ids=["union", "cloud"])
+def test_green_potential_chunks_leave_values_unchanged(set_, n):
+    green = green_function(set_, n=n)
+    # three chunks and a part, half the points on the set and half off it
+    half = 3 * sys.modules["holocap.capacity"]._GREEN_CHUNK_CELLS // len(green.points) // 2 + 1
+    zs = np.concatenate([discretize(set_, half), _exterior(half)])
+    assert np.array_equal(green(zs), np.array([green(z) for z in zs]))

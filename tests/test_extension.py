@@ -279,9 +279,9 @@ def solves(monkeypatch):
     module = sys.modules["holocap.capacity"]
     solve, solved = module._fekete_over, []
 
-    def counted(cand, n):
+    def counted(cand, n, checkpoints):
         solved.append((hashlib.sha256(cand.tobytes()).hexdigest(), n))
-        return solve(cand, n)
+        return solve(cand, n, checkpoints)
 
     monkeypatch.setattr(module, "_fekete_over", counted)
     return solved
