@@ -12,9 +12,13 @@ first-order excess (exact for circles, where optimal points are rotated roots
 of unity and d_n = r * n^{1/(n-1)}).  The reported capacity divides that
 excess out; the raw d_n sequence is kept alongside.
 
-"Polar" is operationalized as a capacity estimate below ``EPS_CAP`` at the
-working resolution; a set that cannot furnish even ``MIN_POINTS`` distinct
-points is polar at sampled scale (finite sets have capacity zero).
+Every capacity solve (of :func:`capacity`, :func:`capacity_of_cloud`,
+:func:`green_function` and :func:`robin_constant`) keeps one rule: n is at
+least ``MIN_POINTS``; a shape is solved at n over ``max(candidates, n)``
+discretization points; a cloud at min(n, distinct count) over its distinct
+points, and below ``MIN_POINTS`` distinct points it is polar at sampled scale
+(finite sets have capacity zero).  Otherwise "polar" is an estimate below
+``EPS_CAP``.
 
 All operations are pure and deterministic: ties in argmax resolve to the
 lowest index, reductions run in a fixed order.
@@ -22,7 +26,6 @@ lowest index, reductions run in a fixed order.
 
 from __future__ import annotations
 
-import functools
 import math
 import numbers
 from dataclasses import dataclass, field
@@ -56,9 +59,7 @@ class FeketeResult:
 
     points: np.ndarray                 # selected points, complex128
     log_vdm: float                     # sum over pairs of log distances
-    # ((k, d_k), ...) at the refined sizes: the doubling schedule for
-    # fekete_points, capacity and capacity_of_cloud, n alone for the solve
-    # behind a Green function or Robin constant
+    # ((k, d_k), ...) at the refined sizes: a doubling schedule, or the final one
     diameter_sequence: tuple
     degenerate: bool = False           # fewer distinct candidates than requested
     # positions of ``points`` in the candidate array the solve ran over
@@ -187,11 +188,6 @@ def fekete_points(set_: CompactSet, n: int, candidates: int = CANDIDATES) -> Fek
     return _fekete_over(_candidates(set_, n, candidates), n, _checkpoints(n))
 
 
-def _final_size(n: int) -> tuple:
-    """The one size a solve that reads only its result refines."""
-    return (n,)
-
-
 def _fekete_over(cand: np.ndarray, n: int, checkpoints: Sequence[int]) -> FeketeResult:
     """Near-Fekete selection of ``n`` points among distinct candidates.
 
@@ -232,46 +228,14 @@ def capacity(set_: CompactSet, n: int, candidates: int = CANDIDATES,
              eps_cap: float = EPS_CAP) -> CapacityEstimate:
     """Logarithmic capacity estimate via the n-point transfinite diameter.
 
-    Continuous shapes are discretized with ``candidates`` points.  A
-    :class:`PointCloud` goes to :func:`capacity_of_cloud`: its distinct
-    points are the candidates and ``candidates`` does not apply.
+    Continuous shapes are discretized with ``candidates`` points and solved
+    by :func:`fekete_points`.  A :class:`PointCloud` goes to
+    :func:`capacity_of_cloud`: its distinct points are the candidates and
+    ``candidates`` does not apply.
     """
-    return _estimate(set_, n, candidates, eps_cap, capacity_of_cloud, fekete_points)
-
-
-def _estimate(set_: CompactSet, n: int, candidates: int, eps_cap: float,
-              of_cloud, of_shape) -> CapacityEstimate:
-    """The rules of every capacity solve of a set, in one place.
-
-    ``n`` must be at least ``MIN_POINTS``; a :class:`PointCloud` goes to
-    ``of_cloud(points, n, eps_cap)`` and any other set to
-    ``of_shape(set_, n, max(candidates, n))``.  :func:`capacity` passes
-    :func:`capacity_of_cloud` and :func:`fekete_points`, which refine the
-    whole doubling schedule, by their public names, so that a profiler
-    wrapping those names sees its solves; :func:`_final_estimate` passes
-    solves over the same candidates that refine the final size alone.
-    """
-    if n < MIN_POINTS:
-        raise ValueError(f"capacity needs n >= {MIN_POINTS}, got {n}")
     if isinstance(set_, PointCloud):
-        return of_cloud(set_.points, n, eps_cap)
-    return _estimate_from_fekete(of_shape(set_, n, max(candidates, n)), eps_cap)
-
-
-def _final_estimate(set_: CompactSet, n: int, candidates: int,
-                    eps_cap: float) -> CapacityEstimate:
-    """:func:`capacity`'s estimate with only its final size refined.
-
-    Selection, points, d_n, value and Robin constant are those of
-    :func:`capacity` bit for bit; the diameter sequence holds d_n alone, so
-    ``error_indicator`` reads 0 and the estimate never leaves this module:
-    the Green function and Robin constant read only what it shares with
-    :func:`capacity`'s.
-    """
-    return _estimate(set_, n, candidates, eps_cap,
-                     functools.partial(_cloud_estimate, checkpoints=_final_size),
-                     lambda shape, size, count: _fekete_over(
-                         _candidates(shape, size, count), size, _final_size(size)))
+        return capacity_of_cloud(set_.points, n, eps_cap)
+    return _solve(set_, n, candidates, eps_cap, cloud=False)
 
 
 def capacity_of_cloud(points: Sequence[complex] | np.ndarray, n: int = FEKETE_N,
@@ -282,16 +246,31 @@ def capacity_of_cloud(points: Sequence[complex] | np.ndarray, n: int = FEKETE_N,
     with fewer than ``MIN_POINTS`` distinct points are polar at sampled
     scale: value 0, Robin constant +inf.
     """
-    return _cloud_estimate(points, n, eps_cap, _checkpoints)
+    return _solve(points, n, CANDIDATES, eps_cap, cloud=True)
 
 
-def _cloud_estimate(points, n: int, eps_cap: float, checkpoints) -> CapacityEstimate:
-    """:func:`capacity_of_cloud`, refining the sizes ``checkpoints(min(n, size))``."""
-    pts = _distinct(np.asarray(points, dtype=np.complex128))
-    if len(pts) < MIN_POINTS:
-        return _estimate_from_fekete(_degenerate_fekete(pts), eps_cap)
-    size = min(n, len(pts))
-    return _estimate_from_fekete(_fekete_over(pts, size, checkpoints(size)), eps_cap)
+def _solve(source, n: int, candidates: int, eps_cap: float, *, cloud: bool,
+           final: bool = False) -> CapacityEstimate:
+    """Solve a cloud's points or a shape by the module's rule: the doubling
+    schedule (a shape's through :func:`fekete_points`) or, if ``final``, the
+    final size alone, refined from the same greedy prefix, so that only
+    ``error_indicator`` (then 0) differs."""
+    if n < MIN_POINTS:
+        raise ValueError(f"capacity needs n >= {MIN_POINTS}, got {n}")
+    if not cloud and not final:
+        return _estimate_from_fekete(fekete_points(source, n, max(candidates, n)), eps_cap)
+    cand = (_distinct(np.asarray(source, dtype=np.complex128)) if cloud
+            else _candidates(source, n, candidates))
+    if cloud and len(cand) < MIN_POINTS:
+        return _estimate_from_fekete(_degenerate_fekete(cand), eps_cap)
+    size = _solve_size(cloud, n, len(cand))
+    return _estimate_from_fekete(
+        _fekete_over(cand, size, (size,) if final else _checkpoints(size)), eps_cap)
+
+
+def _solve_size(cloud: bool, n: int, count: int) -> int:
+    """The size a solve refines last over ``count`` distinct candidates."""
+    return min(n, count) if cloud else n
 
 
 def quick_cloud_capacity(points: np.ndarray, n: int) -> float:
@@ -386,21 +365,31 @@ def green_function(set_: CompactSet, n: int = FEKETE_N, candidates: int = CANDID
                    eps_cap: float = EPS_CAP) -> GreenEvaluator:
     """Green evaluator for the complement of the set.
 
-    Disks and segments take their closed forms; any other set takes the
-    Fekete-backed evaluator (:func:`fekete_green`) of the solve that
-    :func:`capacity` runs, with only its final size n refined: the size-n
-    refinement starts from the same greedy prefix, so the Robin constant,
-    points, selection, clamp and every value equal those of
+    Disks and segments take their closed forms.  Any other set takes
     ``fekete_green(set_, capacity(set_, n, candidates, eps_cap))`` bit for
-    bit.  Raises :class:`GreenUndefinedPolarSet` when the capacity estimate
-    is polar: the Green function of the complement of a polar set
-    degenerates.
+    bit, from a solve that refines the final size alone.  Raises
+    :class:`GreenUndefinedPolarSet` when the estimate is polar: the Green
+    function of the complement of a polar set degenerates.
     """
-    if isinstance(set_, Disk):
-        return GreenEvaluator("analytic_disk", set_, -math.log(set_.radius))
-    if isinstance(set_, Segment):
-        return GreenEvaluator("analytic_segment", set_, -math.log(abs(set_.b - set_.a) / 4.0))
+    cap = _closed_form_capacity(set_)
+    if cap is not None:
+        backing = "analytic_disk" if isinstance(set_, Disk) else "analytic_segment"
+        return GreenEvaluator(backing, set_, -math.log(cap))
     return fekete_green(set_, _final_estimate(set_, n, candidates, eps_cap), candidates, eps_cap)
+
+
+def _closed_form_capacity(set_: CompactSet) -> float | None:
+    """Exact capacity of a disk (r) or a segment (|b - a|/4); None for other sets."""
+    if isinstance(set_, Disk):
+        return set_.radius
+    return abs(set_.b - set_.a) / 4.0 if isinstance(set_, Segment) else None
+
+
+def _final_estimate(set_: CompactSet, n: int, candidates: int,
+                    eps_cap: float) -> CapacityEstimate:
+    """:func:`capacity`'s estimate of the set with only its final size refined."""
+    cloud = isinstance(set_, PointCloud)
+    return _solve(set_.points if cloud else set_, n, candidates, eps_cap, cloud=cloud, final=True)
 
 
 def fekete_green(set_: CompactSet, est: CapacityEstimate, candidates: int = CANDIDATES,
@@ -440,7 +429,7 @@ def green_from_selection(set_: CompactSet, selection, clamp_magnitude: float,
     ``eps_cap``); a violation raises ``ValueError``.
     """
     cand = _candidates(set_, n, candidates)
-    size = min(n, len(cand)) if isinstance(set_, PointCloud) else n
+    size = _solve_size(isinstance(set_, PointCloud), n, len(cand))
     if len(selection) != size:
         raise ValueError(f"{len(selection)} indices where the solve selects {size}")
     for i in selection:
@@ -466,11 +455,11 @@ def robin_constant(set_: CompactSet, n: int = FEKETE_N, candidates: int = CANDID
                    eps_cap: float = EPS_CAP) -> float:
     """Robin constant lim_{|z| -> inf} (g(z) - log|z|) of the complement.
 
-    Disks and segments take the closed form of their analytic Green function;
-    otherwise -log of the capacity estimate, from a solve that refines only
-    its final size: it equals ``capacity(set_, n, candidates,
-    eps_cap).robin_constant`` bit for bit.  Polar sets get the +inf marker.
+    -log of the closed-form capacity of a disk or segment; for any other set
+    ``capacity(set_, n, candidates, eps_cap).robin_constant`` bit for bit, from
+    a solve that refines the final size alone.  Polar sets get +inf.
     """
-    if isinstance(set_, (Disk, Segment)):
-        return green_function(set_).robin_constant
+    cap = _closed_form_capacity(set_)
+    if cap is not None:
+        return -math.log(cap)
     return _final_estimate(set_, n, candidates, eps_cap).robin_constant

@@ -33,7 +33,8 @@ import numpy as np
 from . import __version__
 from .bernstein import Polynomial1D
 from .capacity import (CANDIDATES, EPS_CAP, FEKETE_N, MIN_POINTS, GreenEvaluator,
-                       capacity_of_cloud, fekete_green, green_from_selection, green_function)
+                       _closed_form_capacity, capacity_of_cloud, fekete_green,
+                       green_from_selection, green_function)
 from .errors import (
     AllStrataPolar,
     DegreeGrowthViolated,
@@ -44,7 +45,7 @@ from .errors import (
     OutsideCertifiedDomain,
     WindowEmpty,
 )
-from .sets import CompactSet, Disk, PointCloud, Segment, _j2c, set_from_json, set_to_json
+from .sets import CompactSet, PointCloud, _j2c, set_from_json, set_to_json
 
 
 # ---------------------------------------------------------------------------
@@ -829,7 +830,7 @@ def certificate_from_json(doc: dict) -> ExtensionCertificate:
     cert = ExtensionCertificate(
         **floats, witness=witness, N_used=int(_field(doc, "N_used", numbers.Integral)),
         thresholds=thresholds, exponent_differs=_field(doc, "exponent_differs", bool))
-    if isinstance(witness, (Disk, Segment)):   # analytic Green backing, nothing stored
+    if _closed_form_capacity(witness) is not None:   # analytic Green backing, nothing stored
         return cert
     selection = _field(doc, "green_points", list)
     clamp = float(_field(doc, "clamp_magnitude", numbers.Real))

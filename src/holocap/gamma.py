@@ -42,8 +42,8 @@ from typing import Callable
 
 import numpy as np
 
-from .capacity import (CANDIDATES, EPS_CAP, FEKETE_N, capacity, capacity_of_cloud,
-                       quick_cloud_capacity)
+from .capacity import (CANDIDATES, EPS_CAP, FEKETE_N, _closed_form_capacity, capacity,
+                       capacity_of_cloud, quick_cloud_capacity)
 from .errors import GammaPolar, UnboundedSet
 from .sets import (MEMBERSHIP_TOL, CompactSet, Disk, PointCloud, Segment, _j2c, affine_image,
                    bounding_box, contains, discretize, set_from_json)
@@ -266,11 +266,8 @@ def _factor_capacity(shape: CompactSet, eps_cap: float) -> float:
     clouds take the ``FEKETE_N``-point estimate of :func:`capacity.capacity`.
     Both the fiber decisions and ``gamma_cap``'s final value read it.
     """
-    if isinstance(shape, Disk):
-        return shape.radius
-    if isinstance(shape, Segment):
-        return abs(shape.b - shape.a) / 4.0
-    return capacity(shape, n=FEKETE_N, eps_cap=eps_cap).value
+    value = _closed_form_capacity(shape)
+    return capacity(shape, n=FEKETE_N, eps_cap=eps_cap).value if value is None else value
 
 
 def _lens_capacity_bounds(dist: np.ndarray, r1: float, r2: float) -> tuple:

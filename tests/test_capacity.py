@@ -331,13 +331,15 @@ def test_green_from_selection_reproduces_the_solve(set_, n):
     assert np.array_equal(back(grid), green(grid))
 
 
-# the sets of a Green solve: (set, n); the small cloud resolves to its 100 points
+# the sets of a Green solve: (set, n); a cloud of fewer distinct points than n
+# resolves to all of them, MIN_POINTS at the edge of the rule
 GREEN_SOLVES = {
     "union": (UnionSet((Segment(-2, -1), Segment(1, 2))), FEKETE_N),
     "cloud": (PointCloud(tuple(np.random.default_rng(7).normal(size=300)
                                + 1j * np.random.default_rng(8).normal(size=300))), 64),
     "duplicated_cloud": (DUPLICATED_CIRCLE, 64),
     "cloud_below_n": (DUPLICATED_CIRCLE, FEKETE_N),
+    "cloud_at_min_points": (PointCloud(CIRCLE_100[:MIN_POINTS] * 2), FEKETE_N),
 }
 
 
@@ -356,7 +358,8 @@ def test_green_function_refines_only_its_final_size(monkeypatch, name):
     monkeypatch.setattr(module, "_log_vdm", lambda pts: summed.append(len(pts)) or log_vdm(pts))
     green = green_function(set_, n=n)
     size = len(green.points)
-    assert size == (100 if name == "cloud_below_n" else n)
+    count = len(_distinct(np.asarray(set_.points))) if isinstance(set_, PointCloud) else n
+    assert size == min(n, count)
     assert refined == [size]
     assert summed == [size]
 
@@ -380,7 +383,10 @@ def test_green_function_is_capacity_s_evaluator(name):
 @pytest.mark.parametrize("set_", [UnionSet((Segment(-2, -1), Segment(1, 2))), CIRCLE_5000],
                          ids=["union", "cloud"])
 def test_green_and_robin_keep_capacity_s_checks(set_):
-    for fn in (green_function, robin_constant, capacity):
+    def of_cloud(s, n):
+        return capacity_of_cloud(discretize(s, 4096), n=n)
+
+    for fn in (green_function, robin_constant, capacity, of_cloud):
         with pytest.raises(ValueError, match=f"n >= {MIN_POINTS}"):
             fn(set_, n=MIN_POINTS - 1)
 
