@@ -95,13 +95,10 @@ def _distinct(points: np.ndarray) -> np.ndarray:
 
 
 def _log_vdm(points: np.ndarray) -> float:
-    n = len(points)
-    if n < 2:
-        return 0.0
-    diff = np.abs(points[:, None] - points[None, :])
-    iu = np.triu_indices(n, k=1)
+    """Sum of log|z_i - z_j| over the pairs i < j, taken row by row."""
+    upper = np.arange(len(points))[:, None] < np.arange(len(points))
     with np.errstate(divide="ignore"):
-        return float(np.sum(np.log(diff[iu])))
+        return float(np.sum(np.log(np.abs((points[:, None] - points)[upper]))))
 
 
 def _greedy_leja(cand: np.ndarray, n: int):
@@ -255,8 +252,7 @@ def _solve(source, n: int, candidates: int, eps_cap: float, *, cloud: bool,
     schedule (a shape's through :func:`fekete_points`) or, if ``final``, the
     final size alone, refined from the same greedy prefix, so that only
     ``error_indicator`` (then 0) differs."""
-    if n < MIN_POINTS:
-        raise ValueError(f"capacity needs n >= {MIN_POINTS}, got {n}")
+    _floor(n)
     if not cloud and not final:
         return _estimate_from_fekete(fekete_points(source, n, max(candidates, n)), eps_cap)
     cand = (_distinct(np.asarray(source, dtype=np.complex128)) if cloud
@@ -266,6 +262,13 @@ def _solve(source, n: int, candidates: int, eps_cap: float, *, cloud: bool,
     size = _solve_size(cloud, n, len(cand))
     return _estimate_from_fekete(
         _fekete_over(cand, size, (size,) if final else _checkpoints(size)), eps_cap)
+
+
+def _floor(n: int) -> int:
+    """``n`` if a solve may refine that size: at least ``MIN_POINTS``."""
+    if n < MIN_POINTS:
+        raise ValueError(f"capacity needs n >= {MIN_POINTS}, got {n}")
+    return n
 
 
 def _solve_size(cloud: bool, n: int, count: int) -> int:
@@ -428,15 +431,17 @@ def green_from_selection(set_: CompactSet, selection, clamp_magnitude: float,
     candidates, as many as the solve selects, a capacity not below
     ``eps_cap``); a violation raises ``ValueError``.
     """
-    cand = _candidates(set_, n, candidates)
+    cand = _candidates(set_, _floor(n), candidates)
     size = _solve_size(isinstance(set_, PointCloud), n, len(cand))
     if len(selection) != size:
         raise ValueError(f"{len(selection)} indices where the solve selects {size}")
-    for i in selection:
-        if isinstance(i, bool) or not isinstance(i, numbers.Integral):
-            raise ValueError(f"index {i!r} is not an integer")
-        if not 0 <= i < len(cand):
-            raise ValueError(f"index {i} is out of range for {len(cand)} candidates")
+    if not (set(map(type, selection)) <= {int}
+            and 0 <= min(selection) <= max(selection) < len(cand)):
+        for i in selection:   # a fault: name the first, checking index by index
+            if isinstance(i, bool) or not isinstance(i, numbers.Integral):
+                raise ValueError(f"index {i!r} is not an integer")
+            if not 0 <= i < len(cand):
+                raise ValueError(f"index {i} is out of range for {len(cand)} candidates")
     sel = np.asarray(selection, dtype=np.intp)
     if len(np.unique(sel)) != len(sel):
         raise ValueError("an index repeats")

@@ -2,9 +2,11 @@
 
 Every command embeds (or writes alongside CSV outputs) a run manifest:
 command name, SHA-256 digest of the input files, seed, tool version, and the
-thresholds in effect.  Outputs are deterministic functions of the manifest,
-so re-running a command reproduces them byte for byte.  ``COMMANDS`` declares
-each command's flags and input files; ``main`` builds and writes every manifest.
+thresholds in effect.  ``main`` reads each input file once and parses the
+bytes it digests, so the digest covers exactly what the command used.
+Outputs are deterministic functions of the manifest, so re-running a command
+reproduces them byte for byte.  ``COMMANDS`` declares each command's flags
+and input files; ``main`` builds and writes every manifest.
 
 Exit codes: 0 success (including negative mathematical findings such as a
 polar capacity estimate), 2 malformed input, 3 pipeline-stage failure (the
@@ -16,6 +18,7 @@ from __future__ import annotations
 import argparse
 import csv
 import hashlib
+import io
 import json
 import math
 import sys
@@ -33,29 +36,27 @@ from .extension import (ExtendConfig, certificate_from_json, certificate_to_json
                         certify_extension, certify_uniform, evaluate, sequence_from_json)
 from .gamma import (FIBER_CAPACITY_POINTS, FIBER_RESOLUTION, PROJECTED_RESOLUTION, gamma_cap,
                     predicate_from_json)
-from .sets import _j2c, set_from_json
+from .sets import _points_from_json, _require_finite_points, set_from_json
 
 
-def _read_json(path: str):
-    with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
-
-
-def _read_points_csv(path: str) -> list:
-    """CSV rows "re,im"; a non-numeric first row is treated as a header."""
+def _read_points_csv(path: str, data: bytes) -> list:
+    """CSV rows "re,im" of ``data``, read from ``path``; a non-numeric first row is a header."""
     points = []
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        for row in reader:
-            if not row:
-                continue
-            if len(row) < 2:
-                raise ValueError(f"{path} line {reader.line_num}: expected re,im, got {row!r}")
-            try:
-                points.append(complex(float(row[0]), float(row[1])))
-            except ValueError:
-                if points:
-                    raise
+    reader = csv.reader(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline=""))
+    for row in reader:
+        if not row:
+            continue
+        if len(row) < 2:
+            raise ValueError(f"{path} line {reader.line_num}: expected re,im, got {row!r}")
+        try:
+            z = complex(float(row[0]), float(row[1]))
+        except ValueError:
+            if points:
+                raise
+            continue
+        if not (math.isfinite(z.real) and math.isfinite(z.imag)):
+            raise ValueError(f"{path} line {reader.line_num}: expected finite re,im, got {row!r}")
+        points.append(z)
     if not points:
         raise ValueError(f"no points found in {path}")
     return points
@@ -84,12 +85,13 @@ def _parse_complex(text: str) -> complex:
 
 
 # ---------------------------------------------------------------------------
-# each command returns (document, thresholds, CSV tables as (path, header, lazy
-# rows)) and writes no file; main renders every table before it writes anything
+# each command takes the parsed arguments and its parsed inputs by name, returns
+# (document, thresholds, CSV tables as (path, header, lazy rows)) and writes no
+# file; main renders every table before it writes anything
 # ---------------------------------------------------------------------------
 
-def _cap(args):
-    est = capacity(set_from_json(_read_json(args.set)), n=args.n, candidates=args.candidates)
+def _cap(args, docs):
+    est = capacity(set_from_json(docs["set"]), n=args.n, candidates=args.candidates)
     doc = {"capacity": {
         "value": est.value, "n_used": est.n_used, "error_indicator": est.error_indicator,
         "robin_constant": "inf" if math.isinf(est.robin_constant) else est.robin_constant,
@@ -99,9 +101,9 @@ def _cap(args):
     return doc, {"n": args.n, "candidates": args.candidates, "eps_cap": EPS_CAP}, [d_n]
 
 
-def _green(args):
-    set_ = set_from_json(_read_json(args.set))
-    points = _read_points_csv(args.points)
+def _green(args, docs):
+    set_ = set_from_json(docs["set"])
+    points = docs["points"]
     green = green_function(set_)
     values = green(np.asarray(points, dtype=np.complex128))
     table = (args.out, ["re", "im", "g"],
@@ -110,19 +112,18 @@ def _green(args):
                 "clamp_magnitude": green.clamp_magnitude}, [table]
 
 
-def _bernstein(args):
-    poly_doc = _read_json(args.poly)
-    p = Polynomial1D(tuple(_j2c(c) for c in poly_doc["coefficients"]))
-    set_ = set_from_json(_read_json(args.set))
-    report = verify_bernstein(p, set_, _read_points_csv(args.points))
+def _bernstein(args, docs):
+    coefficients = _points_from_json(docs["poly"]["coefficients"])
+    p = Polynomial1D(tuple(_require_finite_points(coefficients, "coefficient {}").tolist()))
+    report = verify_bernstein(p, set_from_json(docs["set"]), docs["points"])
     checks = [{"z": [c.z.real, c.z.imag], "abs_value": c.abs_value, "bound": c.bound,
                "ratio": c.ratio, "passed": c.passed} for c in report.checks]
     doc = {"all_passed": report.all_passed, "slack": report.slack, "checks": checks}
     return doc, {"slack": report.slack, "clamp_magnitude": report.clamp_magnitude}, []
 
 
-def _gammacap(args):
-    pred = predicate_from_json(_read_json(args.set))
+def _gammacap(args, docs):
+    pred = predicate_from_json(docs["set"])
     result = gamma_cap(pred, unitary_count=args.unitaries, seed=args.seed)
     best = result.best_unitary
     doc = {"value": result.value,
@@ -137,10 +138,10 @@ def _gammacap(args):
                  "capacity_points": FEKETE_N}, []
 
 
-def _extend(args):
-    seq = sequence_from_json(_read_json(args.seq))
-    samples = [_j2c(v) for v in _read_json(args.samples)]
-    cfg_doc = dict(_read_json(args.config)) if args.config else {}
+def _extend(args, docs):
+    seq = sequence_from_json(docs["seq"])
+    samples = _require_finite_points(_points_from_json(docs["samples"]), "sample {}").tolist()
+    cfg_doc = dict(docs["config"]) if "config" in docs else {}
     mode = cfg_doc.pop("mode", "extension")
     cfg = ExtendConfig.from_json(cfg_doc)
     certify = {"extension": certify_extension, "uniform": certify_uniform}.get(mode)
@@ -153,9 +154,9 @@ def _extend(args):
     return certificate_to_json(cert), {**cert.thresholds, "mode": mode}, [domain]
 
 
-def _eval(args):
-    cert = certificate_from_json(_read_json(args.cert))
-    seq = sequence_from_json(_read_json(args.seq))
+def _eval(args, docs):
+    cert = certificate_from_json(docs["cert"])
+    seq = sequence_from_json(docs["seq"])
     z1 = [_parse_complex(part) for part in args.z1.split(",")]
     z1 = z1[0] if len(z1) == 1 else tuple(z1)
     result = evaluate(cert, seq, z1, _parse_complex(args.z2), args.tol)
@@ -168,12 +169,14 @@ def _eval(args):
 class _Command:
     help: str
     run: Callable
-    inputs: tuple              # input-file flags in digest order: (flag, add_argument keywords)
+    inputs: tuple              # input-file flags in digest order: (flag, add_argument keywords);
+                               # --points is a CSV, every other input JSON
     options: tuple = ()        # the other flags, likewise
     manifest_suffix: str = ""  # the manifest JSON goes to <out> + this
 
 
 _REQUIRED = {"required": True}
+_COMMON = (("--out", dict(_REQUIRED, help="output file")), ("--seed", dict(type=int, default=0)))
 
 COMMANDS = {
     "cap": _Command(
@@ -207,43 +210,64 @@ COMMANDS = {
 }
 
 
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The holocap parser; naming a command registers only its subparser.
-
-    Any other ``command`` (None for help or no arguments, an unknown name)
-    registers all of them.  A lone subparser's usage still lists every
-    command, so usage and error text are those of the full parser.
-    """
+def build_parser() -> argparse.ArgumentParser:
+    """The holocap parser: every command, with its flags, usage and help text."""
     parser = argparse.ArgumentParser(
         prog="holocap",
         description="capacity, Green functions, growth bounds, and certified "
                     "power-series extension domains")
-    alone = command in COMMANDS
-    sub = parser.add_subparsers(dest="command", required=True,
-                                metavar="{" + ",".join(COMMANDS) + "}" if alone else None)
+    sub = parser.add_subparsers(dest="command", required=True)
     for name, cmd in COMMANDS.items():
-        if alone and name != command:
-            continue
         p = sub.add_parser(name, help=cmd.help)
-        for flag, keywords in cmd.inputs + cmd.options:
+        for flag, keywords in cmd.inputs + cmd.options + _COMMON:
             p.add_argument(flag, **keywords)
-        p.add_argument("--out", required=True, help="output file")
-        p.add_argument("--seed", type=int, default=0)
     return parser
+
+
+def _plain_args(argv: list) -> argparse.Namespace | None:
+    """The parser's namespace for a command and distinct flags of it, each given as
+    ``--flag=value`` or as ``--flag value`` with a value not starting with "-", with
+    every required flag and values their types accept; None for any other line,
+    which the parser reads, so that every usage, help and error text is its own."""
+    cmd = COMMANDS.get(argv[0]) if argv else None
+    spec = dict(cmd.inputs + cmd.options + _COMMON) if cmd else {}
+    given, rest = {}, argv[1:]
+    while rest and spec:
+        flag, eq, value = rest.pop(0).partition("=")
+        if not eq:   # the value is the next argument
+            if not rest or rest[0].startswith("-"):
+                return None
+            value = rest.pop(0)
+        if flag not in spec or flag in given or value == "--":   # the parser drops a "--"
+            return None
+        given[flag] = value
+    if not spec or any(kw.get("required") and flag not in given for flag, kw in spec.items()):
+        return None
+    try:
+        return argparse.Namespace(command=argv[0], **{
+            flag[2:]: kw.get("type", str)(given[flag]) if flag in given else kw.get("default")
+            for flag, kw in spec.items()})
+    except (TypeError, ValueError):
+        return None
 
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    args = build_parser(argv[0] if argv else None).parse_args(argv)
+    args = _plain_args(argv) or build_parser().parse_args(argv)
     cmd = COMMANDS[args.command]
     try:
-        doc, thresholds, tables = cmd.run(args)
-        tables = [(path, header, _cells(rows)) for path, header, rows in tables]
-        digest = hashlib.sha256()
-        for flag, _ in cmd.inputs:
+        digest, docs = hashlib.sha256(), {}
+        for flag, _ in cmd.inputs:   # each given input is read once, digested and parsed
             path = getattr(args, flag[2:])
-            if path is not None:  # an optional input counts only when given
-                digest.update(Path(path).read_bytes())
+            if path is not None:
+                with open(path, "rb") as fh:   # not Path(path): Path("") is "."
+                    data = fh.read()
+                digest.update(data)
+                # decoded as open() decodes a file: UTF-8, universal newlines
+                docs[flag[2:]] = (_read_points_csv(path, data) if flag == "--points" else
+                                  json.load(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8")))
+        doc, thresholds, tables = cmd.run(args, docs)
+        tables = [(path, header, _cells(rows)) for path, header, rows in tables]
         doc["manifest"] = {"command": args.command, "seed": args.seed, "tool_version": __version__,
                            "input_digest": digest.hexdigest(), "thresholds": thresholds}
         text = json.dumps(doc, sort_keys=True, indent=2) + "\n"

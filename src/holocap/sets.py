@@ -14,6 +14,7 @@ values and is safe to call concurrently.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Union
@@ -30,6 +31,15 @@ def _require_finite(z: complex, what: str) -> complex:
     z = complex(z)
     if not (math.isfinite(z.real) and math.isfinite(z.imag)):
         raise ValueError(f"{what} must have finite coordinates, got {z!r}")
+    return z
+
+
+def _require_finite_points(z: np.ndarray, what: str) -> np.ndarray:
+    """``z``, or :func:`_require_finite`'s error for its first non-finite point ``z[i]``;
+    ``what.format(i)`` names the point."""
+    bad = np.flatnonzero(~np.isfinite(z))
+    if len(bad):
+        _require_finite(z[bad[0]], what.format(bad[0]))
     return z
 
 
@@ -70,7 +80,8 @@ class PointCloud:
     boundary_samples: int = DEFAULT_BOUNDARY_SAMPLES
 
     def __post_init__(self):
-        pts = tuple(_require_finite(p, "PointCloud point") for p in self.points)
+        z = np.fromiter(map(complex, self.points), np.complex128)
+        pts = tuple(_require_finite_points(z, "PointCloud point").tolist())
         if not pts:
             raise ValueError("PointCloud must be nonempty")
         object.__setattr__(self, "points", pts)
@@ -225,6 +236,19 @@ def _j2c(v) -> complex:
     raise ValueError(f"expected an [re, im] pair of numbers, got {v!r}")
 
 
+def _points_from_json(values) -> np.ndarray:
+    """A JSON list of [re, im] pairs as complex128, in one numpy pass if each pair passes
+    :func:`_j2c`'s check, else pair by pair through it, naming the first fault."""
+    try:
+        flat = list(itertools.chain.from_iterable(values))
+        if (set(map(type, values)) <= {list} and set(map(len, values)) <= {2}
+                and set(map(type, flat)) <= {int, float}):
+            return np.array(flat, dtype=np.float64).view(np.complex128)
+    except (TypeError, OverflowError):
+        pass
+    return np.array([_j2c(v) for v in values], dtype=np.complex128)
+
+
 def set_to_json(set_: CompactSet) -> dict:
     if isinstance(set_, Disk):
         return {"shape": "disk", "center": _c2j(set_.center), "radius": set_.radius,
@@ -251,7 +275,7 @@ def set_from_json(doc: dict) -> CompactSet:
     if kind == "segment":
         return Segment(_j2c(doc["a"]), _j2c(doc["b"]), bs)
     if kind == "cloud":
-        return PointCloud(tuple(_j2c(p) for p in doc["points"]), bs)
+        return PointCloud(_points_from_json(doc["points"]).tolist(), bs)
     if kind == "union":
         return UnionSet(tuple(set_from_json(p) for p in doc["parts"]), bs)
     raise ValueError(f"unknown shape kind: {kind!r}")

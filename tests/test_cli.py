@@ -1,7 +1,9 @@
-import argparse
+import builtins
+import collections
 import csv
 import hashlib
 import importlib
+import io
 import json
 import math
 import sys
@@ -10,7 +12,7 @@ import numpy as np
 import pytest
 
 from holocap import __version__
-from holocap.cli import COMMANDS, build_parser, main
+from holocap.cli import COMMANDS, _plain_args, build_parser, main
 from holocap.extension import ExtensionCertificate
 
 DISK = {"shape": "disk", "center": [0, 0], "radius": 1.0}
@@ -165,6 +167,20 @@ def test_gammacap_invalid_predicate_exit_two(tmp_path, capsys, pred, message):
 
 
 PAIR = "expected an [re, im] pair of numbers, got "
+CLOUD_FINITE = "PointCloud point must have finite coordinates, got "
+
+
+def _cloud_with(*bad):
+    """A 20-point circle cloud with ``bad`` points put in from position 3 on."""
+    points = [[math.cos(k / 3), math.sin(k / 3)] for k in range(20)]
+    points[3:3 + len(bad)] = bad
+    return {"shape": "cloud", "points": points}
+
+
+def _samples_with(*bad):
+    return CIRCLE_SAMPLES[:3] + list(bad) + CIRCLE_SAMPLES[3 + len(bad):]
+
+
 TABLE = {"kind": "table", "max_norm": 2,
          "entries": [{"index": [0], "coefficients": [[1, 0]]},
                      {"index": [1], "coefficients": [[0, 0], [1]]}]}
@@ -192,10 +208,36 @@ TABLE = {"kind": "table", "max_norm": 2,
     ("gammacap", {"--set": []}, "a predicate must be a JSON object, got list"),
     ("green", {"--set": DISK, "--points": "re,im\n2,0\n1.0\n"},
      "line 3: expected re,im, got ['1.0']"),
+    # non-finite samples and CSV rows are named (the parent went on with them)
+    ("extend", {"--seq": GEOMETRIC, "--samples": _samples_with([math.nan, 0])},
+     "sample 3 must have finite coordinates, got (nan+0j)"),
+    ("green", {"--set": DISK, "--points": "re,im\n2,0\nnan,0\n"},
+     "line 3: expected finite re,im, got ['nan', '0']"),
+    ("green", {"--set": DISK, "--points": "re,im\n2,0\n3,inf\n"},
+     "line 3: expected finite re,im, got ['3', 'inf']"),
+    ("bernstein", {"--poly": {"coefficients": [[0, 0], [1, 0]]}, "--set": DISK,
+                   "--points": "nan,0\n"}, "line 1: expected finite re,im, got ['nan', '0']"),
+    ("bernstein", {"--poly": {"coefficients": [[0, 0], [math.nan, 0]]}, "--set": DISK,
+                   "--points": "2,0\n"},
+     "coefficient 1 must have finite coordinates, got (nan+0j)"),
+    # point lists parsed in one pass name the first fault as the pair-by-pair parse did
+    ("cap", {"--set": _cloud_with([True, 0])}, PAIR + "[True, 0]"),
+    ("cap", {"--set": _cloud_with(["1", 0])}, PAIR + "['1', 0]"),
+    ("cap", {"--set": _cloud_with([1, 0, 0])}, PAIR + "[1, 0, 0]"),
+    ("cap", {"--set": _cloud_with([math.inf, 0])}, CLOUD_FINITE + "(inf+0j)"),
+    ("cap", {"--set": _cloud_with([math.nan, 0], [True, 0])}, PAIR + "[True, 0]"),
+    ("extend", {"--seq": GEOMETRIC, "--samples": _samples_with([True, 0])}, PAIR + "[True, 0]"),
+    ("extend", {"--seq": GEOMETRIC, "--samples": _samples_with(["1", 0])}, PAIR + "['1', 0]"),
+    ("extend", {"--seq": GEOMETRIC, "--samples": _samples_with([1, 0, 0])}, PAIR + "[1, 0, 0]"),
+    ("extend", {"--seq": GEOMETRIC, "--samples": _samples_with([math.nan, 0], [True, 0])},
+     PAIR + "[True, 0]"),
 ], ids=["set_pair_short", "set_pair_strings", "set_pair_bool", "set_pair_long", "set_list",
         "lambda_short", "value_number", "coefficient_short", "sample_short", "sequence_list",
         "poly_coefficient_short", "ball_center_short", "matrix_entry_short", "predicate_list",
-        "points_row_short"])
+        "points_row_short", "sample_nan", "points_row_nan", "points_row_inf",
+        "bernstein_points_row_nan", "poly_coefficient_nan", "cloud_point_bool",
+        "cloud_point_string", "cloud_point_long", "cloud_point_inf", "cloud_bool_after_nan",
+        "sample_bool", "sample_string", "sample_long", "sample_bool_after_nan"])
 def test_malformed_input_exit_two(tmp_path, capsys, command, inputs, message):
     argv = [command]
     for flag, doc in inputs.items():
@@ -453,6 +495,13 @@ def _set_index(i, value):
     return lambda doc: doc["green_points"].__setitem__(i, value)
 
 
+def _set_witness_points(*bad):
+    return lambda doc: doc["witness"]["points"].__setitem__(slice(3, 3 + len(bad)), bad)
+
+
+WITNESS = "certificate field 'witness' is malformed: ValueError("
+
+
 @pytest.mark.parametrize("mutate, message", [
     (_drop("rho0"), "certificate field 'rho0' is missing"),
     (_set("rho1", "0.5"), "certificate field 'rho1' must be a number, got '0.5'"),
@@ -479,11 +528,22 @@ def _set_index(i, value):
      "of the selected points is below eps_cap 1e+09"),
     (_drop("clamp_magnitude"), "certificate field 'clamp_magnitude' is missing"),
     (_set("clamp_magnitude", -1e-3), "'clamp_magnitude' must be finite and >= 0"),
+    (_set_witness_points([True, 0]), WITNESS + "'" + PAIR + "[True, 0]')"),
+    (_set_witness_points(["1", 0]), WITNESS + '"' + PAIR + "['1', 0]\")"),
+    (_set_witness_points([1, 0, 0]), WITNESS + "'" + PAIR + "[1, 0, 0]')"),
+    (_set_witness_points([math.inf, 0]), WITNESS + "'" + CLOUD_FINITE + "(inf+0j)')"),
+    (_set_witness_points([math.nan, 0], [1, 0], [True, 0]), WITNESS + "'" + PAIR + "[True, 0]')"),
+    # a tampered resolution is refused for the n >= 8 floor, not for the witness's capacity
+    (lambda doc: (doc["thresholds"].__setitem__("fekete_n", 7),
+                  doc.__setitem__("green_points", doc["green_points"][:7])),
+     "'green_points': capacity needs n >= 8, got 7"),
 ], ids=["rho0_missing", "rho1_string", "N_used_float", "exponent_differs_int",
         "witness_missing", "witness_malformed", "thresholds_list", "tail_slope_missing",
         "fekete_n_string", "green_points_missing", "green_points_string", "index_float",
         "index_bool", "index_too_large", "index_negative", "index_repeats", "count_short",
-        "selection_polar", "clamp_missing", "clamp_negative"])
+        "selection_polar", "clamp_missing", "clamp_negative", "witness_point_bool",
+        "witness_point_string", "witness_point_long", "witness_point_inf",
+        "witness_bool_after_nan", "fekete_n_below_floor"])
 def test_eval_malformed_certificate_exit_two(tmp_path, capsys, mutate, message):
     seq_path, cert = _extend_cert(tmp_path)
     doc = json.loads(cert.read_text())
@@ -549,17 +609,6 @@ def test_parser_text_matches_full_parser(capsys, monkeypatch, argv):
     assert (own.value.code, capsys.readouterr()) == (full.value.code, expected)
 
 
-def _subcommands(parser):
-    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
-    return list(sub.choices)
-
-
-def test_build_parser_registers_only_the_named_command():
-    assert _subcommands(build_parser("eval")) == ["eval"]
-    for command in (None, "nope", "--help"):
-        assert _subcommands(build_parser(command)) == list(COMMANDS)
-
-
 @pytest.mark.parametrize("argv", [["eval", "--cert", "c", "--seq", "s", "--z1", "1", "--z2", "2",
                                    "--out", "o", "extra"],
                                   ["cap", "--set", "s", "--out", "o", "--bogus", "1"]],
@@ -573,6 +622,42 @@ def test_unrecognized_argument_text_matches_full_parser(capsys, argv):
     with pytest.raises(SystemExit) as own:
         main(argv)
     assert (own.value.code, capsys.readouterr()) == (full.value.code, expected)
+
+
+@pytest.mark.parametrize("argv, plain", [
+    (["cap", "--set", "s.json", "--out", "o.json"], True),
+    (["cap", "--out", "o", "--candidates=512", "--set", "s", "--n", "16", "--seed", "7"], True),
+    (["green", "--set", "s.json", "--points", "p.csv", "--out", "g.csv"], True),
+    (["bernstein", "--poly", "p", "--set", "s", "--points", "p.csv", "--out", "b"], True),
+    (["gammacap", "--set", "p.json", "--unitaries", "4", "--seed", "-3", "--out", "g"], False),
+    (["gammacap", "--set", "p.json", "--unitaries", "4", "--seed=-3", "--out", "g"], True),
+    (["extend", "--seq", "q", "--samples", "s", "--config", "c", "--out", "c.json"], True),
+    (["eval", "--cert", "c", "--seq", "q", "--z1=-0.1+0.2j,0.3-1j", "--z2=-2-0j",
+      "--tol", "1e-12", "--out", "v.json"], True),
+    (["eval", "--cert=", "--seq", "", "--z1", "0.1", "--z2", "2", "--out", "a=b"], True),
+    (["eval", "--cert", "c", "--seq", "q", "--z1", "0.1", "--z2", "-2", "--out", "v"], False),
+    (["cap", "--set", "s", "--out=-"], True),
+    (["cap", "--set", "s", "--out=--"], False),
+    (["cap", "--se", "s.json", "--out", "o.json"], False),
+    (["cap", "--set", "a", "--set", "b", "--out", "o"], False),
+    (["cap", "--n", "x", "--n", "16", "--set", "s", "--out", "o"], False),
+    (["cap", "--set", "s", "--out", "o", "--n", "1e3"], False),
+    (["cap", "--set", "s", "--out", "o", "extra"], False),
+    (["cap", "--set", "s"], False),
+    (["cap", "--set", "s", "--out"], False),
+    (["cap", "--set", "--out", "o"], False),
+    (["eval", "--help"], False),
+    (["nope", "--set", "s"], False),
+], ids=lambda v: " ".join(v) if isinstance(v, list) else None)
+def test_plain_lines_parse_as_the_parser_reads_them(capsys, argv, plain):
+    # a plain line skips the parser; any other is left to it, so no line reads differently
+    try:
+        expected = vars(build_parser().parse_args(argv))
+    except SystemExit:
+        expected = None
+    args = _plain_args(argv)
+    assert (args is not None) == plain
+    assert args is None or vars(args) == expected
 
 
 EXTEND_RESOLUTION = {"fekete_n": 128, "candidates": 4096, "gamma_radial": 48,
@@ -623,9 +708,20 @@ def _manifest_case(tmp_path, case):
 
 @pytest.mark.parametrize("case", ["cap", "green", "bernstein", "gammacap", "extend",
                                   "extend_config", "eval"])
-def test_manifest_digest_seed_and_thresholds(tmp_path, case):
+def test_manifest_digest_seed_and_thresholds(tmp_path, monkeypatch, case):
     argv, inputs, manifest_path, keys = _manifest_case(tmp_path, case)
-    assert main(argv + ["--seed", "7", "--out", str(tmp_path / "out.json")]) == 0
+    opened, real_open = collections.Counter(), io.open
+
+    def counting_open(file, *args, **kwargs):
+        opened[str(file)] += 1
+        return real_open(file, *args, **kwargs)
+
+    with monkeypatch.context() as patch:   # pathlib opens through io.open
+        patch.setattr(builtins, "open", counting_open)
+        patch.setattr(io, "open", counting_open)
+        assert main(argv + ["--seed", "7", "--out", str(tmp_path / "out.json")]) == 0
+    # each input is read once, so the digest is of the bytes that were parsed
+    assert {p: opened[p] for p in inputs} == {p: 1 for p in inputs}
     manifest = json.loads(open(manifest_path, encoding="utf-8").read())["manifest"]
     digest = hashlib.sha256(b"".join(open(p, "rb").read() for p in inputs)).hexdigest()
     assert manifest["command"] == argv[0]
