@@ -101,22 +101,26 @@ def _log_vdm(points: np.ndarray) -> float:
         return float(np.sum(np.log(np.abs((points[:, None] - points)[upper]))))
 
 
-def _greedy_leja(cand: np.ndarray, n: int):
+def _greedy_leja(cand: np.ndarray, n: int, rows: np.ndarray | None = None):
     """Greedy selection of n candidate indices plus prefix log-VDM values.
 
     Starts from the largest-modulus candidate (ties: lowest index), then
     repeatedly adds the candidate maximizing the product of distances to the
-    points already chosen.
+    points already chosen.  Point j's :func:`_log_dist_row` goes into
+    ``rows[j]`` of a given (n, N) matrix, else into one reused scratch row.
     """
     sel = [int(np.argmax(np.abs(cand)))]
     logsum = np.full(len(cand), 0.0)
+    scratch = np.empty(len(cand)) if rows is None else None
     prefix_lv = [0.0]  # log VDM of the first k points, k = 1..n
-    with np.errstate(divide="ignore"):
-        for _ in range(1, n):
-            logsum += np.log(np.abs(cand - cand[sel[-1]]))
-            k = int(np.argmax(logsum))
-            prefix_lv.append(prefix_lv[-1] + float(logsum[k]))
-            sel.append(k)
+    for j in range(n - 1):
+        logsum += _log_dist_row(cand, sel[j], scratch if rows is None else rows[j])
+        logsum[sel[j]] = -np.inf   # the log 0 that its row leaves out
+        k = int(logsum.argmax())
+        prefix_lv.append(prefix_lv[-1] + float(logsum[k]))
+        sel.append(k)
+    if rows is not None:
+        _log_dist_row(cand, sel[-1], rows[n - 1])
     return np.asarray(sel, dtype=np.intp), prefix_lv
 
 
@@ -127,33 +131,32 @@ def _log_dist_row(cand: np.ndarray, s: int, row: np.ndarray) -> np.ndarray:
     return np.log(row, out=row)
 
 
-def _exchange_refine(cand: np.ndarray, sel: np.ndarray) -> np.ndarray:
-    """Single-point exchange until no swap improves the log VDM.
+def _exchange_refine(cand: np.ndarray, sel: np.ndarray, logdist: np.ndarray) -> np.ndarray:
+    """Single-point exchange until no swap improves the log VDM, in place.
 
-    Row i of ``logdist`` holds slot i's log distances to every candidate
-    (``cand`` must be distinct), with 0 at the slot's own candidate, so
-    ``total[c]`` is candidate c's log-distance sum to the selection and, for
-    a selected c, its sum to the other selected points.  The totals are
+    Row i of ``logdist`` holds slot i's :func:`_log_dist_row` (``cand`` must
+    be distinct), so ``total[c]`` is candidate c's log-distance sum to the
+    selection and, for a selected c, its sum to the other selected points.
+    The totals, and a copy masked with -inf at the selected candidates, are
     summed at the start of each sweep and updated by the row difference
-    after every accepted swap.
+    after every accepted swap; ``sel`` and ``logdist`` end as the result.
     """
-    n = len(sel)
-    logdist = np.empty((n, len(cand)))
-    for i in range(n):
-        _log_dist_row(cand, sel[i], logdist[i])
+    scores, row = np.empty(len(cand)), np.empty(len(cand))
     for _ in range(_MAX_SWEEPS):
         improved = False
         total = logdist.sum(axis=0)
-        for i in range(n):
-            scores = total - logdist[i]
-            scores[sel] = -np.inf  # a selected point cannot re-enter
+        masked = total.copy()
+        masked[sel] = -np.inf
+        for i in range(len(sel)):
+            best = int(np.subtract(masked, logdist[i], out=scores).argmax())
             current = float(total[sel[i]])
-            best = int(np.argmax(scores))
             if scores[best] - current > _EXCHANGE_TOL * max(1.0, abs(current)):
+                diff = np.subtract(_log_dist_row(cand, best, row), logdist[i], out=scores)
+                total += diff
+                masked += diff
+                masked[sel[i]], masked[best] = total[sel[i]], -np.inf
+                logdist[i] = row
                 sel[i] = best
-                new_row = _log_dist_row(cand, best, np.empty(len(cand)))
-                total += new_row - logdist[i]
-                logdist[i] = new_row
                 improved = True
         if not improved:
             break
@@ -188,20 +191,28 @@ def fekete_points(set_: CompactSet, n: int, candidates: int = CANDIDATES) -> Fek
 def _fekete_over(cand: np.ndarray, n: int, checkpoints: Sequence[int]) -> FeketeResult:
     """Near-Fekete selection of ``n`` points among distinct candidates.
 
-    Each size in ``checkpoints`` (increasing, the last one ``n``) is refined
-    by exchange from the greedy prefix of that size, independently of the
+    Each size k in ``checkpoints`` (increasing, the last one ``n``) is refined
+    by exchange from the greedy prefix of size k, independently of the
     others, and the diameter sequence lists exactly these sizes; the size-n
-    refinement is the result.
+    refinement is the result.  The greedy selection fills one (n, N)
+    log-distance matrix that serves every size, so a solve peaks at one n x N
+    float64 (16 MB at n = 512, N = 4,096): size k is refined on its first k
+    rows, after recomputing those that a smaller size swapped.
     """
     if n < 2:
         raise ValueError(f"fekete_points needs n >= 2, got {n}")
     if len(cand) < n:
         return _degenerate_fekete(cand)
 
-    sel, _ = _greedy_leja(cand, n)
+    rows = np.empty((n, len(cand)))
+    greedy, _ = _greedy_leja(cand, n, rows)
+    held = greedy.copy()   # held[j]: the candidate whose row rows[j] holds
     seq = []
     for k in checkpoints:
-        sel_k = _exchange_refine(cand, sel[:k].copy())
+        for j in np.flatnonzero(held[:k] != greedy[:k]):
+            held[j] = greedy[j]
+            _log_dist_row(cand, held[j], rows[j])
+        sel_k = _exchange_refine(cand, held[:k], rows[:k])
         lv_k = _log_vdm(cand[sel_k])
         seq.append((k, math.exp(2.0 * lv_k / (k * (k - 1)))))
     return FeketeResult(points=cand[sel_k], log_vdm=lv_k, diameter_sequence=tuple(seq),

@@ -256,6 +256,9 @@ def main(argv=None) -> int:
     args = _plain_args(argv) or build_parser().parse_args(argv)
     cmd = COMMANDS[args.command]
     try:
+        for flag, _ in cmd.inputs + cmd.options + _COMMON:
+            if getattr(args, flag[2:]) == []:   # the parser's value for --flag=--
+                raise ValueError(f"argument {flag}: expected one value, got '--'")
         digest, docs = hashlib.sha256(), {}
         for flag, _ in cmd.inputs:   # each given input is read once, digested and parsed
             path = getattr(args, flag[2:])

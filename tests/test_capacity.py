@@ -6,14 +6,18 @@ import numpy as np
 import pytest
 
 from holocap.capacity import (
+    CANDIDATES,
+    EPS_CAP,
     FEKETE_N,
     MIN_POINTS,
     GreenEvaluator,
     _EXCHANGE_TOL,
     _MAX_SWEEPS,
+    _candidates,
     _checkpoints,
     _distinct,
     _exchange_refine,
+    _final_estimate,
     _greedy_leja,
     _log_vdm,
     capacity,
@@ -22,6 +26,7 @@ from holocap.capacity import (
     fekete_points,
     green_from_selection,
     green_function,
+    quick_cloud_capacity,
     robin_constant,
 )
 from holocap.errors import GreenUndefinedPolarSet
@@ -174,20 +179,26 @@ def _exchange_inputs(count):
     }
 
 
+def _greedy_with_rows(cand, n):
+    """The greedy selection and the (n, N) log-distance matrix it fills."""
+    rows = np.empty((n, len(cand)))
+    sel, _ = _greedy_leja(cand, n, rows)
+    return sel, rows
+
+
 @pytest.mark.parametrize("n", [16, 32, 64])
 @pytest.mark.parametrize("name", ["segment", "union", "disk", "cloud"])
 def test_exchange_matches_full_resum_reference(name, n):
     cand = _distinct(_exchange_inputs(512)[name])
-    sel, _ = _greedy_leja(cand, n)
+    sel, rows = _greedy_with_rows(cand, n)
     expected = full_resum_exchange(cand, sel.copy())
-    assert np.array_equal(_exchange_refine(cand, sel.copy()), expected)
+    assert np.array_equal(_exchange_refine(cand, sel.copy(), rows), expected)
 
 
 @pytest.mark.parametrize("name", ["segment", "union", "disk"])
 def test_exchange_result_is_locally_optimal(name):
     cand = _distinct(_exchange_inputs(256)[name])
-    sel, _ = _greedy_leja(cand, 16)
-    sel = _exchange_refine(cand, sel)
+    sel = _exchange_refine(cand, *_greedy_with_rows(cand, 16))
     lv = _log_vdm(cand[sel])
     slack = _EXCHANGE_TOL * max(1.0, abs(lv))
     outside = np.setdiff1d(np.arange(len(cand)), sel)
@@ -196,6 +207,97 @@ def test_exchange_result_is_locally_optimal(name):
             swapped = sel.copy()
             swapped[i] = c
             assert _log_vdm(cand[swapped]) - lv <= slack
+
+
+def _reference_row(cand, s):
+    row = np.abs(cand - cand[s])
+    row[s] = 1.0
+    return np.log(row)
+
+
+def reference_fekete_over(cand, n, checkpoints):
+    """Reference solve: greedy Leja, then each checkpoint refined from its greedy
+    prefix on log-distance rows built afresh, the totals masked per visit."""
+    sel = [int(np.argmax(np.abs(cand)))]
+    logsum = np.zeros(len(cand))
+    with np.errstate(divide="ignore"):
+        for _ in range(1, n):
+            logsum += np.log(np.abs(cand - cand[sel[-1]]))
+            sel.append(int(np.argmax(logsum)))
+    greedy = np.asarray(sel, dtype=np.intp)
+    seq = []
+    for k in checkpoints:
+        sel = greedy[:k].copy()
+        logdist = np.array([_reference_row(cand, s) for s in sel])
+        for _ in range(_MAX_SWEEPS):
+            improved = False
+            total = logdist.sum(axis=0)
+            for i in range(k):
+                scores = total - logdist[i]
+                scores[sel] = -np.inf
+                current = float(total[sel[i]])
+                best = int(np.argmax(scores))
+                if scores[best] - current > _EXCHANGE_TOL * max(1.0, abs(current)):
+                    sel[i] = best
+                    new_row = _reference_row(cand, best)
+                    total += new_row - logdist[i]
+                    logdist[i] = new_row
+                    improved = True
+            if not improved:
+                break
+        lv = _log_vdm(cand[sel])
+        seq.append((k, math.exp(2.0 * lv / (k * (k - 1)))))
+    return cand[sel], sel, lv, tuple(seq)
+
+
+# sets of the whole-solve reference test: shapes at the default candidates, and
+# clouds, one of them with fewer distinct points than most of the sizes
+SOLVE_SETS = {
+    "segment": Segment(-1, 1),
+    "union": UnionSet((Segment(-2, -0.5), Segment(0.3, 1.7))),
+    "disk": Disk(0.5j, 2),
+    "cloud": PointCloud(tuple(_exchange_inputs(512)["cloud"])),
+    "duplicated_circle": DUPLICATED_CIRCLE,
+}
+
+
+@pytest.mark.parametrize("final", [False, True], ids=["schedule", "final"])
+@pytest.mark.parametrize("n", [8, 16, 100, 128, 256])
+@pytest.mark.parametrize("name", list(SOLVE_SETS))
+def test_solve_matches_fresh_rows_reference(name, n, final):
+    set_ = SOLVE_SETS[name]
+    cand = _candidates(set_, n, CANDIDATES)
+    size = min(n, len(cand))
+    est = _final_estimate(set_, n, CANDIDATES, EPS_CAP) if final else capacity(set_, n)
+    points, sel, lv, seq = reference_fekete_over(cand, size,
+                                                 (size,) if final else _checkpoints(size))
+    fek = est.fekete
+    assert np.array_equal(fek.points, points)
+    assert np.array_equal(fek.selection, sel)
+    assert fek.log_vdm == lv
+    assert fek.diameter_sequence == seq
+
+
+def test_disk_solve_computes_one_row_per_point(monkeypatch):
+    # the greedy rows serve every checkpoint, and the disk's exchange swaps nothing
+    module = sys.modules["holocap.capacity"]
+    row, counted = module._log_dist_row, []
+    monkeypatch.setattr(module, "_log_dist_row",
+                        lambda cand, s, out: counted.append(s) or row(cand, s, out))
+    capacity(Disk(0, 1), 128)
+    assert len(counted) == 128
+
+
+def test_quick_cloud_capacity_allocates_no_matrix():
+    points = np.exp(2j * np.pi * np.arange(4096) / 4096)
+    tracemalloc.start()
+    try:
+        quick_cloud_capacity(points, 32)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # a 32 x 4,096 float64 matrix alone takes 1 MB
+    assert peak < 0.5 * 2**20
 
 
 # ---------------------------------------------------------------------------
@@ -354,7 +456,8 @@ def test_green_function_refines_only_its_final_size(monkeypatch, name):
     module = sys.modules["holocap.capacity"]
     refine, log_vdm, refined, summed = module._exchange_refine, module._log_vdm, [], []
     monkeypatch.setattr(module, "_exchange_refine",
-                        lambda cand, sel: refined.append(len(sel)) or refine(cand, sel))
+                        lambda cand, sel, logdist: refined.append(len(sel))
+                        or refine(cand, sel, logdist))
     monkeypatch.setattr(module, "_log_vdm", lambda pts: summed.append(len(pts)) or log_vdm(pts))
     green = green_function(set_, n=n)
     size = len(green.points)

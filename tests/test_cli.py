@@ -76,6 +76,23 @@ def test_cap_malformed_json_exit_two(tmp_path):
     assert main(["cap", "--set", str(bad), "--out", str(tmp_path / "o.json")]) == 2
 
 
+@pytest.mark.parametrize("flag", ["--out", "--set"])
+def test_flag_written_with_double_dash_exit_two(tmp_path, monkeypatch, capsys, flag):
+    # the parser stores [] for --flag=--: refused by name before any read or solve
+    line = {"--set": write(tmp_path / "disk.json", DISK), "--out": str(tmp_path / "est.json")}
+    line[flag] = "--"
+    opened = []
+    real_open = builtins.open
+    monkeypatch.setattr(builtins, "open",
+                        lambda f, *a, **k: opened.append(f) or real_open(f, *a, **k))
+    monkeypatch.setattr("holocap.cli.capacity", lambda *a, **k: pytest.fail("solved"))
+    assert main(["cap"] + [f"{f}={v}" for f, v in line.items()]) == 2
+    err = capsys.readouterr().err
+    assert err == f"input error: argument {flag}: expected one value, got '--'\n"
+    assert opened == []
+    assert [p.name for p in tmp_path.iterdir()] == ["disk.json"]
+
+
 def test_green_values(tmp_path):
     set_path = write(tmp_path / "disk.json", DISK)
     pts_path = write_points_csv(tmp_path / "pts.csv", [2 + 0j, 0.3 + 0j])
