@@ -49,7 +49,7 @@ CANDIDATES = 4096
 _EXCHANGE_TOL = 1e-12
 _MAX_SWEEPS = 30
 
-#: point x node pairs a discrete Green potential evaluates at once (~6 MB of temporaries)
+#: point x node pairs a Green potential or _log_vdm evaluates at once (~6 MB of temporaries)
 _GREEN_CHUNK_CELLS = 1 << 18
 
 
@@ -58,7 +58,7 @@ class FeketeResult:
     """Near-extremal point configuration and its diameter sequence."""
 
     points: np.ndarray                 # selected points, complex128
-    log_vdm: float                     # sum over pairs of log distances
+    log_vdm: float                     # sum over pairs of log distances: _log_vdm(points)
     # ((k, d_k), ...) at the refined sizes: a doubling schedule, or the final one
     diameter_sequence: tuple
     degenerate: bool = False           # fewer distinct candidates than requested
@@ -72,9 +72,7 @@ class FeketeResult:
     @property
     def d_n(self) -> float:
         n = self.n
-        if n < 2:
-            return 0.0
-        return math.exp(2.0 * self.log_vdm / (n * (n - 1)))
+        return math.exp(2.0 * self.log_vdm / (n * (n - 1))) if n >= 2 else 0.0
 
 
 @dataclass(frozen=True)
@@ -95,10 +93,18 @@ def _distinct(points: np.ndarray) -> np.ndarray:
 
 
 def _log_vdm(points: np.ndarray) -> float:
-    """Sum of log|z_i - z_j| over the pairs i < j, taken row by row."""
-    upper = np.arange(len(points))[:, None] < np.arange(len(points))
-    with np.errstate(divide="ignore"):
-        return float(np.sum(np.log(np.abs((points[:, None] - points)[upper]))))
+    """Sum of log|z_i - z_j| over the pairs i < j, bit for bit a solve's: half the
+    column sums of log|z_j - z_i| over the rows i in order, in blocks of one width
+    >= 2 (numpy sums one column pairwise) and about ``_GREEN_CHUNK_CELLS`` cells."""
+    k = len(points)
+    cols = max(2, _GREEN_CHUNK_CELLS // max(k, 1))
+    sums = np.empty(k)
+    for lo in range(0, k, cols):
+        lo = max(0, min(lo, k - cols))   # the last block overlaps the one before it
+        blk = np.abs(points[lo:lo + cols] - points[:, None])   # rows i, columns j
+        np.fill_diagonal(blk[lo:], 1.0)   # log 1 = 0 in place of log 0 at i = j
+        sums[lo:lo + cols] = np.log(blk, out=blk).sum(axis=0)
+    return 0.5 * float(np.sum(sums))
 
 
 def _greedy_leja(cand: np.ndarray, n: int, rows: np.ndarray | None = None):
@@ -131,7 +137,7 @@ def _log_dist_row(cand: np.ndarray, s: int, row: np.ndarray) -> np.ndarray:
     return np.log(row, out=row)
 
 
-def _exchange_refine(cand: np.ndarray, sel: np.ndarray, logdist: np.ndarray) -> np.ndarray:
+def _exchange_refine(cand: np.ndarray, sel: np.ndarray, logdist: np.ndarray):
     """Single-point exchange until no swap improves the log VDM, in place.
 
     Row i of ``logdist`` holds slot i's :func:`_log_dist_row` (``cand`` must
@@ -139,7 +145,8 @@ def _exchange_refine(cand: np.ndarray, sel: np.ndarray, logdist: np.ndarray) -> 
     selection and, for a selected c, its sum to the other selected points.
     The totals, and a copy masked with -inf at the selected candidates, are
     summed at the start of each sweep and updated by the row difference
-    after every accepted swap; ``sel`` and ``logdist`` end as the result.
+    after every accepted swap.  Returns ``sel`` (it and ``logdist`` end as the
+    result) and the final rows' totals, re-summed if ``_MAX_SWEEPS`` cut a swap.
     """
     scores, row = np.empty(len(cand)), np.empty(len(cand))
     for _ in range(_MAX_SWEEPS):
@@ -159,18 +166,13 @@ def _exchange_refine(cand: np.ndarray, sel: np.ndarray, logdist: np.ndarray) -> 
                 sel[i] = best
                 improved = True
         if not improved:
-            break
-    return sel
+            return sel, total
+    return sel, logdist.sum(axis=0)
 
 
 def _checkpoints(n: int) -> list:
     """Doubling schedule 2, 4, 8, ... plus n//2 and n, sorted and deduped."""
-    ks = {n, max(2, n // 2)}
-    k = 2
-    while k < n:
-        ks.add(k)
-        k *= 2
-    return sorted(ks)
+    return sorted({n, max(2, n // 2)} | {2 ** j for j in range(1, n.bit_length()) if 2 ** j < n})
 
 
 def fekete_points(set_: CompactSet, n: int, candidates: int = CANDIDATES) -> FeketeResult:
@@ -196,8 +198,9 @@ def _fekete_over(cand: np.ndarray, n: int, checkpoints: Sequence[int]) -> Fekete
     others, and the diameter sequence lists exactly these sizes; the size-n
     refinement is the result.  The greedy selection fills one (n, N)
     log-distance matrix that serves every size, so a solve peaks at one n x N
-    float64 (16 MB at n = 512, N = 4,096): size k is refined on its first k
-    rows, after recomputing those that a smaller size swapped.
+    float64 (16 MB at n = 512, N = 4,096), and no n x n array: size k is refined
+    on its first k rows, after recomputing those that a smaller size swapped,
+    and its log VDM is half the sum of its final totals at the selection.
     """
     if n < 2:
         raise ValueError(f"fekete_points needs n >= 2, got {n}")
@@ -212,18 +215,21 @@ def _fekete_over(cand: np.ndarray, n: int, checkpoints: Sequence[int]) -> Fekete
         for j in np.flatnonzero(held[:k] != greedy[:k]):
             held[j] = greedy[j]
             _log_dist_row(cand, held[j], rows[j])
-        sel_k = _exchange_refine(cand, held[:k], rows[:k])
-        lv_k = _log_vdm(cand[sel_k])
+        sel_k, total = _exchange_refine(cand, held[:k], rows[:k])
+        lv_k = 0.5 * float(np.sum(total[sel_k]))
         seq.append((k, math.exp(2.0 * lv_k / (k * (k - 1)))))
     return FeketeResult(points=cand[sel_k], log_vdm=lv_k, diameter_sequence=tuple(seq),
                         selection=sel_k)
 
 
 def _degenerate_fekete(pts: np.ndarray) -> FeketeResult:
-    """All of too few distinct points, with their prefix diameter sequence."""
-    seq = tuple((k, math.exp(2.0 * _log_vdm(pts[:k]) / (k * (k - 1))))
-                for k in range(2, len(pts) + 1))
-    return FeketeResult(points=pts, log_vdm=_log_vdm(pts), diameter_sequence=seq,
+    """All of too few distinct points; prefix diameters from running sums as in _greedy_leja."""
+    logsum, row, prefix_lv, seq = np.zeros(len(pts)), np.empty(len(pts)), 0.0, []
+    for k in range(2, len(pts) + 1):
+        logsum += _log_dist_row(pts, k - 2, row)
+        prefix_lv += float(logsum[k - 1])
+        seq.append((k, math.exp(2.0 * prefix_lv / (k * (k - 1)))))
+    return FeketeResult(points=pts, log_vdm=_log_vdm(pts), diameter_sequence=tuple(seq),
                         degenerate=True, selection=np.arange(len(pts)))
 
 
@@ -294,8 +300,7 @@ def quick_cloud_capacity(points: np.ndarray, n: int) -> float:
         return 0.0
     n = min(n, len(pts))
     _, prefix_lv = _greedy_leja(pts, n)
-    d_n = math.exp(2.0 * prefix_lv[n - 1] / (n * (n - 1)))
-    return d_n / _bias_correction(n)
+    return math.exp(2.0 * prefix_lv[n - 1] / (n * (n - 1))) / _bias_correction(n)
 
 
 def _estimate_from_fekete(fek: FeketeResult, eps_cap: float) -> CapacityEstimate:
@@ -305,9 +310,8 @@ def _estimate_from_fekete(fek: FeketeResult, eps_cap: float) -> CapacityEstimate
                                 robin_constant=math.inf, polar=True,
                                 degenerate=True, fekete=fek)
     value = fek.d_n / _bias_correction(fek.n)
-    seq = dict(fek.diameter_sequence)
-    half = max(2, fek.n // 2)
-    err = abs(seq.get(half, fek.d_n) - fek.d_n)
+    d_half = dict(fek.diameter_sequence).get(max(2, fek.n // 2), fek.d_n)
+    err = abs(d_half - fek.d_n)
     polar = value < eps_cap
     robin = math.inf if polar else -math.log(value)
     return CapacityEstimate(value=value, n_used=fek.n, error_indicator=err,
@@ -355,17 +359,14 @@ class GreenEvaluator:
             return np.log(np.abs(w + surd))
         # discrete equilibrium potential of the near-Fekete points; each
         # point's mean is its own row's, so chunking leaves every value as is
-        pts = self.points
-        out = np.empty(z.shape, dtype=np.float64)
-        flat = z.reshape(-1)
+        pts, flat = self.points, z.reshape(-1)
+        out = np.empty(len(flat))
         chunk = max(1, _GREEN_CHUNK_CELLS // len(pts))
         with np.errstate(divide="ignore"):
             for lo in range(0, len(flat), chunk):
-                blk = flat[lo:lo + chunk]
-                out.reshape(-1)[lo:lo + chunk] = (
-                    np.mean(np.log(np.abs(blk[:, None] - pts[None, :])), axis=1)
-                )
-        return out + self.robin_constant
+                blk = flat[lo:lo + chunk, None]
+                out[lo:lo + chunk] = np.mean(np.log(np.abs(blk - pts)), axis=1)
+        return out.reshape(z.shape) + self.robin_constant
 
     def __call__(self, z) -> np.ndarray | float:
         scalar = np.isscalar(z) or (isinstance(z, complex))
@@ -416,8 +417,7 @@ def fekete_green(set_: CompactSet, est: CapacityEstimate, candidates: int = CAND
     ev = GreenEvaluator("fekete_potential", set_, est.robin_constant,
                         points=est.fekete.points, selection=est.fekete.selection)
     # clamp magnitude: worst negative dip of the raw potential on the set itself
-    probe = discretize(set_, min(candidates, 4096))
-    raw = ev._raw(np.asarray(probe, dtype=np.complex128))
+    raw = ev._raw(np.asarray(discretize(set_, min(candidates, 4096)), dtype=np.complex128))
     raw = raw[np.isfinite(raw)]
     ev.clamp_magnitude = float(max(0.0, -raw.min())) if len(raw) else 0.0
     return ev
@@ -436,9 +436,9 @@ def green_from_selection(set_: CompactSet, selection, clamp_magnitude: float,
     """The Fekete-backed evaluator of :func:`green_function`, rebuilt from its selection.
 
     ``selection`` and ``clamp_magnitude`` are an evaluator's own, so no
-    solve runs: the Robin constant is recomputed from the selected points in
-    their order, which reproduces every value bit for bit.  The selection is
-    checked as outside input (distinct integer positions among the
+    solve runs: :func:`_log_vdm` sums the points as the solve's final totals
+    did (no n x n array), reproducing every value bit for bit.  The selection
+    is checked as outside input (distinct integer positions among the
     candidates, as many as the solve selects, a capacity not below
     ``eps_cap``); a violation raises ``ValueError``.
     """

@@ -514,12 +514,13 @@ def gamma_cap(pred: SetPredicate, unitary_count: int = 1, seed: int = 0,
     The identity is always evaluated; further unitaries are Haar samples
     drawn from per-index generators split off ``seed``, so results do not
     depend on evaluation order.  ``value`` is the max over the sample, a
-    lower bound for the supremum over all unitaries.  At dimension 1 this
-    degenerates to the 1-D capacity of the set.  Scans use the fixed grids
-    of the module docstring.  A final set that is a disk or a segment takes
-    its closed form (:func:`_factor_capacity`); a union, a point cloud or a
-    scanned set takes the estimate at 128 points on 4,096 candidates
-    (``capacity.FEKETE_N``, ``capacity.CANDIDATES``).
+    lower bound for the supremum over all unitaries; ``best_unitary`` is the
+    first within 1e-12 relative of it, so rounding does not pick the witness.
+    At dimension 1 this degenerates to the 1-D capacity of the set.  Scans
+    use the fixed grids of the module docstring.  A final set that is a disk
+    or a segment takes its closed form (:func:`_factor_capacity`); a union, a
+    point cloud or a scanned set takes the estimate at 128 points on 4,096
+    candidates (``capacity.FEKETE_N``, ``capacity.CANDIDATES``).
     """
     if unitary_count < 1:
         raise ValueError("unitary_count must be >= 1")
@@ -534,8 +535,7 @@ def gamma_cap(pred: SetPredicate, unitary_count: int = 1, seed: int = 0,
         unitaries.append(UnitarySample(haar_unitary(m, rng), i))
 
     per = []
-    best_idx = 0
-    for k, u in enumerate(unitaries):
+    for u in unitaries:
         p = _project_to_m1(pred, u.matrix, eps_cap)
         shape = _shape_1d(p)
         if shape is not None:
@@ -543,10 +543,10 @@ def gamma_cap(pred: SetPredicate, unitary_count: int = 1, seed: int = 0,
         else:
             value = capacity_of_cloud(_final_cloud(p), eps_cap=eps_cap).value
         per.append((u.seed, value))
-        if value > per[best_idx][1]:
-            best_idx = k
 
-    return GammaCapResult(value=per[best_idx][1], best_unitary=unitaries[best_idx],
+    best = max(value for _, value in per)
+    best_idx = next(k for k, (_, value) in enumerate(per) if best - value <= 1e-12 * best)
+    return GammaCapResult(value=best, best_unitary=unitaries[best_idx],
                           per_unitary=tuple(per), fiber_threshold=eps_cap)
 
 

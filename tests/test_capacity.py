@@ -1,5 +1,6 @@
 import math
 import sys
+import time
 import tracemalloc
 
 import numpy as np
@@ -86,13 +87,20 @@ def test_fekete_degenerate_single_point():
 
 @pytest.mark.parametrize("n", [8, 100, 128])
 def test_fekete_solve_computes_log_vdm_once_per_checkpoint(monkeypatch, n):
+    # each checkpoint's log VDM comes from its one refinement's totals; the
+    # rebuild from points (of green_from_selection) never runs in a solve
     # the package attribute holocap.capacity is the function; patch the module
     module = sys.modules["holocap.capacity"]
-    log_vdm, sizes = module._log_vdm, []
-    monkeypatch.setattr(module, "_log_vdm", lambda pts: sizes.append(len(pts)) or log_vdm(pts))
+    refine, log_vdm, refined, summed = module._exchange_refine, module._log_vdm, [], []
+    monkeypatch.setattr(module, "_exchange_refine",
+                        lambda cand, sel, logdist: refined.append(len(sel))
+                        or refine(cand, sel, logdist))
+    monkeypatch.setattr(module, "_log_vdm", lambda pts: summed.append(len(pts)) or log_vdm(pts))
     fek = capacity_of_cloud(np.exp(2j * np.pi * np.arange(200) / 200), n=n).fekete
-    assert sizes == _checkpoints(n)
+    assert refined == _checkpoints(n)
+    assert summed == []
     assert fek.log_vdm == log_vdm(fek.points)
+    assert fek.diameter_sequence[-1] == (n, fek.d_n)
 
 
 def test_capacity_disk():
@@ -192,13 +200,17 @@ def test_exchange_matches_full_resum_reference(name, n):
     cand = _distinct(_exchange_inputs(512)[name])
     sel, rows = _greedy_with_rows(cand, n)
     expected = full_resum_exchange(cand, sel.copy())
-    assert np.array_equal(_exchange_refine(cand, sel.copy(), rows), expected)
+    refined, total = _exchange_refine(cand, sel.copy(), rows)
+    assert np.array_equal(refined, expected)
+    # the totals handed back are the final rows' own sum, not a running update
+    assert np.array_equal(total, rows.sum(axis=0))
+    assert np.array_equal(rows, np.array([_reference_row(cand, s) for s in refined]))
 
 
 @pytest.mark.parametrize("name", ["segment", "union", "disk"])
 def test_exchange_result_is_locally_optimal(name):
     cand = _distinct(_exchange_inputs(256)[name])
-    sel = _exchange_refine(cand, *_greedy_with_rows(cand, 16))
+    sel, _ = _exchange_refine(cand, *_greedy_with_rows(cand, 16))
     lv = _log_vdm(cand[sel])
     slack = _EXCHANGE_TOL * max(1.0, abs(lv))
     outside = np.setdiff1d(np.arange(len(cand)), sel)
@@ -276,6 +288,89 @@ def test_solve_matches_fresh_rows_reference(name, n, final):
     assert np.array_equal(fek.selection, sel)
     assert fek.log_vdm == lv
     assert fek.diameter_sequence == seq
+
+
+def _gaussian_cloud(count, seed):
+    rng = np.random.default_rng(seed)
+    return PointCloud(tuple(rng.normal(size=count) + 1j * rng.normal(size=count)))
+
+
+# sets of the log-VDM identity test: shapes at the default candidates, and
+# clouds of more points than the largest size
+LOG_VDM_SETS = {
+    "disk": Disk(0.5j, 2),
+    "segment": Segment(-1, 1),
+    "union": UnionSet((Segment(-2, -0.5), Segment(0.3, 1.7))),
+    "gaussian_cloud": _gaussian_cloud(700, 17),
+    "ring_cloud": PointCloud(tuple(np.exp(2j * np.pi * np.random.default_rng(23).random(900))
+                                   * (1.0 + 0.2 * np.random.default_rng(29).random(900)))),
+}
+
+
+@pytest.mark.parametrize("n", [8, 16, 64, 128, 256, 512])
+@pytest.mark.parametrize("name", list(LOG_VDM_SETS))
+def test_solve_log_vdm_equals_the_rebuild_bit_for_bit(monkeypatch, name, n):
+    # a solve takes log VDM from its exchange totals, green_from_selection from
+    # the points: eval's Robin constant is extend's only if the two agree exactly
+    fek = fekete_points(LOG_VDM_SETS[name], n)
+    assert not fek.degenerate
+    assert fek.log_vdm == _log_vdm(fek.points)
+    # blocks of every width, the last one overlapping, keep each column's sum
+    # in row order (a one-column block would be summed pairwise)
+    for cells in (1, 3 * n):
+        monkeypatch.setattr(sys.modules["holocap.capacity"], "_GREEN_CHUNK_CELLS", cells)
+        assert fek.log_vdm == _log_vdm(fek.points)
+
+
+def test_solve_stopped_mid_swap_resums_its_totals(monkeypatch):
+    # one sweep that swaps, then the sweep limit: the running totals carry
+    # the swaps' rounding, so the solve must sum its final rows afresh
+    monkeypatch.setattr(sys.modules["holocap.capacity"], "_MAX_SWEEPS", 1)
+    cand = _candidates(Segment(-1, 1), 64, CANDIDATES)
+    greedy, rows = _greedy_with_rows(cand, 64)
+    sel, total = _exchange_refine(cand, greedy.copy(), rows)
+    assert not np.array_equal(sel, greedy)
+    assert np.array_equal(total, rows.sum(axis=0))
+    union = LOG_VDM_SETS["union"]
+    fek = fekete_points(union, 128)
+    assert fek.log_vdm == _log_vdm(fek.points)
+
+
+def test_fekete_solve_peaks_at_its_one_row_matrix():
+    cloud, n = _gaussian_cloud(2000, 13), 1024
+    tracemalloc.start()
+    try:
+        fek = fekete_points(cloud, n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert fek.n == n
+    # the n x N log-distance matrix and O(N) vectors; an n x n log-VDM
+    # temporary would add another ~1.5 n x N
+    assert peak < 1.2 * n * 2000 * 8
+
+
+@pytest.mark.parametrize("count", [1, 2, MIN_POINTS - 1, 60])
+def test_degenerate_sequence_is_the_prefix_log_vdms(count):
+    # a cloud below MIN_POINTS, and fekete_points asked for more than a cloud has
+    pts = _distinct(_exchange_inputs(512)["cloud"])[:count]
+    fek = (capacity_of_cloud(pts).fekete if count < MIN_POINTS
+           else fekete_points(PointCloud(tuple(pts)), count + 1))
+    assert fek.degenerate and np.array_equal(fek.points, pts)
+    assert fek.log_vdm == _log_vdm(pts)
+    assert [k for k, _ in fek.diameter_sequence] == list(range(2, len(pts) + 1))
+    for k, d_k in fek.diameter_sequence:
+        assert d_k == pytest.approx(math.exp(2.0 * _log_vdm(pts[:k]) / (k * (k - 1))),
+                                    rel=1e-14)
+
+
+def test_degenerate_sequence_runs_in_quadratic_time():
+    # 1,000 points at n = 1,001: the prefix sums take one row per point,
+    # where a log VDM per prefix took seconds
+    start = time.perf_counter()
+    fek = fekete_points(PointCloud(CIRCLE_5000.points[::5]), 1001)
+    assert fek.degenerate and len(fek.diameter_sequence) == 999
+    assert time.perf_counter() - start < 1.0
 
 
 def test_disk_solve_computes_one_row_per_point(monkeypatch):
@@ -464,7 +559,8 @@ def test_green_function_refines_only_its_final_size(monkeypatch, name):
     count = len(_distinct(np.asarray(set_.points))) if isinstance(set_, PointCloud) else n
     assert size == min(n, count)
     assert refined == [size]
-    assert summed == [size]
+    # the Robin constant comes from the one refinement's totals
+    assert summed == []
 
 
 @pytest.mark.parametrize("name", list(GREEN_SOLVES))

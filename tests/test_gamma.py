@@ -101,6 +101,18 @@ def test_more_unitaries_never_decrease_value():
     assert res8.per_unitary[:4] == res4.per_unitary
 
 
+def test_gamma_cap_ball_ties_report_the_first_unitary():
+    # every unitary image of a ball projects to the same disk; the values
+    # differ only by rounding, the last digit of unitary 2 above the others
+    res = gamma_cap(ball_predicate([0, 0], 2.0), unitary_count=4, seed=1)
+    values = [value for _, value in res.per_unitary]
+    assert max(values) - min(values) <= 1e-15 * max(values)
+    assert values[2] > values[0]
+    assert res.best_unitary.seed == 0
+    assert np.array_equal(res.best_unitary.matrix, np.eye(2))
+    assert res.value == max(values)
+
+
 def test_gamma_cap_deterministic():
     a = gamma_cap(LINE, unitary_count=6, seed=123)
     b = gamma_cap(LINE, unitary_count=6, seed=123)
