@@ -22,7 +22,6 @@ from .sets import (  # noqa: F401
     distance_to,
     set_from_json,
     set_to_json,
-    sublevel_subset,
 )
 from .capacity import (  # noqa: F401
     EPS_CAP,
@@ -52,7 +51,6 @@ from .gamma import (  # noqa: F401
     haar_unitary,
     linear_image,
     predicate_from_json,
-    predicate_from_set,
     product_predicate,
     reduce_to_m1,
 )

@@ -19,8 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .capacity import GreenEvaluator, green_function
-from .sets import CompactSet, Disk, PointCloud, Segment, UnionSet, discretize
+from .capacity import green_function
+from .sets import CompactSet, Disk, PointCloud, Segment, UnionSet
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -54,13 +54,13 @@ class Polynomial1D:
         return np.polynomial.polynomial.polyval(np.asarray(z, dtype=np.complex128), coeffs)
 
 
-def _golden_max(fn, lo: float, hi: float, iters: int = 80) -> float:
-    """Golden-section maximum of a scalar function on [lo, hi]."""
+def _golden_max(fn, lo: float, hi: float) -> float:
+    """Golden-section maximum of a scalar function on [lo, hi], in 80 steps."""
     a, b = lo, hi
     x1 = b - _GOLDEN * (b - a)
     x2 = a + _GOLDEN * (b - a)
     f1, f2 = fn(x1), fn(x2)
-    for _ in range(iters):
+    for _ in range(80):
         if f1 < f2:
             a, x1, f1 = x1, x2, f2
             x2 = a + _GOLDEN * (b - a)
@@ -72,10 +72,10 @@ def _golden_max(fn, lo: float, hi: float, iters: int = 80) -> float:
     return max(f1, f2)
 
 
-def _refine_top(fn, params: np.ndarray, values: np.ndarray, wrap: bool, top: int = 3) -> float:
-    """Refine the ``top`` best grid brackets; returns the refined maximum."""
+def _refine_top(fn, params: np.ndarray, values: np.ndarray, wrap: bool) -> float:
+    """Refine the three best grid brackets; returns the refined maximum."""
     best = float(values.max())
-    order = np.argsort(values)[::-1][:top]
+    order = np.argsort(values)[::-1][:3]
     m = len(params)
     span = params[1] - params[0]
     for k in order:
@@ -122,8 +122,7 @@ def sup_norm(p: Polynomial1D, set_: CompactSet) -> float:
     raise TypeError(f"not a CompactSet: {set_!r}")
 
 
-def bernstein_bound(p: Polynomial1D, set_: CompactSet, z: complex,
-                    green: GreenEvaluator | None = None) -> float:
+def bernstein_bound(p: Polynomial1D, set_: CompactSet, z: complex) -> float:
     """Growth bound sup_K |p| * exp(deg(p) * g(z)) at the point z.
 
     Degree-0 polynomials get their sup-norm back unchanged, the zero
@@ -131,8 +130,7 @@ def bernstein_bound(p: Polynomial1D, set_: CompactSet, z: complex,
     """
     if p.is_zero:
         return 0.0
-    if green is None:
-        green = green_function(set_)
+    green = green_function(set_)
     norm = sup_norm(p, set_)
     deg = int(p.degree)
     if deg == 0:

@@ -45,7 +45,7 @@ from .errors import (
     OutsideCertifiedDomain,
     WindowEmpty,
 )
-from .sets import CompactSet, PointCloud, _j2c, set_from_json, set_to_json
+from .sets import CompactSet, PointCloud, _field, _j2c, set_from_json, set_to_json
 
 
 # ---------------------------------------------------------------------------
@@ -73,10 +73,6 @@ class MultiIndex:
     @property
     def k(self) -> int:
         return len(self.entries)
-
-    @classmethod
-    def single(cls, n: int) -> "MultiIndex":
-        return cls((n,))
 
 
 def _index_rows(k: int, max_norm: int) -> np.ndarray:
@@ -496,8 +492,8 @@ class ExtendConfig:
         for name in positive + ("sublinear_tol",):
             value = getattr(self, name)
             strict = name in positive
-            if not (isinstance(value, numbers.Real) and math.isfinite(value)
-                    and (value > 0 if strict else value >= 0)):
+            if not (isinstance(value, numbers.Real) and not isinstance(value, bool)
+                    and math.isfinite(value) and (value > 0 if strict else value >= 0)):
                 raise ValueError(f"config field {name!r} must be finite and "
                                  f"{'>' if strict else '>='} 0, got {value!r}")
 
@@ -636,11 +632,10 @@ def certify_uniform(seq: PolynomialSequence, K_samples,
                     sublinear_tol=cfg.sublinear_tol)
 
 
-def global_bound(cert: ExtensionCertificate, z2: complex, index,
-                 green: GreenEvaluator | None = None) -> float:
+def global_bound(cert: ExtensionCertificate, z2: complex, index) -> float:
     """Coefficient bound M0 rho1^{||n||} exp((C0 + C1||n||) g(z2)) anywhere."""
     norm = index.norm if isinstance(index, MultiIndex) else int(index)
-    g = float((green or cert.green())(complex(z2)))
+    g = float(cert.green()(complex(z2)))
     return cert.M0 * cert.rho1 ** norm * math.exp((cert.C0 + cert.C1 * norm) * g)
 
 
@@ -786,22 +781,6 @@ def certificate_to_json(cert: ExtensionCertificate) -> dict:
     return doc
 
 
-_FIELD_KINDS = {numbers.Real: "a number", numbers.Integral: "an integer", bool: "a boolean",
-                dict: "an object", list: "a list"}
-
-
-def _field(doc: dict, name: str, kind: type, default=None, where: str = "certificate field"):
-    """``doc[name]`` checked against ``kind``; a missing name without a default raises."""
-    if name not in doc:
-        if default is None:
-            raise ValueError(f"{where} {name!r} is missing")
-        return default
-    value = doc[name]
-    if isinstance(value, bool) != (kind is bool) or not isinstance(value, kind):
-        raise ValueError(f"{where} {name!r} must be {_FIELD_KINDS[kind]}, got {value!r}")
-    return value
-
-
 def certificate_from_json(doc: dict) -> ExtensionCertificate:
     """Certificate from :func:`certificate_to_json` output, every field checked.
 
@@ -872,7 +851,7 @@ def sequence_from_json(doc: dict) -> PolynomialSequence:
             what = f"coefficient of index {tuple(item['index'])}"
             items.append((item["index"], tuple(_finite(_j2c(c), what)
                                                for c in item["coefficients"])))
-        declared = {name: _finite(doc[name], name)
+        declared = {name: _finite(_field(doc, name, numbers.Real, where="sequence field"), name)
                     for name in ("declared_C0", "declared_C1") if doc.get(name) is not None}
         return _table(items, max_norm, k, **declared)
     raise ValueError(f"unknown sequence kind: {kind!r}")

@@ -37,6 +37,7 @@ estimate at the working resolution of :mod:`holocap.capacity` (128 points).
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -45,8 +46,8 @@ import numpy as np
 from .capacity import (CANDIDATES, EPS_CAP, FEKETE_N, _closed_form_capacity, capacity,
                        capacity_of_cloud, quick_cloud_capacity)
 from .errors import GammaPolar, UnboundedSet
-from .sets import (MEMBERSHIP_TOL, CompactSet, Disk, PointCloud, Segment, _j2c, affine_image,
-                   bounding_box, contains, discretize, set_from_json)
+from .sets import (MEMBERSHIP_TOL, CompactSet, Disk, PointCloud, Segment, _field, _j2c,
+                   affine_image, bounding_box, contains, discretize, set_from_json)
 
 MAX_DIMENSION = 3   # products and scans only: ellipsoids project in closed form
 
@@ -103,11 +104,6 @@ def _require_finite_box(pred: SetPredicate) -> None:
             for v in interval:
                 if not math.isfinite(v):
                     raise UnboundedSet("predicate bounding box must be finite")
-
-
-def predicate_from_set(shape: CompactSet) -> SetPredicate:
-    """1-D predicate backed by a compact shape."""
-    return product_predicate([shape])
 
 
 def product_predicate(factors) -> SetPredicate:
@@ -578,7 +574,8 @@ def predicate_from_json(doc: dict) -> SetPredicate:
     if kind == "product":
         return product_predicate([set_from_json(f) for f in doc["factors"]])
     if kind == "ball":
-        return ball_predicate([_j2c(c) for c in doc["center"]], float(doc["radius"]))
+        radius = float(_field(doc, "radius", numbers.Real, where="predicate field"))
+        return ball_predicate([_j2c(c) for c in doc["center"]], radius)
     if kind == "linear_image":
         matrix = [[_j2c(e) for e in row] for row in doc["matrix"]]
         return linear_image(np.asarray(matrix), predicate_from_json(doc["of"]))

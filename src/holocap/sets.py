@@ -16,8 +16,9 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from dataclasses import dataclass
-from typing import Callable, Union
+from typing import Union
 
 import numpy as np
 
@@ -197,27 +198,6 @@ def bounding_box(set_: CompactSet) -> tuple:
     raise TypeError(f"not a CompactSet: {set_!r}")
 
 
-def sublevel_subset(
-    set_: CompactSet,
-    score: Callable[[complex], float],
-    threshold: float,
-    count: int | None = None,
-) -> PointCloud | None:
-    """Cloud of discretization points with ``score(z) <= threshold``.
-
-    Returns ``None`` when no sample point qualifies (the empty marker; an
-    empty sublevel set is a finding, not an error).
-    """
-    if count is None:
-        count = getattr(set_, "boundary_samples", DEFAULT_BOUNDARY_SAMPLES)
-    pts = discretize(set_, count)
-    values = np.asarray([float(score(complex(z))) for z in pts])
-    keep = pts[values <= threshold]
-    if len(keep) == 0:
-        return None
-    return PointCloud(tuple(complex(z) for z in keep))
-
-
 # ---------------------------------------------------------------------------
 # JSON schema:  {"shape": "disk"|"segment"|"cloud"|"union", ...fields...}
 # Complex values are encoded as [re, im] pairs.
@@ -234,6 +214,22 @@ def _j2c(v) -> complex:
         if type(re) in (int, float) and type(im) in (int, float):   # a bool is not a number
             return complex(re, im)
     raise ValueError(f"expected an [re, im] pair of numbers, got {v!r}")
+
+
+_FIELD_KINDS = {numbers.Real: "a number", numbers.Integral: "an integer", bool: "a boolean",
+                dict: "an object", list: "a list"}
+
+
+def _field(doc: dict, name: str, kind: type, default=None, where: str = "certificate field"):
+    """``doc[name]`` checked against ``kind``; a missing name without a default raises."""
+    if name not in doc:
+        if default is None:
+            raise ValueError(f"{where} {name!r} is missing")
+        return default
+    value = doc[name]
+    if isinstance(value, bool) != (kind is bool) or not isinstance(value, kind):
+        raise ValueError(f"{where} {name!r} must be {_FIELD_KINDS[kind]}, got {value!r}")
+    return value
 
 
 def _points_from_json(values) -> np.ndarray:
@@ -269,9 +265,10 @@ def set_from_json(doc: dict) -> CompactSet:
     if not isinstance(doc, dict):
         raise ValueError(f"a set must be a JSON object, got {type(doc).__name__}")
     kind = doc.get("shape")
-    bs = int(doc.get("boundary_samples", DEFAULT_BOUNDARY_SAMPLES))
+    bs = _field(doc, "boundary_samples", numbers.Integral, DEFAULT_BOUNDARY_SAMPLES, "set field")
     if kind == "disk":
-        return Disk(_j2c(doc["center"]), float(doc["radius"]), bs)
+        radius = float(_field(doc, "radius", numbers.Real, where="set field"))
+        return Disk(_j2c(doc["center"]), radius, bs)
     if kind == "segment":
         return Segment(_j2c(doc["a"]), _j2c(doc["b"]), bs)
     if kind == "cloud":

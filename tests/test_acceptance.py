@@ -199,7 +199,7 @@ def test_criterion_7_ring_closure():
     left = ring_multiply(ring_multiply(f, g, 8), h, 8)
     right = ring_multiply(f, ring_multiply(g, h, 8), 8)
     for n in range(9):
-        idx = MultiIndex.single(n)
+        idx = MultiIndex((n,))
         assert left.poly(idx).coefficients == right.poly(idx).coefficients
     return "20 pairs closed, associativity exact"
 

@@ -248,13 +248,27 @@ TABLE = {"kind": "table", "max_norm": 2,
     ("extend", {"--seq": GEOMETRIC, "--samples": _samples_with([1, 0, 0])}, PAIR + "[1, 0, 0]"),
     ("extend", {"--seq": GEOMETRIC, "--samples": _samples_with([math.nan, 0], [True, 0])},
      PAIR + "[True, 0]"),
+    # every number is a JSON number: no numeric string, no boolean, no fraction for a count
+    ("cap", {"--set": {**DISK, "radius": "2"}}, "set field 'radius' must be a number, got '2'"),
+    ("cap", {"--set": {**DISK, "radius": True}}, "set field 'radius' must be a number, got True"),
+    ("cap", {"--set": {**SEGMENT, "boundary_samples": True}},
+     "set field 'boundary_samples' must be an integer, got True"),
+    ("cap", {"--set": {**DISK, "boundary_samples": 2.5}},
+     "set field 'boundary_samples' must be an integer, got 2.5"),
+    ("gammacap", {"--set": {**BALL, "radius": "0.5"}},
+     "predicate field 'radius' must be a number, got '0.5'"),
+    ("extend", {"--seq": {**TABLE, "entries": TABLE["entries"][:1], "declared_C1": True},
+                "--samples": CIRCLE_SAMPLES},
+     "sequence field 'declared_C1' must be a number, got True"),
 ], ids=["set_pair_short", "set_pair_strings", "set_pair_bool", "set_pair_long", "set_list",
         "lambda_short", "value_number", "coefficient_short", "sample_short", "sequence_list",
         "poly_coefficient_short", "ball_center_short", "matrix_entry_short", "predicate_list",
         "points_row_short", "sample_nan", "points_row_nan", "points_row_inf",
         "bernstein_points_row_nan", "poly_coefficient_nan", "cloud_point_bool",
         "cloud_point_string", "cloud_point_long", "cloud_point_inf", "cloud_bool_after_nan",
-        "sample_bool", "sample_string", "sample_long", "sample_bool_after_nan"])
+        "sample_bool", "sample_string", "sample_long", "sample_bool_after_nan",
+        "radius_string", "radius_bool", "boundary_samples_bool", "boundary_samples_float",
+        "ball_radius_string", "declared_c1_bool"])
 def test_malformed_input_exit_two(tmp_path, capsys, command, inputs, message):
     argv = [command]
     for flag, doc in inputs.items():
@@ -381,9 +395,14 @@ def test_eval_outside_domain_exit_three(tmp_path, capsys):
     ({"gamma_radial": -1}, "unknown config keys: ['gamma_radial']"),
     ({"fekete_n": 4}, "unknown config keys: ['fekete_n']"),
     ({"candidates": 1}, "unknown config keys: ['candidates']"),
+    # a boolean is not a number
+    ({"theta": True}, "'theta' must be finite and > 0, got True"),
+    ({"eps_cap": True}, "'eps_cap' must be finite and > 0, got True"),
+    ({"sublinear_tol": True}, "'sublinear_tol' must be finite and >= 0, got True"),
 ], ids=["theta_zero", "window_string", "z2_max_negative", "eps_cap_nan",
         "sublinear_tol_inf", "i_max_zero", "window_zero", "gamma_angular_zero",
-        "gamma_radial_negative", "fekete_n_small", "candidates_one"])
+        "gamma_radial_negative", "fekete_n_small", "candidates_one", "theta_bool",
+        "eps_cap_bool", "sublinear_tol_bool"])
 def test_extend_invalid_config_exit_two(tmp_path, capsys, cfg, message):
     seq_path = write(tmp_path / "seq.json", GEOMETRIC)
     samples_path = write(tmp_path / "samples.json", CIRCLE_SAMPLES)

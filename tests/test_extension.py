@@ -67,7 +67,6 @@ CIRCLE_CLOUD = PointCloud(tuple(CIRCLE))
 def test_multi_index_basics():
     idx = MultiIndex((2, 0, 3))
     assert idx.norm == 5 and idx.k == 3
-    assert MultiIndex.single(4).entries == (4,)
     with pytest.raises(ValueError):
         MultiIndex((-1,))
     with pytest.raises(ValueError):
@@ -388,7 +387,7 @@ def _analytic_circle_cert() -> ExtensionCertificate:
 def test_global_bound_equality_for_monomials():
     cert = _analytic_circle_cert()
     assert global_bound(cert, 2.0, 5) == pytest.approx(32.0, rel=1e-12)
-    assert global_bound(cert, 2.0, MultiIndex.single(5)) == pytest.approx(32.0, rel=1e-12)
+    assert global_bound(cert, 2.0, MultiIndex((5,))) == pytest.approx(32.0, rel=1e-12)
 
 
 def test_global_bound_on_witness_is_flat():
@@ -481,16 +480,16 @@ def test_ring_square_of_geometric():
     f = geometric_sequence(1, 20)
     prod = ring_multiply(f, f, 20)
     for n in (0, 1, 5, 20):
-        coeffs = prod.poly(MultiIndex.single(n)).coefficients
+        coeffs = prod.poly(MultiIndex((n,))).coefficients
         assert coeffs[-1] == n + 1  # (n+1) z^n
-        assert prod.poly(MultiIndex.single(n)).degree == n
+        assert prod.poly(MultiIndex((n,))).degree == n
 
 
 def test_ring_identity():
     f = geometric_sequence(2 - 1j, 15)
     prod = ring_multiply(f, delta_sequence(1, 15), 15)
     for n in range(16):
-        assert prod.poly(MultiIndex.single(n)) == f.poly(MultiIndex.single(n))
+        assert prod.poly(MultiIndex((n,))) == f.poly(MultiIndex((n,)))
 
 
 def test_ring_multiply_two_variables():
@@ -540,7 +539,7 @@ def test_ring_associativity_exact():
     left = ring_multiply(ring_multiply(f, g, 8), h, 8)
     right = ring_multiply(f, ring_multiply(g, h, 8), 8)
     for n in range(9):
-        idx = MultiIndex.single(n)
+        idx = MultiIndex((n,))
         assert left.poly(idx).coefficients == right.poly(idx).coefficients
 
 
@@ -1187,17 +1186,17 @@ def test_evaluate_matches_reference_at_each_outcome(z1, tol, kind):
 
 def test_sequence_from_json_builtins():
     geo = sequence_from_json({"kind": "geometric", "lambda": [2, 0], "max_norm": 10})
-    assert geo.poly(MultiIndex.single(3)).coefficients[-1] == 8.0
+    assert geo.poly(MultiIndex((3,))).coefficients[-1] == 8.0
     const = sequence_from_json({"kind": "constant", "value": [3, 1], "max_norm": 5})
-    assert const.poly(MultiIndex.single(4)).coefficients == (3 + 1j,)
+    assert const.poly(MultiIndex((4,))).coefficients == (3 + 1j,)
     sq = sequence_from_json({"kind": "sqrt_degree", "max_norm": 50})
-    assert sq.poly(MultiIndex.single(49)).degree == 7
+    assert sq.poly(MultiIndex((49,))).degree == 7
     table = sequence_from_json({
         "kind": "table", "max_norm": 2,
         "entries": [{"index": [0], "coefficients": [[1, 0]]},
                     {"index": [2], "coefficients": [[0, 0], [0, 1]]}],
         "declared_C0": 0.0, "declared_C1": 0.5,
     })
-    assert table.poly(MultiIndex.single(2)).coefficients == (0j, 1j)
-    assert table.poly(MultiIndex.single(1)).is_zero
+    assert table.poly(MultiIndex((2,))).coefficients == (0j, 1j)
+    assert table.poly(MultiIndex((1,))).is_zero
     assert fit_degree_growth(table) == (0.0, 0.5)

@@ -14,7 +14,6 @@ from holocap.gamma import (
     haar_unitary,
     linear_image,
     predicate_from_json,
-    predicate_from_set,
     product_predicate,
     reduce_to_m1,
     transform_unitary,
@@ -75,14 +74,14 @@ def test_gamma_cap_line_is_polar():
 
 
 def test_gamma_cap_m1_segment():
-    res = gamma_cap(predicate_from_set(Segment(-1, 1)), unitary_count=1, seed=0)
+    res = gamma_cap(product_predicate([Segment(-1, 1)]), unitary_count=1, seed=0)
     assert res.value == 0.5
 
 
 def test_gamma_cap_rotation_invariance_m1():
-    a = gamma_cap(predicate_from_set(Segment(-1, 1)), unitary_count=4, seed=3)
+    a = gamma_cap(product_predicate([Segment(-1, 1)]), unitary_count=4, seed=3)
     rot = np.exp(0.7j)
-    b = gamma_cap(predicate_from_set(Segment(-rot, rot)), unitary_count=4, seed=3)
+    b = gamma_cap(product_predicate([Segment(-rot, rot)]), unitary_count=4, seed=3)
     assert b.value == pytest.approx(a.value, rel=1e-15)
 
 
@@ -136,7 +135,7 @@ def test_reduce_to_m1_polar_raises():
 
 
 def test_reduce_to_m1_identity_on_1d_input():
-    pred = predicate_from_set(Segment(-1, 1))
+    pred = product_predicate([Segment(-1, 1)])
     res = gamma_cap(pred, unitary_count=1, seed=0)
     cloud, unitary = reduce_to_m1(pred, res)
     assert unitary.matrix.shape == (1, 1)
@@ -171,7 +170,7 @@ def test_ball_predicate_membership():
 
 
 def test_linear_image_membership():
-    doubled = linear_image(np.array([[2.0 + 0j]]), predicate_from_set(Disk(0, 1)))
+    doubled = linear_image(np.array([[2.0 + 0j]]), product_predicate([Disk(0, 1)]))
     assert doubled.membership(np.array([[1.8 + 0j]]))[0]
     assert not doubled.membership(np.array([[2.2 + 0j]]))[0]
 
@@ -240,7 +239,7 @@ def test_final_disk_or_segment_takes_its_closed_form(monkeypatch):
             assert value == pytest.approx(math.sqrt(r * r - EPS_CAP ** 2), rel=1e-14)
     assert gamma_cap(product_predicate([Disk(0.2, 0.7), Disk(1j, 1.3)])).value == 0.7
     assert gamma_cap(product_predicate([Segment(-1, 1), Disk(0, 1)])).value == 0.5
-    assert gamma_cap(predicate_from_set(Segment(-1, 1))).value == 0.5
+    assert gamma_cap(product_predicate([Segment(-1, 1)])).value == 0.5
 
 
 def test_final_union_still_takes_the_estimate(monkeypatch):

@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,7 +13,6 @@ from holocap.sets import (
     distance_to,
     set_from_json,
     set_to_json,
-    sublevel_subset,
 )
 
 
@@ -74,29 +71,6 @@ def test_discretize_points_lie_in_set(count):
 def test_discretize_idempotent():
     s = Disk(1 + 2j, 3.5)
     assert np.array_equal(discretize(s, 777), discretize(s, 777))
-
-
-def test_sublevel_segment_modulus():
-    sub = sublevel_subset(Segment(-1, 1), abs, 0.5, count=101)
-    assert sub is not None
-    assert all(abs(z) <= 0.5 for z in sub.points)
-    assert len(sub.points) == 51
-
-
-def test_sublevel_empty_marker():
-    assert sublevel_subset(Disk(0, 1), lambda z: z.real, -2.0, count=64) is None
-
-
-def test_sublevel_cloud():
-    sub = sublevel_subset(PointCloud((0j, 1 + 0j, 2 + 0j)), abs, 1.0)
-    assert sub is not None
-    assert set(sub.points) == {0j, 1 + 0j}
-
-
-def test_sublevel_infinite_threshold_keeps_all():
-    pts = discretize(Segment(-2, 2), 33)
-    sub = sublevel_subset(Segment(-2, 2), abs, math.inf, count=33)
-    assert np.array_equal(np.asarray(sub.points), pts)
 
 
 def test_bounding_box():
