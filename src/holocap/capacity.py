@@ -10,7 +10,7 @@ to a local maximum) and report
 d_n decreases to the capacity from above with a universal-looking n^{1/(n-1)}
 first-order excess (exact for circles, where optimal points are rotated roots
 of unity and d_n = r * n^{1/(n-1)}).  The reported capacity divides that
-excess out; the raw d_n sequence is kept alongside.
+excess out; the raw d_k at sizes n/2 and n are kept alongside.
 
 Every capacity solve (of :func:`capacity`, :func:`capacity_of_cloud`,
 :func:`green_function` and :func:`robin_constant`) keeps one rule: n is at
@@ -59,7 +59,7 @@ class FeketeResult:
 
     points: np.ndarray                 # selected points, complex128
     log_vdm: float                     # sum over pairs of log distances: _log_vdm(points)
-    # ((k, d_k), ...) at the refined sizes: a doubling schedule, or the final one
+    # ((k, d_k), ...) at the refined sizes: n/2 and n, or the final one alone
     diameter_sequence: tuple
     degenerate: bool = False           # fewer distinct candidates than requested
     # positions of ``points`` in the candidate array the solve ran over
@@ -171,8 +171,8 @@ def _exchange_refine(cand: np.ndarray, sel: np.ndarray, logdist: np.ndarray):
 
 
 def _checkpoints(n: int) -> list:
-    """Doubling schedule 2, 4, 8, ... plus n//2 and n, sorted and deduped."""
-    return sorted({n, max(2, n // 2)} | {2 ** j for j in range(1, n.bit_length()) if 2 ** j < n})
+    """The sizes an estimate reads: n//2 (at least 2) for its error indicator, and n."""
+    return sorted({max(2, n // 2), n})
 
 
 def fekete_points(set_: CompactSet, n: int, candidates: int = CANDIDATES) -> FeketeResult:
@@ -180,9 +180,9 @@ def fekete_points(set_: CompactSet, n: int, candidates: int = CANDIDATES) -> Fek
 
     Greedy Leja selection over the candidates of :func:`capacity` (a cloud's
     distinct points, else the ``candidates``-point discretization) followed
-    by pairwise-exchange refinement.  The diameter sequence is computed at a
-    doubling schedule of sizes, each refined independently (greedy prefixes
-    alone are not reliably monotone).  A set with fewer than ``n`` distinct
+    by pairwise-exchange refinement.  The diameter sequence lists n/2 and n,
+    each refined from its own greedy prefix, so a solve at n = k gives d_k of
+    any other size k as its last row.  A set with fewer than ``n`` distinct
     candidate points yields all of them with ``degenerate=True``.
     """
     if candidates < n and not isinstance(set_, PointCloud):
@@ -193,14 +193,14 @@ def fekete_points(set_: CompactSet, n: int, candidates: int = CANDIDATES) -> Fek
 def _fekete_over(cand: np.ndarray, n: int, checkpoints: Sequence[int]) -> FeketeResult:
     """Near-Fekete selection of ``n`` points among distinct candidates.
 
-    Each size k in ``checkpoints`` (increasing, the last one ``n``) is refined
-    by exchange from the greedy prefix of size k, independently of the
-    others, and the diameter sequence lists exactly these sizes; the size-n
+    Each size k in ``checkpoints`` (n/2 and n, or n alone) is refined by
+    exchange from the greedy prefix of size k, independently of the other,
+    and the diameter sequence lists exactly these sizes; the size-n
     refinement is the result.  The greedy selection fills one (n, N)
-    log-distance matrix that serves every size, so a solve peaks at one n x N
+    log-distance matrix that serves both sizes, so a solve peaks at one n x N
     float64 (16 MB at n = 512, N = 4,096), and no n x n array: size k is refined
-    on its first k rows, after recomputing those that a smaller size swapped,
-    and its log VDM is half the sum of its final totals at the selection.
+    on its first k rows, after recomputing those that size n/2 swapped, and
+    its log VDM is half the sum of its final totals at the selection.
     """
     if n < 2:
         raise ValueError(f"fekete_points needs n >= 2, got {n}")
@@ -265,9 +265,9 @@ def capacity_of_cloud(points: Sequence[complex] | np.ndarray, n: int = FEKETE_N,
 
 def _solve(source, n: int, candidates: int, eps_cap: float, *, cloud: bool,
            final: bool = False) -> CapacityEstimate:
-    """Solve a cloud's points or a shape by the module's rule: the doubling
-    schedule (a shape's through :func:`fekete_points`) or, if ``final``, the
-    final size alone, refined from the same greedy prefix, so that only
+    """Solve a cloud's points or a shape by the module's rule: sizes n/2 and
+    n (a shape's through :func:`fekete_points`) or, if ``final``, the final
+    size alone, refined from the same greedy prefix, so that only
     ``error_indicator`` (then 0) differs."""
     _floor(n)
     if not cloud and not final:

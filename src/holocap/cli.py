@@ -91,7 +91,13 @@ def _parse_complex(text: str) -> complex:
 # ---------------------------------------------------------------------------
 
 def _cap(args, docs):
-    est = capacity(set_from_json(docs["set"]), n=args.n, candidates=args.candidates)
+    if args.candidates < 1:
+        raise ValueError(f"argument --candidates: expected a count >= 1, got {args.candidates}")
+    set_ = set_from_json(docs["set"])
+    try:
+        est = capacity(set_, n=args.n, candidates=args.candidates)
+    except MemoryError:
+        raise ValueError(f"argument --n: a solve at n = {args.n} does not fit in memory") from None
     doc = {"capacity": {
         "value": est.value, "n_used": est.n_used, "error_indicator": est.error_indicator,
         "robin_constant": "inf" if math.isinf(est.robin_constant) else est.robin_constant,

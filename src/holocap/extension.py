@@ -292,6 +292,8 @@ def fit_degree_growth(seq: PolynomialSequence) -> tuple:
     if seq.declared_C0 is not None or seq.declared_C1 is not None:
         c0 = float(seq.declared_C0 or 0.0)
         c1 = float(seq.declared_C1 or 0.0)
+        if c0 < 0.0 or c1 < 0.0:   # a certificate's C0 and C1 are >= 0
+            raise ValueError(f"declared_C0 and declared_C1 must be >= 0, got {c0} and {c1}")
         violated = np.flatnonzero(seq.degrees > c0 + c1 * seq.norms)
         if len(violated):
             r = violated[0]
@@ -429,7 +431,7 @@ class ExtensionCertificate:
     """Machine-checkable record of a certified convergence domain.
 
     The domain is |z1| < C2 / (1 + |z2|)^{exponent} with
-    C2 = 1 / (rho1 * exp(exponent_slope * gammaC)); the per-point evaluator
+    C2 = exp(-tail_slope * gammaC) / rho1; the per-point evaluator
     additionally enforces the sharper Green-function condition
     q = rho1 * exp(slope * g(z2)) * |z1| < 1.
     """
@@ -539,13 +541,18 @@ def _run_stage(name: str, fn, *args, **kwargs):
         raise err.with_stage(name)
 
 
-def _certify(seq: PolynomialSequence, samples, cfg: ExtendConfig, c0: float, c1: float,
-             exponent: float, tail_slope: float, tail_start: int, c2_of,
-             **extra_thresholds) -> ExtensionCertificate:
-    """Stages shared by both modes, after the degree-growth fit.
+def _domain_c2(rho1: float, gamma_c: float, tail_slope: float, exponent: float) -> float:
+    """The domain constant C2 = exp(-tail_slope * gammaC) / rho1, rounded as each mode
+    computes it: uniform mode has exponent 0, extension mode exponent C1 = tail_slope."""
+    if exponent == 0.0:
+        return (1.0 / rho1) * math.exp(-tail_slope * gamma_c)
+    return 1.0 / (rho1 * math.exp(tail_slope * gamma_c))
 
-    ``c2_of(rho1, gammaC)`` is the mode's domain constant C2.
-    """
+
+def _certify(seq: PolynomialSequence, samples, cfg: ExtendConfig, c0: float, c1: float,
+             exponent: float, tail_slope: float, tail_start: int,
+             **extra_thresholds) -> ExtensionCertificate:
+    """Stages shared by both modes, after the degree-growth fit."""
     window = cfg.window if cfg.window is not None else max(1, seq.max_norm // 2)
     profile = _run_stage("radius_profile", radius_profile, seq, samples, window)
     i, stratum, est = _run_stage("stratify", stratify_and_find_nonpolar, profile, cfg.i_max,
@@ -570,9 +577,9 @@ def _certify(seq: PolynomialSequence, samples, cfg: ExtendConfig, c0: float, c1:
     }
     green = _run_stage("green", fekete_green, witness, est, CANDIDATES, cfg.eps_cap)
     gamma_c = _gamma_c(green, cfg.z2_max)
-    cert = ExtensionCertificate(rho0=rho0, rho1=rho1, M0=m0, C0=c0, C1=c1,
-                                gammaC=gamma_c, C2=c2_of(rho1, gamma_c), exponent=exponent,
-                                witness=witness, N_used=seq.max_norm,
+    cert = ExtensionCertificate(rho0=rho0, rho1=rho1, M0=m0, C0=c0, C1=c1, gammaC=gamma_c,
+                                C2=_domain_c2(rho1, gamma_c, tail_slope, exponent),
+                                exponent=exponent, witness=witness, N_used=seq.max_norm,
                                 thresholds=thresholds,
                                 exponent_differs=(exponent != 1.0))
     cert._green = green
@@ -590,8 +597,7 @@ def certify_extension(seq: PolynomialSequence, K_samples,
     """
     cfg = config or ExtendConfig()
     c0, c1 = _run_stage("fit_degree_growth", fit_degree_growth, seq)
-    return _certify(seq, K_samples, cfg, c0, c1, exponent=c1, tail_slope=c1, tail_start=0,
-                    c2_of=lambda rho1, gamma_c: 1.0 / (rho1 * math.exp(c1 * gamma_c)))
+    return _certify(seq, K_samples, cfg, c0, c1, exponent=c1, tail_slope=c1, tail_start=0)
 
 
 def _tail_slope(seq: PolynomialSequence, c0: float) -> tuple:
@@ -627,9 +633,7 @@ def certify_uniform(seq: PolynomialSequence, K_samples,
             f"{cfg.sublinear_tol}").with_stage("sublinearity")
 
     return _certify(seq, K_samples, cfg, c0, c1, exponent=0.0, tail_slope=eps,
-                    tail_start=start,
-                    c2_of=lambda rho1, gamma_c: (1.0 / rho1) * math.exp(-eps * gamma_c),
-                    sublinear_tol=cfg.sublinear_tol)
+                    tail_start=start, sublinear_tol=cfg.sublinear_tol)
 
 
 def global_bound(cert: ExtensionCertificate, z2: complex, index) -> float:
@@ -711,13 +715,15 @@ def evaluate(cert: ExtensionCertificate, seq: PolynomialSequence, z1, z2: comple
         raise InsufficientData(
             f"tolerance {tol:g} unreachable with indices up to {seq.max_norm}",
             achievable_tail_bound=tail_at(seq.max_norm))
+    tail = tail_at(n_used)
+    assert math.isfinite(tail) and tail >= 0.0, f"tail bound {tail!r}"
 
     stop = seq.starts[n_used + 1]
     value = 0j
     for term, entries in zip(seq._horner(np.array([z2]), seq.blocks[:stop])[:, 0].tolist(),
                              seq.entries[:stop].tolist()):
         value += term * _z1_power(coords, entries)
-    return EvaluationResult(value=value, tail_bound=tail_at(n_used), terms_used=n_used)
+    return EvaluationResult(value=value, tail_bound=tail, terms_used=n_used)
 
 
 # ---------------------------------------------------------------------------
@@ -795,7 +801,8 @@ def certificate_from_json(doc: dict) -> ExtensionCertificate:
               for name in ("rho0", "rho1", "M0", "C0", "C1", "gammaC", "C2", "exponent")}
     thresholds = dict(_field(doc, "thresholds", dict))
     where = "certificate threshold"
-    _field(thresholds, "tail_slope", numbers.Real, where=where)
+    tail_slope = float(_field(thresholds, "tail_slope", numbers.Real, where=where))
+    _check_constants(floats, tail_slope)
     for name, kind, default in (("tail_start", numbers.Integral, 0),
                                 ("fekete_n", numbers.Integral, FEKETE_N),
                                 ("candidates", numbers.Integral, CANDIDATES),
@@ -822,6 +829,32 @@ def certificate_from_json(doc: dict) -> ExtensionCertificate:
     except ValueError as err:
         raise ValueError(f"certificate field 'green_points': {err}") from None
     return cert
+
+
+# the signs the pipeline produces; every certificate constant is finite
+_CONSTANT_SIGNS = {"rho1": "> 0", "M0": ">= 0", "C0": ">= 0", "C1": ">= 0", "tail_slope": ">= 0"}
+
+
+def _check_constants(floats: dict, tail_slope: float) -> None:
+    """Refuse a certificate's constants outside the ranges the pipeline produces, an
+    exponent other than C1 or 0, or a C2 more than 1e-12 relative from :func:`_domain_c2`."""
+    for name, value in {**floats, "tail_slope": tail_slope}.items():
+        where = "certificate threshold" if name == "tail_slope" else "certificate field"
+        sign = _CONSTANT_SIGNS.get(name)
+        if not math.isfinite(value):
+            raise ValueError(f"{where} {name!r} must be finite, got {value!r}")
+        if sign and (value <= 0.0 if sign == "> 0" else value < 0.0):
+            raise ValueError(f"{where} {name!r} must be {sign}, got {value!r}")
+    if floats["exponent"] not in (floats["C1"], 0.0):
+        raise ValueError(f"certificate field 'exponent' must be C1 ({floats['C1']!r}) or 0, "
+                         f"got {floats['exponent']!r}")
+    try:
+        c2 = _domain_c2(floats["rho1"], floats["gammaC"], tail_slope, floats["exponent"])
+    except OverflowError:   # exp(tail_slope * gammaC) beyond the float range
+        c2 = 0.0
+    if not abs(floats["C2"] - c2) <= 1e-12 * c2:
+        raise ValueError(f"certificate field 'C2' must be exp(-tail_slope * gammaC) / rho1 = "
+                         f"{c2!r} to 1e-12 relative, got {floats['C2']!r}")
 
 
 def _finite(value, what: str):

@@ -295,6 +295,32 @@ def _gaussian_cloud(count, seed):
     return PointCloud(tuple(rng.normal(size=count) + 1j * rng.normal(size=count)))
 
 
+@pytest.mark.parametrize("n", [16, 128, 256])
+@pytest.mark.parametrize("set_", [
+    Segment(-1, 1), UnionSet((Segment(-2, -1), Segment(1, 2))), _gaussian_cloud(300, 7),
+], ids=["segment", "union", "cloud"])
+def test_solve_refines_n_half_and_n_as_the_doubling_schedule_did(monkeypatch, set_, n):
+    # an estimate reads sizes n/2 and n alone, and each size is refined from its
+    # own greedy prefix: both come out bit for bit as in the doubling schedule
+    module = sys.modules["holocap.capacity"]
+    refine, refined = module._exchange_refine, []
+    monkeypatch.setattr(module, "_exchange_refine",
+                        lambda cand, sel, logdist: refined.append(len(sel))
+                        or refine(cand, sel, logdist))
+    est = capacity(set_, n)
+    assert refined == [n // 2, n]
+    doubling = sorted({n // 2, n} | {2 ** j for j in range(1, n.bit_length()) if 2 ** j < n})
+    points, sel, lv, seq = reference_fekete_over(_candidates(set_, n, CANDIDATES), n, doubling)
+    d = dict(seq)
+    fek = est.fekete
+    assert np.array_equal(fek.points, points)
+    assert np.array_equal(fek.selection, sel)
+    assert fek.log_vdm == lv
+    assert fek.diameter_sequence == ((n // 2, d[n // 2]), (n, d[n]))
+    assert est.value == d[n] / n ** (1.0 / (n - 1))
+    assert est.error_indicator == abs(d[n // 2] - d[n])
+
+
 # sets of the log-VDM identity test: shapes at the default candidates, and
 # clouds of more points than the largest size
 LOG_VDM_SETS = {
@@ -575,7 +601,7 @@ def test_green_function_is_capacity_s_evaluator(name):
     zs = _exterior(1000)
     assert np.array_equal(green(zs), full(zs))
     assert robin_constant(set_, n=n) == est.robin_constant
-    # capacity keeps the whole doubling schedule, for clouds at their own size
+    # capacity refines sizes n/2 and n, for clouds at their own size
     assert [k for k, _ in est.fekete.diameter_sequence] == _checkpoints(len(green.points))
 
 

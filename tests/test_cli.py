@@ -93,6 +93,20 @@ def test_flag_written_with_double_dash_exit_two(tmp_path, monkeypatch, capsys, f
     assert [p.name for p in tmp_path.iterdir()] == ["disk.json"]
 
 
+@pytest.mark.parametrize("size, message", [
+    (["--candidates", "-1"], "argument --candidates: expected a count >= 1, got -1"),
+    (["--candidates", "0"], "argument --candidates: expected a count >= 1, got 0"),
+    # 1e11 candidates alone take 1.6 TB: numpy refuses the first allocation
+    (["--n", "100000000000"], "argument --n: a solve at n = 100000000000 does not fit in memory"),
+], ids=["candidates_negative", "candidates_zero", "n_unallocatable"])
+def test_cap_size_flags_exit_two(tmp_path, capsys, size, message):
+    out = tmp_path / "est.json"
+    argv = ["cap", "--set", write(tmp_path / "seg.json", SEGMENT), "--out", str(out)]
+    assert main(argv + size) == 2
+    assert capsys.readouterr().err == f"input error: {message}\n"
+    assert not out.exists()
+
+
 def test_green_values(tmp_path):
     set_path = write(tmp_path / "disk.json", DISK)
     pts_path = write_points_csv(tmp_path / "pts.csv", [2 + 0j, 0.3 + 0j])
@@ -462,6 +476,9 @@ NAN_TABLE = {"kind": "table", "max_norm": 4, "entries": [
      "declared_C0 must be finite"),
     ({**NAN_TABLE, "entries": NAN_TABLE["entries"][:2], "declared_C1": math.inf},
      "declared_C1 must be finite"),
+    # a zero row 0 fits any C0: a negative one would make a certificate eval refuses
+    ({**NAN_TABLE, "entries": NAN_TABLE["entries"][1:2], "declared_C0": -1, "declared_C1": 1},
+     "declared_C0 and declared_C1 must be >= 0, got -1.0 and 1.0"),
     ({**GEOMETRIC, "k": 0}, "'k' must be an integer >= 1, got 0"),
     ({**GEOMETRIC, "k": -2}, "'k' must be an integer >= 1, got -2"),
     ({**GEOMETRIC, "k": 1.9}, "'k' must be an integer >= 1, got 1.9"),
@@ -477,6 +494,7 @@ NAN_TABLE = {"kind": "table", "max_norm": 4, "entries": [
     ({**NAN_TABLE, "entries": NAN_TABLE["entries"][:2] + NAN_TABLE["entries"][1:2]},
      "table index [1] is repeated"),
 ], ids=["table_nan", "lambda_inf", "constant_nan", "declared_c0_nan", "declared_c1_inf",
+        "declared_c0_negative",
         "k_zero", "k_negative", "k_fractional", "k_bool", "max_norm_fractional",
         "max_norm_negative", "index_negative", "index_too_long", "index_fractional",
         "index_repeated"])
@@ -573,13 +591,27 @@ WITNESS = "certificate field 'witness' is malformed: ValueError("
     (lambda doc: (doc["thresholds"].__setitem__("fekete_n", 7),
                   doc.__setitem__("green_points", doc["green_points"][:7])),
      "'green_points': capacity needs n >= 8, got 7"),
+    # the constants' ranges: those the pipeline produces
+    (_set("gammaC", math.inf), "certificate field 'gammaC' must be finite, got inf"),
+    (_set("M0", math.nan), "certificate field 'M0' must be finite, got nan"),
+    (_set("C0", -0.5), "certificate field 'C0' must be >= 0, got -0.5"),
+    (_set("C1", -1.0), "certificate field 'C1' must be >= 0, got -1.0"),
+    (lambda doc: doc["thresholds"].__setitem__("tail_slope", -1.0),
+     "certificate threshold 'tail_slope' must be >= 0, got -1.0"),
+    (_set("exponent", 0.5), "certificate field 'exponent' must be C1 (1.0) or 0, got 0.5"),
+    (lambda doc: doc.__setitem__("C2", doc["C2"] * (1.0 + 1e-9)),
+     "certificate field 'C2' must be exp(-tail_slope * gammaC) / rho1 = "),
+    (lambda doc: (doc.update(C1=1e308, exponent=1e308), doc["thresholds"].update(tail_slope=1e308)),
+     "certificate field 'C2' must be exp(-tail_slope * gammaC) / rho1 = 0.0 "),
 ], ids=["rho0_missing", "rho1_string", "N_used_float", "exponent_differs_int",
         "witness_missing", "witness_malformed", "thresholds_list", "tail_slope_missing",
         "fekete_n_string", "green_points_missing", "green_points_string", "index_float",
         "index_bool", "index_too_large", "index_negative", "index_repeats", "count_short",
         "selection_polar", "clamp_missing", "clamp_negative", "witness_point_bool",
         "witness_point_string", "witness_point_long", "witness_point_inf",
-        "witness_bool_after_nan", "fekete_n_below_floor"])
+        "witness_bool_after_nan", "fekete_n_below_floor", "gammaC_inf", "M0_nan",
+        "C0_negative", "C1_negative", "tail_slope_negative", "exponent_half", "C2_off",
+        "C2_underflows"])
 def test_eval_malformed_certificate_exit_two(tmp_path, capsys, mutate, message):
     seq_path, cert = _extend_cert(tmp_path)
     doc = json.loads(cert.read_text())
@@ -591,6 +623,27 @@ def test_eval_malformed_certificate_exit_two(tmp_path, capsys, mutate, message):
     assert code == 2
     assert message in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("field, value", [("M0", -1), ("rho1", 0)])
+def test_eval_refuses_a_certificate_that_bounds_nothing(tmp_path, capsys, field, value):
+    # geometric lambda = 1 on a circle of radius 0.9: the sum at z1 = 0.5, z2 = 1.5 is
+    # exactly 4; with M0 = -1 or rho1 = 0 eval printed 1.0 under a tail bound <= 0
+    seq_path = write(tmp_path / "seq.json", GEOMETRIC)
+    samples = [[0.9 * x, 0.9 * y] for x, y in CIRCLE_SAMPLES]
+    cert = tmp_path / "cert.json"
+    assert main(["extend", "--seq", seq_path, "--samples", write(tmp_path / "s.json", samples),
+                 "--out", str(cert)]) == 0
+    argv = ["eval", "--seq", seq_path, "--z1", "0.5", "--z2", "1.5", "--tol", "1e-6",
+            "--out", str(tmp_path / "v")]
+    assert main(argv + ["--cert", str(cert)]) == 0
+    value_doc = json.loads((tmp_path / "v").read_text())
+    assert abs(complex(*value_doc["value"]) - 4.0) <= value_doc["tail_bound"]
+    doc = json.loads(cert.read_text())
+    doc[field] = value
+    capsys.readouterr()
+    assert main(argv + ["--cert", write(tmp_path / "bad.json", doc)]) == 2
+    assert f"certificate field {field!r} must be" in capsys.readouterr().err
 
 
 def test_eval_runs_no_fekete_solve(tmp_path, monkeypatch):

@@ -431,6 +431,15 @@ def test_evaluate_at_zero_returns_constant_term():
     assert res.terms_used == 0
 
 
+def test_evaluate_asserts_its_tail_bound_is_nonnegative():
+    # a negative M0 gave a negative "bound"; the reader refuses one from JSON
+    seq = geometric_sequence(1, 60)
+    cert = certify_extension(seq, CIRCLE)
+    cert.M0 = -1.0
+    with pytest.raises(AssertionError, match="tail bound -"):
+        evaluate(cert, seq, 0.1, 2.0, tol=1e-10)
+
+
 def test_evaluate_outside_domain():
     seq = geometric_sequence(1, 60)
     cert = certify_extension(seq, CIRCLE)
