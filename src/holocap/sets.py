@@ -25,9 +25,6 @@ import numpy as np
 #: points closer than this to a shape count as members of it
 MEMBERSHIP_TOL = 1e-12
 
-DEFAULT_BOUNDARY_SAMPLES = 4096
-
-
 def _require_finite(z: complex, what: str) -> complex:
     z = complex(z)
     if not (math.isfinite(z.real) and math.isfinite(z.imag)):
@@ -50,7 +47,6 @@ class Disk:
 
     center: complex
     radius: float
-    boundary_samples: int = DEFAULT_BOUNDARY_SAMPLES
 
     def __post_init__(self):
         object.__setattr__(self, "center", _require_finite(self.center, "Disk center"))
@@ -64,7 +60,6 @@ class Segment:
 
     a: complex
     b: complex
-    boundary_samples: int = DEFAULT_BOUNDARY_SAMPLES
 
     def __post_init__(self):
         object.__setattr__(self, "a", _require_finite(self.a, "Segment endpoint"))
@@ -78,7 +73,6 @@ class PointCloud:
     """Finite nonempty set of points."""
 
     points: tuple
-    boundary_samples: int = DEFAULT_BOUNDARY_SAMPLES
 
     def __post_init__(self):
         z = np.fromiter(map(complex, self.points), np.complex128)
@@ -93,7 +87,6 @@ class UnionSet:
     """Finite union of compact sets."""
 
     parts: tuple
-    boundary_samples: int = DEFAULT_BOUNDARY_SAMPLES
 
     def __post_init__(self):
         parts = tuple(self.parts)
@@ -141,14 +134,13 @@ def affine_image(set_: CompactSet, scale: complex, shift: complex = 0j) -> Compa
     kind, e.g. a disk radius that over- or underflows.
     """
     if isinstance(set_, Disk):
-        return Disk(set_.center * scale + shift, set_.radius * abs(scale), set_.boundary_samples)
+        return Disk(set_.center * scale + shift, set_.radius * abs(scale))
     if isinstance(set_, Segment):
-        return Segment(set_.a * scale + shift, set_.b * scale + shift, set_.boundary_samples)
+        return Segment(set_.a * scale + shift, set_.b * scale + shift)
     if isinstance(set_, PointCloud):
-        return PointCloud(tuple(p * scale + shift for p in set_.points), set_.boundary_samples)
+        return PointCloud(tuple(p * scale + shift for p in set_.points))
     if isinstance(set_, UnionSet):
-        return UnionSet(tuple(affine_image(p, scale, shift) for p in set_.parts),
-                        set_.boundary_samples)
+        return UnionSet(tuple(affine_image(p, scale, shift) for p in set_.parts))
     raise TypeError(f"not a CompactSet: {set_!r}")
 
 
@@ -247,17 +239,13 @@ def _points_from_json(values) -> np.ndarray:
 
 def set_to_json(set_: CompactSet) -> dict:
     if isinstance(set_, Disk):
-        return {"shape": "disk", "center": _c2j(set_.center), "radius": set_.radius,
-                "boundary_samples": set_.boundary_samples}
+        return {"shape": "disk", "center": _c2j(set_.center), "radius": set_.radius}
     if isinstance(set_, Segment):
-        return {"shape": "segment", "a": _c2j(set_.a), "b": _c2j(set_.b),
-                "boundary_samples": set_.boundary_samples}
+        return {"shape": "segment", "a": _c2j(set_.a), "b": _c2j(set_.b)}
     if isinstance(set_, PointCloud):
-        return {"shape": "cloud", "points": [_c2j(p) for p in set_.points],
-                "boundary_samples": set_.boundary_samples}
+        return {"shape": "cloud", "points": [_c2j(p) for p in set_.points]}
     if isinstance(set_, UnionSet):
-        return {"shape": "union", "parts": [set_to_json(p) for p in set_.parts],
-                "boundary_samples": set_.boundary_samples}
+        return {"shape": "union", "parts": [set_to_json(p) for p in set_.parts]}
     raise TypeError(f"not a CompactSet: {set_!r}")
 
 
@@ -265,14 +253,13 @@ def set_from_json(doc: dict) -> CompactSet:
     if not isinstance(doc, dict):
         raise ValueError(f"a set must be a JSON object, got {type(doc).__name__}")
     kind = doc.get("shape")
-    bs = _field(doc, "boundary_samples", numbers.Integral, DEFAULT_BOUNDARY_SAMPLES, "set field")
     if kind == "disk":
         radius = float(_field(doc, "radius", numbers.Real, where="set field"))
-        return Disk(_j2c(doc["center"]), radius, bs)
+        return Disk(_j2c(doc["center"]), radius)
     if kind == "segment":
-        return Segment(_j2c(doc["a"]), _j2c(doc["b"]), bs)
+        return Segment(_j2c(doc["a"]), _j2c(doc["b"]))
     if kind == "cloud":
-        return PointCloud(_points_from_json(doc["points"]).tolist(), bs)
+        return PointCloud(_points_from_json(doc["points"]).tolist())
     if kind == "union":
-        return UnionSet(tuple(set_from_json(p) for p in doc["parts"]), bs)
+        return UnionSet(tuple(set_from_json(p) for p in doc["parts"]))
     raise ValueError(f"unknown shape kind: {kind!r}")

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 
 from holocap.bernstein import Polynomial1D, bernstein_bound, sup_norm, verify_bernstein
 from holocap.errors import GreenUndefinedPolarSet
-from holocap.sets import Disk, PointCloud, Segment
+from holocap.sets import Disk, PointCloud, Segment, UnionSet
 
 T3 = Polynomial1D((0, -3, 0, 4))           # 4z^3 - 3z
 T8 = Polynomial1D((1, 0, -32, 0, 160, 0, -256, 0, 128))
@@ -41,6 +42,50 @@ def test_sup_norm_refines_off_grid_maximum():
     # maximum of |z - a| on the unit circle sits opposite a, generally off-grid
     p = Polynomial1D((-0.3 - 0.7j, 1))
     assert sup_norm(p, Disk(0, 1)) == pytest.approx(1 + abs(0.3 + 0.7j), rel=1e-9)
+
+
+def _reference_sup(p, part, count=400_000):
+    """max |p| over ``count`` evenly spaced parameters of a disk's circle or a segment."""
+    if isinstance(part, Disk):
+        z = part.center + part.radius * np.exp(2j * np.pi * np.arange(count) / count)
+    else:
+        z = part.a + np.linspace(0.0, 1.0, count) * (part.b - part.a)
+    return float(np.abs(p(z)).max())
+
+
+@pytest.mark.parametrize("set_", [
+    Disk(0.4 - 0.3j, 1.7),
+    Segment(-0.6 - 0.9j, 1.1 + 0.4j),
+    UnionSet((Segment(-2, -1), Segment(1, 2))),
+], ids=["off_centre_disk", "tilted_segment", "two_intervals"])
+def test_sup_norm_matches_dense_reference(set_):
+    # the second grid finds maxima between the first grid's points: the first
+    # grid alone reads up to ~1e-6 low at degree 120; no value exceeds the sup
+    rng = np.random.default_rng(7)
+    parts = set_.parts if isinstance(set_, UnionSet) else (set_,)
+    polys = [Polynomial1D(tuple(rng.standard_normal(deg + 1) + 1j * rng.standard_normal(deg + 1)))
+             for deg in (1, 2, 5, *rng.integers(6, 120, 4), 120)]
+    # random coefficients peak at a segment's end, which is a grid point; a
+    # polynomial vanishing at every end peaks inside, between grid points
+    ends = [z for part in parts if isinstance(part, Segment) for z in (part.a, part.b)]
+    polys.append(Polynomial1D(tuple(np.polynomial.polynomial.polyfromroots(ends + [0.3 + 2j]))))
+    for p in polys:
+        ref = max(_reference_sup(p, part) for part in parts)
+        assert (1 - 1e-12) * ref <= sup_norm(p, set_) <= (1 + 1e-6) * ref, p.degree
+
+
+@pytest.mark.parametrize("set_, parts", [
+    (Disk(0, 1), 1),
+    (Segment(-1, 1j), 1),
+    (UnionSet((Segment(-2, -1), Disk(3, 0.5))), 2),
+], ids=["disk", "segment", "union"])
+def test_sup_norm_two_evaluations_per_part(monkeypatch, set_, parts):
+    # one call for the grid and one for the fine grid around its best points
+    cls = sys.modules["holocap.bernstein"].Polynomial1D
+    calls, original = [], cls.__call__
+    monkeypatch.setattr(cls, "__call__", lambda self, z: calls.append(1) or original(self, z))
+    sup_norm(Polynomial1D(tuple(range(1, 42))), set_)
+    assert 0 < len(calls) <= 2 * parts
 
 
 def test_bound_chebyshev_at_two():

@@ -158,6 +158,23 @@ def test_bernstein_report(tmp_path):
     assert json.loads(out2.read_text())["all_passed"]
 
 
+def test_bernstein_ignores_boundary_samples_key(tmp_path):
+    # sets no longer carry a sample count; a document that still has one (an
+    # old certificate witness, say) reads as the same set, even at a count
+    # no array could hold
+    poly_path = write(tmp_path / "p.json", {"coefficients": [[0.5, 0], [0, -1], [2, 0]]})
+    pts_path = write_points_csv(tmp_path / "pts.csv", [2.5 + 0.5j, -3j, 1.5])
+    reports = []
+    for name, doc in (("plain", SEGMENT), ("keyed", {**SEGMENT, "boundary_samples": 10**11})):
+        set_path, out = write(tmp_path / f"{name}_set.json", doc), tmp_path / f"{name}.json"
+        assert main(["bernstein", "--poly", poly_path, "--set", set_path,
+                     "--points", pts_path, "--out", str(out)]) == 0
+        report = json.loads(out.read_text())
+        del report["manifest"]["input_digest"]
+        reports.append(report)
+    assert reports[0] == reports[1]
+
+
 def test_gammacap_command_and_reproducibility(tmp_path):
     pred = {"kind": "product", "factors": [DISK, DISK]}
     pred_path = write(tmp_path / "pred.json", pred)
@@ -262,13 +279,9 @@ TABLE = {"kind": "table", "max_norm": 2,
     ("extend", {"--seq": GEOMETRIC, "--samples": _samples_with([1, 0, 0])}, PAIR + "[1, 0, 0]"),
     ("extend", {"--seq": GEOMETRIC, "--samples": _samples_with([math.nan, 0], [True, 0])},
      PAIR + "[True, 0]"),
-    # every number is a JSON number: no numeric string, no boolean, no fraction for a count
+    # every number is a JSON number: no numeric string, no boolean
     ("cap", {"--set": {**DISK, "radius": "2"}}, "set field 'radius' must be a number, got '2'"),
     ("cap", {"--set": {**DISK, "radius": True}}, "set field 'radius' must be a number, got True"),
-    ("cap", {"--set": {**SEGMENT, "boundary_samples": True}},
-     "set field 'boundary_samples' must be an integer, got True"),
-    ("cap", {"--set": {**DISK, "boundary_samples": 2.5}},
-     "set field 'boundary_samples' must be an integer, got 2.5"),
     ("gammacap", {"--set": {**BALL, "radius": "0.5"}},
      "predicate field 'radius' must be a number, got '0.5'"),
     ("extend", {"--seq": {**TABLE, "entries": TABLE["entries"][:1], "declared_C1": True},
@@ -281,8 +294,7 @@ TABLE = {"kind": "table", "max_norm": 2,
         "bernstein_points_row_nan", "poly_coefficient_nan", "cloud_point_bool",
         "cloud_point_string", "cloud_point_long", "cloud_point_inf", "cloud_bool_after_nan",
         "sample_bool", "sample_string", "sample_long", "sample_bool_after_nan",
-        "radius_string", "radius_bool", "boundary_samples_bool", "boundary_samples_float",
-        "ball_radius_string", "declared_c1_bool"])
+        "radius_string", "radius_bool", "ball_radius_string", "declared_c1_bool"])
 def test_malformed_input_exit_two(tmp_path, capsys, command, inputs, message):
     argv = [command]
     for flag, doc in inputs.items():
