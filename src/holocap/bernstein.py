@@ -22,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .capacity import green_function
+from .errors import FloatOverflow
 from .sets import CompactSet, Disk, PointCloud, Segment, UnionSet
 
 @dataclass(frozen=True)
@@ -97,9 +98,18 @@ def bernstein_bound(p: Polynomial1D, set_: CompactSet, z: complex) -> float:
     """
     if p.is_zero:
         return 0.0
-    green = green_function(set_)
-    norm = sup_norm(p, set_)
-    return norm * math.exp(int(p.degree) * float(green(complex(z))))
+    return _growth_bound(sup_norm(p, set_), int(p.degree), green_function(set_), complex(z))
+
+
+def _growth_bound(norm: float, deg: int, green, z: complex) -> float:
+    """norm * exp(deg * g(z)); :class:`FloatOverflow` at stage bernstein_bound if not finite."""
+    try:
+        bound = norm * math.exp(deg * float(green(z)))
+    except OverflowError:
+        bound = math.inf
+    if not math.isfinite(bound):
+        raise FloatOverflow(f"the bound at z = {z} is {bound!r}").with_stage("bernstein_bound")
+    return bound
 
 
 @dataclass(frozen=True)
@@ -125,7 +135,8 @@ def verify_bernstein(p: Polynomial1D, set_: CompactSet, test_points) -> Verifica
     slack = deg(p) * clamp_magnitude + 1e-9: discrete Green backings can
     under-report g near the set by at most the recorded clamp, which enters
     the bound exponentiated by the degree.  Failures are report entries, not
-    exceptions.  Entries keep the input order.
+    exceptions, but a bound beyond the float range raises :class:`FloatOverflow`.
+    Entries keep the input order.
     """
     green = green_function(set_)
     norm = sup_norm(p, set_)
@@ -135,8 +146,8 @@ def verify_bernstein(p: Polynomial1D, set_: CompactSet, test_points) -> Verifica
     all_passed = True
     for z in test_points:
         z = complex(z)
+        bound = 0.0 if p.is_zero else _growth_bound(norm, deg, green, z)
         value = float(abs(p(z)))
-        bound = 0.0 if p.is_zero else norm * math.exp(deg * float(green(z)))
         ratio = value / bound if bound > 0 else (0.0 if value == 0 else math.inf)
         ok = value <= bound * (1.0 + slack)
         all_passed &= ok

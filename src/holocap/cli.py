@@ -19,6 +19,7 @@ import argparse
 import csv
 import hashlib
 import io
+import itertools
 import json
 import math
 import sys
@@ -62,17 +63,47 @@ def _read_points_csv(path: str, data: bytes) -> list:
     return points
 
 
-def _cells(rows) -> list:
-    """CSV cells of (lazy) ``rows``; floats print as their repr."""
-    return [[repr(float(v)) if isinstance(v, (float, np.floating)) else v for v in row]
-            for row in rows]
+_CONSTANTS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
-def _write_csv(path: str, header, cells) -> None:
+def _token(value) -> str:
+    """The JSON text ``json.dumps`` writes for a string, number, bool or None."""
+    if isinstance(value, str):
+        return json.encoder.encode_basestring_ascii(value)
+    if value is None or value is True or value is False:
+        return {None: "null", True: "true", False: "false"}[value]
+    if not isinstance(value, (int, float)):
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+    text = int.__repr__(value) if isinstance(value, int) else float.__repr__(value)
+    return _CONSTANTS.get(text, text)
+
+
+def _dumps(doc, nl: str = "\n") -> str:
+    """``json.dumps(doc, sort_keys=True, indent=2)``, ``nl`` being the newline and indent
+    of doc's level; lists of floats, of ints and of [re, im] float pairs take a fast path."""
+    inner, items = nl + "  ", None
+    if isinstance(doc, dict):   # a key that is not a string is written as its token, quoted
+        items = [_token(k if isinstance(k, str) else _token(k)) + ": " + _dumps(v, inner)
+                 for k, v in sorted(doc.items())]
+    elif not isinstance(doc, (list, tuple)):
+        return _token(doc)
+    elif (kinds := set(map(type, doc))) == {list} and set(map(len, doc)) == {2}:
+        flat = list(itertools.chain.from_iterable(doc))
+        if set(map(type, flat)) == {float} and math.isfinite(sum(flat)):   # no NaN, inf
+            pair = "[" + inner + "  %r," + inner + "  %r" + inner + "]"
+            items = list(map(pair.__mod__, zip(flat[::2], flat[1::2])))
+    elif kinds == {int} or kinds == {float} and math.isfinite(sum(doc)):
+        items = list(map(kinds.pop().__repr__, doc))
+    items = [_dumps(v, inner) for v in doc] if items is None else items
+    ends = "{}" if isinstance(doc, dict) else "[]"
+    return ends[0] + inner + ("," + inner).join(items) + nl + ends[1] if items else ends
+
+
+def _write_csv(path: str, header, rows) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
+        writer = csv.writer(fh)   # a float's cell is its repr
         writer.writerow(header)
-        writer.writerows(cells)
+        writer.writerows(rows)
 
 
 def _sidecar(out: str, suffix: str) -> str:
@@ -87,7 +118,7 @@ def _parse_complex(text: str) -> complex:
 # ---------------------------------------------------------------------------
 # each command takes the parsed arguments and its parsed inputs by name, returns
 # (document, thresholds, CSV tables as (path, header, lazy rows)) and writes no
-# file; main renders every table before it writes anything
+# file; main computes every table's rows before it writes anything
 # ---------------------------------------------------------------------------
 
 def _cap(args, docs):
@@ -154,9 +185,9 @@ def _extend(args, docs):
     if certify is None:
         raise ValueError(f"unknown mode {mode!r} (use 'extension' or 'uniform')")
     cert = certify(seq, samples, cfg)
-    radii = np.concatenate([[0.0], np.geomspace(1e-2, cfg.z2_max, 199)])
+    radii = np.concatenate([[0.0], np.geomspace(1e-2, cfg.z2_max, 199)]).tolist()
     domain = (_sidecar(args.out, "_domain.csv"), ["abs_z2", "certified_radius"],
-              ((float(t), float(cert.certified_radius(float(t)))) for t in radii))
+              [(t, cert.certified_radius(t)) for t in radii])
     return certificate_to_json(cert), {**cert.thresholds, "mode": mode}, [domain]
 
 
@@ -276,13 +307,13 @@ def main(argv=None) -> int:
                 docs[flag[2:]] = (_read_points_csv(path, data) if flag == "--points" else
                                   json.load(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8")))
         doc, thresholds, tables = cmd.run(args, docs)
-        tables = [(path, header, _cells(rows)) for path, header, rows in tables]
+        tables = [(path, header, list(rows)) for path, header, rows in tables]
         doc["manifest"] = {"command": args.command, "seed": args.seed, "tool_version": __version__,
                            "input_digest": digest.hexdigest(), "thresholds": thresholds}
-        text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
+        text = _dumps(doc) + "\n"
         Path(args.out + cmd.manifest_suffix).write_text(text, encoding="utf-8")
-        for path, header, cells in tables:
-            _write_csv(path, header, cells)
+        for path, header, rows in tables:
+            _write_csv(path, header, rows)
         return 0
     except HolocapError as err:
         stage = err.stage or type(err).__name__

@@ -51,6 +51,10 @@ class NotSublinear(HolocapError):
     """Tail degree slope never drops below the sublinearity tolerance."""
 
 
+class FloatOverflow(HolocapError):
+    """A bound of the computation exceeds the float range."""
+
+
 class OutsideCertifiedDomain(HolocapError):
     """Evaluation point lies outside the certificate's convergence domain."""
 

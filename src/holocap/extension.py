@@ -215,9 +215,15 @@ def _family(k: int, max_norm: int, count, lead) -> PolynomialSequence:
 
 
 def geometric_sequence(lam: complex, max_norm: int, k: int = 1) -> PolynomialSequence:
-    """P_n(z) = (lam * z)^{||n||}."""
+    """P_n(z) = (lam * z)^{||n||}; ValueError names the first norm whose lam^j overflows."""
     lam = complex(lam)
-    return _family(k, max_norm, lambda j: j + 1, lambda j: lam ** j)
+
+    def power(j: int) -> complex:
+        try:
+            return lam ** j
+        except OverflowError:
+            raise ValueError(f"sequence field 'lambda': {lam!r} ** {j} overflows") from None
+    return _family(k, max_norm, lambda j: j + 1, power)
 
 
 def constant_sequence(value: complex, max_norm: int, k: int = 1) -> PolynomialSequence:
@@ -326,6 +332,25 @@ class RadiusProfile:
     peaks: np.ndarray | None = field(default=None, repr=False, compare=False)   # window rows
 
 
+def _column_max(rows: np.ndarray, lo: int, terms) -> np.ndarray:
+    """Per column, the max of 0 and every ``terms(block, norms)`` value, where the rows
+    are norms lo, lo + 1, ... taken in blocks of about ``_CHUNK_CELLS`` values."""
+    out = np.zeros(rows.shape[1])
+    step = max(1, _CHUNK_CELLS // max(1, rows.shape[1]))
+    for a in range(0, len(rows), step):
+        block = rows[a:a + step]
+        np.maximum(out, terms(block, np.arange(lo + a, lo + a + len(block))).max(axis=0), out=out)
+    return out
+
+
+def _roots(rows: np.ndarray, norms: np.ndarray) -> np.ndarray:
+    """rows ** (1 / norms) where positive, else 0, each root rounded as a per-norm
+    ``row ** (1 / j)``: numpy's stride-0 power loop, and at norm 2 its sqrt for ``** 0.5``."""
+    roots = rows ** (1.0 / norms)[:, None]
+    roots[norms == 2] = rows[norms == 2] ** 0.5
+    return np.where(rows > 0.0, roots, 0.0)
+
+
 def radius_profile(seq: PolynomialSequence, samples, window: int) -> RadiusProfile:
     """Tail-window estimate R(z2) = 1 / max_tail |P_n(z2)|^{1/||n||}.
 
@@ -337,10 +362,8 @@ def radius_profile(seq: PolynomialSequence, samples, window: int) -> RadiusProfi
         raise WindowEmpty(f"tail window {window} not within 1..{seq.max_norm}")
     lo = max(1, seq.max_norm - window + 1)
     zs = np.asarray(list(samples), dtype=np.complex128)
-    rate = np.zeros(len(zs))
     peaks = seq.norm_peaks(zs, lo, seq.max_norm)
-    for j, vals in enumerate(peaks, lo):
-        np.maximum(rate, np.where(vals > 0.0, vals ** (1.0 / j), 0.0), out=rate)
+    rate = _column_max(peaks, lo, _roots)
     out = tuple((complex(z), (1.0 / r) if r > 0.0 else math.inf) for z, r in zip(zs, rate))
     return RadiusProfile(samples=out, peaks=peaks)
 
@@ -397,9 +420,8 @@ def uniform_bound_compact(seq: PolynomialSequence, stratum: PointCloud, rho0: fl
     pts = np.asarray(stratum.points, dtype=np.complex128)
     top = np.empty((0, len(pts))) if window_peaks is None else window_peaks
     peaks = np.concatenate([seq.norm_peaks(pts, 0, seq.max_norm - len(top)), top])
-    phi = np.zeros(len(pts))
-    for j, vals in enumerate(peaks):   # row j: max_{||n||=j} |P_n|
-        np.maximum(phi, vals * rho0 ** (-j), out=phi)
+    scale = np.array([rho0 ** (-j) for j in range(len(peaks))])[:, None]   # row j: norm j
+    phi = _column_max(peaks, 0, lambda rows, norms: rows * scale[norms])
 
     masks = ((level, phi <= level) for level in (2.0 ** exp2 for exp2 in range(0, 65)))
     found = _first_nonpolar((((level, mask), pts[mask], stratum_est if mask.all() else None)
@@ -410,12 +432,11 @@ def uniform_bound_compact(seq: PolynomialSequence, stratum: PointCloud, rho0: fl
 
     kept = peaks[:, mask]
     m0 = max(1.0, float(kept[0].max()))
-    rho1 = max((float(np.max(row[row > 0.0] ** (1.0 / j), initial=0.0))
-                for j, row in enumerate(kept[1:], 1)), default=0.0) or 1.0   # 1: only M0 binds
+    rho1 = float(_column_max(kept[1:], 1, _roots).max(initial=0.0)) or 1.0   # 1: only M0 binds
 
-    # enforce |P_n| <= M0 * rho1^||n|| exactly despite pow rounding
-    for j in range(1, len(kept)):
-        while np.any(kept[j] > m0 * rho1 ** j):
+    # enforce |P_n| <= M0 * rho1^||n|| exactly despite pow rounding; fmax skips NaN, as > does
+    for j, peak in enumerate(np.fmax.reduce(kept[1:], axis=1).tolist(), 1):
+        while peak > m0 * rho1 ** j:
             rho1 = math.nextafter(rho1, math.inf)
 
     cloud = PointCloud(tuple(complex(z) for z in pts[mask]))

@@ -7,12 +7,15 @@ import io
 import json
 import math
 import sys
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from holocap import __version__
-from holocap.cli import COMMANDS, _plain_args, build_parser, main
+from holocap.cli import COMMANDS, _dumps, _plain_args, build_parser, main
 from holocap.extension import ExtensionCertificate
 
 DISK = {"shape": "disk", "center": [0, 0], "radius": 1.0}
@@ -287,6 +290,10 @@ TABLE = {"kind": "table", "max_norm": 2,
     ("extend", {"--seq": {**TABLE, "entries": TABLE["entries"][:1], "declared_C1": True},
                 "--samples": CIRCLE_SAMPLES},
      "sequence field 'declared_C1' must be a number, got True"),
+    # a power of lambda beyond the float range names lambda and the first such norm
+    ("extend", {"--seq": {**GEOMETRIC, "lambda": [1e100, 0]},
+                "--samples": [[0.9 * x, 0.9 * y] for x, y in CIRCLE_SAMPLES[::2]]},
+     "sequence field 'lambda': (1e+100+0j) ** 4 overflows"),
 ], ids=["set_pair_short", "set_pair_strings", "set_pair_bool", "set_pair_long", "set_list",
         "lambda_short", "value_number", "coefficient_short", "sample_short", "sequence_list",
         "poly_coefficient_short", "ball_center_short", "matrix_entry_short", "predicate_list",
@@ -294,7 +301,8 @@ TABLE = {"kind": "table", "max_norm": 2,
         "bernstein_points_row_nan", "poly_coefficient_nan", "cloud_point_bool",
         "cloud_point_string", "cloud_point_long", "cloud_point_inf", "cloud_bool_after_nan",
         "sample_bool", "sample_string", "sample_long", "sample_bool_after_nan",
-        "radius_string", "radius_bool", "ball_radius_string", "declared_c1_bool"])
+        "radius_string", "radius_bool", "ball_radius_string", "declared_c1_bool",
+        "lambda_power_overflow"])
 def test_malformed_input_exit_two(tmp_path, capsys, command, inputs, message):
     argv = [command]
     for flag, doc in inputs.items():
@@ -384,6 +392,21 @@ def test_extend_uniform_mode(tmp_path):
     assert main(["extend", "--seq", seq_path, "--samples", samples_path,
                  "--config", cfg_path, "--out", str(out)]) == 0
     assert json.loads(out.read_text())["exponent"] == 0.0
+
+
+def test_bernstein_bound_overflow_exit_three(tmp_path, capsys):
+    # deg 2 at z = 1e300 off the unit disk: exp(2 g(z)) = 1e600 is beyond the float range
+    poly_path = write(tmp_path / "p.json", {"coefficients": [[1, 0], [2, 0], [3, 0]]})
+    set_path = write(tmp_path / "disk.json", DISK)
+    pts_path = write_points_csv(tmp_path / "pts.csv", [2 + 0j, 1e300 + 0j])
+    out = tmp_path / "b.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")   # a numpy overflow warning fails the test
+        code = main(["bernstein", "--poly", poly_path, "--set", set_path, "--points", pts_path,
+                     "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 3 and not out.exists()
+    assert err == ("pipeline failure [bernstein_bound]: the bound at z = (1e+300+0j) is inf\n")
 
 
 def test_extend_single_point_exit_three(tmp_path, capsys):
@@ -839,3 +862,50 @@ def test_manifest_digest_seed_and_thresholds(tmp_path, monkeypatch, case):
 def test_cap_resolution_defaults():
     args = build_parser().parse_args(["cap", "--set", "s.json", "--out", "o.json"])
     assert (args.n, args.candidates) == (128, 4096)
+
+
+# ---------------------------------------------------------------------------
+# the JSON writer: json.dumps(doc, sort_keys=True, indent=2), byte for byte
+# ---------------------------------------------------------------------------
+
+_FLOATS = st.one_of(st.floats(), st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 5e-324,
+                                                  2.2250738585072014e-308 / 3, 1e308]))
+_STRINGS = st.one_of(st.text(), st.sampled_from(['"', "\\", "\n\t\x00\x1f", "é", " ",
+                                                 "\U0001f600", "a\"b\\c"]))
+_LEAVES = st.one_of(st.none(), st.booleans(), st.integers(), st.integers(-10**40, 10**40),
+                    _FLOATS, _FLOATS.map(np.float64), _STRINGS)
+# the writer's fast paths: lists of floats, of ints and of [re, im] float pairs
+_FAST = st.one_of(st.lists(_FLOATS), st.lists(st.floats(-1e300, 1e300)), st.lists(st.integers()),
+                  st.lists(st.lists(_FLOATS, min_size=2, max_size=2)),
+                  st.lists(st.lists(st.floats(-1e300, 1e300), min_size=2, max_size=2)))
+_DOCS = st.recursive(
+    st.one_of(_LEAVES, _FAST),
+    lambda kids: st.one_of(st.lists(kids, max_size=4), st.lists(kids, max_size=4).map(tuple),
+                           st.dictionaries(_STRINGS, kids, max_size=4),
+                           st.dictionaries(st.one_of(st.integers(), st.booleans(), st.none(),
+                                                     _FLOATS), kids, max_size=3)),
+    max_leaves=30)
+
+
+def _written(dumps, doc):
+    try:
+        return dumps(doc)
+    except (TypeError, ValueError) as err:   # ValueError: an int of over 4,300 digits
+        return type(err)
+
+
+@given(_DOCS)
+@settings(max_examples=300, deadline=None)
+def test_writer_matches_json_dumps(doc):
+    expect = _written(lambda d: json.dumps(d, sort_keys=True, indent=2), doc)
+    assert _written(_dumps, doc) == expect
+
+
+@pytest.mark.parametrize("leaf", [{1.0}, np.int64(1), 1j, np.bool_(True)],
+                         ids=["set", "int64", "complex", "bool_"])
+def test_writer_refuses_what_json_dumps_refuses(leaf):
+    for doc in (leaf, [leaf], [1.0, leaf], [[1.0, leaf]], {"a": {"b": leaf}}, {(1,): leaf}):
+        with pytest.raises(TypeError):
+            json.dumps(doc, sort_keys=True, indent=2)
+        with pytest.raises(TypeError):
+            _dumps(doc)

@@ -619,6 +619,19 @@ def _ref_radius_profile(seq, samples, window):
                                for z, r in zip(zs, rate)))
 
 
+def _ref_norm_radius_profile(seq, samples, window):
+    """The per-norm loop radius_profile ran on norm_peaks, its peaks taken here from
+    per-index values: a norm's peak is NaN where one of its values is."""
+    lo = max(1, seq.max_norm - window + 1)
+    zs = np.asarray(list(samples), dtype=np.complex128)
+    rate = np.zeros(len(zs))
+    for j in range(lo, seq.max_norm + 1):
+        vals = np.max([np.abs(seq.poly(idx)(zs)) for idx in seq.indices(j, j)], axis=0)
+        np.maximum(rate, np.where(vals > 0.0, vals ** (1.0 / j), 0.0), out=rate)
+    return RadiusProfile(tuple((complex(z), (1.0 / r) if r > 0.0 else math.inf)
+                               for z, r in zip(zs, rate)))
+
+
 def _ref_uniform_bound_compact(seq, stratum, rho0, eps_cap):
     pts = np.asarray(stratum.points, dtype=np.complex128)
     values = {}
@@ -680,17 +693,30 @@ _COEFFS = st.builds(lambda head, zeros: tuple(head) + (0j,) * zeros,
                     st.integers(0, 3))
 
 
+# coefficient moduli up to 1e300: with points up to 1e10, values overflow to inf and NaN
+_WIDE_COEFFS = st.builds(lambda head, zeros: tuple(head) + (0j,) * zeros,
+                         st.lists(st.one_of(st.just(0j), _polar(1e-3, 1e3), _polar(1e-3, 1e300)),
+                                  max_size=6),
+                         st.integers(0, 3))
+
+
 @st.composite
-def _table_sequences(draw, max_norm_hi: int = 6):
+def _table_sequences(draw, max_norm_hi: int = 6, coeffs=_COEFFS):
     """table_sequence with k in {1, 2, 3}; a skipped index is the zero polynomial."""
     k = draw(st.sampled_from((1, 2, 3)))
     max_norm = draw(st.integers(1, max_norm_hi))
-    entries = {idx.entries: Polynomial1D(draw(_COEFFS))
+    entries = {idx.entries: Polynomial1D(draw(coeffs))
                for idx in iter_indices(k, 0, max_norm) if draw(st.booleans())}
     return table_sequence(entries, max_norm, k)
 
 
 _POINTS = st.lists(_polar(1e-3, 1e3), min_size=1, max_size=30)
+_WIDE_POINTS = st.lists(st.one_of(_polar(1e-3, 1e3), _polar(1e-3, 1e10)), min_size=1, max_size=30)
+
+
+def _window(data, seq):
+    """A tail window; the whole range, norms 1 and 2 included, half of the time."""
+    return data.draw(st.one_of(st.just(seq.max_norm), st.integers(1, seq.max_norm)))
 
 
 @given(_table_sequences(), _POINTS, st.integers(1, 400), st.data())
@@ -711,17 +737,23 @@ def test_norm_peaks_bit_identical_to_polyval(seq, points, chunk_cells, data):
 _DECLARED = st.one_of(st.none(), st.sampled_from((0.0, 1.0, 2.0, 5.0)))
 
 
-@given(_table_sequences(), _DECLARED, _DECLARED, _POINTS, st.data())
+@given(_table_sequences(coeffs=_WIDE_COEFFS), _DECLARED, _DECLARED, _WIDE_POINTS,
+       st.integers(1, 100), st.data())
 @settings(max_examples=80, deadline=None)
-def test_degree_and_radius_stages_match_reference(seq, c0, c1, points, data):
+def test_degree_and_radius_stages_match_reference(seq, c0, c1, points, chunk_cells, data):
     seq.declared_C0, seq.declared_C1 = c0, c1
     assert _outcome(fit_degree_growth, seq) == _outcome(_ref_fit_degree_growth, seq)
     seq.declared_C0 = seq.declared_C1 = None
     fit_c0, _ = fit_degree_growth(seq)
     assert _tail_slope(seq, fit_c0) == _ref_tail_slope(seq, fit_c0)
-    window = data.draw(st.integers(1, seq.max_norm))
-    assert (repr(radius_profile(seq, points, window))
-            == repr(_ref_radius_profile(seq, points, window)))
+    window = _window(data, seq)
+    # a small block size runs the profile's rows in several blocks
+    with mock.patch.object(extension, "_CHUNK_CELLS", chunk_cells), np.errstate(all="ignore"):
+        profile = _outcome(radius_profile, seq, points, window)
+        assert profile == _outcome(_ref_norm_radius_profile, seq, points, window)
+        # the per-index loop skips a NaN value alone, the profile the whole norm holding it
+        nan = np.isnan(seq.norm_peaks(points, max(1, seq.max_norm - window + 1), seq.max_norm))
+        assert profile == _outcome(_ref_radius_profile, seq, points, window) or nan.any()
 
 
 def _uniform_cases():
@@ -732,17 +764,30 @@ def _uniform_cases():
                                                    * 10.0 ** rng.uniform(-2, 2)))
                    for idx in iter_indices(k, 0, 6)}
         tables.append(table_sequence(entries, 6, k))
+    # coefficient moduli up to 1e300, so that values overflow at the larger radii
+    for k in (1, 2):
+        entries = {idx.entries: Polynomial1D(tuple(rng.normal(size=int(rng.integers(1, 5)))
+                                                   * 10.0 ** rng.uniform(0, 300)))
+                   for idx in iter_indices(k, 0, 5)}
+        tables.append(table_sequence(entries, 5, k))
     return [geometric_sequence(1.3 - 0.4j, 30), geometric_sequence(0.9 + 0.5j, 12, k=2),
             geometric_sequence(1.1, 8, k=3), sqrt_degree_sequence(60),
-            constant_sequence(2 - 1j, 20, k=2), delta_sequence(7, 10)] + tables
+            constant_sequence(2 - 1j, 20, k=2), delta_sequence(7, 10),
+            geometric_sequence(1e25, 12),
+            # rho1 = 1e300 from norm 1, so rho1^2 overflows in the nudge at rho0 = 1e300
+            table_sequence({(1,): Polynomial1D((1e300,)), (2,): Polynomial1D((1.0,))}, 2)] + tables
 
 
 @pytest.mark.parametrize("seq", _uniform_cases(), ids=lambda s: f"k{s.k}N{s.max_norm}")
-@pytest.mark.parametrize("radius, rho0", [(1.0, 4.0), (0.4, 0.5), (2.5, 3.0)])
+@pytest.mark.parametrize("radius, rho0", [(1.0, 4.0), (0.4, 0.5), (2.5, 3.0), (1e10, 2.0),
+                                         (1.0, 1e25), (1.0, 1e300)])
 def test_uniform_bound_matches_reference(seq, radius, rho0):
     cloud = PointCloud(tuple(radius * z for z in CIRCLE[::5]))
     args = (seq, cloud, rho0, 1e-4)
-    assert _outcome(uniform_bound_compact, *args) == _outcome(_ref_uniform_bound_compact, *args)
+    # 40 points: blocks of two norm rows
+    with mock.patch.object(extension, "_CHUNK_CELLS", 80), np.errstate(all="ignore"):
+        assert (_outcome(uniform_bound_compact, *args)
+                == _outcome(_ref_uniform_bound_compact, *args))
 
 
 @pytest.mark.parametrize("seq", [sqrt_degree_sequence(400), constant_sequence(1, 60)],
@@ -930,21 +975,24 @@ def test_extend_evaluates_the_window_once(monkeypatch):
     assert calls == [(200, 31, 60), (100, 0, 30)]
 
 
-@given(_table_sequences(), st.sampled_from((0.4, 1.0, 2.5)), st.sampled_from((0.5, 3.0, 4.0)),
-       st.data())
+@given(_table_sequences(coeffs=_WIDE_COEFFS), st.sampled_from((0.4, 1.0, 2.5, 1e10)),
+       st.sampled_from((0.5, 3.0, 4.0)), st.integers(1, 100), st.data())
 @settings(max_examples=30, deadline=None)
-def test_uniform_bound_window_peaks_match_reference_pass(seq, radius, rho0, data):
+def test_uniform_bound_window_peaks_match_reference_pass(seq, radius, rho0, chunk_cells, data):
     samples = [radius * z for z in CIRCLE[::10]] + [2 * radius * z for z in CIRCLE[5::10]]
-    profile = radius_profile(seq, samples, data.draw(st.integers(1, seq.max_norm)))
-    cut = data.draw(st.sampled_from(sorted({r for _, r in profile.samples})))
-    cols = [r >= cut for _, r in profile.samples]
-    stratum = PointCloud(tuple(z for (z, r) in profile.samples if r >= cut))
-    args = (seq, stratum, rho0, 1e-4)
+    with mock.patch.object(extension, "_CHUNK_CELLS", chunk_cells), np.errstate(all="ignore"):
+        profile = radius_profile(seq, samples, _window(data, seq))
+        cut = data.draw(st.sampled_from(sorted({r for _, r in profile.samples})))
+        cols = [r >= cut for _, r in profile.samples]
+        stratum = PointCloud(tuple(z for (z, r) in profile.samples if r >= cut))
+        args = (seq, stratum, rho0, 1e-4)
 
-    def shared(*args):
-        return uniform_bound_compact(*args, window_peaks=profile.peaks[:, cols])
+        def shared(*args):
+            return uniform_bound_compact(*args, window_peaks=profile.peaks[:, cols])
 
-    assert _outcome(shared, *args) == _outcome(uniform_bound_compact, *args)
+        outcome = _outcome(shared, *args)
+        assert outcome == _outcome(uniform_bound_compact, *args)
+        assert outcome == _outcome(_ref_uniform_bound_compact, *args)
 
 
 # ---------------------------------------------------------------------------
