@@ -9,8 +9,9 @@ reproduces them byte for byte.  ``COMMANDS`` declares each command's flags
 and input files; ``main`` builds and writes every manifest.
 
 Exit codes: 0 success (including negative mathematical findings such as a
-polar capacity estimate), 2 malformed input, 3 pipeline-stage failure (the
-stage is named on stderr).
+polar capacity estimate), 2 malformed input (an ``OSError`` or ``ValueError``,
+naming the file, flag or field), 3 pipeline-stage failure (the stage is named
+on stderr).  Any other exception is a fault of holocap and is not caught.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from typing import Callable
 
 import numpy as np
 
-from . import __version__
+from . import __version__, schema
 from .bernstein import Polynomial1D, verify_bernstein
 from .capacity import CANDIDATES, EPS_CAP, FEKETE_N, capacity, green_function
 from .errors import HolocapError
@@ -37,7 +38,7 @@ from .extension import (ExtendConfig, certificate_from_json, certificate_to_json
                         certify_extension, certify_uniform, evaluate, sequence_from_json)
 from .gamma import (FIBER_CAPACITY_POINTS, FIBER_RESOLUTION, PROJECTED_RESOLUTION, gamma_cap,
                     predicate_from_json)
-from .sets import _points_from_json, _require_finite_points, set_from_json
+from .sets import set_from_json
 
 
 def _read_points_csv(path: str, data: bytes) -> list:
@@ -47,17 +48,13 @@ def _read_points_csv(path: str, data: bytes) -> list:
     for row in reader:
         if not row:
             continue
-        if len(row) < 2:
-            raise ValueError(f"{path} line {reader.line_num}: expected re,im, got {row!r}")
         try:
-            z = complex(float(row[0]), float(row[1]))
+            pair = list(map(float, row[:2]))
         except ValueError:
-            if points:
-                raise
-            continue
-        if not (math.isfinite(z.real) and math.isfinite(z.imag)):
-            raise ValueError(f"{path} line {reader.line_num}: expected finite re,im, got {row!r}")
-        points.append(z)
+            if not points:
+                continue
+            pair = row
+        points.append(schema.check(pair, "pair", f"{path} line {reader.line_num}"))
     if not points:
         raise ValueError(f"no points found in {path}")
     return points
@@ -111,8 +108,11 @@ def _sidecar(out: str, suffix: str) -> str:
     return str(Path(out).with_suffix("")) + suffix
 
 
-def _parse_complex(text: str) -> complex:
-    return complex(text.replace(" ", ""))
+def _parse_complex(text: str, flag: str) -> complex:
+    try:
+        return complex(text.replace(" ", ""))
+    except ValueError:
+        raise ValueError(f"argument {flag}: expected a complex number, got {text!r}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -150,8 +150,9 @@ def _green(args, docs):
 
 
 def _bernstein(args, docs):
-    coefficients = _points_from_json(docs["poly"]["coefficients"])
-    p = Polynomial1D(tuple(_require_finite_points(coefficients, "coefficient {}").tolist()))
+    poly = schema.check(docs["poly"], "object", "polynomial")
+    coefficients = schema.field(poly, "coefficients", "pairs", "polynomial field")
+    p = Polynomial1D(tuple(coefficients.tolist()))
     report = verify_bernstein(p, set_from_json(docs["set"]), docs["points"])
     checks = [{"z": [c.z.real, c.z.imag], "abs_value": c.abs_value, "bound": c.bound,
                "ratio": c.ratio, "passed": c.passed} for c in report.checks]
@@ -177,14 +178,12 @@ def _gammacap(args, docs):
 
 def _extend(args, docs):
     seq = sequence_from_json(docs["seq"])
-    samples = _require_finite_points(_points_from_json(docs["samples"]), "sample {}").tolist()
-    cfg_doc = dict(docs["config"]) if "config" in docs else {}
-    mode = cfg_doc.pop("mode", "extension")
-    cfg = ExtendConfig.from_json(cfg_doc)
-    certify = {"extension": certify_extension, "uniform": certify_uniform}.get(mode)
-    if certify is None:
-        raise ValueError(f"unknown mode {mode!r} (use 'extension' or 'uniform')")
-    cert = certify(seq, samples, cfg)
+    samples = schema.check(docs["samples"], "pairs", "samples").tolist()
+    cfg_doc = schema.check(docs.get("config", {}), "object", "config")
+    modes = {"extension": certify_extension, "uniform": certify_uniform}
+    mode = schema.field(cfg_doc, "mode", tuple(modes), "config field", "extension")
+    cfg = ExtendConfig.from_json({k: v for k, v in cfg_doc.items() if k != "mode"})
+    cert = modes[mode](seq, samples, cfg)
     radii = np.concatenate([[0.0], np.geomspace(1e-2, cfg.z2_max, 199)]).tolist()
     domain = (_sidecar(args.out, "_domain.csv"), ["abs_z2", "certified_radius"],
               [(t, cert.certified_radius(t)) for t in radii])
@@ -194,9 +193,9 @@ def _extend(args, docs):
 def _eval(args, docs):
     cert = certificate_from_json(docs["cert"])
     seq = sequence_from_json(docs["seq"])
-    z1 = [_parse_complex(part) for part in args.z1.split(",")]
+    z1 = [_parse_complex(part, "--z1") for part in args.z1.split(",")]
     z1 = z1[0] if len(z1) == 1 else tuple(z1)
-    result = evaluate(cert, seq, z1, _parse_complex(args.z2), args.tol)
+    result = evaluate(cert, seq, z1, _parse_complex(args.z2, "--z2"), args.tol)
     doc = {"value": [result.value.real, result.value.imag], "tail_bound": result.tail_bound,
            "terms_used": result.terms_used}
     return doc, {"tol": args.tol}, []
@@ -319,8 +318,7 @@ def main(argv=None) -> int:
         stage = err.stage or type(err).__name__
         print(f"pipeline failure [{stage}]: {err}", file=sys.stderr)
         return 3
-    except (OSError, json.JSONDecodeError, KeyError, ValueError, TypeError,
-            OverflowError) as err:
+    except (OSError, ValueError) as err:   # ValueError covers JSONDecodeError and LinAlgError
         print(f"input error: {err}", file=sys.stderr)
         return 2
 

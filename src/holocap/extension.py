@@ -30,7 +30,7 @@ from math import comb, isqrt
 
 import numpy as np
 
-from . import __version__
+from . import __version__, schema
 from .bernstein import Polynomial1D
 from .capacity import (CANDIDATES, EPS_CAP, FEKETE_N, MIN_POINTS, GreenEvaluator,
                        _closed_form_capacity, capacity_of_cloud, fekete_green,
@@ -45,7 +45,7 @@ from .errors import (
     OutsideCertifiedDomain,
     WindowEmpty,
 )
-from .sets import CompactSet, PointCloud, _field, _j2c, set_from_json, set_to_json
+from .sets import CompactSet, PointCloud, set_from_json, set_to_json
 
 
 # ---------------------------------------------------------------------------
@@ -75,11 +75,12 @@ class MultiIndex:
         return len(self.entries)
 
 
+_INDEX_FIELDS = (("k", "int>=1", 1), ("max_norm", "int>=0"))
+
+
 def _index_rows(k: int, max_norm: int) -> np.ndarray:
     """Every multi-index of length k and norm <= max_norm, one row each, by norm then lex."""
-    for name, value, low in (("k", k, 1), ("max_norm", max_norm, 0)):
-        if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
-            raise ValueError(f"sequence field {name!r} must be an integer >= {low}, got {value!r}")
+    schema.read({"k": k, "max_norm": max_norm}, _INDEX_FIELDS, "sequence field")
     rows = np.zeros((1, 0), dtype=np.int64)
     for _ in range(k):   # extend each row by every admissible last entry, keeping lex order
         reps = max_norm + 1 - rows.sum(axis=1)
@@ -172,10 +173,11 @@ class PolynomialSequence:
         grid = np.tile(zs, (len(counts), 1))
         prod = np.empty_like(grid)
         acc = np.zeros_like(grid)
-        for i in range(counts[0] - 1, -1, -1):
-            m = joined[i]
-            np.multiply(acc[:m], grid[:m], out=prod[:m])
-            np.add(prod[:m], self.coeffs[offsets[:m] + i][:, None], out=acc[:m])
+        with np.errstate(over="ignore", invalid="ignore"):   # an overflow is a value, inf or NaN
+            for i in range(counts[0] - 1, -1, -1):
+                m = joined[i]
+                np.multiply(acc[:m], grid[:m], out=prod[:m])
+                np.add(prod[:m], self.coeffs[offsets[:m] + i][:, None], out=acc[:m])
         out = np.empty_like(acc)
         out[order] = acc
         return out
@@ -293,7 +295,7 @@ def fit_degree_growth(seq: PolynomialSequence) -> tuple:
     C1 is the least slope that covers the rest of the data.
     """
     if seq.max_norm < 1:
-        raise ValueError("degree-growth fit needs at least 2 available indices")
+        raise ValueError(f"degree-growth fit needs 'max_norm' >= 1, got {seq.max_norm}")
 
     if seq.declared_C0 is not None or seq.declared_C1 is not None:
         c0 = float(seq.declared_C0 or 0.0)
@@ -344,19 +346,21 @@ def _column_max(rows: np.ndarray, lo: int, terms) -> np.ndarray:
 
 
 def _roots(rows: np.ndarray, norms: np.ndarray) -> np.ndarray:
-    """rows ** (1 / norms) where positive, else 0, each root rounded as a per-norm
-    ``row ** (1 / j)``: numpy's stride-0 power loop, and at norm 2 its sqrt for ``** 0.5``."""
+    """rows ** (1 / norms) where positive, inf where NaN (a value beyond the float range),
+    else 0, each root rounded as a per-norm ``row ** (1 / j)``: numpy's stride-0 power
+    loop, and at norm 2 its sqrt for ``** 0.5``."""
     roots = rows ** (1.0 / norms)[:, None]
     roots[norms == 2] = rows[norms == 2] ** 0.5
-    return np.where(rows > 0.0, roots, 0.0)
+    return np.where(rows > 0.0, roots, np.where(np.isnan(rows), np.inf, 0.0))
 
 
 def radius_profile(seq: PolynomialSequence, samples, window: int) -> RadiusProfile:
     """Tail-window estimate R(z2) = 1 / max_tail |P_n(z2)|^{1/||n||}.
 
     The max runs over indices with max_norm - window < ||n|| <= max_norm
-    (norm >= 1); vanishing values are skipped and an all-zero tail yields
-    the +inf marker.  The profile keeps those norms' ``norm_peaks`` rows.
+    (norm >= 1); vanishing values are skipped, an all-zero tail yields
+    the +inf marker and a NaN value (an overflow) yields R = 0.  The profile
+    keeps those norms' ``norm_peaks`` rows.
     """
     if window < 1 or window > seq.max_norm:
         raise WindowEmpty(f"tail window {window} not within 1..{seq.max_norm}")
@@ -420,7 +424,10 @@ def uniform_bound_compact(seq: PolynomialSequence, stratum: PointCloud, rho0: fl
     pts = np.asarray(stratum.points, dtype=np.complex128)
     top = np.empty((0, len(pts))) if window_peaks is None else window_peaks
     peaks = np.concatenate([seq.norm_peaks(pts, 0, seq.max_norm - len(top)), top])
-    scale = np.array([rho0 ** (-j) for j in range(len(peaks))])[:, None]   # row j: norm j
+    try:
+        scale = np.array([rho0 ** (-j) for j in range(len(peaks))])[:, None]   # row j: norm j
+    except OverflowError:
+        raise NoUniformStratum(f"rho0 = {rho0!r}: rho0 ** -{seq.max_norm} overflows") from None
     phi = _column_max(peaks, 0, lambda rows, norms: rows * scale[norms])
 
     masks = ((level, phi <= level) for level in (2.0 ** exp2 for exp2 in range(0, 65)))
@@ -492,6 +499,10 @@ class ExtensionCertificate:
             return 0.0   # the true radius is below C2 / 1.8e308
 
 
+_CONFIG_FIELDS = (("window", "int>=1", None), ("i_max", "int>=1"), ("theta", ">0"),
+                  ("z2_max", ">0"), ("eps_cap", ">0"), ("sublinear_tol", ">=0"))
+
+
 @dataclass(frozen=True)
 class ExtendConfig:
     """The hypotheses a certificate is conditional on; the resolution it records is fixed."""
@@ -504,21 +515,7 @@ class ExtendConfig:
     sublinear_tol: float = 0.05
 
     def __post_init__(self):
-        least = {"i_max": 1, **({"window": 1} if self.window is not None else {})}
-        for name, low in least.items():
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ValueError(f"config field {name!r} must be an integer, got {value!r}")
-            if value < low:
-                raise ValueError(f"config field {name!r} must be >= {low}, got {value!r}")
-        positive = ("theta", "z2_max", "eps_cap")
-        for name in positive + ("sublinear_tol",):
-            value = getattr(self, name)
-            strict = name in positive
-            if not (isinstance(value, numbers.Real) and not isinstance(value, bool)
-                    and math.isfinite(value) and (value > 0 if strict else value >= 0)):
-                raise ValueError(f"config field {name!r} must be finite and "
-                                 f"{'>' if strict else '>='} 0, got {value!r}")
+        schema.read(vars(self), _CONFIG_FIELDS, "config field")
 
     @classmethod
     def from_json(cls, doc: dict) -> "ExtendConfig":
@@ -562,12 +559,21 @@ def _run_stage(name: str, fn, *args, **kwargs):
         raise err.with_stage(name)
 
 
+def _exp(x: float) -> float:
+    """math.exp(x), or inf beyond the float range."""
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return math.inf
+
+
 def _domain_c2(rho1: float, gamma_c: float, tail_slope: float, exponent: float) -> float:
     """The domain constant C2 = exp(-tail_slope * gammaC) / rho1, rounded as each mode
-    computes it: uniform mode has exponent 0, extension mode exponent C1 = tail_slope."""
+    computes it: uniform mode has exponent 0, extension mode exponent C1 = tail_slope.
+    It is 0 where exp(tail_slope * gammaC) is beyond the float range."""
     if exponent == 0.0:
         return (1.0 / rho1) * math.exp(-tail_slope * gamma_c)
-    return 1.0 / (rho1 * math.exp(tail_slope * gamma_c))
+    return 1.0 / (rho1 * _exp(tail_slope * gamma_c))
 
 
 def _certify(seq: PolynomialSequence, samples, cfg: ExtendConfig, c0: float, c1: float,
@@ -715,11 +721,11 @@ def evaluate(cert: ExtensionCertificate, seq: PolynomialSequence, z1, z2: comple
         return EvaluationResult(value=complex(value), tail_bound=0.0, terms_used=0)
 
     g = float(cert.green()(z2))
-    q = cert.rho1 * math.exp(cert.tail_slope * g) * r1
+    q = cert.rho1 * _exp(cert.tail_slope * g) * r1   # inf, so refused, beyond the float range
     if q >= 1.0:
         raise OutsideCertifiedDomain(
             f"q = {q:.6g} >= 1 at z1 norm {r1:.6g}, z2 = {z2}")
-    amp = cert.M0 * math.exp(cert.C0 * g)
+    amp = cert.M0 * _exp(cert.C0 * g)
 
     def tail_at(n: int) -> float:
         c = (n + k) / (n + 1)
@@ -808,6 +814,18 @@ def certificate_to_json(cert: ExtensionCertificate) -> dict:
     return doc
 
 
+# the certificate's fields, and its thresholds' fields evaluate reads; the signs are
+# those the pipeline produces, and every certificate constant is finite
+_CONSTANTS = (("rho0", "finite"), ("rho1", ">0"), ("M0", ">=0"), ("C0", ">=0"), ("C1", ">=0"),
+              ("gammaC", ">=0"), ("C2", "finite"), ("exponent", "finite"))
+_CERTIFICATE_FIELDS = _CONSTANTS + (("thresholds", "object"), ("witness", "object"),
+                                    ("N_used", "int>=0"), ("exponent_differs", "bool"))
+_THRESHOLD_FIELDS = (("tail_slope", ">=0"), ("tail_start", "int>=0", 0),
+                     ("fekete_n", "int>=1", FEKETE_N), ("candidates", "int>=1", CANDIDATES),
+                     ("eps_cap", ">0", EPS_CAP))
+_GREEN_FIELDS = (("green_points", "list"), ("clamp_magnitude", ">=0"))
+
+
 def certificate_from_json(doc: dict) -> ExtensionCertificate:
     """Certificate from :func:`certificate_to_json` output, every field checked.
 
@@ -816,96 +834,59 @@ def certificate_from_json(doc: dict) -> ExtensionCertificate:
     from them and no Fekete solve runs.  A missing, wrong-typed or
     inconsistent field raises ``ValueError`` naming it.
     """
-    if not isinstance(doc, dict):
-        raise ValueError(f"a certificate must be a JSON object, got {type(doc).__name__}")
-    floats = {name: float(_field(doc, name, numbers.Real))
-              for name in ("rho0", "rho1", "M0", "C0", "C1", "gammaC", "C2", "exponent")}
-    thresholds = dict(_field(doc, "thresholds", dict))
-    where = "certificate threshold"
-    tail_slope = float(_field(thresholds, "tail_slope", numbers.Real, where=where))
-    _check_constants(floats, tail_slope)
-    for name, kind, default in (("tail_start", numbers.Integral, 0),
-                                ("fekete_n", numbers.Integral, FEKETE_N),
-                                ("candidates", numbers.Integral, CANDIDATES),
-                                ("eps_cap", numbers.Real, EPS_CAP)):
-        _field(thresholds, name, kind, default, where=where)
-    witness_doc = _field(doc, "witness", dict)
-    try:
-        witness = set_from_json(witness_doc)
-    except (KeyError, IndexError, TypeError, ValueError) as err:
-        raise ValueError(f"certificate field 'witness' is malformed: {err!r}") from None
-    cert = ExtensionCertificate(
-        **floats, witness=witness, N_used=int(_field(doc, "N_used", numbers.Integral)),
-        thresholds=thresholds, exponent_differs=_field(doc, "exponent_differs", bool))
+    got = schema.read(schema.check(doc, "object", "certificate"), _CERTIFICATE_FIELDS,
+                      "certificate field")
+    thresholds = dict(got.pop("thresholds"))   # a null threshold takes its default
+    thresholds.update(schema.read(thresholds, _THRESHOLD_FIELDS, "certificate threshold"))
+    floats = {name: float(got.pop(name)) for name, _ in _CONSTANTS}
+    if floats["exponent"] not in (floats["C1"], 0.0):
+        raise ValueError(f"certificate field 'exponent' must be C1 ({floats['C1']!r}) or 0, "
+                         f"got {floats['exponent']!r}")
+    c2 = _domain_c2(floats["rho1"], floats["gammaC"], float(thresholds["tail_slope"]),
+                    floats["exponent"])
+    if not abs(floats["C2"] - c2) <= 1e-12 * c2:
+        raise ValueError(f"certificate field 'C2' must be exp(-tail_slope * gammaC) / rho1 = "
+                         f"{c2!r} to 1e-12 relative, got {floats['C2']!r}")
+    witness = set_from_json(got.pop("witness"), "certificate field 'witness'")
+    cert = ExtensionCertificate(**floats, **got, witness=witness, thresholds=thresholds)
     if _closed_form_capacity(witness) is not None:   # analytic Green backing, nothing stored
         return cert
-    selection = _field(doc, "green_points", list)
-    clamp = float(_field(doc, "clamp_magnitude", numbers.Real))
-    if not (math.isfinite(clamp) and clamp >= 0.0):
-        raise ValueError(f"certificate field 'clamp_magnitude' must be finite and >= 0, "
-                         f"got {clamp!r}")
+    green = schema.read(doc, _GREEN_FIELDS, "certificate field")
     try:
-        cert._green = green_from_selection(witness, selection, clamp,
-                                           **_green_resolution(thresholds))
+        cert._green = green_from_selection(witness, green["green_points"],
+                                           float(green["clamp_magnitude"]),
+                                           **_green_resolution(cert.thresholds))
     except ValueError as err:
         raise ValueError(f"certificate field 'green_points': {err}") from None
     return cert
 
 
-# the signs the pipeline produces; every certificate constant is finite
-_CONSTANT_SIGNS = {"rho1": "> 0", "M0": ">= 0", "C0": ">= 0", "C1": ">= 0", "tail_slope": ">= 0"}
-
-
-def _check_constants(floats: dict, tail_slope: float) -> None:
-    """Refuse a certificate's constants outside the ranges the pipeline produces, an
-    exponent other than C1 or 0, or a C2 more than 1e-12 relative from :func:`_domain_c2`."""
-    for name, value in {**floats, "tail_slope": tail_slope}.items():
-        where = "certificate threshold" if name == "tail_slope" else "certificate field"
-        sign = _CONSTANT_SIGNS.get(name)
-        if not math.isfinite(value):
-            raise ValueError(f"{where} {name!r} must be finite, got {value!r}")
-        if sign and (value <= 0.0 if sign == "> 0" else value < 0.0):
-            raise ValueError(f"{where} {name!r} must be {sign}, got {value!r}")
-    if floats["exponent"] not in (floats["C1"], 0.0):
-        raise ValueError(f"certificate field 'exponent' must be C1 ({floats['C1']!r}) or 0, "
-                         f"got {floats['exponent']!r}")
-    try:
-        c2 = _domain_c2(floats["rho1"], floats["gammaC"], tail_slope, floats["exponent"])
-    except OverflowError:   # exp(tail_slope * gammaC) beyond the float range
-        c2 = 0.0
-    if not abs(floats["C2"] - c2) <= 1e-12 * c2:
-        raise ValueError(f"certificate field 'C2' must be exp(-tail_slope * gammaC) / rho1 = "
-                         f"{c2!r} to 1e-12 relative, got {floats['C2']!r}")
-
-
-def _finite(value, what: str):
-    if not cmath.isfinite(value):
-        raise ValueError(f"{what} must be finite, got {value!r}")
-    return value
+# each kind's fields besides _INDEX_FIELDS, and a table entry's; a key not listed is ignored
+_SEQUENCES = {"geometric": (("lambda", "pair"),), "constant": (("value", "pair"),),
+              "sqrt_degree": (), "table": (("entries", "list"), ("declared_C0", ">=0", None),
+                                           ("declared_C1", ">=0", None))}
+_ENTRY_FIELDS = (("index", "list"), ("coefficients", "list"))
 
 
 def sequence_from_json(doc: dict) -> PolynomialSequence:
     """Builtin families and explicit tables; no code execution from input."""
-    if not isinstance(doc, dict):
-        raise ValueError(f"a sequence must be a JSON object, got {type(doc).__name__}")
-    kind = doc.get("kind")
-    max_norm = doc["max_norm"]
-    k = doc.get("k", 1)
+    where = "sequence field"
+    kind = schema.field(schema.check(doc, "object", "sequence"), "kind", tuple(_SEQUENCES), where)
+    got = schema.read(doc, _INDEX_FIELDS + _SEQUENCES[kind], where)
+    k, max_norm = got["k"], got["max_norm"]
     if kind == "geometric":
-        lam = _finite(_j2c(doc["lambda"]), "lambda")
-        return geometric_sequence(lam, max_norm, k)
+        return geometric_sequence(got["lambda"], max_norm, k)
     if kind == "constant":
-        val = _finite(_j2c(doc["value"]), "value")
-        return constant_sequence(val, max_norm, k)
+        return constant_sequence(got["value"], max_norm, k)
     if kind == "sqrt_degree":
         return sqrt_degree_sequence(max_norm, k)
-    if kind == "table":
-        items = []
-        for item in doc["entries"]:
-            what = f"coefficient of index {tuple(item['index'])}"
-            items.append((item["index"], tuple(_finite(_j2c(c), what)
-                                               for c in item["coefficients"])))
-        declared = {name: _finite(_field(doc, name, numbers.Real, where="sequence field"), name)
-                    for name in ("declared_C0", "declared_C1") if doc.get(name) is not None}
-        return _table(items, max_norm, k, **declared)
-    raise ValueError(f"unknown sequence kind: {kind!r}")
+    items = []
+    for i, item in enumerate(got["entries"]):
+        what = f"{where} 'entries' item {i}"
+        entry = schema.read(schema.check(item, "object", what), _ENTRY_FIELDS, what + " field")
+        coefficients = entry["coefficients"]   # an empty list is the zero polynomial
+        if coefficients:
+            what += " field 'coefficients'"
+            coefficients = schema.check(coefficients, "pairs", what).tolist()
+        items.append((entry["index"], tuple(coefficients)))
+    return _table(items, max_norm, k, got["declared_C0"], got["declared_C1"])

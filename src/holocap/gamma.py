@@ -37,17 +37,17 @@ estimate at the working resolution of :mod:`holocap.capacity` (128 points).
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
+from . import schema
 from .capacity import (CANDIDATES, EPS_CAP, FEKETE_N, _closed_form_capacity, capacity,
                        capacity_of_cloud, quick_cloud_capacity)
 from .errors import GammaPolar, UnboundedSet
-from .sets import (MEMBERSHIP_TOL, CompactSet, Disk, PointCloud, Segment, _field, _j2c,
-                   affine_image, bounding_box, contains, discretize, set_from_json)
+from .sets import (MEMBERSHIP_TOL, CompactSet, Disk, PointCloud, Segment, affine_image,
+                   bounding_box, contains, discretize, set_from_json)
 
 MAX_DIMENSION = 3   # products and scans only: ellipsoids project in closed form
 
@@ -110,7 +110,7 @@ def product_predicate(factors) -> SetPredicate:
     """Coordinate product of 1-D compact shapes."""
     factors = tuple(factors)
     if not factors:
-        raise ValueError("product needs at least one factor")
+        raise ValueError("product 'factors' must be nonempty")
     return _preimage_predicate(np.eye(len(factors), dtype=np.complex128), factors,
                                tuple(bounding_box(f) for f in factors))
 
@@ -133,8 +133,7 @@ def _preimage_predicate(mat: np.ndarray, factors: tuple, box: tuple) -> SetPredi
 def ball_predicate(center, radius: float) -> SetPredicate:
     """Closed Euclidean ball in C^m."""
     center = np.asarray(center, dtype=np.complex128)
-    if not (math.isfinite(radius) and radius > 0):
-        raise ValueError(f"ball radius must be positive and finite, got {radius}")
+    schema.check(radius, ">0", "ball radius")
     if not np.all(np.isfinite(center)):
         raise ValueError(f"ball center must have finite coordinates, got {center.tolist()}")
 
@@ -155,14 +154,17 @@ def _enclosing_radius(box: tuple) -> float:
 
 def linear_image(matrix, pred: SetPredicate) -> SetPredicate:
     """Image of the set under an invertible linear map."""
+    if len(matrix) != pred.dimension or {np.shape(row) for row in matrix} != {(pred.dimension,)}:
+        raise ValueError("linear image 'matrix' must be square, of its predicate's dimension")
     a = np.asarray(matrix, dtype=np.complex128)
-    if a.shape != (pred.dimension, pred.dimension):
-        raise ValueError("matrix shape must match the predicate dimension")
     bad = np.argwhere(~np.isfinite(a))
     if len(bad):
         raise ValueError("linear image matrix entries must be finite, got "
                          + ", ".join(f"{a[i, j]} at ({i}, {j})" for i, j in bad))
-    inv = np.linalg.inv(a)
+    try:
+        inv = np.linalg.inv(a)
+    except np.linalg.LinAlgError:   # numpy's message names no field
+        raise ValueError("linear image 'matrix' is singular") from None
     inner = pred.membership
 
     def member(zs: np.ndarray) -> np.ndarray:
@@ -518,11 +520,11 @@ def gamma_cap(pred: SetPredicate, unitary_count: int = 1, seed: int = 0,
     point cloud or a scanned set takes the estimate at 128 points on 4,096
     candidates (``capacity.FEKETE_N``, ``capacity.CANDIDATES``).
     """
-    if unitary_count < 1:
-        raise ValueError("unitary_count must be >= 1")
+    schema.check(unitary_count, "int>=1", "unitary_count")
     m = pred.dimension
     if m > MAX_DIMENSION and pred.ellipsoid is None:
-        raise ValueError(f"dimension {m} exceeds the supported maximum {MAX_DIMENSION}")
+        raise ValueError(f"dimension {m} exceeds the supported maximum {MAX_DIMENSION} "
+                         "of a product's 'factors'")
     _require_finite_box(pred)
 
     unitaries = [UnitarySample(np.eye(m, dtype=np.complex128), 0)]
@@ -567,16 +569,20 @@ def reduce_to_m1(pred: SetPredicate, result: GammaCapResult) -> tuple:
 # Products list 1-D set documents; matrices are nested [re, im] pairs.
 # ---------------------------------------------------------------------------
 
-def predicate_from_json(doc: dict) -> SetPredicate:
-    if not isinstance(doc, dict):
-        raise ValueError(f"a predicate must be a JSON object, got {type(doc).__name__}")
-    kind = doc.get("kind")
+_KINDS = {"product": (("factors", "list"),), "ball": (("center", "pairs"), ("radius", ">0")),
+          "linear_image": (("matrix", "list"), ("of", "object"))}
+
+
+def predicate_from_json(doc: dict, what: str = "predicate") -> SetPredicate:
+    """The predicate of a JSON document; ``what`` names the document in every refusal."""
+    where = what + " field"
+    kind = schema.field(schema.check(doc, "object", what), "kind", tuple(_KINDS), where)
+    got = schema.read(doc, _KINDS[kind], where)
     if kind == "product":
-        return product_predicate([set_from_json(f) for f in doc["factors"]])
+        return product_predicate([set_from_json(f, f"{where} 'factors' item {i}")
+                                  for i, f in enumerate(got["factors"])])
     if kind == "ball":
-        radius = float(_field(doc, "radius", numbers.Real, where="predicate field"))
-        return ball_predicate([_j2c(c) for c in doc["center"]], radius)
-    if kind == "linear_image":
-        matrix = [[_j2c(e) for e in row] for row in doc["matrix"]]
-        return linear_image(np.asarray(matrix), predicate_from_json(doc["of"]))
-    raise ValueError(f"unknown predicate kind: {kind!r}")
+        return ball_predicate(got["center"], float(got["radius"]))
+    matrix = [schema.check(row, "pairs", f"{where} 'matrix' item {i}")
+              for i, row in enumerate(got["matrix"])]
+    return linear_image(matrix, predicate_from_json(got["of"], f"{where} 'of'"))

@@ -14,13 +14,13 @@ values and is safe to call concurrently.
 
 from __future__ import annotations
 
-import itertools
 import math
-import numbers
 from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
+
+from . import schema
 
 #: points closer than this to a shape count as members of it
 MEMBERSHIP_TOL = 1e-12
@@ -29,15 +29,6 @@ def _require_finite(z: complex, what: str) -> complex:
     z = complex(z)
     if not (math.isfinite(z.real) and math.isfinite(z.imag)):
         raise ValueError(f"{what} must have finite coordinates, got {z!r}")
-    return z
-
-
-def _require_finite_points(z: np.ndarray, what: str) -> np.ndarray:
-    """``z``, or :func:`_require_finite`'s error for its first non-finite point ``z[i]``;
-    ``what.format(i)`` names the point."""
-    bad = np.flatnonzero(~np.isfinite(z))
-    if len(bad):
-        _require_finite(z[bad[0]], what.format(bad[0]))
     return z
 
 
@@ -50,8 +41,7 @@ class Disk:
 
     def __post_init__(self):
         object.__setattr__(self, "center", _require_finite(self.center, "Disk center"))
-        if not (math.isfinite(self.radius) and self.radius > 0):
-            raise ValueError(f"Disk radius must be positive and finite, got {self.radius}")
+        schema.check(self.radius, ">0", "Disk radius")
 
 
 @dataclass(frozen=True)
@@ -65,7 +55,7 @@ class Segment:
         object.__setattr__(self, "a", _require_finite(self.a, "Segment endpoint"))
         object.__setattr__(self, "b", _require_finite(self.b, "Segment endpoint"))
         if self.a == self.b:
-            raise ValueError("Segment endpoints must be distinct")
+            raise ValueError(f"Segment endpoints 'a' and 'b' must differ, got {self.a!r} twice")
 
 
 @dataclass(frozen=True)
@@ -76,7 +66,9 @@ class PointCloud:
 
     def __post_init__(self):
         z = np.fromiter(map(complex, self.points), np.complex128)
-        pts = tuple(_require_finite_points(z, "PointCloud point").tolist())
+        if not np.isfinite(z).all():   # name the first non-finite point
+            _require_finite(z[~np.isfinite(z)][0], "PointCloud point")
+        pts = tuple(z.tolist())
         if not pts:
             raise ValueError("PointCloud must be nonempty")
         object.__setattr__(self, "points", pts)
@@ -91,7 +83,7 @@ class UnionSet:
     def __post_init__(self):
         parts = tuple(self.parts)
         if not parts:
-            raise ValueError("UnionSet must have at least one part")
+            raise ValueError("UnionSet 'parts' must be nonempty")
         object.__setattr__(self, "parts", parts)
 
 
@@ -199,44 +191,6 @@ def _c2j(z: complex) -> list:
     return [z.real, z.imag]
 
 
-def _j2c(v) -> complex:
-    """The complex number of a JSON [re, im] pair; anything else raises ``ValueError``."""
-    if type(v) is list and len(v) == 2:
-        re, im = v
-        if type(re) in (int, float) and type(im) in (int, float):   # a bool is not a number
-            return complex(re, im)
-    raise ValueError(f"expected an [re, im] pair of numbers, got {v!r}")
-
-
-_FIELD_KINDS = {numbers.Real: "a number", numbers.Integral: "an integer", bool: "a boolean",
-                dict: "an object", list: "a list"}
-
-
-def _field(doc: dict, name: str, kind: type, default=None, where: str = "certificate field"):
-    """``doc[name]`` checked against ``kind``; a missing name without a default raises."""
-    if name not in doc:
-        if default is None:
-            raise ValueError(f"{where} {name!r} is missing")
-        return default
-    value = doc[name]
-    if isinstance(value, bool) != (kind is bool) or not isinstance(value, kind):
-        raise ValueError(f"{where} {name!r} must be {_FIELD_KINDS[kind]}, got {value!r}")
-    return value
-
-
-def _points_from_json(values) -> np.ndarray:
-    """A JSON list of [re, im] pairs as complex128, in one numpy pass if each pair passes
-    :func:`_j2c`'s check, else pair by pair through it, naming the first fault."""
-    try:
-        flat = list(itertools.chain.from_iterable(values))
-        if (set(map(type, values)) <= {list} and set(map(len, values)) <= {2}
-                and set(map(type, flat)) <= {int, float}):
-            return np.array(flat, dtype=np.float64).view(np.complex128)
-    except (TypeError, OverflowError):
-        pass
-    return np.array([_j2c(v) for v in values], dtype=np.complex128)
-
-
 def set_to_json(set_: CompactSet) -> dict:
     if isinstance(set_, Disk):
         return {"shape": "disk", "center": _c2j(set_.center), "radius": set_.radius}
@@ -249,17 +203,22 @@ def set_to_json(set_: CompactSet) -> dict:
     raise TypeError(f"not a CompactSet: {set_!r}")
 
 
-def set_from_json(doc: dict) -> CompactSet:
-    if not isinstance(doc, dict):
-        raise ValueError(f"a set must be a JSON object, got {type(doc).__name__}")
-    kind = doc.get("shape")
-    if kind == "disk":
-        radius = float(_field(doc, "radius", numbers.Real, where="set field"))
-        return Disk(_j2c(doc["center"]), radius)
-    if kind == "segment":
-        return Segment(_j2c(doc["a"]), _j2c(doc["b"]))
-    if kind == "cloud":
-        return PointCloud(_points_from_json(doc["points"]).tolist())
-    if kind == "union":
-        return UnionSet(tuple(set_from_json(p) for p in doc["parts"]))
-    raise ValueError(f"unknown shape kind: {kind!r}")
+# each shape's fields; a key not listed is ignored
+_SHAPES = {"disk": (("center", "pair"), ("radius", ">0")),
+           "segment": (("a", "pair"), ("b", "pair")),
+           "cloud": (("points", "pairs"),), "union": (("parts", "list"),)}
+
+
+def set_from_json(doc: dict, what: str = "set") -> CompactSet:
+    """The set of a JSON document; ``what`` names the document in every refusal."""
+    where = what + " field"
+    shape = schema.field(schema.check(doc, "object", what), "shape", tuple(_SHAPES), where)
+    got = schema.read(doc, _SHAPES[shape], where)
+    if shape == "disk":
+        return Disk(got["center"], float(got["radius"]))
+    if shape == "segment":
+        return Segment(got["a"], got["b"])
+    if shape == "cloud":
+        return PointCloud(got["points"].tolist())
+    return UnionSet(tuple(set_from_json(p, f"{where} 'parts' item {i}")
+                          for i, p in enumerate(got["parts"])))

@@ -200,25 +200,25 @@ def _diagonal_image(d1, d2):
     return {"kind": "linear_image", "matrix": [[[d1, 0], [0, 0]], [[0, 0], [d2, 0]]], "of": BALL}
 
 
+PAIR = "must be an [re, im] pair of finite numbers, got "
+
+
 @pytest.mark.parametrize("pred, message", [
-    ({**BALL, "radius": math.nan}, "ball radius must be positive and finite"),
-    ({**BALL, "radius": math.inf}, "ball radius must be positive and finite"),
-    ({**BALL, "radius": -1.0}, "ball radius must be positive and finite"),
-    ({**BALL, "center": [[0, math.nan], [0, 0]]}, "ball center must have finite coordinates"),
-    (_diagonal_image(math.nan, 1), "matrix entries must be finite, got (nan+0j) at (0, 0)"),
-    (_diagonal_image(1, math.inf), "matrix entries must be finite, got (inf+0j) at (1, 1)"),
-    (_diagonal_image(1, 0), "Singular matrix"),
+    ({**BALL, "radius": math.nan}, "predicate field 'radius' must be a finite number > 0, got nan"),
+    ({**BALL, "radius": math.inf}, "predicate field 'radius' must be a finite number > 0, got inf"),
+    ({**BALL, "radius": -1.0}, "predicate field 'radius' must be a finite number > 0, got -1.0"),
+    ({**BALL, "center": [[0, math.nan], [0, 0]]},
+     f"predicate field 'center' item 0 {PAIR}[0, nan]"),
+    (_diagonal_image(math.nan, 1), f"predicate field 'matrix' item 0 item 0 {PAIR}[nan, 0]"),
+    (_diagonal_image(1, math.inf), f"predicate field 'matrix' item 1 item 1 {PAIR}[inf, 0]"),
+    (_diagonal_image(1, 0), "linear image 'matrix' is singular"),
 ], ids=["radius_nan", "radius_inf", "radius_negative", "center_nan", "matrix_nan",
         "matrix_inf", "matrix_singular"])
 def test_gammacap_invalid_predicate_exit_two(tmp_path, capsys, pred, message):
     pred_path = write(tmp_path / "pred.json", pred)
     code = main(["gammacap", "--set", pred_path, "--out", str(tmp_path / "g.json")])
     assert code == 2
-    assert message in capsys.readouterr().err
-
-
-PAIR = "expected an [re, im] pair of numbers, got "
-CLOUD_FINITE = "PointCloud point must have finite coordinates, got "
+    assert capsys.readouterr().err == f"input error: {message}\n"
 
 
 def _cloud_with(*bad):
@@ -238,58 +238,74 @@ TABLE = {"kind": "table", "max_norm": 2,
 
 
 @pytest.mark.parametrize("command, inputs, message", [
-    ("cap", {"--set": {**DISK, "center": [1]}}, PAIR + "[1]"),
-    ("cap", {"--set": {**DISK, "center": ["1", "0"]}}, PAIR + "['1', '0']"),
-    ("cap", {"--set": {**DISK, "center": [True, 0]}}, PAIR + "[True, 0]"),
-    ("cap", {"--set": {**SEGMENT, "b": [1, 0, 0]}}, PAIR + "[1, 0, 0]"),
-    ("cap", {"--set": []}, "a set must be a JSON object, got list"),
+    ("cap", {"--set": {**DISK, "center": [1]}}, f"set field 'center' {PAIR}[1]"),
+    ("cap", {"--set": {**DISK, "center": ["1", "0"]}}, f"set field 'center' {PAIR}['1', '0']"),
+    ("cap", {"--set": {**DISK, "center": [True, 0]}}, f"set field 'center' {PAIR}[True, 0]"),
+    ("cap", {"--set": {**SEGMENT, "b": [1, 0, 0]}}, f"set field 'b' {PAIR}[1, 0, 0]"),
+    ("cap", {"--set": []}, "set must be an object, got []"),
     ("extend", {"--seq": {**GEOMETRIC, "lambda": [1]}, "--samples": CIRCLE_SAMPLES},
-     PAIR + "[1]"),
+     f"sequence field 'lambda' {PAIR}[1]"),
     ("extend", {"--seq": {"kind": "constant", "value": 1, "max_norm": 4},
-                "--samples": CIRCLE_SAMPLES}, PAIR + "1"),
-    ("extend", {"--seq": TABLE, "--samples": CIRCLE_SAMPLES}, PAIR + "[1]"),
-    ("extend", {"--seq": GEOMETRIC, "--samples": [[1]]}, PAIR + "[1]"),
-    ("extend", {"--seq": [], "--samples": CIRCLE_SAMPLES},
-     "a sequence must be a JSON object, got list"),
+                "--samples": CIRCLE_SAMPLES}, f"sequence field 'value' {PAIR}1"),
+    ("extend", {"--seq": TABLE, "--samples": CIRCLE_SAMPLES},
+     f"sequence field 'entries' item 1 field 'coefficients' item 1 {PAIR}[1]"),
+    ("extend", {"--seq": GEOMETRIC, "--samples": [[1]]}, f"samples item 0 {PAIR}[1]"),
+    ("extend", {"--seq": [], "--samples": CIRCLE_SAMPLES}, "sequence must be an object, got []"),
     ("bernstein", {"--poly": {"coefficients": [[1]]}, "--set": SEGMENT,
-                   "--points": "re,im\n2,0\n"}, PAIR + "[1]"),
-    ("gammacap", {"--set": {**BALL, "center": [[0], [0, 0]]}}, PAIR + "[0]"),
+                   "--points": "re,im\n2,0\n"},
+     f"polynomial field 'coefficients' item 0 {PAIR}[1]"),
+    ("gammacap", {"--set": {**BALL, "center": [[0], [0, 0]]}},
+     f"predicate field 'center' item 0 {PAIR}[0]"),
     ("gammacap", {"--set": {**_diagonal_image(1, 1), "matrix": [[[1], [0, 0]], [[0, 0], [1, 0]]]}},
-     PAIR + "[1]"),
-    ("gammacap", {"--set": []}, "a predicate must be a JSON object, got list"),
+     f"predicate field 'matrix' item 0 item 0 {PAIR}[1]"),
+    ("gammacap", {"--set": []}, "predicate must be an object, got []"),
     ("green", {"--set": DISK, "--points": "re,im\n2,0\n1.0\n"},
-     "line 3: expected re,im, got ['1.0']"),
+     f"line 3 {PAIR}[1.0]"),
     # non-finite samples and CSV rows are named (the parent went on with them)
     ("extend", {"--seq": GEOMETRIC, "--samples": _samples_with([math.nan, 0])},
-     "sample 3 must have finite coordinates, got (nan+0j)"),
+     f"samples item 3 {PAIR}[nan, 0]"),
     ("green", {"--set": DISK, "--points": "re,im\n2,0\nnan,0\n"},
-     "line 3: expected finite re,im, got ['nan', '0']"),
+     f"line 3 {PAIR}[nan, 0.0]"),
     ("green", {"--set": DISK, "--points": "re,im\n2,0\n3,inf\n"},
-     "line 3: expected finite re,im, got ['3', 'inf']"),
+     f"line 3 {PAIR}[3.0, inf]"),
     ("bernstein", {"--poly": {"coefficients": [[0, 0], [1, 0]]}, "--set": DISK,
-                   "--points": "nan,0\n"}, "line 1: expected finite re,im, got ['nan', '0']"),
+                   "--points": "nan,0\n"}, f"line 1 {PAIR}[nan, 0.0]"),
     ("bernstein", {"--poly": {"coefficients": [[0, 0], [math.nan, 0]]}, "--set": DISK,
-                   "--points": "2,0\n"},
-     "coefficient 1 must have finite coordinates, got (nan+0j)"),
-    # point lists parsed in one pass name the first fault as the pair-by-pair parse did
-    ("cap", {"--set": _cloud_with([True, 0])}, PAIR + "[True, 0]"),
-    ("cap", {"--set": _cloud_with(["1", 0])}, PAIR + "['1', 0]"),
-    ("cap", {"--set": _cloud_with([1, 0, 0])}, PAIR + "[1, 0, 0]"),
-    ("cap", {"--set": _cloud_with([math.inf, 0])}, CLOUD_FINITE + "(inf+0j)"),
-    ("cap", {"--set": _cloud_with([math.nan, 0], [True, 0])}, PAIR + "[True, 0]"),
-    ("extend", {"--seq": GEOMETRIC, "--samples": _samples_with([True, 0])}, PAIR + "[True, 0]"),
-    ("extend", {"--seq": GEOMETRIC, "--samples": _samples_with(["1", 0])}, PAIR + "['1', 0]"),
-    ("extend", {"--seq": GEOMETRIC, "--samples": _samples_with([1, 0, 0])}, PAIR + "[1, 0, 0]"),
+                   "--points": "2,0\n"}, f"polynomial field 'coefficients' item 1 {PAIR}[nan, 0]"),
+    # point lists parsed in one pass name the first fault as the pair-by-pair parse does
+    ("cap", {"--set": _cloud_with([True, 0])}, f"set field 'points' item 3 {PAIR}[True, 0]"),
+    ("cap", {"--set": _cloud_with(["1", 0])}, f"set field 'points' item 3 {PAIR}['1', 0]"),
+    ("cap", {"--set": _cloud_with([1, 0, 0])}, f"set field 'points' item 3 {PAIR}[1, 0, 0]"),
+    ("cap", {"--set": _cloud_with([math.inf, 0])}, f"set field 'points' item 3 {PAIR}[inf, 0]"),
+    ("cap", {"--set": _cloud_with([math.nan, 0], [True, 0])},
+     f"set field 'points' item 3 {PAIR}[nan, 0]"),
+    ("extend", {"--seq": GEOMETRIC, "--samples": _samples_with([True, 0])},
+     f"samples item 3 {PAIR}[True, 0]"),
+    ("extend", {"--seq": GEOMETRIC, "--samples": _samples_with(["1", 0])},
+     f"samples item 3 {PAIR}['1', 0]"),
+    ("extend", {"--seq": GEOMETRIC, "--samples": _samples_with([1, 0, 0])},
+     f"samples item 3 {PAIR}[1, 0, 0]"),
     ("extend", {"--seq": GEOMETRIC, "--samples": _samples_with([math.nan, 0], [True, 0])},
-     PAIR + "[True, 0]"),
+     f"samples item 3 {PAIR}[nan, 0]"),
     # every number is a JSON number: no numeric string, no boolean
-    ("cap", {"--set": {**DISK, "radius": "2"}}, "set field 'radius' must be a number, got '2'"),
-    ("cap", {"--set": {**DISK, "radius": True}}, "set field 'radius' must be a number, got True"),
+    ("cap", {"--set": {**DISK, "radius": "2"}},
+     "set field 'radius' must be a finite number > 0, got '2'"),
+    ("cap", {"--set": {**DISK, "radius": True}},
+     "set field 'radius' must be a finite number > 0, got True"),
     ("gammacap", {"--set": {**BALL, "radius": "0.5"}},
-     "predicate field 'radius' must be a number, got '0.5'"),
+     "predicate field 'radius' must be a finite number > 0, got '0.5'"),
     ("extend", {"--seq": {**TABLE, "entries": TABLE["entries"][:1], "declared_C1": True},
                 "--samples": CIRCLE_SAMPLES},
-     "sequence field 'declared_C1' must be a number, got True"),
+     "sequence field 'declared_C1' must be a finite number >= 0, got True"),
+    # a missing key, a value of the wrong JSON type and a count beyond int64 are named
+    ("cap", {"--set": {"shape": "disk", "radius": 1.0}}, "set field 'center' is missing"),
+    ("cap", {"--set": {"shape": "union", "parts": 5}}, "set field 'parts' must be a list, got 5"),
+    ("cap", {"--set": {"shape": "union", "parts": [SEGMENT, {"shape": "disk", "center": [0, 0]}]}},
+     "set field 'parts' item 1 field 'radius' is missing"),
+    ("cap", {"--set": {"shape": "ring"}},
+     "set field 'shape' must be one of 'disk', 'segment', 'cloud', 'union', got 'ring'"),
+    ("extend", {"--seq": {**GEOMETRIC, "max_norm": 10 ** 20}, "--samples": CIRCLE_SAMPLES},
+     "sequence field 'max_norm' must be an integer below 2**63, got 100000000000000000000"),
     # a power of lambda beyond the float range names lambda and the first such norm
     ("extend", {"--seq": {**GEOMETRIC, "lambda": [1e100, 0]},
                 "--samples": [[0.9 * x, 0.9 * y] for x, y in CIRCLE_SAMPLES[::2]]},
@@ -302,6 +318,8 @@ TABLE = {"kind": "table", "max_norm": 2,
         "cloud_point_string", "cloud_point_long", "cloud_point_inf", "cloud_bool_after_nan",
         "sample_bool", "sample_string", "sample_long", "sample_bool_after_nan",
         "radius_string", "radius_bool", "ball_radius_string", "declared_c1_bool",
+        "disk_center_missing", "union_parts_number", "union_part_radius_missing",
+        "shape_unknown", "max_norm_beyond_int64",
         "lambda_power_overflow"])
 def test_malformed_input_exit_two(tmp_path, capsys, command, inputs, message):
     argv = [command]
@@ -310,7 +328,7 @@ def test_malformed_input_exit_two(tmp_path, capsys, command, inputs, message):
         path.write_text(doc if isinstance(doc, str) else json.dumps(doc), encoding="utf-8")
         argv += [flag, str(path)]
     assert main(argv + ["--out", str(tmp_path / "out.json")]) == 2
-    assert message in capsys.readouterr().err
+    assert capsys.readouterr().err.endswith(f"{message}\n")   # a CSV row follows its path
 
 
 @pytest.mark.parametrize("d1, d2", [(1.0, 1e-300), (1e-300, 1.0)])
@@ -432,26 +450,33 @@ def test_eval_outside_domain_exit_three(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("cfg, message", [
-    ({"theta": 0}, "'theta' must be finite and > 0"),
-    ({"window": "5"}, "'window' must be an integer"),
-    ({"z2_max": -1}, "'z2_max' must be finite and > 0"),
-    ({"eps_cap": math.nan}, "'eps_cap' must be finite and > 0"),
-    ({"sublinear_tol": math.inf}, "'sublinear_tol' must be finite and >= 0"),
-    ({"i_max": 0}, "'i_max' must be >= 1, got 0"),
-    ({"window": 0}, "'window' must be >= 1, got 0"),
+    ({"theta": 0}, "config field 'theta' must be a finite number > 0, got 0"),
+    ({"window": "5"}, "config field 'window' must be an integer >= 1, got '5'"),
+    ({"z2_max": -1}, "config field 'z2_max' must be a finite number > 0, got -1"),
+    ({"eps_cap": math.nan}, "config field 'eps_cap' must be a finite number > 0, got nan"),
+    ({"sublinear_tol": math.inf},
+     "config field 'sublinear_tol' must be a finite number >= 0, got inf"),
+    ({"i_max": 0}, "config field 'i_max' must be an integer >= 1, got 0"),
+    ({"window": 0}, "config field 'window' must be an integer >= 1, got 0"),
     # the resolution is fixed: its recorded values are not config keys
     ({"gamma_angular": 0}, "unknown config keys: ['gamma_angular']"),
     ({"gamma_radial": -1}, "unknown config keys: ['gamma_radial']"),
     ({"fekete_n": 4}, "unknown config keys: ['fekete_n']"),
     ({"candidates": 1}, "unknown config keys: ['candidates']"),
     # a boolean is not a number
-    ({"theta": True}, "'theta' must be finite and > 0, got True"),
-    ({"eps_cap": True}, "'eps_cap' must be finite and > 0, got True"),
-    ({"sublinear_tol": True}, "'sublinear_tol' must be finite and >= 0, got True"),
+    ({"theta": True}, "config field 'theta' must be a finite number > 0, got True"),
+    ({"eps_cap": True}, "config field 'eps_cap' must be a finite number > 0, got True"),
+    ({"sublinear_tol": True},
+     "config field 'sublinear_tol' must be a finite number >= 0, got True"),
+    # a JSON integer beyond the float range is named, not converted
+    ({"theta": 10 ** 400},
+     "config field 'theta' must be a finite number > 0, got 1" + "0" * 29 + "... (401 characters)"),
+    ({"mode": "other"}, "config field 'mode' must be one of 'extension', 'uniform', got 'other'"),
+    ([], "config must be an object, got []"),
 ], ids=["theta_zero", "window_string", "z2_max_negative", "eps_cap_nan",
         "sublinear_tol_inf", "i_max_zero", "window_zero", "gamma_angular_zero",
         "gamma_radial_negative", "fekete_n_small", "candidates_one", "theta_bool",
-        "eps_cap_bool", "sublinear_tol_bool"])
+        "eps_cap_bool", "sublinear_tol_bool", "theta_401_digits", "mode_unknown", "config_list"])
 def test_extend_invalid_config_exit_two(tmp_path, capsys, cfg, message):
     seq_path = write(tmp_path / "seq.json", GEOMETRIC)
     samples_path = write(tmp_path / "samples.json", CIRCLE_SAMPLES)
@@ -459,7 +484,7 @@ def test_extend_invalid_config_exit_two(tmp_path, capsys, cfg, message):
     code = main(["extend", "--seq", seq_path, "--samples", samples_path,
                  "--config", cfg_path, "--out", str(tmp_path / "c.json")])
     assert code == 2
-    assert message in capsys.readouterr().err
+    assert capsys.readouterr().err == f"input error: {message}\n"
 
 
 def test_extend_has_no_z2_max_option(tmp_path):
@@ -498,34 +523,51 @@ def test_extend_overflowing_domain_radius_is_zero(tmp_path):
     assert [r[1] for r in rows[-10:]] == ["0.0"] * 10
 
 
+def test_eval_overflowing_bound_is_outside_the_domain(tmp_path, capsys):
+    # deg P_n = 200 n makes C1 = 200: exp(C1 g(z2)) at z2 = 1e3 is beyond the float range,
+    # so q reads inf and the point is refused (exit 3), where it read as malformed input
+    seq_path = write(tmp_path / "seq.json", {"kind": "table", "max_norm": 4, "entries": [
+        {"index": [n], "coefficients": [[0, 0]] * (200 * n) + [[1, 0]]} for n in range(5)]})
+    cert = tmp_path / "cert.json"
+    assert main(["extend", "--seq", seq_path, "--samples", write(tmp_path / "s.json",
+                 CIRCLE_SAMPLES), "--out", str(cert)]) == 0
+    assert main(["eval", "--cert", str(cert), "--seq", seq_path, "--z1", "1e-9", "--z2", "1e3",
+                 "--out", str(tmp_path / "v.json")]) == 3
+    assert capsys.readouterr().err.startswith(
+        "pipeline failure [OutsideCertifiedDomain]: q = inf >= 1 at z1 norm 1e-09")
+
+
 NAN_TABLE = {"kind": "table", "max_norm": 4, "entries": [
     {"index": [n], "coefficients": [[1, 0]] if n != 2 else [[math.nan, 0]]}
     for n in range(5)]}
 
 
 @pytest.mark.parametrize("seq, message", [
-    (NAN_TABLE, "coefficient of index (2,) must be finite"),
-    ({"kind": "geometric", "lambda": [math.inf, 0], "max_norm": 60}, "lambda must be finite"),
-    ({"kind": "constant", "value": [1, math.nan], "max_norm": 60}, "value must be finite"),
+    (NAN_TABLE, f"sequence field 'entries' item 2 field 'coefficients' item 0 {PAIR}[nan, 0]"),
+    ({"kind": "geometric", "lambda": [math.inf, 0], "max_norm": 60},
+     f"sequence field 'lambda' {PAIR}[inf, 0]"),
+    ({"kind": "constant", "value": [1, math.nan], "max_norm": 60},
+     f"sequence field 'value' {PAIR}[1, nan]"),
     ({**NAN_TABLE, "entries": NAN_TABLE["entries"][:2], "declared_C0": math.nan},
-     "declared_C0 must be finite"),
+     "sequence field 'declared_C0' must be a finite number >= 0, got nan"),
     ({**NAN_TABLE, "entries": NAN_TABLE["entries"][:2], "declared_C1": math.inf},
-     "declared_C1 must be finite"),
+     "sequence field 'declared_C1' must be a finite number >= 0, got inf"),
     # a zero row 0 fits any C0: a negative one would make a certificate eval refuses
     ({**NAN_TABLE, "entries": NAN_TABLE["entries"][1:2], "declared_C0": -1, "declared_C1": 1},
-     "declared_C0 and declared_C1 must be >= 0, got -1.0 and 1.0"),
-    ({**GEOMETRIC, "k": 0}, "'k' must be an integer >= 1, got 0"),
-    ({**GEOMETRIC, "k": -2}, "'k' must be an integer >= 1, got -2"),
-    ({**GEOMETRIC, "k": 1.9}, "'k' must be an integer >= 1, got 1.9"),
-    ({**GEOMETRIC, "k": True}, "'k' must be an integer >= 1, got True"),
-    ({**GEOMETRIC, "max_norm": 10.9}, "'max_norm' must be an integer >= 0, got 10.9"),
-    ({**GEOMETRIC, "max_norm": -1}, "'max_norm' must be an integer >= 0, got -1"),
+     "sequence field 'declared_C0' must be a finite number >= 0, got -1"),
+    ({**GEOMETRIC, "k": 0}, "sequence field 'k' must be an integer >= 1, got 0"),
+    ({**GEOMETRIC, "k": -2}, "sequence field 'k' must be an integer >= 1, got -2"),
+    ({**GEOMETRIC, "k": 1.9}, "sequence field 'k' must be an integer >= 1, got 1.9"),
+    ({**GEOMETRIC, "k": True}, "sequence field 'k' must be an integer >= 1, got True"),
+    ({**GEOMETRIC, "max_norm": 10.9},
+     "sequence field 'max_norm' must be an integer >= 0, got 10.9"),
+    ({**GEOMETRIC, "max_norm": -1}, "sequence field 'max_norm' must be an integer >= 0, got -1"),
     ({**NAN_TABLE, "entries": [{"index": [-1], "coefficients": [[1, 0]]}]},
      "table index [-1] must have length 1 and nonnegative integer entries"),
     ({**NAN_TABLE, "entries": [{"index": [1, 2], "coefficients": [[1, 0]]}]},
-     "table index [1, 2] must have length 1"),
+     "table index [1, 2] must have length 1 and nonnegative integer entries"),
     ({**NAN_TABLE, "entries": [{"index": [1.5], "coefficients": [[1, 0]]}]},
-     "table index [1.5] must have length 1"),
+     "table index [1.5] must have length 1 and nonnegative integer entries"),
     ({**NAN_TABLE, "entries": NAN_TABLE["entries"][:2] + NAN_TABLE["entries"][1:2]},
      "table index [1] is repeated"),
 ], ids=["table_nan", "lambda_inf", "constant_nan", "declared_c0_nan", "declared_c1_inf",
@@ -539,7 +581,7 @@ def test_extend_non_finite_coefficients_exit_two(tmp_path, capsys, seq, message)
     code = main(["extend", "--seq", seq_path, "--samples", samples_path,
                  "--out", str(tmp_path / "c.json")])
     assert code == 2
-    assert message in capsys.readouterr().err
+    assert capsys.readouterr().err == f"input error: {message}\n"
 
 
 @pytest.mark.parametrize("z1, z2, tol, message", [
@@ -559,6 +601,34 @@ def test_eval_non_finite_input_exit_two(tmp_path, capsys, z1, z2, tol, message):
                  "--z2", z2, "--tol", tol, "--out", str(out)])
     assert code == 2
     assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_extend_overflowing_values_warn_nothing(tmp_path, capsys):
+    # P_n = 1e300 z^n overflows at |z| = 1e5 for n >= 2: every radius is 0, so no
+    # stratum is non-polar, and Horner's rule prints no numpy overflow warning
+    seq = {"kind": "table", "max_norm": 4, "entries": [
+        {"index": [n], "coefficients": [[0, 0]] * n + [[1e300, 0]]} for n in range(5)]}
+    samples = [[1e5 * math.cos(2 * math.pi * k / 50), 1e5 * math.sin(2 * math.pi * k / 50)]
+               for k in range(50)]
+    argv = ["extend", "--seq", write(tmp_path / "seq.json", seq),
+            "--samples", write(tmp_path / "samples.json", samples), "--out", str(tmp_path / "c")]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv) == 3
+    assert capsys.readouterr().err.startswith("pipeline failure [stratify]: ")
+
+
+@pytest.mark.parametrize("z1, z2, bad", [("abc", "2+0j", "abc"), ("0.1+0j", "abc", "abc"),
+                                         ("0.1,x", "2+0j", "x")], ids=["z1", "z2", "z1_part"])
+def test_eval_malformed_complex_flag_exit_two(tmp_path, capsys, z1, z2, bad):
+    seq_path, cert = _extend_cert(tmp_path)
+    flag = "--z1" if bad in z1 else "--z2"
+    out = tmp_path / "v.json"
+    assert main(["eval", "--cert", str(cert), "--seq", seq_path, "--z1", z1, "--z2", z2,
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (f"input error: argument {flag}: expected a complex "
+                                       f"number, got {bad!r}\n")
     assert not out.exists()
 
 
@@ -588,16 +658,16 @@ def _set_witness_points(*bad):
     return lambda doc: doc["witness"]["points"].__setitem__(slice(3, 3 + len(bad)), bad)
 
 
-WITNESS = "certificate field 'witness' is malformed: ValueError("
+WITNESS = "certificate field 'witness' field 'points' item 3 "
 
 
 @pytest.mark.parametrize("mutate, message", [
     (_drop("rho0"), "certificate field 'rho0' is missing"),
-    (_set("rho1", "0.5"), "certificate field 'rho1' must be a number, got '0.5'"),
+    (_set("rho1", "0.5"), "certificate field 'rho1' must be a finite number > 0, got '0.5'"),
     (_set("N_used", 60.0), "certificate field 'N_used' must be an integer"),
     (_set("exponent_differs", 0), "certificate field 'exponent_differs' must be a boolean"),
     (_drop("witness"), "certificate field 'witness' is missing"),
-    (_set("witness", {"shape": "cloud"}), "certificate field 'witness' is malformed"),
+    (_set("witness", {"shape": "cloud"}), "certificate field 'witness' field 'points' is missing"),
     (_set("thresholds", []), "certificate field 'thresholds' must be an object"),
     (lambda doc: doc["thresholds"].pop("tail_slope"),
      "certificate threshold 'tail_slope' is missing"),
@@ -616,23 +686,27 @@ WITNESS = "certificate field 'witness' is malformed: ValueError("
     (lambda doc: doc["thresholds"].__setitem__("eps_cap", 1e9),
      "of the selected points is below eps_cap 1e+09"),
     (_drop("clamp_magnitude"), "certificate field 'clamp_magnitude' is missing"),
-    (_set("clamp_magnitude", -1e-3), "'clamp_magnitude' must be finite and >= 0"),
-    (_set_witness_points([True, 0]), WITNESS + "'" + PAIR + "[True, 0]')"),
-    (_set_witness_points(["1", 0]), WITNESS + '"' + PAIR + "['1', 0]\")"),
-    (_set_witness_points([1, 0, 0]), WITNESS + "'" + PAIR + "[1, 0, 0]')"),
-    (_set_witness_points([math.inf, 0]), WITNESS + "'" + CLOUD_FINITE + "(inf+0j)')"),
-    (_set_witness_points([math.nan, 0], [1, 0], [True, 0]), WITNESS + "'" + PAIR + "[True, 0]')"),
+    (_set("clamp_magnitude", -1e-3),
+     "certificate field 'clamp_magnitude' must be a finite number >= 0, got -0.001"),
+    (_set_witness_points([True, 0]), WITNESS + PAIR + "[True, 0]"),
+    (_set_witness_points(["1", 0]), WITNESS + PAIR + "['1', 0]"),
+    (_set_witness_points([1, 0, 0]), WITNESS + PAIR + "[1, 0, 0]"),
+    (_set_witness_points([math.inf, 0]), WITNESS + PAIR + "[inf, 0]"),
+    (_set_witness_points([math.nan, 0], [1, 0], [True, 0]), WITNESS + PAIR + "[nan, 0]"),
     # a tampered resolution is refused for the n >= 8 floor, not for the witness's capacity
     (lambda doc: (doc["thresholds"].__setitem__("fekete_n", 7),
                   doc.__setitem__("green_points", doc["green_points"][:7])),
      "'green_points': capacity needs n >= 8, got 7"),
     # the constants' ranges: those the pipeline produces
-    (_set("gammaC", math.inf), "certificate field 'gammaC' must be finite, got inf"),
-    (_set("M0", math.nan), "certificate field 'M0' must be finite, got nan"),
-    (_set("C0", -0.5), "certificate field 'C0' must be >= 0, got -0.5"),
-    (_set("C1", -1.0), "certificate field 'C1' must be >= 0, got -1.0"),
+    (_set("gammaC", math.inf), "certificate field 'gammaC' must be a finite number >= 0, got inf"),
+    # exp(tail_slope * gammaC) underflowed to 0 and C2's rule divided by it
+    (_set("gammaC", -1e300),
+     "certificate field 'gammaC' must be a finite number >= 0, got -1e+300"),
+    (_set("M0", math.nan), "certificate field 'M0' must be a finite number >= 0, got nan"),
+    (_set("C0", -0.5), "certificate field 'C0' must be a finite number >= 0, got -0.5"),
+    (_set("C1", -1.0), "certificate field 'C1' must be a finite number >= 0, got -1.0"),
     (lambda doc: doc["thresholds"].__setitem__("tail_slope", -1.0),
-     "certificate threshold 'tail_slope' must be >= 0, got -1.0"),
+     "certificate threshold 'tail_slope' must be a finite number >= 0, got -1.0"),
     (_set("exponent", 0.5), "certificate field 'exponent' must be C1 (1.0) or 0, got 0.5"),
     (lambda doc: doc.__setitem__("C2", doc["C2"] * (1.0 + 1e-9)),
      "certificate field 'C2' must be exp(-tail_slope * gammaC) / rho1 = "),
@@ -644,7 +718,8 @@ WITNESS = "certificate field 'witness' is malformed: ValueError("
         "index_bool", "index_too_large", "index_negative", "index_repeats", "count_short",
         "selection_polar", "clamp_missing", "clamp_negative", "witness_point_bool",
         "witness_point_string", "witness_point_long", "witness_point_inf",
-        "witness_bool_after_nan", "fekete_n_below_floor", "gammaC_inf", "M0_nan",
+        "witness_bool_after_nan", "fekete_n_below_floor", "gammaC_inf", "gammaC_huge_negative",
+        "M0_nan",
         "C0_negative", "C1_negative", "tail_slope_negative", "exponent_half", "C2_off",
         "C2_underflows"])
 def test_eval_malformed_certificate_exit_two(tmp_path, capsys, mutate, message):

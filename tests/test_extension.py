@@ -569,7 +569,7 @@ def test_ring_multiply_k2():
 
 def _ref_fit_degree_growth(seq):
     if seq.max_norm < 1:
-        raise ValueError("degree-growth fit needs at least 2 available indices")
+        raise ValueError(f"degree-growth fit needs 'max_norm' >= 1, got {seq.max_norm}")
     degrees = [(idx, seq.poly(idx).degree) for idx in seq.indices()]
     if seq.declared_C0 is not None or seq.declared_C1 is not None:
         c0 = float(seq.declared_C0 or 0.0)
@@ -621,15 +621,27 @@ def _ref_radius_profile(seq, samples, window):
 
 def _ref_norm_radius_profile(seq, samples, window):
     """The per-norm loop radius_profile ran on norm_peaks, its peaks taken here from
-    per-index values: a norm's peak is NaN where one of its values is."""
+    per-index values: a norm's peak is NaN where one of its values is, and a NaN peak
+    (an overflowed value) is an infinite rate, so its sample gets R = 0."""
     lo = max(1, seq.max_norm - window + 1)
     zs = np.asarray(list(samples), dtype=np.complex128)
     rate = np.zeros(len(zs))
     for j in range(lo, seq.max_norm + 1):
         vals = np.max([np.abs(seq.poly(idx)(zs)) for idx in seq.indices(j, j)], axis=0)
-        np.maximum(rate, np.where(vals > 0.0, vals ** (1.0 / j), 0.0), out=rate)
+        roots = np.where(vals > 0.0, vals ** (1.0 / j), np.where(np.isnan(vals), np.inf, 0.0))
+        np.maximum(rate, roots, out=rate)
     return RadiusProfile(tuple((complex(z), (1.0 / r) if r > 0.0 else math.inf)
                                for z, r in zip(zs, rate)))
+
+
+def test_radius_profile_gives_a_nan_peak_radius_zero():
+    # |P_3(1e5)| = 1e320 overflows to NaN in Horner's rule: the NaN stands for a
+    # value beyond the float range, so R = 0 (a NaN peak was once skipped, giving R = 1)
+    seq = table_sequence({(2,): Polynomial1D((1,)), (3,): Polynomial1D((0,) * 8 + (1e280,)),
+                          (4,): Polynomial1D((1,))}, 4)
+    profile = radius_profile(seq, [1e5], 2)
+    assert np.isnan(profile.peaks[0, 0]) and profile.peaks[1, 0] == 1.0
+    assert profile.samples == ((1e5 + 0j, 0.0),)
 
 
 def _ref_uniform_bound_compact(seq, stratum, rho0, eps_cap):
@@ -751,7 +763,7 @@ def test_degree_and_radius_stages_match_reference(seq, c0, c1, points, chunk_cel
     with mock.patch.object(extension, "_CHUNK_CELLS", chunk_cells), np.errstate(all="ignore"):
         profile = _outcome(radius_profile, seq, points, window)
         assert profile == _outcome(_ref_norm_radius_profile, seq, points, window)
-        # the per-index loop skips a NaN value alone, the profile the whole norm holding it
+        # the per-index loop skips a NaN value, where the profile gives its sample R = 0
         nan = np.isnan(seq.norm_peaks(points, max(1, seq.max_norm - window + 1), seq.max_norm))
         assert profile == _outcome(_ref_radius_profile, seq, points, window) or nan.any()
 
