@@ -725,11 +725,11 @@ def evaluate(cert: ExtensionCertificate, seq: PolynomialSequence, z1, z2: comple
     if q >= 1.0:
         raise OutsideCertifiedDomain(
             f"q = {q:.6g} >= 1 at z1 norm {r1:.6g}, z2 = {z2}")
-    amp = cert.M0 * _exp(cert.C0 * g)
+    amp = cert.M0 * _exp(cert.C0 * g) if cert.M0 else 0.0   # not 0 * inf = NaN
 
     def tail_at(n: int) -> float:
         c = (n + k) / (n + 1)
-        if c * q >= 1.0:
+        if c * q >= 1.0 or amp == math.inf:   # not inf * 0 = NaN where q ** (n + 1) underflows
             return math.inf
         return amp * comb(n + k - 1, k - 1) * q ** (n + 1) * c / (1.0 - c * q)
 

@@ -25,12 +25,11 @@ _RULES = {"finite": "a finite number", ">0": "a finite number > 0",
           "pairs": "a nonempty list of [re, im] pairs of finite numbers"}
 _TYPES = {"bool": bool, "object": dict, "list": list}
 _REQUIRED = object()
-_SHORT = 4   # a list of pairs this short is read item by item: numpy's overhead is larger
 
 
 def _float(value) -> float:
     """``value`` as a float; NaN for a boolean, a non-number or an int beyond the float range."""
-    if type(value) in (float, int) or isinstance(value, numbers.Real) and type(value) is not bool:
+    if isinstance(value, numbers.Real) and type(value) is not bool:
         try:
             return float(value)
         except OverflowError:
@@ -48,22 +47,18 @@ def _complex(value) -> complex | None:
 
 
 def _pairs(values: list, what: str) -> np.ndarray:
-    """A list of pairs as complex128: in one numpy pass when the list is long and every item
-    is a list of two JSON numbers, each finite, else item by item, naming the first fault."""
+    """A nonempty list of pairs as complex128: in one numpy pass when every item is a list
+    of two JSON numbers, each finite, else item by item, naming the first fault."""
     try:
-        flat = list(itertools.chain.from_iterable(values)) if len(values) > _SHORT else ()
-        if (flat and set(map(type, values)) <= {list} and set(map(len, values)) <= {2}
+        flat = list(itertools.chain.from_iterable(values))
+        if (set(map(type, values)) <= {list} and set(map(len, values)) <= {2}
                 and set(map(type, flat)) <= {int, float}):
             z = np.array(flat, dtype=np.float64).view(np.complex128)
             if np.isfinite(z).all():
                 return z
     except (TypeError, OverflowError):
         pass
-    zs = [_complex(v) for v in values]
-    if None in zs:
-        i = zs.index(None)
-        check(values[i], "pair", f"{what} item {i}")
-    return np.array(zs, dtype=np.complex128)
+    return np.array([check(v, "pair", f"{what} item {i}") for i, v in enumerate(values)])
 
 
 def check(value, rule, what: str):
@@ -94,9 +89,7 @@ def check(value, rule, what: str):
     elif rule == "pairs":
         if type(value) is list and value:
             return _pairs(value, what)
-    shown = repr(value)
-    shown = shown if len(shown) <= 40 else f"{shown[:30]}... ({len(shown)} characters)"
-    raise ValueError(f"{what} must be {text}, got {shown}")
+    raise ValueError(f"{what} must be {text}, got {value!r}")
 
 
 def field(doc: dict, name: str, rule, where: str, default=_REQUIRED):

@@ -470,7 +470,7 @@ def test_eval_outside_domain_exit_three(tmp_path, capsys):
      "config field 'sublinear_tol' must be a finite number >= 0, got True"),
     # a JSON integer beyond the float range is named, not converted
     ({"theta": 10 ** 400},
-     "config field 'theta' must be a finite number > 0, got 1" + "0" * 29 + "... (401 characters)"),
+     "config field 'theta' must be a finite number > 0, got 1" + "0" * 400),
     ({"mode": "other"}, "config field 'mode' must be one of 'extension', 'uniform', got 'other'"),
     ([], "config must be an object, got []"),
 ], ids=["theta_zero", "window_string", "z2_max_negative", "eps_cap_nan",
@@ -535,6 +535,17 @@ def test_eval_overflowing_bound_is_outside_the_domain(tmp_path, capsys):
                  "--out", str(tmp_path / "v.json")]) == 3
     assert capsys.readouterr().err.startswith(
         "pipeline failure [OutsideCertifiedDomain]: q = inf >= 1 at z1 norm 1e-09")
+
+
+def test_eval_zero_m0_bounds_the_tail_by_zero(tmp_path, capsys):
+    # M0 = 0 bounds every coefficient by 0; exp(C0 g) = inf made the tail bound 0 * inf = NaN,
+    # and eval blamed the tolerance (exit 3 with an achievable bound of NaN)
+    seq_path, cert = _extend_cert(tmp_path)
+    doc = {**json.loads(cert.read_text()), "M0": 0, "C0": 1e300}
+    out = tmp_path / "v.json"
+    assert main(["eval", "--cert", write(tmp_path / "bad.json", doc), "--seq", seq_path,
+                 "--z1", "0.1", "--z2", "2", "--out", str(out)]) == 0, capsys.readouterr().err
+    assert json.loads(out.read_text())["tail_bound"] == 0.0
 
 
 NAN_TABLE = {"kind": "table", "max_norm": 4, "entries": [

@@ -459,6 +459,17 @@ def test_evaluate_insufficient_data():
     assert err.value.achievable_tail_bound > 1e-10
 
 
+def test_evaluate_overflowing_amplitude_bounds_nothing():
+    # exp(C0 g) = inf while q = rho1 |z1| underflows to 0: the achievable bound read
+    # inf * 0 = NaN
+    seq = geometric_sequence(1, 4)
+    cert = _analytic_circle_cert()
+    cert.rho1, cert.C0 = 1e-300, 1e300
+    with pytest.raises(InsufficientData) as err:
+        evaluate(cert, seq, 1e-300, 2.0, tol=1e-10)
+    assert err.value.achievable_tail_bound == math.inf
+
+
 def test_evaluate_two_series_variables():
     # f(z1, z2) = sum_n (lam z2)^{||n||} z1^n over n in N^2 has the closed form
     # (x/(1-a x) - y/(1-a y)) / (x - y), a = lam z2

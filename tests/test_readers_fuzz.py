@@ -2,12 +2,12 @@
 
 Each example takes valid inputs of one command, breaks one node of one JSON
 document (a wrong type, a boolean, a numeric string, a NaN or infinity, an
-integer beyond the float range, an emptied or doubled list, a dropped or an
-extra key) and runs the command.  It must exit 0, 2 or 3 without raising, an
-exit 2 must name a field, a flag, a list position or a CSV line, and no
-artifact may hold a NaN.  Sizes stay small (at most 40 samples, ``max_norm``
-at most 12, ``cap --n 16``, no solve above n = 40 in green or bernstein), so
-the 240 examples take a few seconds.
+integer beyond the float range, a magnitude of 1e300 or 1e-300, an emptied or
+doubled list, a dropped or an extra key) and runs the command.  It must exit
+0, 2 or 3 without raising, an exit 2 must name a field, a flag, a list
+position or a CSV line, and no artifact may hold a NaN.  Sizes stay small (at
+most 40 samples, ``max_norm`` at most 12, ``cap --n 16``, no solve above n = 40
+in green or bernstein), so the 240 examples take a few seconds.
 """
 
 import contextlib
@@ -70,7 +70,8 @@ COMMANDS = {
 CSV_INPUTS = {"green": POINTS_CSV, "bernstein": POINTS_CSV}
 
 BAD_VALUES = ["abc", "1", "0.5", "-2e3", "NaN", True, False, None, math.nan, math.inf,
-              -math.inf, 10 ** 309, -(10 ** 309), 2 * 10 ** 308, 0, -1, 0.5, 7, {}, []]
+              -math.inf, 10 ** 309, -(10 ** 309), 2 * 10 ** 308, 0, -1, 0.5, 7, {}, [],
+              1e300, -1e300, 1e-300]
 
 # an exit-2 message names a field (quoted), a flag, a list position, a CSV line or a
 # table index, or the document when it is not of its JSON type
