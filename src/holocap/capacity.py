@@ -12,6 +12,11 @@ first-order excess (exact for circles, where optimal points are rotated roots
 of unity and d_n = r * n^{1/(n-1)}).  The reported capacity divides that
 excess out; the raw d_k at sizes n/2 and n are kept alongside.
 
+Green functions and Robin constants have four backings: "analytic_disk",
+"analytic_segment" and "analytic_union" (segments on one line) in closed form,
+and "fekete_potential", the discrete potential of a capacity solve, for any
+other set; :func:`capacity` estimates every shape, those three included.
+
 Every capacity solve (of :func:`capacity`, :func:`capacity_of_cloud`,
 :func:`green_function` and :func:`robin_constant`) keeps one rule: n is at
 least ``MIN_POINTS``; a shape is solved at n over ``max(candidates, n)``
@@ -26,6 +31,7 @@ lowest index, reductions run in a fixed order.
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 from dataclasses import dataclass, field
@@ -34,7 +40,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import GreenUndefinedPolarSet
-from .sets import CompactSet, Disk, PointCloud, Segment, discretize
+from .sets import CompactSet, Disk, PointCloud, Segment, UnionSet, discretize
 
 #: capacity estimates below this are treated as polar
 EPS_CAP = 1e-4
@@ -51,6 +57,10 @@ _MAX_SWEEPS = 30
 
 #: point x node pairs a Green potential or _log_vdm evaluates at once (~6 MB of temporaries)
 _GREEN_CHUNK_CELLS = 1 << 18
+
+#: a union's segments are collinear when every end lies within this share of the span
+#: of the line through its two farthest ends
+_COLLINEAR_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -326,12 +336,13 @@ def _estimate_from_fekete(fek: FeketeResult, eps_cap: float) -> CapacityEstimate
 class GreenEvaluator:
     """Green function g(z, infinity) of the complement of a compact set.
 
-    ``backing`` is one of "analytic_disk", "analytic_segment",
-    "fekete_potential".  Evaluations clamp tiny negative values (discrete
-    potentials can dip below zero near the set) to 0; the construction-time
-    clamp magnitude is exposed so consumers can widen tolerances.  A Fekete
-    backing keeps its potential's ``points`` and their ``selection``, the
-    positions of the points among the solve's candidates.
+    ``backing`` is one of "analytic_disk", "analytic_segment", "analytic_union"
+    (segments on one line, :func:`_union_green`) and "fekete_potential".
+    Evaluations clamp tiny negative values (discrete potentials can dip below
+    zero near the set) to 0; the construction-time clamp magnitude is exposed
+    so consumers can widen tolerances.  A Fekete backing keeps its potential's
+    ``points`` and their ``selection``, the positions of the points among the
+    solve's candidates.
     """
 
     def __init__(self, backing: str, domain_set: CompactSet, robin_constant: float,
@@ -357,16 +368,20 @@ class GreenEvaluator:
             w = (2.0 * z - (s.a + s.b)) / (s.b - s.a)
             surd = np.sqrt(w - 1.0) * np.sqrt(w + 1.0)
             return np.log(np.abs(w + surd))
-        # discrete equilibrium potential of the near-Fekete points; each
-        # point's mean is its own row's, so chunking leaves every value as is
-        pts, flat = self.points, z.reshape(-1)
-        out = np.empty(len(flat))
-        chunk = max(1, _GREEN_CHUNK_CELLS // len(pts))
+        # a union's quadratures, or the discrete equilibrium potential of the
+        # near-Fekete points, in blocks of about _GREEN_CHUNK_CELLS point x node
+        # cells; each point's value is its own row's, so blocks change none
+        flat, out, pts, robin = z.reshape(-1), np.empty(z.size), self.points, self.robin_constant
+        if self.backing == "analytic_union":
+            _, cells, block = _union_green(s)
+        else:
+            cells = len(pts)
+            block = lambda b: np.mean(np.log(np.abs(b[:, None] - pts)), axis=1) + robin
+        chunk = max(1, _GREEN_CHUNK_CELLS // cells)
         with np.errstate(divide="ignore"):
             for lo in range(0, len(flat), chunk):
-                blk = flat[lo:lo + chunk, None]
-                out[lo:lo + chunk] = np.mean(np.log(np.abs(blk - pts)), axis=1)
-        return out.reshape(z.shape) + self.robin_constant
+                out[lo:lo + chunk] = block(flat[lo:lo + chunk])
+        return out.reshape(z.shape)
 
     def __call__(self, z) -> np.ndarray | float:
         scalar = np.isscalar(z) or (isinstance(z, complex))
@@ -380,7 +395,8 @@ def green_function(set_: CompactSet, n: int = FEKETE_N, candidates: int = CANDID
                    eps_cap: float = EPS_CAP) -> GreenEvaluator:
     """Green evaluator for the complement of the set.
 
-    Disks and segments take their closed forms.  Any other set takes
+    Disks, segments and unions of collinear segments take their closed
+    forms (:func:`_closed_form_capacity`).  Any other set takes
     ``fekete_green(set_, capacity(set_, n, candidates, eps_cap))`` bit for
     bit, from a solve that refines the final size alone.  Raises
     :class:`GreenUndefinedPolarSet` when the estimate is polar: the Green
@@ -388,16 +404,98 @@ def green_function(set_: CompactSet, n: int = FEKETE_N, candidates: int = CANDID
     """
     cap = _closed_form_capacity(set_)
     if cap is not None:
-        backing = "analytic_disk" if isinstance(set_, Disk) else "analytic_segment"
+        backing = "analytic_" + {Disk: "disk", Segment: "segment"}.get(type(set_), "union")
         return GreenEvaluator(backing, set_, -math.log(cap))
     return fekete_green(set_, _final_estimate(set_, n, candidates, eps_cap), candidates, eps_cap)
 
 
 def _closed_form_capacity(set_: CompactSet) -> float | None:
-    """Exact capacity of a disk (r) or a segment (|b - a|/4); None for other sets."""
-    if isinstance(set_, Disk):
-        return set_.radius
-    return abs(set_.b - set_.a) / 4.0 if isinstance(set_, Segment) else None
+    """Exact capacity of a disk (r), a segment (|b - a|/4) or a union of collinear
+    segments (:func:`_union_green`); None for other sets."""
+    if isinstance(set_, (Disk, Segment)):
+        return set_.radius if isinstance(set_, Disk) else abs(set_.b - set_.a) / 4.0
+    collinear = isinstance(set_, UnionSet) and all(isinstance(p, Segment) for p in set_.parts)
+    u = _union_green(set_) if collinear else None   # None too for segments off one line
+    return None if u is None else u[0]
+
+
+@functools.lru_cache(maxsize=64)
+def _leggauss(n: int) -> tuple:
+    """n Gauss-Legendre nodes and weights, built (numpy.polynomial imported) on first use."""
+    return np.polynomial.legendre.leggauss(n)
+
+
+@functools.lru_cache(maxsize=64)
+def _union_green(set_: UnionSet) -> tuple | None:
+    """(capacity, point x node cells, g) of a union of segments if they lie on one line
+    (up to ``_COLLINEAR_TOL``), else None.  t = (z - c)/h maps the line onto [-1, 1], c
+    and h the middle and half of its two farthest ends; touching parts merge and a part
+    of zero length (polar) drops.  With p the product of (t - e) over the parts' ends and
+    sqrt(p) that of their principal roots, g = |Re int_e^t q/sqrt(p)| from any end e, the
+    monic q making the integral vanish across every gap (Embree & Trefethen, SIAM Review
+    41, 1999): Gauss-Chebyshev rows, exact at a gap's ends, in a Chebyshev basis.  Node
+    counts grow with a gap over its shorter neighbour and with the shortest step between
+    ends; a set whose nodes squared (Gauss-Legendre's matrix) or gap system exceed
+    ``_GREEN_CHUNK_CELLS`` cells is left to the Fekete path."""
+    z = np.array([[p.a, p.b] for p in set_.parts])
+    hi = z.flat[np.argmax(np.abs(z - z[0, 0]))]
+    lo = z.flat[np.argmax(np.abs(z - hi))]
+    h, c, ends = hi / 2.0 - lo / 2.0, lo / 2.0 + hi / 2.0, []   # halves first: no overflow
+    if h == 0:   # a span of one subnormal step
+        return None
+    t = (z - c) / h
+    for a, b in sorted(map(sorted, t.real.tolist())):
+        if ends and a <= ends[-1]:
+            ends[-1] = max(ends[-1], b)
+        elif a < b:
+            ends += [a, b]
+    e, k, tip = np.array(ends), len(ends) // 2, dict(zip(t.real.flat, z.flat))
+    step, gap = np.diff(e), np.arange(1, 2 * k - 1, 2)   # step[gap]: the gaps, from e[gap]
+    nodes = max(32, math.ceil(20.0 * 3.0 ** 0.25 / step.min(initial=1.0) ** 0.25))
+    m = max(64, math.ceil(12.0 * max(np.sqrt(step[gap]) / np.sqrt(np.minimum(
+        step[gap - 1], step[gap + 1])), default=0.0)))   # roots first: no overflow
+    if not (np.abs(t.imag).max() <= 2.0 * _COLLINEAR_TOL and ends   # a NaN fails too
+            and max(nodes * nodes, m * k * 2 * k) <= _GREEN_CHUNK_CELLS):
+        return None
+    x = e[gap, None] + step[gap, None] * np.sin((np.arange(m) + 0.5) * (np.pi / m / 2.0)) ** 2
+    dist = np.abs(x[..., None] - e)
+    dist[np.arange(k - 1), :, gap] = dist[np.arange(k - 1), :, gap + 1] = 1.0
+    rows = (np.polynomial.chebyshev.chebvander(x, k - 1)
+            / np.sqrt(dist).prod(axis=2)[..., None]).sum(axis=1)
+    zeros = np.polynomial.chebyshev.chebroots(np.append(
+        np.linalg.solve(rows[:, :-1], -rows[:, -1]), 1.0))
+    tips, (s, w) = np.array([tip[end] for end in ends]), _leggauss(nodes)
+    s, w = (s + 1.0) / 2.0, w / 2.0   # nodes and weights on [0, 1]
+
+    def near(d: np.ndarray, j: np.ndarray) -> np.ndarray:
+        # g at t = e_j + d, along e_j + d s^2, which takes 1/sqrt(zeta - e_j) out exactly
+        d = d.real + 1j * np.abs(d.imag)   # g(conj t) = g(t): every path in Im >= +0
+        zeta = (e[j, None] + d[:, None] * (s * s))[..., None]
+        roots = np.sqrt(zeta - e)
+        roots[np.arange(len(j)), :, j] = 1.0
+        f = np.prod(zeta - zeros, axis=2) / roots.prod(axis=2)
+        return np.abs((2.0 * np.sqrt(d) * (f * w).sum(axis=1)).real)
+
+    def far(u: np.ndarray) -> np.ndarray:
+        # Re int_t^inf (q/sqrt(p) - 1/zeta) at t = 1/u, over v = 1/zeta = s u, where
+        # q/sqrt(p) = v prod(1 - zero v) / prod sqrt(1 - end v)
+        v = (s * u[:, None])[..., None]
+        f = np.prod(1.0 - v * zeros, axis=2) / np.sqrt(1.0 - v * e).prod(axis=2)
+        return ((f - 1.0) * (w / s)).sum(axis=1).real
+
+    def green(z: np.ndarray) -> np.ndarray:
+        # g - robin = log|z - c| - far(1/t) at |t| > 2
+        r, out = z - c, np.empty(len(z))
+        away = np.abs(r) > 2.0 * abs(h)
+        j = np.argmin(np.abs(r[~away, None] / h - e), axis=1)
+        out[~away] = near((z[~away] - tips[j]) / h, j)   # t - e_j as precise as z - tip
+        out[away] = robin + np.log(np.abs(r[away])) - far(h / r[away])
+        return out
+
+    # g(3) in both forms, in the chart: robin is -log cap
+    robin = float(near(np.array([3.0 - e[-1] + 0j]), np.array([2 * k - 1]))[0] - math.log(3.0)
+                  + far(np.array([1.0 / 3.0 + 0j]))[0] - math.log(abs(h)))
+    return math.exp(-robin), nodes * 2 * k, green
 
 
 def _final_estimate(set_: CompactSet, n: int, candidates: int,
@@ -471,7 +569,8 @@ def robin_constant(set_: CompactSet, n: int = FEKETE_N, candidates: int = CANDID
                    eps_cap: float = EPS_CAP) -> float:
     """Robin constant lim_{|z| -> inf} (g(z) - log|z|) of the complement.
 
-    -log of the closed-form capacity of a disk or segment; for any other set
+    -log of the closed-form capacity of a disk, a segment or a union of
+    collinear segments; for any other set
     ``capacity(set_, n, candidates, eps_cap).robin_constant`` bit for bit, from
     a solve that refines the final size alone.  Polar sets get +inf.
     """

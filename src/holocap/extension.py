@@ -421,6 +421,8 @@ def uniform_bound_compact(seq: PolynomialSequence, stratum: PointCloud, rho0: fl
     """
     if rho0 <= 0:
         raise ValueError("rho0 must be positive")
+    if not math.isfinite(rho0):
+        raise NoUniformStratum(f"rho0 = {rho0!r} is not finite")
     pts = np.asarray(stratum.points, dtype=np.complex128)
     top = np.empty((0, len(pts))) if window_peaks is None else window_peaks
     peaks = np.concatenate([seq.norm_peaks(pts, 0, seq.max_norm - len(top)), top])
@@ -829,10 +831,10 @@ _GREEN_FIELDS = (("green_points", "list"), ("clamp_magnitude", ">=0"))
 def certificate_from_json(doc: dict) -> ExtensionCertificate:
     """Certificate from :func:`certificate_to_json` output, every field checked.
 
-    A witness without a closed-form Green function (not a disk or segment)
-    needs ``green_points`` and ``clamp_magnitude``; its evaluator is rebuilt
-    from them and no Fekete solve runs.  A missing, wrong-typed or
-    inconsistent field raises ``ValueError`` naming it.
+    A witness without a closed-form Green function (not a disk, a segment or a
+    union of collinear segments) needs ``green_points`` and ``clamp_magnitude``;
+    its evaluator is rebuilt from them and no Fekete solve runs.  A missing,
+    wrong-typed or inconsistent field raises ``ValueError`` naming it.
     """
     got = schema.read(schema.check(doc, "object", "certificate"), _CERTIFICATE_FIELDS,
                       "certificate field")

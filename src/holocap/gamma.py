@@ -258,10 +258,12 @@ def _project_ellipsoid(pred: SetPredicate, eps_cap: float) -> SetPredicate:
 
 
 def _factor_capacity(shape: CompactSet, eps_cap: float) -> float:
-    """Capacity of a 1-D shape: r for a disk, |b - a|/4 for a segment, else the estimate.
+    """Capacity of a 1-D shape: its closed form, else the estimate.
 
-    The closed forms are exact (Ransford 1995, ch. 5).  Unions and point
-    clouds take the ``FEKETE_N``-point estimate of :func:`capacity.capacity`.
+    A disk, a segment and a union of collinear segments take their exact
+    closed forms (Ransford 1995, ch. 5; ``capacity._closed_form_capacity``);
+    other unions and point clouds take the ``FEKETE_N``-point estimate of
+    :func:`capacity.capacity`.
     Both the fiber decisions and ``gamma_cap``'s final value read it.
     """
     value = _closed_form_capacity(shape)
@@ -515,10 +517,10 @@ def gamma_cap(pred: SetPredicate, unitary_count: int = 1, seed: int = 0,
     lower bound for the supremum over all unitaries; ``best_unitary`` is the
     first within 1e-12 relative of it, so rounding does not pick the witness.
     At dimension 1 this degenerates to the 1-D capacity of the set.  Scans
-    use the fixed grids of the module docstring.  A final set that is a disk
-    or a segment takes its closed form (:func:`_factor_capacity`); a union, a
-    point cloud or a scanned set takes the estimate at 128 points on 4,096
-    candidates (``capacity.FEKETE_N``, ``capacity.CANDIDATES``).
+    use the fixed grids of the module docstring.  A final disk, segment or
+    union of collinear segments takes its closed form (:func:`_factor_capacity`);
+    another union, a point cloud or a scanned set takes the estimate at 128
+    points on 4,096 candidates (``capacity.FEKETE_N``, ``capacity.CANDIDATES``).
     """
     schema.check(unitary_count, "int>=1", "unitary_count")
     m = pred.dimension

@@ -112,11 +112,9 @@ def discretize(set_: CompactSet, count: int) -> np.ndarray:
             return pts
         idx = (np.arange(count) * len(pts)) // count
         return pts[idx]
-    if isinstance(set_, UnionSet):
-        per = -(-count // len(set_.parts))  # ceil division
-        per = max(per, 2)
-        return np.concatenate([discretize(p, per) for p in set_.parts])
-    raise TypeError(f"not a CompactSet: {set_!r}")
+    per = -(-count // len(set_.parts))  # a union: ceil division
+    per = max(per, 2)
+    return np.concatenate([discretize(p, per) for p in set_.parts])
 
 
 def affine_image(set_: CompactSet, scale: complex, shift: complex = 0j) -> CompactSet:
@@ -131,9 +129,7 @@ def affine_image(set_: CompactSet, scale: complex, shift: complex = 0j) -> Compa
         return Segment(set_.a * scale + shift, set_.b * scale + shift)
     if isinstance(set_, PointCloud):
         return PointCloud(tuple(p * scale + shift for p in set_.points))
-    if isinstance(set_, UnionSet):
-        return UnionSet(tuple(affine_image(p, scale, shift) for p in set_.parts))
-    raise TypeError(f"not a CompactSet: {set_!r}")
+    return UnionSet(tuple(affine_image(p, scale, shift) for p in set_.parts))
 
 
 def distance_to(set_: CompactSet, z: np.ndarray) -> np.ndarray:
@@ -148,9 +144,7 @@ def distance_to(set_: CompactSet, z: np.ndarray) -> np.ndarray:
     if isinstance(set_, PointCloud):
         pts = np.asarray(set_.points, dtype=np.complex128)
         return np.min(np.abs(z[..., None] - pts), axis=-1)
-    if isinstance(set_, UnionSet):
-        return np.min(np.stack([distance_to(p, z) for p in set_.parts]), axis=0)
-    raise TypeError(f"not a CompactSet: {set_!r}")
+    return np.min(np.stack([distance_to(p, z) for p in set_.parts]), axis=0)
 
 
 def contains(set_: CompactSet, z: np.ndarray) -> np.ndarray:
@@ -173,13 +167,11 @@ def bounding_box(set_: CompactSet) -> tuple:
             (float(pts.real.min()), float(pts.real.max())),
             (float(pts.imag.min()), float(pts.imag.max())),
         )
-    if isinstance(set_, UnionSet):
-        boxes = [bounding_box(p) for p in set_.parts]
-        return (
-            (min(b[0][0] for b in boxes), max(b[0][1] for b in boxes)),
-            (min(b[1][0] for b in boxes), max(b[1][1] for b in boxes)),
-        )
-    raise TypeError(f"not a CompactSet: {set_!r}")
+    boxes = [bounding_box(p) for p in set_.parts]
+    return (
+        (min(b[0][0] for b in boxes), max(b[0][1] for b in boxes)),
+        (min(b[1][0] for b in boxes), max(b[1][1] for b in boxes)),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -198,9 +190,7 @@ def set_to_json(set_: CompactSet) -> dict:
         return {"shape": "segment", "a": _c2j(set_.a), "b": _c2j(set_.b)}
     if isinstance(set_, PointCloud):
         return {"shape": "cloud", "points": [_c2j(p) for p in set_.points]}
-    if isinstance(set_, UnionSet):
-        return {"shape": "union", "parts": [set_to_json(p) for p in set_.parts]}
-    raise TypeError(f"not a CompactSet: {set_!r}")
+    return {"shape": "union", "parts": [set_to_json(p) for p in set_.parts]}
 
 
 # each shape's fields; a key not listed is ignored
@@ -214,11 +204,12 @@ def set_from_json(doc: dict, what: str = "set") -> CompactSet:
     where = what + " field"
     shape = schema.field(schema.check(doc, "object", what), "shape", tuple(_SHAPES), where)
     got = schema.read(doc, _SHAPES[shape], where)
-    if shape == "disk":
-        return Disk(got["center"], float(got["radius"]))
-    if shape == "segment":
-        return Segment(got["a"], got["b"])
-    if shape == "cloud":
-        return PointCloud(got["points"].tolist())
-    return UnionSet(tuple(set_from_json(p, f"{where} 'parts' item {i}")
-                          for i, p in enumerate(got["parts"])))
+    set_ = (Disk(got["center"], float(got["radius"])) if shape == "disk" else
+            Segment(got["a"], got["b"]) if shape == "segment" else
+            PointCloud(got["points"].tolist()) if shape == "cloud" else
+            UnionSet(tuple(set_from_json(p, f"{where} 'parts' item {i}")
+                           for i, p in enumerate(got["parts"]))))
+    if not math.isfinite(math.hypot(*(hi - lo for lo, hi in bounding_box(set_)))):
+        raise ValueError(f"{where} {_SHAPES[shape][-1][0]!r}: the set's extent is beyond the "
+                         "float range (its bounding box has no finite diagonal)")
+    return set_

@@ -2,6 +2,7 @@ import math
 import sys
 import time
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -30,6 +31,7 @@ from holocap.capacity import (
     quick_cloud_capacity,
     robin_constant,
 )
+from holocap.bernstein import Polynomial1D, verify_bernstein
 from holocap.errors import GreenUndefinedPolarSet
 from holocap.gamma import gamma_cap, product_predicate
 from holocap.sets import Disk, PointCloud, Segment, UnionSet, discretize
@@ -557,7 +559,7 @@ def test_green_from_selection_reproduces_the_solve(set_, n):
 # the sets of a Green solve: (set, n); a cloud of fewer distinct points than n
 # resolves to all of them, MIN_POINTS at the edge of the rule
 GREEN_SOLVES = {
-    "union": (UnionSet((Segment(-2, -1), Segment(1, 2))), FEKETE_N),
+    "union": (UnionSet((Segment(-2, -1), Disk(1, 0.5))), FEKETE_N),
     "cloud": (PointCloud(tuple(np.random.default_rng(7).normal(size=300)
                                + 1j * np.random.default_rng(8).normal(size=300))), 64),
     "duplicated_cloud": (DUPLICATED_CIRCLE, 64),
@@ -605,7 +607,7 @@ def test_green_function_is_capacity_s_evaluator(name):
     assert [k for k, _ in est.fekete.diameter_sequence] == _checkpoints(len(green.points))
 
 
-@pytest.mark.parametrize("set_", [UnionSet((Segment(-2, -1), Segment(1, 2))), CIRCLE_5000],
+@pytest.mark.parametrize("set_", [UnionSet((Segment(-2, -1), Disk(1, 0.5))), CIRCLE_5000],
                          ids=["union", "cloud"])
 def test_green_and_robin_keep_capacity_s_checks(set_):
     def of_cloud(s, n):
@@ -650,3 +652,158 @@ def test_green_potential_chunks_leave_values_unchanged(set_, n):
     half = 3 * sys.modules["holocap.capacity"]._GREEN_CHUNK_CELLS // len(green.points) // 2 + 1
     zs = np.concatenate([discretize(set_, half), _exterior(half)])
     assert np.array_equal(green(zs), np.array([green(z) for z in zs]))
+
+
+# ---------------------------------------------------------------------------
+# unions of collinear segments in closed form, against independent closed forms
+# ---------------------------------------------------------------------------
+
+def _interval_green(wm1, wp1):
+    """g of [-1, 1] at w, from w - 1 and w + 1 formed as products, so that both keep
+    their relative precision next to the ends."""
+    return np.log(np.abs(1.0 + wm1 + np.sqrt(wm1) * np.sqrt(wp1)))
+
+
+def _symmetric_pair(a, b):
+    """+-[a, b], the preimage of [a^2, b^2] under z^2: g is g_[a^2, b^2](z^2)/2 and the
+    capacity sqrt((b^2 - a^2)/4) (Ransford 1995, Theorem 5.2.5)."""
+    def green(z):
+        scale = 2.0 / (b * b - a * a)
+        return _interval_green(scale * (z - b) * (z + b), scale * (z - a) * (z + a)) / 2.0
+    return np.array([-b, -a, a, b]), green, math.sqrt((b * b - a * a) / 4.0)
+
+
+def _chebyshev_preimage(d, alpha):
+    """T_d^{-1}([alpha, 1]): g is g_[alpha, 1](T_d(z))/d and the capacity
+    ((1 - alpha)/2^{d+1})^{1/d}, with T_d(z) - c = 2^{d-1} prod (z - cos((acos c + 2 pi j)/d))."""
+    def roots(c):
+        return np.cos((np.arccos(c) + 2.0 * np.pi * np.arange(d)) / d)
+
+    def green(z):
+        def t_minus(c):
+            return 2.0 ** d / (1.0 - alpha) * np.prod(z[:, None] - roots(c), axis=1)
+        return _interval_green(t_minus(1.0), t_minus(alpha)) / d
+    ends = np.sort(np.concatenate([roots(alpha), [1.0], [-1.0] * (d % 2 == 0)]))
+    return ends, green, ((1.0 - alpha) / 2.0 ** (d + 1)) ** (1.0 / d)
+
+
+EXACT_UNIONS = {f"pm_{a}_{b}": _symmetric_pair(a, b)
+                for a, b in ((0.1, 1.0), (0.5, 1.0), (0.9, 1.0), (1.0, 2.0), (0.3, 1.7))}
+EXACT_UNIONS.update({f"chebyshev_{d}_{alpha}": _chebyshev_preimage(d, alpha)
+                     for d in range(2, 9) for alpha in (-0.5, 0.5, 0.9)})
+
+
+def _union_of(ends, scale=1.0, shift=0.0):
+    return UnionSet(tuple(Segment(scale * a + shift, scale * b + shift)
+                          for a, b in zip(ends[0::2], ends[1::2])))
+
+
+def _probes(ends, rng):
+    """Points of the plane off E: inside the parts' spans and 1e-9 off them, 1e-9 from
+    every end along and across the line, and exterior points out to 1e8."""
+    parts = list(zip(ends[0::2], ends[1::2]))
+    inner = np.concatenate([a + (b - a) * rng.uniform(0.01, 0.99, 8) for a, b in parts])
+    tips = np.concatenate([ends[0::2] - 1e-9, ends[1::2] + 1e-9, ends + 1e-9j, ends - 1e-9j])
+    radii = np.concatenate([rng.uniform(0.0, 3.0, 200), [1e3, 1e8]])
+    outer = radii * np.exp(2j * np.pi * rng.uniform(size=len(radii)))
+    return inner + 1e-9 * np.exp(2j * np.pi * rng.uniform(size=len(inner))), tips, outer
+
+
+@pytest.mark.parametrize("name", list(EXACT_UNIONS))
+def test_collinear_union_matches_its_closed_form(name):
+    ends, exact_green, exact_cap = EXACT_UNIONS[name]
+    union = _union_of(ends)
+    green = green_function(union)
+    assert green.backing == "analytic_union"
+    assert green.robin_constant == robin_constant(union)
+    assert abs(math.exp(-green.robin_constant) / exact_cap - 1.0) <= 1e-12
+    for zs in _probes(ends, np.random.default_rng(len(name))):
+        assert np.max(np.abs(green(zs) - exact_green(zs))) <= 1e-12
+
+
+def test_short_part_beside_a_long_gap():
+    # T_7^{-1}([0.9, 1]) ends in a part 0.002 long beside a gap 0.32 long
+    ends, exact_green, exact_cap = EXACT_UNIONS["chebyshev_7_0.9"]
+    assert (ends[-1] - ends[-2]) < 1e-2 * (ends[-2] - ends[-3])
+    green = green_function(_union_of(ends))
+    assert abs(math.exp(-green.robin_constant) / exact_cap - 1.0) <= 1e-12
+    zs = ends[-2:, None] + 1e-9 * np.exp(2j * np.pi * np.arange(16) / 16)
+    assert np.max(np.abs(green(zs.ravel()) - exact_green(zs.ravel()))) <= 1e-12
+
+
+def test_rotated_union_keeps_the_closed_form():
+    # plane's unions are alpha * (+-[a, b]) + beta: collinear only to rounding
+    ends, exact_green, exact_cap = EXACT_UNIONS["pm_0.3_1.7"]
+    alpha, beta = 1.3 * np.exp(0.7j), -0.4 + 1.1j
+    green = green_function(_union_of(ends, alpha, beta))
+    assert green.backing == "analytic_union"
+    assert abs(math.exp(-green.robin_constant) / (abs(alpha) * exact_cap) - 1.0) <= 1e-12
+    inner, _, outer = _probes(ends, np.random.default_rng(3))
+    for w in (inner, outer):
+        assert np.max(np.abs(green(alpha * w + beta) - exact_green(w))) <= 1e-12
+
+
+def test_union_parts_merge_and_polar_parts_drop():
+    ends = EXACT_UNIONS["pm_0.5_1.0"][0]
+    whole = green_function(_union_of(ends))
+    # overlapping and touching pieces of the same two parts, one part given backwards,
+    # and a part across the line too short for the chart to tell its ends apart
+    pieces = UnionSet((Segment(-1.0, -0.7), Segment(-0.8, -0.5), Segment(1.0, 0.75),
+                       Segment(0.5, 0.75), Segment(0.25, 0.25 + 1e-17j)))
+    zs = np.random.default_rng(4).normal(size=50) + 1j * np.random.default_rng(5).normal(size=50)
+    assert np.array_equal(green_function(pieces)(zs), whole(zs))
+    assert robin_constant(pieces) == whole.robin_constant
+
+
+@pytest.mark.parametrize("union, backing", [
+    # an end off the line by 1e-13 and by 1e-11 of the span
+    (UnionSet((Segment(-1, -0.5), Segment(0.5, 1 + 2e-13j))), "analytic_union"),
+    (UnionSet((Segment(-1, -0.5), Segment(0.5, 1 + 2e-11j))), "fekete_potential"),
+    # a part 1e-9 of the span long would need more Gauss-Legendre nodes than the budget
+    (UnionSet((Segment(-1, -0.5), Segment(0.5, 0.5 + 2e-9))), "fekete_potential"),
+], ids=["within_tolerance", "beyond_tolerance", "beyond_node_budget"])
+def test_which_unions_take_the_closed_form(union, backing):
+    assert green_function(union, n=16).backing == backing
+
+
+def test_collinear_unions_run_no_solve(monkeypatch):
+    module = sys.modules["holocap.capacity"]
+    monkeypatch.setattr(module, "_fekete_over", lambda *args: pytest.fail("a Fekete solve ran"))
+    union = UnionSet((Segment(-2, -1), Segment(1, 2)))
+    assert robin_constant(union) == green_function(union).robin_constant
+    assert verify_bernstein(Polynomial1D((1, 0, -2, 0, 1)), union, _exterior(20)).all_passed
+    assert gamma_cap(product_predicate([union, Disk(0, 1)])).value == pytest.approx(
+        math.sqrt(3) / 2, rel=1e-14)
+
+
+def test_union_quadratures_in_blocks_leave_values_unchanged(monkeypatch):
+    union = UnionSet((Segment(-2, -1), Segment(1, 2)))
+    green = green_function(union)
+    assert green.backing == "analytic_union"
+    zs = np.concatenate([discretize(union, 17), _exterior(18)])
+    whole = green(zs)
+    monkeypatch.setattr(sys.modules["holocap.capacity"], "_GREEN_CHUNK_CELLS", 1)
+    assert np.array_equal(green(zs), whole)
+    assert np.array_equal(np.array([green(z) for z in zs]), whole)
+
+
+def test_union_extremes_raise_no_float_warning():
+    # the chart takes halves before it adds and roots before it divides
+    ends, exact_green, _ = _symmetric_pair(5.0, 8.0)
+    rng = np.random.default_rng(6)
+    inner, _, outer = _probes(ends, rng)   # 1e307 w rounds, so no probes 1e-9 from an end
+    w = np.concatenate([inner, outer[np.abs(outer) < 10.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        # far from a tiny union g is log|z - c| + robin to rounding
+        tiny = green_function(UnionSet((Segment(1e-300, 1e-13), Segment(2e-13, 3e-13))))
+        zs = np.array([1e300, -1e300j, 1e300 + 1e300j])
+        expect = np.log(np.abs(zs - 1.5e-13)) + tiny.robin_constant
+        assert np.max(np.abs(tiny(zs) - expect) / expect) <= 1e-15
+        # +-[5e307, 8e307] spans 1.6e308
+        huge = green_function(_union_of(ends, 1e307))
+        assert huge.backing == "analytic_union"
+        assert np.max(np.abs(huge(1e307 * w) - exact_green(w))) <= 1e-12
+        # a part of one subnormal step has no chart: the Fekete path takes the union
+        sub = UnionSet((Segment(-1, -0.5), Segment(0, 5e-324), Segment(0.5, 1)))
+        assert green_function(sub, n=16).backing == "fekete_potential"

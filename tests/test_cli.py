@@ -25,6 +25,7 @@ POINT = {"shape": "cloud", "points": [[0, 0]]}
 DUPLICATED_CIRCLE = {"shape": "cloud", "points": 2 * [
     [math.cos(2 * math.pi * k / 100), math.sin(2 * math.pi * k / 100)] for k in range(100)]}
 GEOMETRIC = {"kind": "geometric", "lambda": [1, 0], "max_norm": 60}
+EXTENT = "the set's extent is beyond the float range (its bounding box has no finite diagonal)"
 CIRCLE_SAMPLES = [[math.cos(2 * math.pi * k / 200), math.sin(2 * math.pi * k / 200)]
                   for k in range(200)]
 
@@ -310,6 +311,14 @@ TABLE = {"kind": "table", "max_norm": 2,
     ("extend", {"--seq": {**GEOMETRIC, "lambda": [1e100, 0]},
                 "--samples": [[0.9 * x, 0.9 * y] for x, y in CIRCLE_SAMPLES[::2]]},
      "sequence field 'lambda': (1e+100+0j) ** 4 overflows"),
+    # a set whose extent is beyond the float range names its last field
+    ("cap", {"--set": {**DISK, "radius": 1.7e308}}, f"set field 'radius': {EXTENT}"),
+    ("bernstein", {"--poly": {"coefficients": [[1, 0]]}, "--points": "2,0\n",
+                   "--set": {**SEGMENT, "a": [-1e308, 0], "b": [1e308, 0]}},
+     f"set field 'b': {EXTENT}"),
+    ("green", {"--points": "2,0\n", "--set": {"shape": "union", "parts": [
+        {**DISK, "center": [-1e308, 0]}, {**DISK, "center": [1e308, 0]}]}},
+     f"set field 'parts': {EXTENT}"),
 ], ids=["set_pair_short", "set_pair_strings", "set_pair_bool", "set_pair_long", "set_list",
         "lambda_short", "value_number", "coefficient_short", "sample_short", "sequence_list",
         "poly_coefficient_short", "ball_center_short", "matrix_entry_short", "predicate_list",
@@ -320,7 +329,8 @@ TABLE = {"kind": "table", "max_norm": 2,
         "radius_string", "radius_bool", "ball_radius_string", "declared_c1_bool",
         "disk_center_missing", "union_parts_number", "union_part_radius_missing",
         "shape_unknown", "max_norm_beyond_int64",
-        "lambda_power_overflow"])
+        "lambda_power_overflow", "disk_beyond_float_range", "segment_beyond_float_range",
+        "union_beyond_float_range"])
 def test_malformed_input_exit_two(tmp_path, capsys, command, inputs, message):
     argv = [command]
     for flag, doc in inputs.items():
@@ -434,6 +444,22 @@ def test_extend_single_point_exit_three(tmp_path, capsys):
                  "--out", str(tmp_path / "c.json")])
     assert code == 3
     assert "stratify" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("theta, message", [
+    (5e-324, "rho0 = inf is not finite"),
+    (1e300, "rho0 = 1e-300: rho0 ** -60 overflows"),
+], ids=["rho0_infinite", "rho0_power_overflow"])
+def test_extend_extreme_theta_exit_three(tmp_path, capsys, theta, message):
+    # rho0 = 1/theta: an infinite rho0 was written to the certificate, which eval refused
+    seq_path = write(tmp_path / "seq.json", GEOMETRIC)
+    samples_path = write(tmp_path / "samples.json", CIRCLE_SAMPLES)
+    config_path = write(tmp_path / "config.json", {"theta": theta})
+    out = tmp_path / "c.json"
+    code = main(["extend", "--seq", seq_path, "--samples", samples_path,
+                 "--config", config_path, "--out", str(out)])
+    assert code == 3 and not out.exists()
+    assert capsys.readouterr().err == f"pipeline failure [uniform_bound]: {message}\n"
 
 
 def test_eval_outside_domain_exit_three(tmp_path, capsys):

@@ -53,7 +53,7 @@ from holocap.extension import (
     table_sequence,
     uniform_bound_compact,
 )
-from holocap.sets import Disk, PointCloud
+from holocap.sets import Disk, PointCloud, Segment, UnionSet
 
 CIRCLE = [complex(np.cos(2 * np.pi * k / 200), np.sin(2 * np.pi * k / 200))
           for k in range(200)]
@@ -371,6 +371,29 @@ def test_certificate_json_round_trip_lossless():
     grid = np.linspace(-3.0, 3.0, 7)[:, None] + 1j * np.linspace(-3.0, 3.0, 7)[None, :]
     assert np.array_equal(back.green()(grid), cert.green()(grid))
     assert certificate_to_json(back) == doc
+
+
+@pytest.mark.parametrize("witness", [
+    Segment(-1.5, 0.5j), UnionSet((Segment(-2 - 1j, -1 - 0.5j), Segment(2 + 1j, 1 + 0.5j))),
+], ids=["segment", "collinear_union"])
+def test_closed_form_witness_reads_no_green_points(witness):
+    # a witness with a closed-form Green function stores no selection, and reading it
+    # back ignores one: malformed green_points or clamp_magnitude are never read
+    cert = ExtensionCertificate(
+        rho0=2.0, rho1=0.5, M0=1.0, C0=0.5, C1=1.0, gammaC=0.25,
+        C2=extension._domain_c2(0.5, 0.25, 1.0, 1.0), exponent=1.0, witness=witness,
+        N_used=40, thresholds={"tail_slope": 1.0})
+    doc = certificate_to_json(cert)
+    assert "green_points" not in doc and "clamp_magnitude" not in doc
+    back = certificate_from_json(json.loads(json.dumps(
+        {**doc, "green_points": "not a list", "clamp_magnitude": -1})))
+    assert back.witness == witness
+    assert back.green().backing == cert.green().backing != "fekete_potential"
+    seq = geometric_sequence(0.5, 40)
+    for z1, z2 in ((0.3, 0.2j), (0.03 - 0.05j, 2.5 + 1j), (0.02, -3.0)):
+        want, got = evaluate(cert, seq, z1, z2, 1e-6), evaluate(back, seq, z1, z2, 1e-6)
+        assert (got.value, got.tail_bound, got.terms_used) == (
+            want.value, want.tail_bound, want.terms_used)
 
 
 # ---------------------------------------------------------------------------

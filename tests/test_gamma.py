@@ -243,9 +243,9 @@ def test_final_disk_or_segment_takes_its_closed_form(monkeypatch):
 
 
 def test_final_union_still_takes_the_estimate(monkeypatch):
-    # a union has no closed form: its value is the 128-point estimate
+    # a union with a disk has no closed form: its value is the 128-point estimate
     _no_solve_on_disks_or_segments(monkeypatch)
-    union = UnionSet((Segment(-2, -1), Segment(1, 2)))
+    union = UnionSet((Segment(-2, -1), Disk(1, 0.5)))
     res = gamma_cap(product_predicate([union, Disk(0, 1)]))
     assert res.value == capacity(union, FEKETE_N).value
 
