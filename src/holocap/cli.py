@@ -38,7 +38,10 @@ from .extension import (ExtendConfig, certificate_from_json, certificate_to_json
                         certify_extension, certify_uniform, evaluate, sequence_from_json)
 from .gamma import (FIBER_CAPACITY_POINTS, FIBER_RESOLUTION, PROJECTED_RESOLUTION, gamma_cap,
                     predicate_from_json)
-from .sets import set_from_json
+from .sets import PointCloud, set_from_json
+
+
+MATRIX_BYTES = 1 << 32   # largest float64 n x N matrix cap allocates: 4 GiB
 
 
 def _read_points_csv(path: str, data: bytes) -> list:
@@ -125,6 +128,11 @@ def _cap(args, docs):
     if args.candidates < 1:
         raise ValueError(f"argument --candidates: expected a count >= 1, got {args.candidates}")
     set_ = set_from_json(docs["set"])
+    rows, cols = args.n, max(args.candidates, args.n)   # a cloud's matrix is its data's size
+    if rows * cols * 8 > MATRIX_BYTES and not isinstance(set_, PointCloud):
+        flag = "--n" if rows * rows * 8 > MATRIX_BYTES else "--candidates"
+        raise ValueError(f"argument {flag}: a solve at n = {rows} over {cols} points needs "
+                         f"{rows * cols * 8} bytes, above the {MATRIX_BYTES}-byte budget")
     try:
         est = capacity(set_, n=args.n, candidates=args.candidates)
     except MemoryError:
@@ -153,7 +161,8 @@ def _bernstein(args, docs):
     poly = schema.check(docs["poly"], "object", "polynomial")
     coefficients = schema.field(poly, "coefficients", "pairs", "polynomial field")
     p = Polynomial1D(tuple(coefficients.tolist()))
-    report = verify_bernstein(p, set_from_json(docs["set"]), docs["points"])
+    with np.errstate(over="ignore", invalid="ignore"):   # an overflow is a value, inf or NaN
+        report = verify_bernstein(p, set_from_json(docs["set"]), docs["points"])
     checks = [{"z": [c.z.real, c.z.imag], "abs_value": c.abs_value, "bound": c.bound,
                "ratio": c.ratio, "passed": c.passed} for c in report.checks]
     doc = {"all_passed": report.all_passed, "slack": report.slack, "checks": checks}

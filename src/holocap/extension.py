@@ -140,6 +140,9 @@ class PolynomialSequence:
         place = np.arange(len(coeffs)) - np.repeat(self.offsets, counts)
         self.degrees = np.maximum.reduceat(np.where(coeffs != 0, place, -math.inf),
                                            self.offsets)[blocks]
+        below = coeffs != 0   # positions where some block has a nonzero below its lead
+        below[self.offsets + counts - 1] = False
+        self._adds = np.bincount(place[below], minlength=counts.max()) > 0
         self.max_norm = len(self.starts) - 2
         self.k = entries.shape[1]
 
@@ -159,25 +162,32 @@ class PolynomialSequence:
         """The polynomials of ``blocks`` (block indices, in their order) at every point of zs.
 
         Each block runs Horner's rule in the operation order of
-        ``Polynomial1D.__call__`` (numpy's polyval), so every value is
-        bit-identical to it.  Blocks are sorted by coefficient count and a
-        block joins the batch update when its own leading coefficient is reached.
+        ``Polynomial1D.__call__`` (numpy's polyval), leaving out only the
+        operations that change no value: a block joins at its leading
+        coefficient by assignment, and a step adds coefficients only where
+        some block has a nonzero one below its lead.  Since x + (+-0) is x
+        but for -0.0 + 0.0 = +0.0, every value equals polyval's up to the
+        sign of an exactly-zero real or imaginary part, and every |value| is
+        bit-identical.  Blocks are sorted by coefficient count.
         """
         order = np.argsort(-self.counts[blocks], kind="stable")
         counts, offsets = self.counts[blocks][order], self.offsets[blocks][order]
-        joined = np.searchsorted(-counts, -np.arange(counts[0]))  # blocks with count > i
+        joined = np.searchsorted(-counts, -np.arange(counts[0] + 1))  # blocks with count > i
         # numpy rounds a complex product differently in its loops for a
         # broadcast operand and for an in-place one-element product, so each
         # product takes two same-shape operands and a separate output, as
-        # in polyval
+        # in polyval: the running rows alternate between two buffers
         grid = np.tile(zs, (len(counts), 1))
-        prod = np.empty_like(grid)
-        acc = np.zeros_like(grid)
+        acc, prod = np.empty_like(grid), np.empty_like(grid)
         with np.errstate(over="ignore", invalid="ignore"):   # an overflow is a value, inf or NaN
             for i in range(counts[0] - 1, -1, -1):
-                m = joined[i]
-                np.multiply(acc[:m], grid[:m], out=prod[:m])
-                np.add(prod[:m], self.coeffs[offsets[:m] + i][:, None], out=acc[:m])
+                m, new = joined[i + 1], joined[i]
+                if m:
+                    np.multiply(acc[:m], grid[:m], out=prod[:m])
+                    if self._adds[i]:
+                        np.add(prod[:m], self.coeffs[offsets[:m] + i][:, None], out=prod[:m])
+                    acc, prod = prod, acc
+                acc[m:new] = self.coeffs[offsets[m:new] + i][:, None]
         out = np.empty_like(acc)
         out[order] = acc
         return out
@@ -718,9 +728,9 @@ def evaluate(cert: ExtensionCertificate, seq: PolynomialSequence, z1, z2: comple
         raise ValueError(f"z1, z2 and tol must be finite and tol positive, "
                          f"got {z1!r}, {z2!r}, {tol!r}")
     r1 = max(map(abs, coords))
-    if r1 == 0.0:
+    if r1 == 0.0:   # P_0(z2), summed from 0j as every partial sum is: never -0.0
         value = seq._horner(np.array([z2]), seq.blocks[:1])[0, 0]
-        return EvaluationResult(value=complex(value), tail_bound=0.0, terms_used=0)
+        return EvaluationResult(value=0j + complex(value), tail_bound=0.0, terms_used=0)
 
     g = float(cert.green()(z2))
     q = cert.rho1 * _exp(cert.tail_slope * g) * r1   # inf, so refused, beyond the float range

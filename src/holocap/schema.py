@@ -7,7 +7,8 @@ as a float), "int>=k" (an integer from k to 2**63 - 1), "bool", "object" and
 complex number), "pairs" (a nonempty list of pairs, read as a complex128
 array) and a tuple of strings (one of them).  Every refusal is a ValueError,
 "<where> 'name' is missing" or "<where> 'name' must be <rule>, got <value>",
-and item i of a list is "<where> 'name' item i".
+and item i of a list is "<where> 'name' item i".  A value whose repr is longer
+than ``SHOWN`` characters is cut there and followed by its type and length.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ _RULES = {"finite": "a finite number", ">0": "a finite number > 0",
           "pairs": "a nonempty list of [re, im] pairs of finite numbers"}
 _TYPES = {"bool": bool, "object": dict, "list": list}
 _REQUIRED = object()
+SHOWN = 80   # characters of a refused value a refusal repeats
 
 
 def _float(value) -> float:
@@ -89,7 +91,10 @@ def check(value, rule, what: str):
     elif rule == "pairs":
         if type(value) is list and value:
             return _pairs(value, what)
-    raise ValueError(f"{what} must be {text}, got {value!r}")
+    shown = repr(value)
+    if len(shown) > SHOWN:   # one short line, whatever the input's size
+        shown = f"{shown[:SHOWN]}... ({type(value).__name__}, {len(shown)} characters)"
+    raise ValueError(f"{what} must be {text}, got {shown}")
 
 
 def field(doc: dict, name: str, rule, where: str, default=_REQUIRED):

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from holocap import __version__
+from holocap import __version__, schema
 from holocap.cli import COMMANDS, _dumps, _plain_args, build_parser, main
 from holocap.extension import ExtensionCertificate
 
@@ -100,15 +100,48 @@ def test_flag_written_with_double_dash_exit_two(tmp_path, monkeypatch, capsys, f
 @pytest.mark.parametrize("size, message", [
     (["--candidates", "-1"], "argument --candidates: expected a count >= 1, got -1"),
     (["--candidates", "0"], "argument --candidates: expected a count >= 1, got 0"),
-    # 1e11 candidates alone take 1.6 TB: numpy refuses the first allocation
-    (["--n", "100000000000"], "argument --n: a solve at n = 100000000000 does not fit in memory"),
-], ids=["candidates_negative", "candidates_zero", "n_unallocatable"])
-def test_cap_size_flags_exit_two(tmp_path, capsys, size, message):
+    # an n x N matrix beyond cli.MATRIX_BYTES is refused before anything is allocated,
+    # naming --n when n x n alone is beyond it
+    (["--n", str(10 ** 11)], f"argument --n: a solve at n = {10 ** 11} over {10 ** 11} points "
+     f"needs {8 * 10 ** 22} bytes, above the 4294967296-byte budget"),
+    (["--n", str(10 ** 20)], f"argument --n: a solve at n = {10 ** 20} over {10 ** 20} points "
+     f"needs {8 * 10 ** 40} bytes, above the 4294967296-byte budget"),
+    (["--candidates", str(10 ** 20)], f"argument --candidates: a solve at n = 128 over "
+     f"{10 ** 20} points needs {1024 * 10 ** 20} bytes, above the 4294967296-byte budget"),
+    (["--n", "16384", "--candidates", "32769"], "argument --candidates: a solve at n = 16384 "
+     "over 32769 points needs 4295098368 bytes, above the 4294967296-byte budget"),
+], ids=["candidates_negative", "candidates_zero", "n_unallocatable", "n_beyond_index_range",
+        "candidates_beyond_index_range", "candidates_one_past_budget"])
+def test_cap_size_flags_exit_two(tmp_path, capsys, monkeypatch, size, message):
+    monkeypatch.setattr("holocap.cli.capacity", lambda *a, **k: pytest.fail("solved"))
     out = tmp_path / "est.json"
     argv = ["cap", "--set", write(tmp_path / "seg.json", SEGMENT), "--out", str(out)]
     assert main(argv + size) == 2
     assert capsys.readouterr().err == f"input error: {message}\n"
     assert not out.exists()
+
+
+def test_cap_cloud_is_not_sized_by_the_flags(tmp_path):
+    # a cloud is solved at min(n, distinct points) over its own points
+    out = tmp_path / "est.json"
+    argv = ["cap", "--set", write(tmp_path / "cloud.json", DUPLICATED_CIRCLE), "--out", str(out),
+            "--n", str(10 ** 20), "--candidates", str(10 ** 20)]
+    assert main(argv) == 0
+    assert json.loads(out.read_text())["capacity"]["n_used"] == 100
+
+
+def test_cap_matrix_at_the_budget_is_attempted(tmp_path, capsys, monkeypatch):
+    """16384 x 32768 doubles are exactly cli.MATRIX_BYTES: the solve is tried, and a
+    MemoryError from it still names --n."""
+    def unallocatable(set_, n, candidates):
+        assert (n, candidates) == (16384, 32768)
+        raise MemoryError
+    monkeypatch.setattr("holocap.cli.capacity", unallocatable)
+    argv = ["cap", "--set", write(tmp_path / "seg.json", SEGMENT), "--out", str(tmp_path / "e.json"),
+            "--n", "16384", "--candidates", "32768"]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == ("input error: argument --n: a solve at n = 16384 does not "
+                                       "fit in memory\n")
 
 
 def test_green_values(tmp_path):
@@ -437,6 +470,25 @@ def test_bernstein_bound_overflow_exit_three(tmp_path, capsys):
     assert err == ("pipeline failure [bernstein_bound]: the bound at z = (1e+300+0j) is inf\n")
 
 
+@pytest.mark.parametrize("set_doc", [
+    {"shape": "disk", "center": [1e300, 0], "radius": 1.0},
+    {"shape": "union", "parts": [{"shape": "segment", "a": [1e300, 0], "b": [1e300, 1e-13]}]},
+], ids=["disk_at_1e300", "union_at_1e300"])
+def test_bernstein_far_set_exit_three_without_warning(tmp_path, capsys, set_doc):
+    # |p| on a set near 1e300 overflows in polyval; the bound at z = 3 is then inf
+    poly_path = write(tmp_path / "p.json", {"coefficients": [[1, 0], [0, 0], [-2, 0], [0, 0],
+                                                             [1, 0]]})
+    pts_path = write_points_csv(tmp_path / "pts.csv", [3 + 0j, 1e300 + 0j])
+    out = tmp_path / "b.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")   # a numpy overflow warning fails the test
+        code = main(["bernstein", "--poly", poly_path, "--set", write(tmp_path / "s.json", set_doc),
+                     "--points", pts_path, "--out", str(out)])
+    assert code == 3 and not out.exists()
+    assert capsys.readouterr().err == ("pipeline failure [bernstein_bound]: the bound at "
+                                       "z = (3+0j) is inf\n")
+
+
 def test_extend_single_point_exit_three(tmp_path, capsys):
     seq_path = write(tmp_path / "seq.json", GEOMETRIC)
     samples_path = write(tmp_path / "samples.json", [[1.0, 0.0]])
@@ -495,8 +547,8 @@ def test_eval_outside_domain_exit_three(tmp_path, capsys):
     ({"sublinear_tol": True},
      "config field 'sublinear_tol' must be a finite number >= 0, got True"),
     # a JSON integer beyond the float range is named, not converted
-    ({"theta": 10 ** 400},
-     "config field 'theta' must be a finite number > 0, got 1" + "0" * 400),
+    ({"theta": 10 ** 400}, "config field 'theta' must be a finite number > 0, got 1"
+     + "0" * (schema.SHOWN - 1) + "... (int, 401 characters)"),
     ({"mode": "other"}, "config field 'mode' must be one of 'extension', 'uniform', got 'other'"),
     ([], "config must be an object, got []"),
 ], ids=["theta_zero", "window_string", "z2_max_negative", "eps_cap_nan",
@@ -511,6 +563,28 @@ def test_extend_invalid_config_exit_two(tmp_path, capsys, cfg, message):
                  "--config", cfg_path, "--out", str(tmp_path / "c.json")])
     assert code == 2
     assert capsys.readouterr().err == f"input error: {message}\n"
+
+
+ROWS_OBJECT = {str(n): {"index": [n], "coefficients": [[1.5, -0.25]] * n} for n in range(400)}
+SAMPLES_OBJECT = {str(k): row for k, row in enumerate(CIRCLE_SAMPLES)}
+
+
+@pytest.mark.parametrize("seq, samples, refused, where", [
+    ({"kind": "table", "max_norm": 3, "entries": ROWS_OBJECT}, CIRCLE_SAMPLES, ROWS_OBJECT,
+     "sequence field 'entries' must be a list"),
+    (GEOMETRIC, SAMPLES_OBJECT, SAMPLES_OBJECT,
+     "samples must be a nonempty list of [re, im] pairs of finite numbers"),
+], ids=["entries_object_of_400_rows", "samples_object"])
+def test_refusal_cuts_a_long_value(tmp_path, capsys, seq, samples, refused, where):
+    """A refused value is shown to schema.SHOWN characters, then by its type and length."""
+    code = main(["extend", "--seq", write(tmp_path / "seq.json", seq),
+                 "--samples", write(tmp_path / "samples.json", samples),
+                 "--out", str(tmp_path / "c.json")])
+    shown = repr(refused)
+    assert len(shown) > 100 * schema.SHOWN
+    assert code == 2
+    assert capsys.readouterr().err == (f"input error: {where}, got {shown[:schema.SHOWN]}... "
+                                       f"(dict, {len(shown)} characters)\n")
 
 
 def test_extend_has_no_z2_max_option(tmp_path):

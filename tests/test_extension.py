@@ -733,17 +733,20 @@ def _polar(modulus_lo: float, modulus_hi: float):
                      st.floats(0.0, 2.0 * math.pi))
 
 
+# exact zeros of either sign: the kernel may skip adding one, and polyval may not
+_ZEROS = st.sampled_from((0j, complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0)))
+
 # coefficient tuples: empty, exact zeros, mixed lengths and trailing zeros
-_COEFFS = st.builds(lambda head, zeros: tuple(head) + (0j,) * zeros,
-                    st.lists(st.one_of(st.just(0j), _polar(1e-3, 1e3)), max_size=6),
-                    st.integers(0, 3))
+_COEFFS = st.builds(lambda head, zeros: tuple(head) + zeros,
+                    st.lists(st.one_of(_ZEROS, _polar(1e-3, 1e3)), max_size=6),
+                    st.lists(_ZEROS, max_size=3).map(tuple))
 
 
 # coefficient moduli up to 1e300: with points up to 1e10, values overflow to inf and NaN
-_WIDE_COEFFS = st.builds(lambda head, zeros: tuple(head) + (0j,) * zeros,
-                         st.lists(st.one_of(st.just(0j), _polar(1e-3, 1e3), _polar(1e-3, 1e300)),
+_WIDE_COEFFS = st.builds(lambda head, zeros: tuple(head) + zeros,
+                         st.lists(st.one_of(_ZEROS, _polar(1e-3, 1e3), _polar(1e-3, 1e300)),
                                   max_size=6),
-                         st.integers(0, 3))
+                         st.lists(_ZEROS, max_size=3).map(tuple))
 
 
 @st.composite
@@ -923,6 +926,37 @@ def test_constant_sequence_values_match_per_row_polyval(k, max_norm):
     for z1 in ((0.0,) * k, (0.3,) * k, tuple(0.1j * (i + 1) for i in range(k))):
         args = (cert, seq, z1, 0.4 - 0.9j, 1e-9)
         assert _outcome(evaluate, *args) == _outcome(_ref_evaluate, *args)
+
+
+# long rows of zeros below one leading coefficient: every step but a row's first is a
+# product alone, with no coefficient added
+_MONOMIAL_ROWS = [geometric_sequence(0.9 - 0.7j, 60), geometric_sequence(1.02 + 0.05j, 240),
+                  geometric_sequence(0.6 + 0.5j, 60, k=2), sqrt_degree_sequence(3600),
+                  sqrt_degree_sequence(60, k=2),
+                  table_sequence({(n,): Polynomial1D((0j,) * n + (1,)) for n in range(61)}, 60)]
+
+
+@pytest.mark.parametrize("seq", _MONOMIAL_ROWS, ids=["geometric_60", "geometric_240",
+                                                     "geometric_k2_60", "sqrt_degree_3600",
+                                                     "sqrt_degree_k2_60", "zeros_then_one_60"])
+@pytest.mark.parametrize("chunk_cells", [1, 1 << 15])
+def test_norm_peaks_of_monomial_rows_bit_identical_to_polyval(seq, chunk_cells):
+    zs = np.array([1.3, -0.7 + 0.2j, complex(-0.0, 1.1), complex(0.95, -0.0), 0.01j, 2.0 - 3.0j])
+    with mock.patch.object(extension, "_CHUNK_CELLS", chunk_cells), np.errstate(all="ignore"):
+        peaks = seq.norm_peaks(zs, 0, seq.max_norm)
+        expect = [np.max([np.abs(seq.poly(idx)(zs)) for idx in seq.indices(j, j)], axis=0)
+                  for j in range(seq.max_norm + 1)]
+    assert peaks.tobytes() == np.array(expect).tobytes()
+
+
+@pytest.mark.parametrize("k", [1, 2])
+@pytest.mark.parametrize("z2", [2.0, -2.0 + 1.0j, -2.0 - 1.0j, complex(-0.0, -1.0)])
+def test_evaluate_at_z1_zero_gives_positive_zeros(k, z2):
+    """P_0 = [-0.0, 0.0] at z1 = 0: the kernel may give -0.0, evaluate gives +0.0."""
+    seq = table_sequence({(0,) * k: Polynomial1D((complex(-0.0, 0.0),)),
+                          (1,) + (0,) * (k - 1): Polynomial1D((0j, 1.0))}, 2, k)
+    value = evaluate(_disk_cert(0.5, 1.0, 0.0, 0.0, 0, 1.0), seq, (0j,) * k, z2, 1e-9).value
+    assert (math.copysign(1.0, value.real), math.copysign(1.0, value.imag)) == (1.0, 1.0)
 
 
 def _twins(coeffs):
@@ -1201,7 +1235,8 @@ def _ref_evaluate(cert, seq, z1, z2, tol):
     r1 = max(map(abs, coords))
     if r1 == 0.0:
         zero_idx = MultiIndex((0,) * k)
-        return extension.EvaluationResult(value=complex(seq.poly(zero_idx)(z2)),
+        # added to 0j, as the partial sum below is: a zero's sign is not published
+        return extension.EvaluationResult(value=0j + complex(seq.poly(zero_idx)(z2)),
                                           tail_bound=0.0, terms_used=0)
     g = float(cert.green()(z2))
     q = cert.rho1 * math.exp(cert.tail_slope * g) * r1
