@@ -52,7 +52,6 @@ from .gamma import (  # noqa: F401
     linear_image,
     predicate_from_json,
     product_predicate,
-    reduce_to_m1,
 )
 from .extension import (  # noqa: F401
     EvaluationResult,
@@ -70,7 +69,6 @@ from .extension import (  # noqa: F401
     evaluate,
     fit_degree_growth,
     geometric_sequence,
-    global_bound,
     radius_profile,
     ring_multiply,
     sequence_from_json,

@@ -39,6 +39,7 @@ from typing import Sequence
 
 import numpy as np
 
+from . import schema
 from .errors import GreenUndefinedPolarSet
 from .sets import CompactSet, Disk, PointCloud, Segment, UnionSet, discretize
 
@@ -548,9 +549,10 @@ def green_from_selection(set_: CompactSet, selection, clamp_magnitude: float,
             and 0 <= min(selection) <= max(selection) < len(cand)):
         for i in selection:   # a fault: name the first, checking index by index
             if isinstance(i, bool) or not isinstance(i, numbers.Integral):
-                raise ValueError(f"index {i!r} is not an integer")
+                raise ValueError(f"index {schema.shown(i)} is not an integer")
             if not 0 <= i < len(cand):
-                raise ValueError(f"index {i} is out of range for {len(cand)} candidates")
+                raise ValueError(f"index {schema.shown(i)} is out of range for {len(cand)} "
+                                 "candidates")
     sel = np.asarray(selection, dtype=np.intp)
     if len(np.unique(sel)) != len(sel):
         raise ValueError("an index repeats")

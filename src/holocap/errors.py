@@ -27,10 +27,6 @@ class UnboundedSet(HolocapError):
     """Predicate has an unbounded (or non-finite) bounding box."""
 
 
-class GammaPolar(HolocapError):
-    """Iterated projection capacity fell below the polar threshold."""
-
-
 class DegreeGrowthViolated(HolocapError):
     """Declared degree-growth constants are contradicted by the data."""
 

@@ -262,11 +262,11 @@ def _table(items, max_norm: int, k: int, declared_C0: float | None = None,
     for index, coefficients in items:
         if len(index) != k or any(isinstance(e, bool) or not isinstance(e, numbers.Integral)
                                   or e < 0 for e in index):
-            raise ValueError(f"table index {index!r} must have length {k} and nonnegative "
-                             "integer entries")
+            raise ValueError(f"table index {schema.shown(index)} must have length {k} and "
+                             "nonnegative integer entries")
         r = _row(tuple(int(e) for e in index))
         if r in seen:
-            raise ValueError(f"table index {index!r} is repeated")
+            raise ValueError(f"table index {schema.shown(index)} is repeated")
         seen.add(r)
         if r < len(polys):   # norm <= max_norm
             polys[r] = coefficients or (0j,)
@@ -534,7 +534,7 @@ class ExtendConfig:
         known = {f for f in cls.__dataclass_fields__}
         bad = set(doc) - known
         if bad:
-            raise ValueError(f"unknown config keys: {sorted(bad)}")
+            raise ValueError(f"unknown config keys: {schema.shown(sorted(bad))}")
         return cls(**doc)
 
 
@@ -673,13 +673,6 @@ def certify_uniform(seq: PolynomialSequence, K_samples,
 
     return _certify(seq, K_samples, cfg, c0, c1, exponent=0.0, tail_slope=eps,
                     tail_start=start, sublinear_tol=cfg.sublinear_tol)
-
-
-def global_bound(cert: ExtensionCertificate, z2: complex, index) -> float:
-    """Coefficient bound M0 rho1^{||n||} exp((C0 + C1||n||) g(z2)) anywhere."""
-    norm = index.norm if isinstance(index, MultiIndex) else int(index)
-    g = float(cert.green()(complex(z2)))
-    return cert.M0 * cert.rho1 ** norm * math.exp((cert.C0 + cert.C1 * norm) * g)
 
 
 # ---------------------------------------------------------------------------

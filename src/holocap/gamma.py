@@ -45,7 +45,7 @@ import numpy as np
 from . import schema
 from .capacity import (CANDIDATES, EPS_CAP, FEKETE_N, _closed_form_capacity, capacity,
                        capacity_of_cloud, quick_cloud_capacity)
-from .errors import GammaPolar, UnboundedSet
+from .errors import UnboundedSet
 from .sets import (MEMBERSHIP_TOL, CompactSet, Disk, PointCloud, Segment, affine_image,
                    bounding_box, contains, discretize, set_from_json)
 
@@ -184,13 +184,6 @@ def linear_image(matrix, pred: SetPredicate) -> SetPredicate:
                         preimage=preimage, ellipsoid=ellipsoid)
 
 
-def transform_unitary(pred: SetPredicate, unitary: np.ndarray) -> SetPredicate:
-    """Image under a unitary map; the exact identity keeps the predicate."""
-    if np.array_equal(unitary, np.eye(pred.dimension, dtype=np.complex128)):
-        return pred
-    return linear_image(unitary, pred)
-
-
 def haar_unitary(m: int, rng: np.random.Generator) -> np.ndarray:
     """Haar-distributed unitary via QR of a complex Gaussian matrix.
 
@@ -204,9 +197,9 @@ def haar_unitary(m: int, rng: np.random.Generator) -> np.ndarray:
 
 
 def _coordinate_grid(coord_box, resolution: int) -> np.ndarray:
-    (re_lo, re_hi), (im_lo, im_hi) = coord_box
-    re = np.linspace(re_lo, re_hi, resolution)
-    im = np.linspace(im_lo, im_hi, resolution)
+    re, im = (np.linspace(lo, hi, resolution) if math.isfinite(float(hi) - float(lo))
+              else 2.0 * np.linspace(lo / 2.0, hi / 2.0, resolution)   # halves: no overflow
+              for lo, hi in coord_box)
     return (re[:, None] + 1j * im[None, :]).ravel()
 
 
@@ -299,27 +292,32 @@ def _clip_segment(seg: Segment, scale: complex, offsets: np.ndarray, others) -> 
 
     A segment part cut by disks and collinear segments is a sub-segment, whose
     capacity is its length over 4; a non-collinear segment leaves at most a
-    point.  Positions are parameters t of w = origin + t * step, t in [0, 1].
+    point.  Positions are parameters t of w = origin + t * step, t in [0, 1]; a prefix
+    whose parameters are not all finite keeps nothing, so no NaN decides a fiber.
     """
-    origin = (seg.a - offsets) / scale
-    step = (seg.b - seg.a) / scale
-    lo, hi = np.zeros(len(offsets)), np.ones(len(offsets))
-    for part, b, off in others:
-        tol = MEMBERSHIP_TOL / abs(b * step)
-        if isinstance(part, Disk):
-            u = ((part.center - off) / b - origin) / step
-            reach = part.radius / abs(b * step) + tol
-            across = np.abs(u.imag)
-            half = np.sqrt(np.maximum(reach - across, 0.0)) * np.sqrt(reach + across)
-            lo, hi = np.maximum(lo, u.real - half), np.minimum(hi, u.real + half)
-            hi[across > reach] = -np.inf
-        else:
-            ta = ((part.a - off) / b - origin) / step
-            tb = ((part.b - off) / b - origin) / step
-            lo = np.maximum(lo, np.minimum(ta.real, tb.real))
-            hi = np.minimum(hi, np.maximum(ta.real, tb.real))
-            hi[(np.abs(ta.imag) > tol) | (np.abs(tb.imag) > tol)] = -np.inf
-    return np.maximum(hi - lo, 0.0) * abs(step) / 4.0
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        origin = (seg.a - offsets) / scale
+        step = (seg.b - seg.a) / scale
+        lo, hi = np.zeros(len(offsets)), np.ones(len(offsets))
+        finite = np.isfinite(origin) & np.isfinite(step)
+        for part, b, off in others:
+            tol = MEMBERSHIP_TOL / abs(b * step)
+            if isinstance(part, Disk):
+                u = ((part.center - off) / b - origin) / step
+                reach = part.radius / abs(b * step) + tol
+                across = np.abs(u.imag)
+                half = np.sqrt(np.maximum(reach - across, 0.0)) * np.sqrt(reach + across)
+                lo, hi = np.maximum(lo, u.real - half), np.minimum(hi, u.real + half)
+                hi[across > reach] = -np.inf
+                finite &= np.isfinite(u) & np.isfinite(reach)
+            else:
+                ta = ((part.a - off) / b - origin) / step
+                tb = ((part.b - off) / b - origin) / step
+                lo = np.maximum(lo, np.minimum(ta.real, tb.real))
+                hi = np.minimum(hi, np.maximum(ta.real, tb.real))
+                hi[(np.abs(ta.imag) > tol) | (np.abs(tb.imag) > tol)] = -np.inf
+                finite &= np.isfinite(ta) & np.isfinite(tb) & np.isfinite(tol)
+        return np.where(finite, np.maximum(hi - lo, 0.0) * abs(step) / 4.0, 0.0)
 
 
 def _fiber_capacity_bounds(parts: tuple, scales: np.ndarray, offsets: np.ndarray,
@@ -490,23 +488,6 @@ def _shape_1d(pred: SetPredicate) -> CompactSet | None:
     return None
 
 
-def _final_cloud(pred: SetPredicate) -> np.ndarray:
-    """Point cloud of a 1-D predicate: shape discretization or grid scan."""
-    shape = _shape_1d(pred)
-    if shape is not None:
-        return np.asarray(discretize(shape, CANDIDATES))
-    scan = _coordinate_grid(pred.bounding_box[0], PROJECTED_RESOLUTION)
-    return scan[pred.membership(scan[:, None])]
-
-
-def _project_to_m1(pred: SetPredicate, unitary: np.ndarray, eps_cap: float) -> SetPredicate:
-    """The set's image under the unitary, projected down to C^1."""
-    p = transform_unitary(pred, unitary)
-    for _ in range(pred.dimension - 1):
-        p = gamma_project(p, eps_cap)
-    return p
-
-
 def gamma_cap(pred: SetPredicate, unitary_count: int = 1, seed: int = 0,
               eps_cap: float = EPS_CAP) -> GammaCapResult:
     """Sampled-maximum projection capacity of the set.
@@ -536,34 +517,21 @@ def gamma_cap(pred: SetPredicate, unitary_count: int = 1, seed: int = 0,
 
     per = []
     for u in unitaries:
-        p = _project_to_m1(pred, u.matrix, eps_cap)
+        p = pred if np.array_equal(u.matrix, np.eye(m)) else linear_image(u.matrix, pred)
+        for _ in range(m - 1):
+            p = gamma_project(p, eps_cap)
         shape = _shape_1d(p)
         if shape is not None:
             value = _factor_capacity(shape, eps_cap)
         else:
-            value = capacity_of_cloud(_final_cloud(p), eps_cap=eps_cap).value
+            scan = _coordinate_grid(p.bounding_box[0], PROJECTED_RESOLUTION)
+            value = capacity_of_cloud(scan[p.membership(scan[:, None])], eps_cap=eps_cap).value
         per.append((u.seed, value))
 
     best = max(value for _, value in per)
     best_idx = next(k for k, (_, value) in enumerate(per) if best - value <= 1e-12 * best)
     return GammaCapResult(value=best, best_unitary=unitaries[best_idx],
                           per_unitary=tuple(per), fiber_threshold=eps_cap)
-
-
-def reduce_to_m1(pred: SetPredicate, result: GammaCapResult) -> tuple:
-    """Witness 1-D point cloud behind a positive projection capacity.
-
-    Recomputes the iterated projection for the best unitary and returns the
-    surviving cloud together with that unitary.  Raises :class:`GammaPolar`
-    when the result's value is at or below the polar threshold.
-    """
-    if result.value <= result.fiber_threshold:
-        raise GammaPolar(
-            f"projection capacity {result.value:.3e} is polar at threshold "
-            f"{result.fiber_threshold:g}")
-    p = _project_to_m1(pred, result.best_unitary.matrix, result.fiber_threshold)
-    cloud = _final_cloud(p)
-    return PointCloud(tuple(complex(z) for z in cloud)), result.best_unitary
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ complex number), "pairs" (a nonempty list of pairs, read as a complex128
 array) and a tuple of strings (one of them).  Every refusal is a ValueError,
 "<where> 'name' is missing" or "<where> 'name' must be <rule>, got <value>",
 and item i of a list is "<where> 'name' item i".  A value whose repr is longer
-than ``SHOWN`` characters is cut there and followed by its type and length.
+than ``SHOWN`` characters is cut there by :func:`shown`.
 """
 
 from __future__ import annotations
@@ -27,6 +27,14 @@ _RULES = {"finite": "a finite number", ">0": "a finite number > 0",
 _TYPES = {"bool": bool, "object": dict, "list": list}
 _REQUIRED = object()
 SHOWN = 80   # characters of a refused value a refusal repeats
+
+
+def shown(value) -> str:
+    """repr(value), cut at ``SHOWN`` characters and then followed by its type and length,
+    so that a refusal is one short line whatever the input's size."""
+    text = repr(value)
+    return text if len(text) <= SHOWN else (
+        f"{text[:SHOWN]}... ({type(value).__name__}, {len(text)} characters)")
 
 
 def _float(value) -> float:
@@ -91,10 +99,7 @@ def check(value, rule, what: str):
     elif rule == "pairs":
         if type(value) is list and value:
             return _pairs(value, what)
-    shown = repr(value)
-    if len(shown) > SHOWN:   # one short line, whatever the input's size
-        shown = f"{shown[:SHOWN]}... ({type(value).__name__}, {len(shown)} characters)"
-    raise ValueError(f"{what} must be {text}, got {shown}")
+    raise ValueError(f"{what} must be {text}, got {shown(value)}")
 
 
 def field(doc: dict, name: str, rule, where: str, default=_REQUIRED):

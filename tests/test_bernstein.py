@@ -19,6 +19,12 @@ def test_degree_and_zero_marker():
     assert Polynomial1D((5,)).degree == 0
     assert Polynomial1D((0, 0)).degree == -math.inf
     assert Polynomial1D((0,)).is_zero
+    assert Polynomial1D(()).is_zero and Polynomial1D(())(2.0) == 0
+
+
+def test_sup_norm_of_zero_polynomial_is_zero():
+    for s in (Disk(0, 1), Segment(-1, 1), PointCloud((0j, 1j))):
+        assert sup_norm(Polynomial1D((0, 0)), s) == 0.0
 
 
 def test_sup_norm_cube_on_disk():

@@ -17,6 +17,7 @@ from holocap.capacity import (
     _MAX_SWEEPS,
     _candidates,
     _checkpoints,
+    _closed_form_capacity,
     _distinct,
     _exchange_refine,
     _final_estimate,
@@ -77,6 +78,11 @@ def test_fekete_segment_two_points_are_endpoints():
     res = fekete_points(Segment(-1, 1), 2)
     assert set(np.round(res.points, 12)) == {-1.0, 1.0}
     assert abs(res.d_n - 2.0) < 1e-12
+
+
+def test_fekete_points_needs_two_points():
+    with pytest.raises(ValueError, match="fekete_points needs n >= 2, got 1"):
+        fekete_points(PointCloud((0j, 1 + 0j)), 1)
 
 
 def test_fekete_degenerate_single_point():
@@ -729,6 +735,11 @@ def test_short_part_beside_a_long_gap():
     assert abs(math.exp(-green.robin_constant) / exact_cap - 1.0) <= 1e-12
     zs = ends[-2:, None] + 1e-9 * np.exp(2j * np.pi * np.arange(16) / 16)
     assert np.max(np.abs(green(zs.ravel()) - exact_green(zs.ravel()))) <= 1e-12
+
+
+def test_union_spanning_one_subnormal_step_has_no_closed_form():
+    # the span's halves round to 0, so no line maps it onto [-1, 1]
+    assert _closed_form_capacity(UnionSet((Segment(0, 5e-324), Segment(0, 5e-324)))) is None
 
 
 def test_rotated_union_keeps_the_closed_form():

@@ -6,6 +6,7 @@ import importlib
 import io
 import json
 import math
+import runpy
 import sys
 import warnings
 
@@ -293,6 +294,8 @@ TABLE = {"kind": "table", "max_norm": 2,
     ("gammacap", {"--set": {**_diagonal_image(1, 1), "matrix": [[[1], [0, 0]], [[0, 0], [1, 0]]]}},
      f"predicate field 'matrix' item 0 item 0 {PAIR}[1]"),
     ("gammacap", {"--set": []}, "predicate must be an object, got []"),
+    ("gammacap", {"--set": {**_diagonal_image(1, 1), "matrix": [[[1, 0], [0, 0]]]}},
+     "linear image 'matrix' must be square, of its predicate's dimension"),
     ("green", {"--set": DISK, "--points": "re,im\n2,0\n1.0\n"},
      f"line 3 {PAIR}[1.0]"),
     # non-finite samples and CSV rows are named (the parent went on with them)
@@ -300,6 +303,9 @@ TABLE = {"kind": "table", "max_norm": 2,
      f"samples item 3 {PAIR}[nan, 0]"),
     ("green", {"--set": DISK, "--points": "re,im\n2,0\nnan,0\n"},
      f"line 3 {PAIR}[nan, 0.0]"),
+    # only a first row may be a header
+    ("green", {"--set": DISK, "--points": "re,im\n2,0\nabc,1\n"},
+     f"line 3 {PAIR}['abc', '1']"),
     ("green", {"--set": DISK, "--points": "re,im\n2,0\n3,inf\n"},
      f"line 3 {PAIR}[3.0, inf]"),
     ("bernstein", {"--poly": {"coefficients": [[0, 0], [1, 0]]}, "--set": DISK,
@@ -321,6 +327,7 @@ TABLE = {"kind": "table", "max_norm": 2,
      f"samples item 3 {PAIR}[1, 0, 0]"),
     ("extend", {"--seq": GEOMETRIC, "--samples": _samples_with([math.nan, 0], [True, 0])},
      f"samples item 3 {PAIR}[nan, 0]"),
+    ("extend", {"--seq": GEOMETRIC, "--samples": _samples_with(3)}, f"samples item 3 {PAIR}3"),
     # every number is a JSON number: no numeric string, no boolean
     ("cap", {"--set": {**DISK, "radius": "2"}},
      "set field 'radius' must be a finite number > 0, got '2'"),
@@ -340,6 +347,8 @@ TABLE = {"kind": "table", "max_norm": 2,
      "set field 'shape' must be one of 'disk', 'segment', 'cloud', 'union', got 'ring'"),
     ("extend", {"--seq": {**GEOMETRIC, "max_norm": 10 ** 20}, "--samples": CIRCLE_SAMPLES},
      "sequence field 'max_norm' must be an integer below 2**63, got 100000000000000000000"),
+    ("extend", {"--seq": {**GEOMETRIC, "max_norm": 0}, "--samples": CIRCLE_SAMPLES},
+     "degree-growth fit needs 'max_norm' >= 1, got 0"),
     # a power of lambda beyond the float range names lambda and the first such norm
     ("extend", {"--seq": {**GEOMETRIC, "lambda": [1e100, 0]},
                 "--samples": [[0.9 * x, 0.9 * y] for x, y in CIRCLE_SAMPLES[::2]]},
@@ -355,13 +364,14 @@ TABLE = {"kind": "table", "max_norm": 2,
 ], ids=["set_pair_short", "set_pair_strings", "set_pair_bool", "set_pair_long", "set_list",
         "lambda_short", "value_number", "coefficient_short", "sample_short", "sequence_list",
         "poly_coefficient_short", "ball_center_short", "matrix_entry_short", "predicate_list",
-        "points_row_short", "sample_nan", "points_row_nan", "points_row_inf",
+        "matrix_one_row", "points_row_short", "sample_nan", "points_row_nan",
+        "points_row_text_after_data", "points_row_inf",
         "bernstein_points_row_nan", "poly_coefficient_nan", "cloud_point_bool",
         "cloud_point_string", "cloud_point_long", "cloud_point_inf", "cloud_bool_after_nan",
-        "sample_bool", "sample_string", "sample_long", "sample_bool_after_nan",
+        "sample_bool", "sample_string", "sample_long", "sample_bool_after_nan", "sample_number",
         "radius_string", "radius_bool", "ball_radius_string", "declared_c1_bool",
         "disk_center_missing", "union_parts_number", "union_part_radius_missing",
-        "shape_unknown", "max_norm_beyond_int64",
+        "shape_unknown", "max_norm_beyond_int64", "max_norm_zero",
         "lambda_power_overflow", "disk_beyond_float_range", "segment_beyond_float_range",
         "union_beyond_float_range"])
 def test_malformed_input_exit_two(tmp_path, capsys, command, inputs, message):
@@ -383,6 +393,25 @@ def test_gammacap_near_singular_image_is_finite(tmp_path, d1, d2):
     doc = json.loads(out.read_text())
     values = [doc["value"]] + [v for _, v in doc["per_unitary"]]
     assert all(math.isfinite(v) and 0.0 <= v <= 1e-299 for v in values)
+
+
+PRODUCT = {"kind": "product", "factors": [{**DISK, "center": [0.5, 0], "radius": 1.5}, SEGMENT]}
+
+
+@pytest.mark.parametrize("pred", [
+    # inv(matrix) has entries near 1e-300, so a segment fiber's parameters overflow
+    {"kind": "linear_image", "matrix": [[[1, 0], [0.5, 0]], [[1e300, 0], [1, 0]]], "of": PRODUCT},
+    # a rotated image's box is [-r, r] with 2r beyond the float range, and so is its scan
+    {**PRODUCT, "factors": [{**DISK, "center": [1.7e308, 0], "radius": 1.5}, SEGMENT]},
+], ids=["matrix_entry_1e300", "disk_center_1.7e308"])
+def test_gammacap_overflowing_set_is_warning_free(tmp_path, pred):
+    out = tmp_path / "g.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["gammacap", "--set", write(tmp_path / "pred.json", pred),
+                     "--unitaries", "2", "--out", str(out)]) == 0
+    values = [v for _, v in json.loads(out.read_text())["per_unitary"]]
+    assert all(math.isfinite(v) and v >= 0.0 for v in values)
 
 
 def test_gammacap_ball_beyond_max_dimension(tmp_path):
@@ -585,6 +614,67 @@ def test_refusal_cuts_a_long_value(tmp_path, capsys, seq, samples, refused, wher
     assert code == 2
     assert capsys.readouterr().err == (f"input error: {where}, got {shown[:schema.SHOWN]}... "
                                        f"(dict, {len(shown)} characters)\n")
+
+
+def _green_points_item(value):
+    def run(tmp_path):
+        seq_path, cert = _extend_cert(tmp_path)
+        doc = json.loads(cert.read_text())
+        doc["green_points"][3] = value
+        return ["eval", "--cert", write(tmp_path / "bad.json", doc), "--seq", seq_path,
+                "--z1", "0.1+0j", "--z2", "2+0j"]
+    return run
+
+
+@pytest.mark.parametrize("argv, shown", [
+    (lambda tmp_path: ["extend", "--samples", write(tmp_path / "s.json", CIRCLE_SAMPLES),
+                       "--seq", write(tmp_path / "seq.json", {**TABLE, "entries": [
+                           {"index": [0] * 5000, "coefficients": [[1, 0]]}]})],
+     "table index [0, 0, 0"),
+    (lambda tmp_path: ["extend", "--samples", write(tmp_path / "s.json", CIRCLE_SAMPLES),
+                       "--seq", write(tmp_path / "seq.json", GEOMETRIC),
+                       "--config", write(tmp_path / "c.json",
+                                         {f"key{i:04d}": 0 for i in range(3000)})],
+     "unknown config keys: ['key0000', 'key0001'"),
+    (_green_points_item([0] * 5000), "index [0, 0, 0"),
+], ids=["table_index_5000_entries", "config_3000_unknown_keys", "green_points_item_list"])
+def test_refusal_outside_schema_is_one_short_line(tmp_path, capsys, argv, shown):
+    """Refusals that repeat a table index, config keys or a selection item cut it too."""
+    assert main(argv(tmp_path) + ["--out", str(tmp_path / "out.json")]) == 2
+    err = capsys.readouterr().err
+    assert shown in err and "characters)" in err
+    assert err.count("\n") == 1 and len(err) < 200, len(err)
+
+
+def test_points_csv_skips_blank_rows(tmp_path):
+    set_path = write(tmp_path / "disk.json", DISK)
+    (tmp_path / "pts.csv").write_text("re,im\n\n2,0\n\n", encoding="utf-8")
+    out = tmp_path / "g.csv"
+    assert main(["green", "--set", set_path, "--points", str(tmp_path / "pts.csv"),
+                 "--out", str(out)]) == 0
+    rows = list(csv.reader(open(out)))
+    assert [r[:2] for r in rows] == [["re", "im"], ["2.0", "0.0"]]
+
+
+def test_points_csv_without_points_exit_two(tmp_path, capsys):
+    points = tmp_path / "pts.csv"
+    points.write_text("re,im\n", encoding="utf-8")
+    assert main(["green", "--set", write(tmp_path / "disk.json", DISK), "--points", str(points),
+                 "--out", str(tmp_path / "g.csv")]) == 2
+    assert capsys.readouterr().err == f"input error: no points found in {points}\n"
+
+
+def test_module_runs_as_a_script(tmp_path, monkeypatch):
+    out = tmp_path / "est.json"
+    set_path = write(tmp_path / "disk.json", DISK)
+    monkeypatch.setattr(sys, "argv", ["holocap", "cap", "--set", set_path, "--n", "16",
+                                      "--candidates", "64", "--out", str(out)])
+    with warnings.catch_warnings():   # runpy notes that the test already imported holocap.cli
+        warnings.simplefilter("ignore", RuntimeWarning)
+        with pytest.raises(SystemExit) as exc:
+            runpy.run_module("holocap.cli", run_name="__main__")
+    assert exc.value.code == 0
+    assert json.loads(out.read_text())["manifest"]["command"] == "cap"
 
 
 def test_extend_has_no_z2_max_option(tmp_path):

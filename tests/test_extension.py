@@ -43,7 +43,6 @@ from holocap.extension import (
     evaluate,
     fit_degree_growth,
     geometric_sequence,
-    global_bound,
     iter_indices,
     radius_profile,
     ring_multiply,
@@ -73,6 +72,14 @@ def test_multi_index_basics():
         MultiIndex(())
 
 
+def test_poly_refuses_an_index_the_sequence_lacks():
+    seq = geometric_sequence(2, 10, k=2)
+    with pytest.raises(ValueError, match="index length 1 != sequence k 2"):
+        seq.poly(MultiIndex((1,)))
+    with pytest.raises(ValueError, match="index norm 11 beyond available 10"):
+        seq.poly(MultiIndex((5, 6)))
+
+
 @given(st.lists(st.integers(min_value=0, max_value=50), min_size=1, max_size=4))
 @settings(max_examples=50, deadline=None)
 def test_multi_index_norm_is_sum(entries):
@@ -98,6 +105,9 @@ def test_fit_validates_declared_constants():
     seq_bad = geometric_sequence(2, 20)
     seq_bad.declared_C0, seq_bad.declared_C1 = 0.0, 0.5
     with pytest.raises(DegreeGrowthViolated):
+        fit_degree_growth(seq_bad)
+    seq_bad.declared_C0 = -1.0   # the reader refuses it; a library caller is told
+    with pytest.raises(ValueError, match="must be >= 0, got -1.0 and 0.5"):
         fit_degree_growth(seq_bad)
 
 
@@ -153,6 +163,11 @@ def test_stratify_infinite_radii():
     assert i == 1
 
 
+def test_stratify_empty_profile_is_refused():
+    with pytest.raises(ValueError, match="radius profile is empty"):
+        stratify_and_find_nonpolar(RadiusProfile(()))
+
+
 def test_stratify_single_good_point_is_polar():
     samples = [(CIRCLE[0], 1.0)] + [(z, 1e-9) for z in CIRCLE[1:]]
     with pytest.raises(AllStrataPolar):
@@ -171,6 +186,11 @@ def test_uniform_bound_geometric_rate_margin():
     assert len(cloud.points) == len(CIRCLE)
     assert rho1 == pytest.approx(2.0, rel=1e-9)
     assert m0 == 1.0
+
+
+def test_uniform_bound_refuses_a_rate_that_is_not_positive():
+    with pytest.raises(ValueError, match="rho0 must be positive"):
+        uniform_bound_compact(geometric_sequence(2, 60), CIRCLE_CLOUD, rho0=0.0)
 
 
 def test_uniform_bound_geometric_tight_rate():
@@ -244,6 +264,13 @@ def test_certify_uniform_sqrt_family():
 def test_certify_uniform_rejects_linear_growth():
     with pytest.raises(NotSublinear):
         certify_uniform(geometric_sequence(1, 60), CIRCLE)
+
+
+def test_certify_uniform_needs_a_tail_window():
+    # at max_norm 1 every window starts at norm 0, so no tail slope is measured
+    assert _tail_slope(sqrt_degree_sequence(1), 0.0) == (math.inf, 0)
+    with pytest.raises(NotSublinear):
+        certify_uniform(sqrt_degree_sequence(1), CIRCLE)
 
 
 def test_certify_uniform_constant_sequence():
@@ -397,7 +424,7 @@ def test_closed_form_witness_reads_no_green_points(witness):
 
 
 # ---------------------------------------------------------------------------
-# global bound
+# the certificate's witness Green function
 # ---------------------------------------------------------------------------
 
 def _analytic_circle_cert() -> ExtensionCertificate:
@@ -407,29 +434,11 @@ def _analytic_circle_cert() -> ExtensionCertificate:
         thresholds={"tail_slope": 1.0})
 
 
-def test_global_bound_equality_for_monomials():
-    cert = _analytic_circle_cert()
-    assert global_bound(cert, 2.0, 5) == pytest.approx(32.0, rel=1e-12)
-    assert global_bound(cert, 2.0, MultiIndex((5,))) == pytest.approx(32.0, rel=1e-12)
-
-
-def test_global_bound_on_witness_is_flat():
+def test_green_on_witness_is_flat():
     cert = certify_extension(geometric_sequence(1, 60), CIRCLE)
     green = cert.green()
     flat = [z for z in cert.witness.points if float(green(z)) == 0.0]
-    assert flat  # the clamp pins many witness samples at exactly zero
-    for z in flat[:10]:
-        for n in (0, 3, 60):
-            assert global_bound(cert, z, n) == cert.M0 * cert.rho1 ** n
-
-
-def test_global_bound_constant_growth():
-    cert = _analytic_circle_cert()
-    cert.C1 = 0.0
-    cert.C0 = 2.0
-    b1 = global_bound(cert, 3.0, 1)
-    b9 = global_bound(cert, 3.0, 9)
-    assert b1 == b9 == pytest.approx(math.exp(2.0 * math.log(3.0)), rel=1e-12)
+    assert len(flat) > len(cert.witness.points) // 2  # the clamp pins them at exactly zero
 
 
 # ---------------------------------------------------------------------------
@@ -549,6 +558,8 @@ def test_ring_multiply_two_variables():
 def test_ring_insufficient_norm():
     with pytest.raises(ValueError):
         ring_multiply(geometric_sequence(1, 10), geometric_sequence(1, 20), 15)
+    with pytest.raises(ValueError, match="factor index lengths differ: 1 != 2"):
+        ring_multiply(geometric_sequence(1, 10), geometric_sequence(1, 10, k=2), 5)
 
 
 def _random_table(rng, n_max: int):

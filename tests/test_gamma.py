@@ -1,10 +1,11 @@
 import math
+import re
 import time
 
 import numpy as np
 import pytest
 
-from holocap.errors import GammaPolar, UnboundedSet
+from holocap.errors import UnboundedSet
 from holocap.gamma import (
     PROJECTED_RESOLUTION,
     SetPredicate,
@@ -15,8 +16,6 @@ from holocap.gamma import (
     linear_image,
     predicate_from_json,
     product_predicate,
-    reduce_to_m1,
-    transform_unitary,
 )
 from holocap.capacity import EPS_CAP, FEKETE_N, capacity, capacity_of_cloud
 from holocap.sets import Disk, PointCloud, Segment, UnionSet, contains, discretize
@@ -57,7 +56,7 @@ def test_generic_projection_via_grid_scan():
     # decided in closed form without a scan
     rng = np.random.default_rng(np.random.SeedSequence(entropy=9, spawn_key=(1,)))
     u = haar_unitary(2, rng)
-    proj = gamma_project(transform_unitary(BIDISK, u))
+    proj = gamma_project(linear_image(u, BIDISK))
     assert proj.membership(np.array([[0j]]))[0]  # the origin survives any rotation
 
 
@@ -117,29 +116,6 @@ def test_gamma_cap_deterministic():
     b = gamma_cap(LINE, unitary_count=6, seed=123)
     assert a.per_unitary == b.per_unitary
     assert a.value == b.value
-
-
-def test_reduce_to_m1_bidisk():
-    res = gamma_cap(BIDISK, unitary_count=1, seed=0)
-    cloud, unitary = reduce_to_m1(BIDISK, res)
-    assert isinstance(cloud, PointCloud)
-    assert unitary.seed == 0
-    pts = np.asarray(cloud.points)
-    assert np.all(np.abs(np.abs(pts) - 1.0) < 1e-9)  # boundary circle samples
-
-
-def test_reduce_to_m1_polar_raises():
-    res = gamma_cap(LINE, unitary_count=2, seed=0)
-    with pytest.raises(GammaPolar):
-        reduce_to_m1(LINE, res)
-
-
-def test_reduce_to_m1_identity_on_1d_input():
-    pred = product_predicate([Segment(-1, 1)])
-    res = gamma_cap(pred, unitary_count=1, seed=0)
-    cloud, unitary = reduce_to_m1(pred, res)
-    assert unitary.matrix.shape == (1, 1)
-    assert np.all(np.abs(np.asarray(cloud.points).imag) < 1e-12)
 
 
 def test_unbounded_box_rejected():
@@ -349,8 +325,61 @@ def test_rotated_disk_times_segment_shadow(entropy):
     step = (re_hi - re_lo) / (PROJECTED_RESOLUTION - 1)
     res = gamma_cap(pred, unitary_count=1, seed=0)
     assert abs(u[0, 0]) - step <= res.value <= abs(u[0, 0]) + abs(u[0, 1])
-    cloud, _ = reduce_to_m1(pred, res)
-    assert len(cloud.points) > 0
+
+
+def test_rotated_square_keeps_the_real_chords():
+    # over a prefix x the fiber of R(S x S), R a real rotation, is the intersection of two
+    # segments: a real chord for real |x| < 1.4, and no more than a point off the real line
+    pred = linear_image([[0.8, 0.6], [-0.6, 0.8]], product_predicate([Segment(-1, 1)] * 2))
+    member = gamma_project(pred).membership
+    assert member(np.array([[0j], [0.6], [-0.6], [1.2], [-1.2], [1.38]])).all()
+    assert not member(np.array([[1.5], [2], [0.5 + 0.01j]])).any()
+
+
+@pytest.mark.parametrize("pred", [ball_predicate([0, 0], 1.0), BIDISK], ids=["ball", "bidisk"])
+def test_projection_under_an_overflowing_inverse_is_empty(pred):
+    # the inverse of a 1e-310 entry is not finite, so the composed map has no finite entry
+    proj = gamma_project(linear_image([[1e-310, 0], [0, 1]], pred))
+    assert proj.bounding_box == (((0.0, 0.0), (0.0, 0.0)),)
+    assert not proj.membership(np.array([[0j], [0.5]])).any()
+
+
+def test_ellipsoid_projection_with_an_overflowing_factor_is_empty():
+    # B = [[1.5e308, 1], [1.5e308, 2]]: taking the last column's direction out of the first
+    # overflows, so the triangular factor is not finite
+    inner = linear_image([[1e-300, 0], [0, 1e-300]], ball_predicate([0, 0], 1.0))
+    pred = linear_image([[4e-8 / 3, -2e-8 / 3], [-1e300, 1e300]], inner)
+    with np.errstate(over="ignore", invalid="ignore"):   # numpy warns in the overflow
+        proj = gamma_project(pred)
+    assert proj.ellipsoid is None and not proj.membership(np.array([[0j]]))[0]
+
+
+def test_final_shape_beyond_the_float_range_is_scanned():
+    # a 1e-300 disk under 1e-30 has a radius below the float range: no shape is formed, and
+    # the scan of its zero-width box finds one point, a polar set
+    pred = linear_image([[1e-30]], product_predicate([Disk(0, 1e-300)]))
+    assert pred.bounding_box == (((0.0, 0.0), (0.0, 0.0)),)
+    assert gamma_cap(pred).value == 0.0
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: SetPredicate(membership=None, bounding_box=(), dimension=0),
+     "predicate dimension must be >= 1"),
+    (lambda: SetPredicate(membership=None, bounding_box=(((0, 1), (0, 1)),), dimension=2),
+     "bounding box must list one entry per coordinate"),
+    (lambda: product_predicate([]), "product 'factors' must be nonempty"),
+    (lambda: ball_predicate([0, complex(math.nan, 0)], 1.0),
+     "ball center must have finite coordinates, got [0j, (nan+0j)]"),
+    (lambda: linear_image([[1, 0]], BIDISK),
+     "linear image 'matrix' must be square, of its predicate's dimension"),
+    (lambda: linear_image([[1, 0], [0, math.inf]], BIDISK),
+     "linear image matrix entries must be finite, got (inf+0j) at (1, 1)"),
+    (lambda: gamma_project(product_predicate([Disk(0, 1)])), "gamma_project needs dimension >= 2"),
+], ids=["dimension_zero", "box_short", "product_empty", "ball_center_nan", "matrix_one_row",
+        "matrix_inf", "project_dimension_one"])
+def test_library_arguments_are_refused_by_name(make, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        make()
 
 
 @pytest.mark.parametrize("eps_cap", [1e-4, 0.1])

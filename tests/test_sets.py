@@ -55,6 +55,10 @@ def test_invalid_shapes_rejected():
         PointCloud(())
     with pytest.raises(ValueError):
         Disk(complex("inf"), 1.0)
+    with pytest.raises(ValueError, match=r"PointCloud point must have finite coordinates"):
+        PointCloud((0j, complex("nan")))
+    with pytest.raises(ValueError, match="UnionSet 'parts' must be nonempty"):
+        UnionSet(())
     with pytest.raises(ValueError):
         discretize(Disk(0, 1), 1)
 
