@@ -34,6 +34,8 @@ class Polynomial1D:
     def __post_init__(self):
         object.__setattr__(self, "coefficients",
                            tuple(complex(c) for c in self.coefficients))
+        object.__setattr__(self, "_array",   # polyval's; the zero polynomial's for ()
+                           np.array(self.coefficients or (0j,), dtype=np.complex128))
 
     @property
     def degree(self):
@@ -48,10 +50,7 @@ class Polynomial1D:
         return self.degree == -math.inf
 
     def __call__(self, z):
-        coeffs = np.asarray(self.coefficients, dtype=np.complex128)
-        if len(coeffs) == 0:
-            coeffs = np.zeros(1, dtype=np.complex128)
-        return np.polynomial.polynomial.polyval(np.asarray(z, dtype=np.complex128), coeffs)
+        return np.polynomial.polynomial.polyval(np.asarray(z, dtype=np.complex128), self._array)
 
 
 def sup_norm(p: Polynomial1D, set_: CompactSet) -> float:
@@ -136,18 +135,19 @@ def verify_bernstein(p: Polynomial1D, set_: CompactSet, test_points) -> Verifica
     under-report g near the set by at most the recorded clamp, which enters
     the bound exponentiated by the degree.  Failures are report entries, not
     exceptions, but a bound beyond the float range raises :class:`FloatOverflow`.
-    Entries keep the input order, and g is evaluated at all of them at once.
+    Entries keep the input order; g and |p| are evaluated at all of them at once.
     """
     green = green_function(set_)
     norm = sup_norm(p, set_)
-    deg = 0 if p.is_zero else int(p.degree)
+    deg = 0 if (zero := p.is_zero) else int(p.degree)
     slack = deg * green.clamp_magnitude + 1e-9
     checks = []
     all_passed = True
-    zs = [complex(z) for z in test_points]
-    for z, g in zip(zs, green(np.array(zs, dtype=np.complex128)).tolist()):
-        bound = 0.0 if p.is_zero else _growth_bound(norm, deg, g, z)
-        value = float(abs(p(z)))
+    zs = np.array(list(map(complex, test_points)), dtype=np.complex128)
+    with np.errstate(over="ignore", invalid="ignore"):   # an overflow is a value, inf or NaN
+        values = np.abs(p(zs)).tolist()
+    for z, g, value in zip(zs.tolist(), green(zs).tolist(), values):
+        bound = 0.0 if zero else _growth_bound(norm, deg, g, z)
         ratio = value / bound if bound > 0 else (0.0 if value == 0 else math.inf)
         ok = value <= bound * (1.0 + slack)
         all_passed &= ok

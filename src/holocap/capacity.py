@@ -363,11 +363,11 @@ class GreenEvaluator:
             with np.errstate(divide="ignore"):
                 return np.where(r >= s.radius, np.log(np.maximum(r, s.radius) / s.radius), 0.0)
         if self.backing == "analytic_segment":
-            # affine map onto [-1, 1]; principal roots factor by factor keep
-            # the branch positive off the segment and avoid the cut of
-            # sqrt(w^2 - 1) on the negative real axis
+            # affine map onto [-1, 1]; principal roots of w - 1 and w + 1, formed from
+            # z - b and z - a to keep their precision next to an end, keep the branch
+            # positive off the segment and avoid the cut of sqrt(w^2 - 1) on the negative real axis
             w = (2.0 * z - (s.a + s.b)) / (s.b - s.a)
-            surd = np.sqrt(w - 1.0) * np.sqrt(w + 1.0)
+            surd = np.sqrt((z - s.b) / (s.b - s.a) * 2.0) * np.sqrt((z - s.a) / (s.b - s.a) * 2.0)
             return np.log(np.abs(w + surd))
         # a union's quadratures, or the discrete equilibrium potential of the
         # near-Fekete points, in blocks of about _GREEN_CHUNK_CELLS point x node

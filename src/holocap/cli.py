@@ -17,6 +17,7 @@ on stderr).  Any other exception is a fault of holocap and is not caught.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import hashlib
 import io
@@ -44,8 +45,28 @@ from .sets import PointCloud, set_from_json
 MATRIX_BYTES = 1 << 32   # largest float64 n x N matrix cap allocates: 4 GiB
 
 
-def _read_points_csv(path: str, data: bytes) -> list:
-    """CSV rows "re,im" of ``data``, read from ``path``; a non-numeric first row is a header."""
+def _read_points_csv(path: str, data: bytes) -> np.ndarray:
+    """The "re,im" rows of the CSV ``data``, read from ``path``, as a complex128 array.
+
+    A blank row is skipped, and so is every row before the first point whose first two
+    cells are not both numbers (headers); cells after the second are ignored.  One pass
+    parses a file without quotes, NUL or a lone CR; csv reads any other file, or one that
+    pass refuses, row by row, and names a refused row by its line."""
+    with contextlib.suppress(ValueError):   # UnicodeDecodeError too
+        text = data.decode("utf-8").replace("\r\n", "\n")
+        lines = text.split("\n")
+        one_pass = (max(map(len, lines)) < csv.field_size_limit()
+                    and not any(c in text for c in '"\r\0'))
+        rows = [line.split(",")[:2] for line in lines if line] if one_pass else []
+        for start, row in enumerate(rows):
+            try:
+                list(map(float, row))
+            except ValueError:   # a header
+                continue
+            z = np.array(list(map(float, itertools.chain.from_iterable(rows[start:]))))
+            if set(map(len, rows[start:])) == {2} and np.isfinite(z).all():
+                return z.view(np.complex128)
+            break
     points = []
     reader = csv.reader(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline=""))
     for row in reader:
@@ -60,7 +81,7 @@ def _read_points_csv(path: str, data: bytes) -> list:
         points.append(schema.check(pair, "pair", f"{path} line {reader.line_num}"))
     if not points:
         raise ValueError(f"no points found in {path}")
-    return points
+    return np.array(points)
 
 
 _CONSTANTS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
@@ -80,30 +101,48 @@ def _token(value) -> str:
 
 def _dumps(doc, nl: str = "\n") -> str:
     """``json.dumps(doc, sort_keys=True, indent=2)``, ``nl`` being the newline and indent
-    of doc's level; lists of floats, of ints and of [re, im] float pairs take a fast path."""
-    inner, items = nl + "  ", None
+    of doc's level."""
+    inner = nl + "  "
     if isinstance(doc, dict):   # a key that is not a string is written as its token, quoted
         items = [_token(k if isinstance(k, str) else _token(k)) + ": " + _dumps(v, inner)
                  for k, v in sorted(doc.items())]
-    elif not isinstance(doc, (list, tuple)):
+    elif isinstance(doc, (list, tuple)):
+        items = _items(doc, inner)
+    else:
         return _token(doc)
-    elif (kinds := set(map(type, doc))) == {list} and set(map(len, doc)) == {2}:
-        flat = list(itertools.chain.from_iterable(doc))
-        if set(map(type, flat)) == {float} and math.isfinite(sum(flat)):   # no NaN, inf
-            pair = "[" + inner + "  %r," + inner + "  %r" + inner + "]"
-            items = list(map(pair.__mod__, zip(flat[::2], flat[1::2])))
-    elif kinds == {int} or kinds == {float} and math.isfinite(sum(doc)):
-        items = list(map(kinds.pop().__repr__, doc))
-    items = [_dumps(v, inner) for v in doc] if items is None else items
     ends = "{}" if isinstance(doc, dict) else "[]"
     return ends[0] + inner + ("," + inner).join(items) + nl + ends[1] if items else ends
 
 
+def _items(doc, inner: str) -> list:
+    """The text of each item of the list ``doc`` at the indent ``inner``: lists of scalars,
+    of [re, im] float pairs and of objects with the same string keys (by column) in bulk."""
+    kinds = set(map(type, doc))
+    if kinds == {list} and set(map(len, doc)) == {2}:
+        flat = list(itertools.chain.from_iterable(doc))
+        if set(map(type, flat)) == {float} and math.isfinite(sum(flat)):   # no NaN, inf
+            pair = "[" + inner + "  %r," + inner + "  %r" + inner + "]"
+            return list(map(pair.__mod__, zip(flat[::2], flat[1::2])))
+    elif (kinds == {dict} and set(map(type, doc[0])) == {str}
+          and all(d.keys() == doc[0].keys() for d in doc)):
+        keys, deeper = sorted(doc[0]), inner + "  "
+        line = "{" + deeper + ("," + deeper).join(
+            _token(k).replace("%", "%%") + ": %s" for k in keys) + inner + "}"
+        columns = [_items([d[k] for d in doc], deeper) for k in keys]
+        return list(map(line.__mod__, zip(*columns)))
+    elif kinds == {int} or kinds == {float} and math.isfinite(sum(doc)):
+        return list(map(kinds.pop().__repr__, doc))
+    elif kinds <= {str, int, float, bool, type(None)}:
+        return list(map(_token, doc))
+    return [_dumps(v, inner) for v in doc]
+
+
 def _write_csv(path: str, header, rows) -> None:
+    """``csv.writer``'s text for the header and rows of ints and floats, in one write."""
+    line = ",".join(["%r"] * len(header)) + "\r\n"
+    text = ",".join(header) + "\r\n" + "".join(map(line.__mod__, rows))
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)   # a float's cell is its repr
-        writer.writerow(header)
-        writer.writerows(rows)
+        fh.write(text)
 
 
 def _sidecar(out: str, suffix: str) -> str:
@@ -150,9 +189,8 @@ def _green(args, docs):
     set_ = set_from_json(docs["set"])
     points = docs["points"]
     green = green_function(set_)
-    values = green(np.asarray(points, dtype=np.complex128))
     table = (args.out, ["re", "im", "g"],
-             ((z.real, z.imag, float(v)) for z, v in zip(points, values)))
+             zip(points.real.tolist(), points.imag.tolist(), green(points).tolist()))
     return {}, {"backing": green.backing, "robin_constant": green.robin_constant,
                 "clamp_magnitude": green.clamp_magnitude}, [table]
 

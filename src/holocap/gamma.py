@@ -236,7 +236,8 @@ def _project_ellipsoid(pred: SetPredicate, eps_cap: float) -> SetPredicate:
         return empty
     unit = last / norm
     rest = b[:, :-1]
-    _, tri = np.linalg.qr(rest - np.outer(unit, unit.conj() @ rest))
+    with np.errstate(over="ignore", invalid="ignore"):   # a non-finite factor is refused below
+        _, tri = np.linalg.qr(rest - np.outer(unit, unit.conj() @ rest))
     kept = r * math.sqrt(1.0 - q * q)
     if not (kept > 0 and np.all(np.isfinite(tri))):
         return empty

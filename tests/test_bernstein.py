@@ -1,13 +1,16 @@
 import math
 import sys
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from holocap.bernstein import Polynomial1D, bernstein_bound, sup_norm, verify_bernstein
-from holocap.errors import GreenUndefinedPolarSet
+from holocap.bernstein import (Polynomial1D, _growth_bound, bernstein_bound, sup_norm,
+                               verify_bernstein)
+from holocap.capacity import green_function
+from holocap.errors import FloatOverflow, GreenUndefinedPolarSet
 from holocap.sets import Disk, PointCloud, Segment, UnionSet
 
 T3 = Polynomial1D((0, -3, 0, 4))           # 4z^3 - 3z
@@ -153,6 +156,50 @@ def test_verify_report_keeps_input_order():
     zs = [3.0 + 0j, 2.0 + 1j, 5.0 - 1j]
     report = verify_bernstein(T3, Disk(0, 1), zs)
     assert [c.z for c in report.checks] == zs
+
+
+def _point_by_point(p, set_, zs):
+    """(|p(z)|, bound) per point as verify_bernstein took them before it evaluated |p| in
+    one array call: one polyval call per point."""
+    green, norm = green_function(set_), sup_norm(p, set_)
+    deg = 0 if p.is_zero else int(p.degree)
+    gs = green(np.array(zs, dtype=np.complex128)).tolist()
+    return [(float(abs(p(z))), 0.0 if p.is_zero else _growth_bound(norm, deg, g, z))
+            for z, g in zip(zs, gs)]
+
+
+@pytest.mark.parametrize("set_", [
+    Disk(0.3 - 0.2j, 1.5), Segment(-1 + 0.5j, 2 - 1j),
+    UnionSet((Segment(-2, -1), Segment(1, 2))), UnionSet((Segment(-2, -1), Disk(2, 0.5))),
+], ids=["disk", "segment", "collinear_union", "disk_and_segment"])
+def test_verify_in_one_array_call_matches_point_by_point(set_):
+    rng = np.random.default_rng(35)
+    zs = [complex(z) for z in 4.0 * (rng.uniform(-1, 1, 100) + 1j * rng.uniform(-1, 1, 100))]
+    for deg in (0, 1, 7, 20):
+        p = Polynomial1D(tuple(rng.standard_normal(deg + 1) + 1j * rng.standard_normal(deg + 1)))
+        report = verify_bernstein(p, set_, zs)
+        # numpy's array loops round a complex product and abs otherwise than its loops for
+        # one value, each within Horner's rounding bound: (deg + 2) multiply-adds and an
+        # abs of at most 2 unit roundoffs each, relative to sum |c_i| |z|^i
+        scale = np.polynomial.polynomial.polyval(np.abs(zs), np.abs(p.coefficients))
+        tol = 4 * (deg + 2) * 2.0 ** -53 * scale
+        slack = report.slack
+        for check, z, (value, bound), t in zip(report.checks, zs, _point_by_point(p, set_, zs),
+                                                tol):
+            assert check.z == z and check.bound == bound
+            assert abs(check.abs_value - value) <= t
+            assert check.passed == (value <= bound * (1.0 + slack))
+            assert check.ratio == check.abs_value / bound
+        assert report.all_passed == all(c.passed for c in report.checks)
+
+
+def test_verify_overflow_at_1e300_reaches_no_warning():
+    # |p| at 1e300 overflows in the array call; the bound there raises, as before
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(FloatOverflow, match=r"the bound at z = \(1e\+300\+0j\) is inf"):
+            verify_bernstein(Polynomial1D((1, 1, 1)), Disk(0, 1), [2, 1e300, 1e300j])
+        assert verify_bernstein(Polynomial1D((1, 1)), Disk(0, 1), [1e300]).checks[0].passed
 
 
 @given(st.complex_numbers(min_magnitude=1e-300, max_magnitude=10,

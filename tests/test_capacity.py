@@ -35,7 +35,7 @@ from holocap.capacity import (
 from holocap.bernstein import Polynomial1D, verify_bernstein
 from holocap.errors import GreenUndefinedPolarSet
 from holocap.gamma import gamma_cap, product_predicate
-from holocap.sets import Disk, PointCloud, Segment, UnionSet, discretize
+from holocap.sets import Disk, PointCloud, Segment, UnionSet, affine_image, discretize
 
 CIRCLE_100 = tuple(np.exp(2j * np.pi * np.arange(100) / 100))
 DUPLICATED_CIRCLE = PointCloud(CIRCLE_100 + CIRCLE_100)
@@ -157,6 +157,32 @@ def test_capacity_scaling(lam):
     base_seg = capacity(Segment(-1, 1), 96).value
     scaled_seg = capacity(Segment(-lam, lam), 96).value
     assert scaled_seg == pytest.approx(abs(lam) * base_seg, rel=0.01)
+
+
+_CLOUD_300 = PointCloud(tuple(np.random.default_rng(7).normal(size=(300, 2)) @ [1, 1j]))
+
+
+@pytest.mark.parametrize("set_", [
+    _CLOUD_300,
+    UnionSet((Disk(0, 1), Segment(1.5, 2.5 + 1j))),
+    UnionSet((Segment(-1, -0.2j), Segment(0.3, 1 + 0.8j))),
+], ids=["cloud", "disk_and_segment", "segments_off_one_line"])
+@pytest.mark.parametrize("a, b", [(1.7 * np.exp(0.9j), -0.4 + 1.3j), (0.3 - 0.1j, 2.0)],
+                         ids=["grow_and_turn", "shrink_and_turn"])
+def test_fekete_estimates_move_with_the_set(set_, a, b):
+    # cap(aK + b) = |a| cap(K) and g_{aK+b}(az + b) = g_K(z).  A map moves the greedy
+    # start and turns a disk's candidates, so both solves may reach other local maxima:
+    # each is trusted to its error bar d_{n/2} - d_n, relative, which a Robin constant
+    # carries as an absolute error, and each potential to its clamp
+    image = affine_image(set_, a, b)
+    est, image_est = capacity(set_, 64, 1024), capacity(image, 64, 1024)
+    rel = est.error_indicator / est.value
+    assert abs(image_est.value / (abs(a) * est.value) - 1.0) <= rel
+    green, image_green = green_function(set_, 64, 1024), green_function(image, 64, 1024)
+    assert green.backing == image_green.backing == "fekete_potential"
+    zs = np.concatenate([_exterior(40), discretize(set_, 40)])
+    slack = rel + max(green.clamp_magnitude, image_green.clamp_magnitude)
+    assert np.max(np.abs(image_green(a * zs + b) - green(zs))) <= slack
 
 
 def full_resum_exchange(cand, sel):
@@ -448,6 +474,23 @@ def test_green_segment_joukowski_value():
     assert g(-2.0) == pytest.approx(math.log(2 + math.sqrt(3)), abs=1e-12)
     near = g(np.array([-2.0 + 1e-9j, -2.0 - 1e-9j]))
     assert abs(near[0] - near[1]) < 1e-6
+
+
+@pytest.mark.parametrize("as_union", [False, True], ids=["segment", "one_part_union"])
+def test_green_segment_next_to_its_ends_matches_mpmath(as_union):
+    # 1e-9 from an end, w - 1 or w + 1 formed from w itself would keep 7 digits
+    mpmath = pytest.importorskip("mpmath")
+    a, b = -0.6 - 0.9j, 1.1 + 0.4j
+    green = green_function(UnionSet((Segment(a, b),)) if as_union else Segment(a, b))
+    assert green.backing == ("analytic_union" if as_union else "analytic_segment")
+    zs = np.concatenate([e + 1e-9 * np.exp(2j * np.pi * np.arange(16) / 16) for e in (a, b)])
+
+    def exact(z):
+        with mpmath.workdps(40):
+            w = (2 * mpmath.mpc(z) - mpmath.mpc(a) - mpmath.mpc(b)) / (mpmath.mpc(b) - a)
+            return float(mpmath.log(abs(w + mpmath.sqrt(w - 1) * mpmath.sqrt(w + 1))))
+
+    assert np.max(np.abs(green(zs) - [exact(z) for z in zs])) <= 1e-15
 
 
 def test_green_fekete_matches_analytic_on_disk():

@@ -8,6 +8,7 @@ import json
 import math
 import runpy
 import sys
+import tempfile
 import warnings
 
 import numpy as np
@@ -16,7 +17,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from holocap import __version__, schema
-from holocap.cli import COMMANDS, _dumps, _plain_args, build_parser, main
+from holocap.cli import (COMMANDS, _dumps, _plain_args, _read_points_csv, _write_csv,
+                         build_parser, main)
 from holocap.extension import ExtensionCertificate
 
 DISK = {"shape": "disk", "center": [0, 0], "radius": 1.0}
@@ -403,7 +405,11 @@ PRODUCT = {"kind": "product", "factors": [{**DISK, "center": [0.5, 0], "radius":
     {"kind": "linear_image", "matrix": [[[1, 0], [0.5, 0]], [[1e300, 0], [1, 0]]], "of": PRODUCT},
     # a rotated image's box is [-r, r] with 2r beyond the float range, and so is its scan
     {**PRODUCT, "factors": [{**DISK, "center": [1.7e308, 0], "radius": 1.5}, SEGMENT]},
-], ids=["matrix_entry_1e300", "disk_center_1.7e308"])
+    # an ellipsoid whose composed matrix has columns near 1.5e308: its projection's
+    # factor overflows, and the projection is empty
+    {"kind": "linear_image", "matrix": [[[4e-8 / 3, 0], [-2e-8 / 3, 0]], [[-1e300, 0], [1e300, 0]]],
+     "of": _diagonal_image(1e-300, 1e-300)},
+], ids=["matrix_entry_1e300", "disk_center_1.7e308", "nested_ellipsoid_1.5e308"])
 def test_gammacap_overflowing_set_is_warning_free(tmp_path, pred):
     out = tmp_path / "g.json"
     with warnings.catch_warnings():
@@ -654,6 +660,86 @@ def test_points_csv_skips_blank_rows(tmp_path):
                  "--out", str(out)]) == 0
     rows = list(csv.reader(open(out)))
     assert [r[:2] for r in rows] == [["re", "im"], ["2.0", "0.0"]]
+
+
+# ---------------------------------------------------------------------------
+# --points in one pass: the same points, or the same refusal, as csv row by row
+# ---------------------------------------------------------------------------
+
+def _row_reader(path, data):
+    """The --points reader as it was before the one-pass parse: csv, row by row."""
+    points = []
+    reader = csv.reader(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline=""))
+    for row in reader:
+        if not row:
+            continue
+        try:
+            pair = list(map(float, row[:2]))
+        except ValueError:
+            if not points:
+                continue
+            pair = row
+        points.append(schema.check(pair, "pair", f"{path} line {reader.line_num}"))
+    if not points:
+        raise ValueError(f"no points found in {path}")
+    return points
+
+
+def _read_both(text):
+    """(one-pass reader's outcome, row reader's outcome) for a str or bytes file: the
+    points' bytes (signs of zero included) or the refusal's type and message."""
+    data, outcomes = text if isinstance(text, bytes) else text.encode(), []
+    for read in (_read_points_csv, _row_reader):
+        try:
+            outcomes.append(np.asarray(read("pts.csv", data), dtype=complex).tobytes())
+        except Exception as err:   # the same refusal, whatever it is
+            outcomes.append((type(err), str(err)))
+    return outcomes
+
+
+_NUMBER = st.one_of(st.floats(allow_nan=False, allow_infinity=False).map(repr),
+                    st.integers(-10**20, 10**20).map(str),
+                    st.sampled_from(["-0", "-0.0", " 1.5", "\t3 ", "1_0", "+2e-3", "5e-324"]))
+_ODD = st.sampled_from(["nan", "-inf", "Infinity", "1e400", "re", "abc", "", " ", '"2.5"',
+                        '"1,5"', '"a""b"', "\x00", "é"])
+_ROW = st.lists(_NUMBER, min_size=2, max_size=3).map(",".join)
+
+
+@st.composite
+def _points_csvs(draw):
+    """Header rows, then rows of two or three numbers, with up to two odd rows (a text,
+    a non-finite or quoted cell, one to three columns, or blank) put in anywhere."""
+    rows = (draw(st.lists(st.sampled_from(["re,im", "x", "re,im,g", "1,re", ""]), max_size=2))
+            + draw(st.lists(_ROW, max_size=6)))
+    for _ in range(draw(st.integers(0, 2))):
+        odd = draw(st.lists(st.one_of(_NUMBER, _ODD), min_size=1, max_size=3).map(",".join))
+        rows.insert(draw(st.integers(0, len(rows))), odd)
+    end = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    return end.join(rows) + draw(st.sampled_from(["", end]))
+
+
+@given(_points_csvs())
+@settings(max_examples=300, deadline=None)
+def test_points_reader_matches_the_row_reader(text):
+    one_pass, rows = _read_both(text)
+    assert one_pass == rows
+
+
+@pytest.mark.parametrize("text", [
+    "re,im\r\n\r\n1.5,-0.0\r\n2,3,x\r\n",   # CRLF, a blank row, a third column: one pass
+    "x\nre,im\n1,2\n",                            # two header rows
+    '"1.5",2\n3,4\n',                             # quotes: csv reads it
+    "1,2\r3,4\r",                                  # lone CRs: csv reads it
+    "1,2\n3,4\nnan,1\n",                          # a NaN after data: line 3 named
+    "1,2\n3\n",                                    # one column after data: line 2 named
+    "re,im\n\n",                                   # no points
+    b"1,2\n\xff,3\n",                              # not UTF-8
+    "1,0." + "0" * csv.field_size_limit() + "\n",   # a field past csv's size limit
+], ids=["crlf_blank_third_column", "two_headers", "quoted", "lone_cr", "nan_after_data",
+        "short_row", "no_points", "not_utf8", "long_field"])
+def test_points_reader_matches_the_row_reader_on(text):
+    one_pass, rows = _read_both(text)
+    assert one_pass == rows
 
 
 def test_points_csv_without_points_exit_two(tmp_path, capsys):
@@ -1175,6 +1261,45 @@ def _written(dumps, doc):
 def test_writer_matches_json_dumps(doc):
     expect = _written(lambda d: json.dumps(d, sort_keys=True, indent=2), doc)
     assert _written(_dumps, doc) == expect
+
+
+# lists of objects with the same keys, as bernstein's checks: the writer's column path
+_KEYS = st.one_of(_STRINGS, st.sampled_from(["%", "%s", "z", "passed"]), st.integers())
+_OBJECT_LISTS = st.sets(_KEYS, max_size=4).flatmap(lambda keys: st.lists(
+    st.fixed_dictionaries({k: st.one_of(_LEAVES, _FAST) for k in keys}), max_size=5))
+
+
+@given(st.one_of(_OBJECT_LISTS, st.lists(_OBJECT_LISTS, max_size=3),
+                 st.dictionaries(_STRINGS, _OBJECT_LISTS, max_size=2)))
+@settings(max_examples=300, deadline=None)
+def test_writer_matches_json_dumps_on_lists_of_objects(doc):
+    expect = _written(lambda d: json.dumps(d, sort_keys=True, indent=2), doc)
+    assert _written(_dumps, doc) == expect
+
+
+def test_writer_writes_a_bernstein_report_as_json_dumps():
+    checks = [{"z": [3.0, -0.0], "abs_value": 1e300, "bound": math.inf, "ratio": 0.0,
+               "passed": True}, {"z": [5e-324, 1.7e308], "abs_value": math.nan, "bound": 2.5,
+                                 "ratio": math.nan, "passed": False}]
+    doc = {"all_passed": False, "checks": checks, "slack": 1e-9}
+    assert _dumps(doc) == json.dumps(doc, sort_keys=True, indent=2)
+
+
+_CELLS = st.one_of(st.floats(), st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324,
+                                                -5e-324, 2.2250738585072014e-308 / 3, 1.7e308,
+                                                -1.7e308]))
+
+
+@given(st.lists(st.one_of(st.tuples(st.integers(), _CELLS), st.tuples(_CELLS, _CELLS)),
+                max_size=8))
+@settings(max_examples=200, deadline=None)
+def test_csv_writer_matches_csv_module(rows):
+    expect = io.StringIO()
+    csv.writer(expect).writerows([("n", "x")] + rows)
+    with tempfile.TemporaryDirectory() as tmp:
+        _write_csv(f"{tmp}/t.csv", ["n", "x"], rows)
+        with open(f"{tmp}/t.csv", "rb") as fh:
+            assert fh.read() == expect.getvalue().encode("utf-8")
 
 
 @pytest.mark.parametrize("leaf", [{1.0}, np.int64(1), 1j, np.bool_(True)],
