@@ -17,7 +17,6 @@ on stderr).  Any other exception is a fault of holocap and is not caught.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import csv
 import hashlib
 import io
@@ -49,39 +48,26 @@ def _read_points_csv(path: str, data: bytes) -> np.ndarray:
     """The "re,im" rows of the CSV ``data``, read from ``path``, as a complex128 array.
 
     A blank row is skipped, and so is every row before the first point whose first two
-    cells are not both numbers (headers); cells after the second are ignored.  One pass
-    parses a file without quotes, NUL or a lone CR; csv reads any other file, or one that
-    pass refuses, row by row, and names a refused row by its line."""
-    with contextlib.suppress(ValueError):   # UnicodeDecodeError too
-        text = data.decode("utf-8").replace("\r\n", "\n")
-        lines = text.split("\n")
-        one_pass = (max(map(len, lines)) < csv.field_size_limit()
-                    and not any(c in text for c in '"\r\0'))
-        rows = [line.split(",")[:2] for line in lines if line] if one_pass else []
-        for start, row in enumerate(rows):
-            try:
-                list(map(float, row))
-            except ValueError:   # a header
-                continue
-            z = np.array(list(map(float, itertools.chain.from_iterable(rows[start:]))))
-            if set(map(len, rows[start:])) == {2} and np.isfinite(z).all():
-                return z.view(np.complex128)
-            break
-    points = []
+    cells are not both numbers (headers); cells after the second are ignored.  A row
+    that is not a pair of finite numbers is refused by its line."""
+    values = []
     reader = csv.reader(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline=""))
     for row in reader:
         if not row:
             continue
         try:
             pair = list(map(float, row[:2]))
+            ok = len(pair) == 2 and math.isfinite(sum(pair))
         except ValueError:
-            if not points:
+            if not values:
                 continue
-            pair = row
-        points.append(schema.check(pair, "pair", f"{path} line {reader.line_num}"))
-    if not points:
+            pair, ok = row, False
+        if not ok:   # refused, or a finite pair whose sum overflows
+            schema.check(pair, "pair", f"{path} line {reader.line_num}")
+        values += pair
+    if not values:
         raise ValueError(f"no points found in {path}")
-    return np.array(points)
+    return np.array(values).view(np.complex128)
 
 
 _CONSTANTS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
@@ -115,8 +101,9 @@ def _dumps(doc, nl: str = "\n") -> str:
 
 
 def _items(doc, inner: str) -> list:
-    """The text of each item of the list ``doc`` at the indent ``inner``: lists of scalars,
-    of [re, im] float pairs and of objects with the same string keys (by column) in bulk."""
+    """The text of each item of the list ``doc`` at the indent ``inner``: lists of ints, of
+    finite floats, of [re, im] float pairs and of objects with the same string keys (by
+    column) in bulk."""
     kinds = set(map(type, doc))
     if kinds == {list} and set(map(len, doc)) == {2}:
         flat = list(itertools.chain.from_iterable(doc))
@@ -132,8 +119,6 @@ def _items(doc, inner: str) -> list:
         return list(map(line.__mod__, zip(*columns)))
     elif kinds == {int} or kinds == {float} and math.isfinite(sum(doc)):
         return list(map(kinds.pop().__repr__, doc))
-    elif kinds <= {str, int, float, bool, type(None)}:
-        return list(map(_token, doc))
     return [_dumps(v, inner) for v in doc]
 
 

@@ -178,6 +178,9 @@ def test_verify_in_one_array_call_matches_point_by_point(set_):
     for deg in (0, 1, 7, 20):
         p = Polynomial1D(tuple(rng.standard_normal(deg + 1) + 1j * rng.standard_normal(deg + 1)))
         report = verify_bernstein(p, set_, zs)
+        # bit for bit the one array call's values
+        array_call = np.abs(np.polynomial.polynomial.polyval(np.array(zs), p._array)).tolist()
+        assert [c.abs_value for c in report.checks] == array_call
         # numpy's array loops round a complex product and abs otherwise than its loops for
         # one value, each within Horner's rounding bound: (deg + 2) multiply-adds and an
         # abs of at most 2 unit roundoffs each, relative to sum |c_i| |z|^i

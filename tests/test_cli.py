@@ -663,11 +663,11 @@ def test_points_csv_skips_blank_rows(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# --points in one pass: the same points, or the same refusal, as csv row by row
+# --points: the same points, or the same refusal, as the reader that checked each row
 # ---------------------------------------------------------------------------
 
 def _row_reader(path, data):
-    """The --points reader as it was before the one-pass parse: csv, row by row."""
+    """The --points reader as it was before it took its points in bulk: schema.check per row."""
     points = []
     reader = csv.reader(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline=""))
     for row in reader:
@@ -686,7 +686,7 @@ def _row_reader(path, data):
 
 
 def _read_both(text):
-    """(one-pass reader's outcome, row reader's outcome) for a str or bytes file: the
+    """(the reader's outcome, the row reader's outcome) for a str or bytes file: the
     points' bytes (signs of zero included) or the refusal's type and message."""
     data, outcomes = text if isinstance(text, bytes) else text.encode(), []
     for read in (_read_points_csv, _row_reader):
@@ -721,25 +721,30 @@ def _points_csvs(draw):
 @given(_points_csvs())
 @settings(max_examples=300, deadline=None)
 def test_points_reader_matches_the_row_reader(text):
-    one_pass, rows = _read_both(text)
-    assert one_pass == rows
+    read, rows = _read_both(text)
+    assert read == rows
 
 
 @pytest.mark.parametrize("text", [
-    "re,im\r\n\r\n1.5,-0.0\r\n2,3,x\r\n",   # CRLF, a blank row, a third column: one pass
+    "re,im\r\n\r\n1.5,-0.0\r\n2,3,x\r\n",   # CRLF, a blank row, a third column
     "x\nre,im\n1,2\n",                            # two header rows
-    '"1.5",2\n3,4\n',                             # quotes: csv reads it
-    "1,2\r3,4\r",                                  # lone CRs: csv reads it
+    '"1.5",2\n3,4\n',                             # quoted cells
+    "1,2\r3,4\r",                                  # lone CRs
+    "1.7e308,1.7e308\n-1.7e308,-1e308\n",         # finite pairs whose sums overflow
     "1,2\n3,4\nnan,1\n",                          # a NaN after data: line 3 named
     "1,2\n3\n",                                    # one column after data: line 2 named
     "re,im\n\n",                                   # no points
     b"1,2\n\xff,3\n",                              # not UTF-8
     "1,0." + "0" * csv.field_size_limit() + "\n",   # a field past csv's size limit
-], ids=["crlf_blank_third_column", "two_headers", "quoted", "lone_cr", "nan_after_data",
-        "short_row", "no_points", "not_utf8", "long_field"])
+    # a refused row ends the read: a fault further on is not reached
+    "1,2\nnan,1\n1,0." + "0" * csv.field_size_limit() + "\n",
+    b"1,2\nnan,1\n" + b"3,4\n" * 5000 + b"\xff\n",
+], ids=["crlf_blank_third_column", "two_headers", "quoted", "lone_cr", "overflowing_sums",
+        "nan_after_data", "short_row", "no_points", "not_utf8", "long_field",
+        "nan_before_long_field", "nan_before_bad_byte"])
 def test_points_reader_matches_the_row_reader_on(text):
-    one_pass, rows = _read_both(text)
-    assert one_pass == rows
+    read, rows = _read_both(text)
+    assert read == rows
 
 
 def test_points_csv_without_points_exit_two(tmp_path, capsys):
