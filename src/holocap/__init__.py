@@ -57,7 +57,6 @@ from .extension import (  # noqa: F401
     EvaluationResult,
     ExtendConfig,
     ExtensionCertificate,
-    MultiIndex,
     PolynomialSequence,
     RadiusProfile,
     certificate_from_json,

@@ -40,7 +40,7 @@ from typing import Sequence
 import numpy as np
 
 from . import schema
-from .errors import GreenUndefinedPolarSet
+from .errors import FloatOverflow, GreenUndefinedPolarSet
 from .sets import CompactSet, Disk, PointCloud, Segment, UnionSet, discretize
 
 #: capacity estimates below this are treated as polar
@@ -340,7 +340,8 @@ class GreenEvaluator:
     ``backing`` is one of "analytic_disk", "analytic_segment", "analytic_union"
     (segments on one line, :func:`_union_green`) and "fekete_potential".
     Evaluations clamp tiny negative values (discrete potentials can dip below
-    zero near the set) to 0; the construction-time clamp magnitude is exposed
+    zero near the set) to 0 and refuse a value beyond the float range with
+    :class:`FloatOverflow`; the construction-time clamp magnitude is exposed
     so consumers can widen tolerances.  A Fekete backing keeps its potential's
     ``points`` and their ``selection``, the positions of the points among the
     solve's candidates.
@@ -387,8 +388,11 @@ class GreenEvaluator:
     def __call__(self, z) -> np.ndarray | float:
         scalar = np.isscalar(z) or (isinstance(z, complex))
         arr = np.atleast_1d(np.asarray(z, dtype=np.complex128))
-        g = np.maximum(self._raw(arr), 0.0)
-        g = np.where(np.isfinite(g), g, 0.0)  # z exactly on a potential node
+        with np.errstate(over="ignore", invalid="ignore"):   # an overflow is refused below
+            g = np.maximum(self._raw(arr), 0.0)   # -inf, z exactly on a potential node, is 0
+        bad = ~np.isfinite(g)
+        if bad.any():
+            raise FloatOverflow(f"g overflows at z = {arr[bad][0]}").with_stage("green")
         return float(g[0]) if scalar and g.size == 1 else g.reshape(np.shape(z))
 
 

@@ -49,22 +49,25 @@ def _read_points_csv(path: str, data: bytes) -> np.ndarray:
 
     A blank row is skipped, and so is every row before the first point whose first two
     cells are not both numbers (headers); cells after the second are ignored.  A row
-    that is not a pair of finite numbers is refused by its line."""
+    that is not a pair of finite numbers, or that csv cannot read, is refused by its line."""
     values = []
     reader = csv.reader(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline=""))
-    for row in reader:
-        if not row:
-            continue
-        try:
-            pair = list(map(float, row[:2]))
-            ok = len(pair) == 2 and math.isfinite(sum(pair))
-        except ValueError:
-            if not values:
+    try:
+        for row in reader:
+            if not row:
                 continue
-            pair, ok = row, False
-        if not ok:   # refused, or a finite pair whose sum overflows
-            schema.check(pair, "pair", f"{path} line {reader.line_num}")
-        values += pair
+            try:
+                pair = list(map(float, row[:2]))
+                ok = len(pair) == 2 and math.isfinite(sum(pair))
+            except ValueError:
+                if not values:
+                    continue
+                pair, ok = row, False
+            if not ok:   # refused, or a finite pair whose sum overflows
+                schema.check(pair, "pair", f"{path} line {reader.line_num}")
+            values += pair
+    except csv.Error as err:   # a cell past csv.field_size_limit(); a NUL byte before 3.11
+        raise ValueError(f"{path} line {reader.line_num}: {err}") from None
     if not values:
         raise ValueError(f"no points found in {path}")
     return np.array(values).view(np.complex128)

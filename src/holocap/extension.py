@@ -52,29 +52,6 @@ from .sets import CompactSet, PointCloud, set_from_json, set_to_json
 # Multi-indices and polynomial sequences
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class MultiIndex:
-    """Tuple of nonnegative integers with its 1-norm."""
-
-    entries: tuple
-
-    def __post_init__(self):
-        entries = tuple(int(e) for e in self.entries)
-        if not entries:
-            raise ValueError("MultiIndex needs at least one entry")
-        if any(e < 0 for e in entries):
-            raise ValueError(f"MultiIndex entries must be nonnegative: {entries}")
-        object.__setattr__(self, "entries", entries)
-
-    @property
-    def norm(self) -> int:
-        return sum(self.entries)
-
-    @property
-    def k(self) -> int:
-        return len(self.entries)
-
-
 _INDEX_FIELDS = (("k", "int>=1", 1), ("max_norm", "int>=0"))
 
 
@@ -89,9 +66,14 @@ def _index_rows(k: int, max_norm: int) -> np.ndarray:
     return rows[np.argsort(rows.sum(axis=1), kind="stable")]
 
 
-def _row(entries: tuple) -> int:
-    """Row of a multi-index in the enumeration of :func:`_index_rows`."""
-    k = len(entries)
+def _row(index, k: int, what: str = "index") -> int:
+    """Row of a multi-index in the enumeration of :func:`_index_rows`; ValueError naming
+    ``index`` unless it is k nonnegative integers."""
+    if len(index) != k or any(isinstance(e, bool) or not isinstance(e, numbers.Integral)
+                              or e < 0 for e in index):
+        raise ValueError(f"{what} {schema.shown(index)} must have length {k} and "
+                         "nonnegative integer entries")
+    entries = tuple(map(int, index))
     rest = sum(entries)
     row = comb(rest + k - 1, k)   # the indices of smaller norm
     for i, e in enumerate(entries[:-1]):
@@ -101,14 +83,6 @@ def _row(entries: tuple) -> int:
     return row
 
 
-def iter_indices(k: int, lo: int, hi: int):
-    """All multi-indices of length k with lo <= norm <= hi, by norm then lex."""
-    rows = _index_rows(k, max(hi, 0))
-    norms = rows.sum(axis=1)
-    for entries in rows[(norms >= lo) & (norms <= hi)].tolist():
-        yield MultiIndex(tuple(entries))
-
-
 _CHUNK_CELLS = 1 << 15   # (norm, block) pairs x points norm_peaks evaluates at once (512 KB)
 
 
@@ -116,7 +90,7 @@ class PolynomialSequence:
     """Coefficient family of a power series: every index up to a norm cutoff.
 
     Row r is the index ``entries[r]`` of norm ``norms[r]``, in
-    :func:`iter_indices` order, and the rows of norm j are
+    :func:`_index_rows` order, and the rows of norm j are
     ``starts[j]:starts[j + 1]``.  Its polynomial, of degree ``degrees[r]``
     (-inf for zero), is coefficient block ``blocks[r]``; equal rows may share
     a block.  Block b holds the ``counts[b]`` >= 1 coefficients
@@ -146,17 +120,16 @@ class PolynomialSequence:
         self.max_norm = len(self.starts) - 2
         self.k = entries.shape[1]
 
-    def poly(self, index: MultiIndex) -> Polynomial1D:
-        if index.k != self.k:
-            raise ValueError(f"index length {index.k} != sequence k {self.k}")
-        if index.norm > self.max_norm:
-            raise ValueError(f"index norm {index.norm} beyond available {self.max_norm}")
-        b = self.blocks[_row(index.entries)]
-        a = self.offsets[b]
-        return Polynomial1D(tuple(self.coeffs[a:a + self.counts[b]].tolist()))
+    def _block(self, row: int) -> np.ndarray:   # row's coefficients, ascending
+        b = self.blocks[row]
+        return self.coeffs[self.offsets[b]:self.offsets[b] + self.counts[b]]
 
-    def indices(self, lo: int = 0, hi: int | None = None):
-        return iter_indices(self.k, lo, self.max_norm if hi is None else hi)
+    def poly(self, index: tuple) -> Polynomial1D:
+        """P_n for the tuple ``index`` of k nonnegative integers, of norm at most max_norm."""
+        row = _row(index, self.k)
+        if row >= len(self.blocks):
+            raise ValueError(f"index norm {sum(index)} beyond available {self.max_norm}")
+        return Polynomial1D(tuple(self._block(row).tolist()))
 
     def _horner(self, zs: np.ndarray, blocks: np.ndarray) -> np.ndarray:
         """The polynomials of ``blocks`` (block indices, in their order) at every point of zs.
@@ -260,11 +233,7 @@ def _table(items, max_norm: int, k: int, declared_C0: float | None = None,
     polys = [(0j,)] * len(entries)
     seen = set()
     for index, coefficients in items:
-        if len(index) != k or any(isinstance(e, bool) or not isinstance(e, numbers.Integral)
-                                  or e < 0 for e in index):
-            raise ValueError(f"table index {schema.shown(index)} must have length {k} and "
-                             "nonnegative integer entries")
-        r = _row(tuple(int(e) for e in index))
+        r = _row(index, k, "table index")
         if r in seen:
             raise ValueError(f"table index {schema.shown(index)} is repeated")
         seen.add(r)
@@ -776,18 +745,15 @@ def ring_multiply(f: PolynomialSequence, g: PolynomialSequence,
         raise ValueError(
             f"need both factors past norm {n_max}; have {f.max_norm} and {g.max_norm}")
     P = np.polynomial.polynomial
-    table = {}
-    for idx in iter_indices(f.k, 0, n_max):
+    items = []
+    for n in f.entries[f.norms <= n_max].tolist():
         acc = np.zeros(1, dtype=np.complex128)
         # every componentwise-smaller-or-equal a, in lexicographic order
-        for a_entries in itertools.product(*(range(e + 1) for e in idx.entries)):
-            a = MultiIndex(a_entries)
-            b = MultiIndex(tuple(n - x for n, x in zip(idx.entries, a_entries)))
-            pa = np.asarray(f.poly(a).coefficients, dtype=np.complex128)
-            pb = np.asarray(g.poly(b).coefficients, dtype=np.complex128)
-            acc = P.polyadd(acc, P.polymul(pa, pb))
-        table[idx.entries] = Polynomial1D(tuple(acc))
-    return table_sequence(table, max_norm=n_max, k=f.k)
+        for a in itertools.product(*(range(e + 1) for e in n)):
+            b = [x - y for x, y in zip(n, a)]
+            acc = P.polyadd(acc, P.polymul(f._block(_row(a, f.k)), g._block(_row(b, f.k))))
+        items.append((n, tuple(acc.tolist())))
+    return _table(items, n_max, f.k)
 
 
 # ---------------------------------------------------------------------------

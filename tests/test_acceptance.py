@@ -17,7 +17,6 @@ from holocap.bernstein import Polynomial1D, verify_bernstein
 from holocap.capacity import FEKETE_N, capacity, fekete_green, green_function, robin_constant
 from holocap.cli import main
 from holocap.extension import (
-    MultiIndex,
     certify_extension,
     certify_uniform,
     evaluate,
@@ -199,7 +198,7 @@ def test_criterion_7_ring_closure():
     left = ring_multiply(ring_multiply(f, g, 8), h, 8)
     right = ring_multiply(f, ring_multiply(g, h, 8), 8)
     for n in range(9):
-        idx = MultiIndex((n,))
+        idx = (n,)
         assert left.poly(idx).coefficients == right.poly(idx).coefficients
     return "20 pairs closed, associativity exact"
 

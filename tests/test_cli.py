@@ -524,6 +524,47 @@ def test_bernstein_far_set_exit_three_without_warning(tmp_path, capsys, set_doc)
                                        "z = (3+0j) is inf\n")
 
 
+def _beyond_float_range(z):
+    return f"pipeline failure [green]: g overflows at z = {z}\n"
+
+
+@pytest.mark.parametrize("set_doc, z", [(DISK, 1.5e308 + 1.5e308j), (SEGMENT, 1e308 + 0j)],
+                         ids=["disk", "segment"])
+def test_green_beyond_the_float_range_exit_three(tmp_path, capsys, set_doc, z):
+    # g(z) is about 710, but |z| or 2 z overflows: g = 0 was written, exit 0
+    pts_path = write_points_csv(tmp_path / "pts.csv", [2 + 0j, z])
+    out = tmp_path / "g.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")   # a numpy overflow warning fails the test
+        code = main(["green", "--set", write(tmp_path / "s.json", set_doc), "--points", pts_path,
+                     "--out", str(out)])
+    assert code == 3 and not out.exists()
+    assert capsys.readouterr().err == _beyond_float_range(z)
+
+
+def test_bernstein_green_beyond_the_float_range_exit_three(tmp_path, capsys):
+    # g = 0 made the bound of p(z) = z sup_K |p| = 1 there: a false violation, exit 0
+    poly_path = write(tmp_path / "p.json", {"coefficients": [[0, 0], [1, 0]]})
+    pts_path = write_points_csv(tmp_path / "pts.csv", [2 + 0j, 1.5e308 + 1.5e308j])
+    out = tmp_path / "b.json"
+    code = main(["bernstein", "--poly", poly_path, "--set", write(tmp_path / "disk.json", DISK),
+                 "--points", pts_path, "--out", str(out)])
+    assert code == 3 and not out.exists()
+    assert capsys.readouterr().err == _beyond_float_range(1.5e308 + 1.5e308j)
+
+
+def test_eval_green_beyond_the_float_range_exit_three(tmp_path, capsys):
+    # g = 0 put z2 inside the domain: "value": [NaN, NaN] with a finite tail bound, exit 0
+    seq_path, cert = _extend_cert(tmp_path)
+    out = tmp_path / "v.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")   # a numpy overflow warning fails the test
+        code = main(["eval", "--cert", str(cert), "--seq", seq_path, "--z1", "0.1+0j",
+                     "--z2=1.5e308+1.5e308j", "--out", str(out)])
+    assert code == 3 and not out.exists()
+    assert capsys.readouterr().err == _beyond_float_range(1.5e308 + 1.5e308j)
+
+
 def test_extend_single_point_exit_three(tmp_path, capsys):
     seq_path = write(tmp_path / "seq.json", GEOMETRIC)
     samples_path = write(tmp_path / "samples.json", [[1.0, 0.0]])
@@ -667,19 +708,23 @@ def test_points_csv_skips_blank_rows(tmp_path):
 # ---------------------------------------------------------------------------
 
 def _row_reader(path, data):
-    """The --points reader as it was before it took its points in bulk: schema.check per row."""
+    """The --points reader as it was before it took its points in bulk: schema.check per
+    row, and a row csv cannot read refused by its line."""
     points = []
     reader = csv.reader(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline=""))
-    for row in reader:
-        if not row:
-            continue
-        try:
-            pair = list(map(float, row[:2]))
-        except ValueError:
-            if not points:
+    try:
+        for row in reader:
+            if not row:
                 continue
-            pair = row
-        points.append(schema.check(pair, "pair", f"{path} line {reader.line_num}"))
+            try:
+                pair = list(map(float, row[:2]))
+            except ValueError:
+                if not points:
+                    continue
+                pair = row
+            points.append(schema.check(pair, "pair", f"{path} line {reader.line_num}"))
+    except csv.Error as err:
+        raise ValueError(f"{path} line {reader.line_num}: {err}") from None
     if not points:
         raise ValueError(f"no points found in {path}")
     return points
@@ -745,6 +790,16 @@ def test_points_reader_matches_the_row_reader(text):
 def test_points_reader_matches_the_row_reader_on(text):
     read, rows = _read_both(text)
     assert read == rows
+
+
+def test_points_cell_past_the_csv_field_limit_exit_two(tmp_path, capsys):
+    points = tmp_path / "pts.csv"
+    points.write_text("1,2\n1,0." + "0" * csv.field_size_limit() + "\n", encoding="utf-8")
+    assert main(["green", "--set", write(tmp_path / "disk.json", DISK), "--points", str(points),
+                 "--out", str(tmp_path / "g.csv")]) == 2
+    assert capsys.readouterr().err == (f"input error: {points} line 2: field larger than "
+                                       f"field limit ({csv.field_size_limit()})\n")
+    assert not (tmp_path / "g.csv").exists()
 
 
 def test_points_csv_without_points_exit_two(tmp_path, capsys):

@@ -28,7 +28,6 @@ from holocap.errors import (
 from holocap.extension import (
     ExtendConfig,
     ExtensionCertificate,
-    MultiIndex,
     PolynomialSequence,
     RadiusProfile,
     _index_rows,
@@ -43,7 +42,6 @@ from holocap.extension import (
     evaluate,
     fit_degree_growth,
     geometric_sequence,
-    iter_indices,
     radius_profile,
     ring_multiply,
     sequence_from_json,
@@ -60,30 +58,30 @@ CIRCLE_CLOUD = PointCloud(tuple(CIRCLE))
 
 
 # ---------------------------------------------------------------------------
-# multi-indices
+# indices
 # ---------------------------------------------------------------------------
 
-def test_multi_index_basics():
-    idx = MultiIndex((2, 0, 3))
-    assert idx.norm == 5 and idx.k == 3
-    with pytest.raises(ValueError):
-        MultiIndex((-1,))
-    with pytest.raises(ValueError):
-        MultiIndex(())
+def _indices(seq, lo=0, hi=None):
+    """The index tuples of norm lo to hi (max_norm by default), in row order."""
+    rows = seq.entries[seq.starts[lo]:seq.starts[(seq.max_norm if hi is None else hi) + 1]]
+    return list(map(tuple, rows.tolist()))
 
 
 def test_poly_refuses_an_index_the_sequence_lacks():
     seq = geometric_sequence(2, 10, k=2)
-    with pytest.raises(ValueError, match="index length 1 != sequence k 2"):
-        seq.poly(MultiIndex((1,)))
+    for index in [(1,), (1, 2, 0), (-1, 2), (1.0, 2), (True, 2)]:
+        with pytest.raises(ValueError, match=re.escape(
+                f"index {index!r} must have length 2 and nonnegative integer entries")):
+            seq.poly(index)
     with pytest.raises(ValueError, match="index norm 11 beyond available 10"):
-        seq.poly(MultiIndex((5, 6)))
+        seq.poly((5, 6))
 
 
-@given(st.lists(st.integers(min_value=0, max_value=50), min_size=1, max_size=4))
-@settings(max_examples=50, deadline=None)
-def test_multi_index_norm_is_sum(entries):
-    assert MultiIndex(tuple(entries)).norm == sum(entries)
+def test_poly_reads_the_row_of_its_tuple():
+    seq = geometric_sequence(2, 10, k=2)
+    assert seq.poly((2, 3)).coefficients == (0j,) * 5 + (32 + 0j,)
+    assert seq.poly((np.int64(0), 0)) == seq.poly((0, 0)) == Polynomial1D((1,))
+    assert seq.poly((10, 0)).degree == seq.poly((0, 10)).degree == 10
 
 
 # ---------------------------------------------------------------------------
@@ -215,9 +213,9 @@ def test_uniform_bound_invariant_exact():
     seq = geometric_sequence(1 + 1j, 40)
     cloud, rho1, m0, _, _ = uniform_bound_compact(seq, CIRCLE_CLOUD, rho0=4.0)
     pts = np.asarray(cloud.points)
-    for idx in seq.indices():
+    for idx in _indices(seq):
         vals = np.abs(seq.poly(idx)(pts))
-        assert np.all(vals <= m0 * rho1 ** idx.norm)
+        assert np.all(vals <= m0 * rho1 ** sum(idx))
 
 
 # ---------------------------------------------------------------------------
@@ -532,16 +530,16 @@ def test_ring_square_of_geometric():
     f = geometric_sequence(1, 20)
     prod = ring_multiply(f, f, 20)
     for n in (0, 1, 5, 20):
-        coeffs = prod.poly(MultiIndex((n,))).coefficients
+        coeffs = prod.poly((n,)).coefficients
         assert coeffs[-1] == n + 1  # (n+1) z^n
-        assert prod.poly(MultiIndex((n,))).degree == n
+        assert prod.poly((n,)).degree == n
 
 
 def test_ring_identity():
     f = geometric_sequence(2 - 1j, 15)
     prod = ring_multiply(f, delta_sequence(1, 15), 15)
     for n in range(16):
-        assert prod.poly(MultiIndex((n,))) == f.poly(MultiIndex((n,)))
+        assert prod.poly((n,)) == f.poly((n,))
 
 
 def test_ring_multiply_two_variables():
@@ -550,7 +548,7 @@ def test_ring_multiply_two_variables():
     prod = ring_multiply(f, f, 6)
     for entries in ((0, 0), (1, 0), (0, 3), (2, 4), (3, 3)):
         n1, n2 = entries
-        p = prod.poly(MultiIndex(entries))
+        p = prod.poly(entries)
         assert p.degree == n1 + n2
         assert p.coefficients[-1] == (n1 + 1) * (n2 + 1) * 2.0 ** (n1 + n2)
 
@@ -593,14 +591,14 @@ def test_ring_associativity_exact():
     left = ring_multiply(ring_multiply(f, g, 8), h, 8)
     right = ring_multiply(f, ring_multiply(g, h, 8), 8)
     for n in range(9):
-        idx = MultiIndex((n,))
+        idx = (n,)
         assert left.poly(idx).coefficients == right.poly(idx).coefficients
 
 
 def test_ring_multiply_k2():
     f = geometric_sequence(1, 6, k=2)
     prod = ring_multiply(f, delta_sequence(1, 6, k=2), 6)
-    idx = MultiIndex((2, 3))
+    idx = (2, 3)
     assert prod.poly(idx).coefficients == f.poly(idx).coefficients
 
 
@@ -615,19 +613,19 @@ def test_ring_multiply_k2():
 def _ref_fit_degree_growth(seq):
     if seq.max_norm < 1:
         raise ValueError(f"degree-growth fit needs 'max_norm' >= 1, got {seq.max_norm}")
-    degrees = [(idx, seq.poly(idx).degree) for idx in seq.indices()]
+    degrees = [(idx, seq.poly(idx).degree) for idx in _indices(seq)]
     if seq.declared_C0 is not None or seq.declared_C1 is not None:
         c0 = float(seq.declared_C0 or 0.0)
         c1 = float(seq.declared_C1 or 0.0)
         for idx, deg in degrees:
-            if deg > c0 + c1 * idx.norm:
+            if deg > c0 + c1 * sum(idx):
                 raise DegreeGrowthViolated(
-                    f"deg P_{idx.entries} = {deg} exceeds declared "
-                    f"{c0} + {c1} * {idx.norm}")
+                    f"deg P_{idx} = {deg} exceeds declared "
+                    f"{c0} + {c1} * {sum(idx)}")
         return c0, c1
     c0 = 0.0
     for idx, deg in degrees:
-        if idx.norm == 0 and deg > c0:
+        if sum(idx) == 0 and deg > c0:
             c0 = float(deg)
     return c0, _ref_degree_slope(degrees, c0)
 
@@ -635,8 +633,8 @@ def _ref_fit_degree_growth(seq):
 def _ref_degree_slope(degrees, c0):
     slope = 0.0
     for idx, deg in degrees:
-        if idx.norm >= 1 and deg != -math.inf:
-            slope = max(slope, (deg - c0) / idx.norm)
+        if sum(idx) >= 1 and deg != -math.inf:
+            slope = max(slope, (deg - c0) / sum(idx))
     return slope
 
 
@@ -647,7 +645,7 @@ def _ref_tail_slope(seq, c0):
         if start < 1:
             continue
         slope = _ref_degree_slope(((idx, seq.poly(idx).degree)
-                                   for idx in seq.indices(start)), c0)
+                                   for idx in _indices(seq, start)), c0)
         if slope < best_slope:
             best_slope, best_start = slope, start
     return best_slope, best_start
@@ -657,9 +655,9 @@ def _ref_radius_profile(seq, samples, window):
     lo = max(1, seq.max_norm - window + 1)
     zs = np.asarray(list(samples), dtype=np.complex128)
     rate = np.zeros(len(zs))
-    for idx in seq.indices(lo, seq.max_norm):
+    for idx in _indices(seq, lo, seq.max_norm):
         vals = np.abs(seq.poly(idx)(zs))
-        np.maximum(rate, np.where(vals > 0.0, vals ** (1.0 / idx.norm), 0.0), out=rate)
+        np.maximum(rate, np.where(vals > 0.0, vals ** (1.0 / sum(idx)), 0.0), out=rate)
     return RadiusProfile(tuple((complex(z), (1.0 / r) if r > 0.0 else math.inf)
                                for z, r in zip(zs, rate)))
 
@@ -672,7 +670,7 @@ def _ref_norm_radius_profile(seq, samples, window):
     zs = np.asarray(list(samples), dtype=np.complex128)
     rate = np.zeros(len(zs))
     for j in range(lo, seq.max_norm + 1):
-        vals = np.max([np.abs(seq.poly(idx)(zs)) for idx in seq.indices(j, j)], axis=0)
+        vals = np.max([np.abs(seq.poly(idx)(zs)) for idx in _indices(seq, j, j)], axis=0)
         roots = np.where(vals > 0.0, vals ** (1.0 / j), np.where(np.isnan(vals), np.inf, 0.0))
         np.maximum(rate, roots, out=rate)
     return RadiusProfile(tuple((complex(z), (1.0 / r) if r > 0.0 else math.inf)
@@ -693,10 +691,10 @@ def _ref_uniform_bound_compact(seq, stratum, rho0, eps_cap):
     pts = np.asarray(stratum.points, dtype=np.complex128)
     values = {}
     phi = np.zeros(len(pts))
-    for idx in seq.indices():
+    for idx in _indices(seq):
         vals = np.abs(seq.poly(idx)(pts))
-        values[idx.entries] = vals
-        np.maximum(phi, vals * rho0 ** (-idx.norm), out=phi)
+        values[idx] = vals
+        np.maximum(phi, vals * rho0 ** (-sum(idx)), out=phi)
     chosen = None
     for exp2 in range(0, 65):
         level = float(2 ** exp2)
@@ -712,19 +710,19 @@ def _ref_uniform_bound_compact(seq, stratum, rho0, eps_cap):
     level, mask, est = chosen
     m0 = 1.0
     rho1 = 0.0
-    for idx in seq.indices():
-        vals = values[idx.entries][mask]
-        if idx.norm == 0:
+    for idx in _indices(seq):
+        vals = values[idx][mask]
+        if sum(idx) == 0:
             m0 = max(m0, float(vals.max()))
         else:
             nz = vals[vals > 0.0]
             if len(nz):
-                rho1 = max(rho1, float(np.max(nz ** (1.0 / idx.norm))))
+                rho1 = max(rho1, float(np.max(nz ** (1.0 / sum(idx)))))
     if rho1 == 0.0:
         rho1 = 1.0
-    for idx in seq.indices(1):
-        vals = values[idx.entries][mask]
-        while np.any(vals > m0 * rho1 ** idx.norm):
+    for idx in _indices(seq, 1):
+        vals = values[idx][mask]
+        while np.any(vals > m0 * rho1 ** sum(idx)):
             rho1 = math.nextafter(rho1, math.inf)
     cloud = PointCloud(tuple(complex(z) for z in pts[mask]))
     return cloud, rho1, m0, level, est
@@ -765,8 +763,8 @@ def _table_sequences(draw, max_norm_hi: int = 6, coeffs=_COEFFS):
     """table_sequence with k in {1, 2, 3}; a skipped index is the zero polynomial."""
     k = draw(st.sampled_from((1, 2, 3)))
     max_norm = draw(st.integers(1, max_norm_hi))
-    entries = {idx.entries: Polynomial1D(draw(coeffs))
-               for idx in iter_indices(k, 0, max_norm) if draw(st.booleans())}
+    entries = {idx: Polynomial1D(draw(coeffs))
+               for idx in map(tuple, _index_rows(k, max_norm).tolist()) if draw(st.booleans())}
     return table_sequence(entries, max_norm, k)
 
 
@@ -790,7 +788,7 @@ def test_norm_peaks_bit_identical_to_polyval(seq, points, chunk_cells, data):
         peaks = seq.norm_peaks(zs, lo, hi)
     assert peaks.shape == (hi - lo + 1, len(zs))
     for j in range(lo, hi + 1):
-        expect = np.max([np.abs(seq.poly(idx)(zs)) for idx in seq.indices(j, j)], axis=0)
+        expect = np.max([np.abs(seq.poly(idx)(zs)) for idx in _indices(seq, j, j)], axis=0)
         assert peaks[j - lo].tobytes() == expect.tobytes()
 
 
@@ -820,15 +818,15 @@ def _uniform_cases():
     rng = np.random.default_rng(2024)
     tables = []
     for k in (1, 2, 3):
-        entries = {idx.entries: Polynomial1D(tuple(rng.normal(size=int(rng.integers(0, 5)))
-                                                   * 10.0 ** rng.uniform(-2, 2)))
-                   for idx in iter_indices(k, 0, 6)}
+        entries = {idx: Polynomial1D(tuple(rng.normal(size=int(rng.integers(0, 5)))
+                                           * 10.0 ** rng.uniform(-2, 2)))
+                   for idx in map(tuple, _index_rows(k, 6).tolist())}
         tables.append(table_sequence(entries, 6, k))
     # coefficient moduli up to 1e300, so that values overflow at the larger radii
     for k in (1, 2):
-        entries = {idx.entries: Polynomial1D(tuple(rng.normal(size=int(rng.integers(1, 5)))
-                                                   * 10.0 ** rng.uniform(0, 300)))
-                   for idx in iter_indices(k, 0, 5)}
+        entries = {idx: Polynomial1D(tuple(rng.normal(size=int(rng.integers(1, 5)))
+                                           * 10.0 ** rng.uniform(0, 300)))
+                   for idx in map(tuple, _index_rows(k, 5).tolist())}
         tables.append(table_sequence(entries, 5, k))
     return [geometric_sequence(1.3 - 0.4j, 30), geometric_sequence(0.9 + 0.5j, 12, k=2),
             geometric_sequence(1.1, 8, k=3), sqrt_degree_sequence(60),
@@ -917,7 +915,7 @@ def test_table_blocks_are_byte_exact():
 def test_table_missing_indices_share_one_zero_block():
     seq = table_sequence({(0, 0): Polynomial1D((2j,)), (1, 1): Polynomial1D((1, 3)),
                           (0, 3): Polynomial1D(())}, 3, k=2)
-    given = [_row((0, 0)), _row((1, 1))]
+    given = [_row((0, 0), 2), _row((1, 1), 2)]
     zero = np.setdiff1d(np.arange(len(seq.blocks)), given)   # (0, 3) is empty: zero too
     assert len(zero) == 8 and len(np.unique(seq.blocks[zero])) == 1
     assert _row_coeffs(seq, zero[0]).tobytes() == np.zeros(1, np.complex128).tobytes()
@@ -955,7 +953,7 @@ def test_norm_peaks_of_monomial_rows_bit_identical_to_polyval(seq, chunk_cells):
     zs = np.array([1.3, -0.7 + 0.2j, complex(-0.0, 1.1), complex(0.95, -0.0), 0.01j, 2.0 - 3.0j])
     with mock.patch.object(extension, "_CHUNK_CELLS", chunk_cells), np.errstate(all="ignore"):
         peaks = seq.norm_peaks(zs, 0, seq.max_norm)
-        expect = [np.max([np.abs(seq.poly(idx)(zs)) for idx in seq.indices(j, j)], axis=0)
+        expect = [np.max([np.abs(seq.poly(idx)(zs)) for idx in _indices(seq, j, j)], axis=0)
                   for j in range(seq.max_norm + 1)]
     assert peaks.tobytes() == np.array(expect).tobytes()
 
@@ -982,13 +980,13 @@ def _repeating_tables(draw):
     whose rows are all distinct."""
     k = draw(st.sampled_from((1, 2, 3)))
     max_norm = draw(st.integers(1, 6))
-    indices = list(iter_indices(k, 0, max_norm))
+    indices = list(map(tuple, _index_rows(k, max_norm).tolist()))
     if draw(st.booleans()):   # row r leads with r + 1
         rows = [(complex(r + 1),) + draw(_COEFFS) for r in range(len(indices))]
     else:
         pool = [c for _ in range(draw(st.integers(1, 3))) for c in _twins(draw(_COEFFS))]
         rows = [draw(st.sampled_from(pool)) for _ in indices]
-    return table_sequence({idx.entries: Polynomial1D(c) for idx, c in zip(indices, rows)},
+    return table_sequence({idx: Polynomial1D(c) for idx, c in zip(indices, rows)},
                           max_norm, k)
 
 
@@ -1001,7 +999,7 @@ def test_norm_peaks_of_repeated_rows_bit_identical_to_polyval(seq, points, chunk
     with mock.patch.object(extension, "_CHUNK_CELLS", chunk_cells):
         peaks = seq.norm_peaks(zs, lo, hi)
     for j in range(lo, hi + 1):
-        expect = np.max([np.abs(seq.poly(idx)(zs)) for idx in seq.indices(j, j)], axis=0)
+        expect = np.max([np.abs(seq.poly(idx)(zs)) for idx in _indices(seq, j, j)], axis=0)
         nan = np.isnan(expect)
         assert np.array_equal(np.isnan(peaks[j - lo]), nan)
         assert peaks[j - lo][~nan].tobytes() == expect[~nan].tobytes()
@@ -1104,7 +1102,7 @@ def _ref_compositions(total, parts):
 
 def _ref_geometric(lam):
     lam = complex(lam)
-    return lambda idx: Polynomial1D((0,) * idx.norm + (lam ** idx.norm,))
+    return lambda idx: Polynomial1D((0,) * sum(idx) + (lam ** sum(idx),))
 
 
 def _ref_constant(value):
@@ -1114,17 +1112,17 @@ def _ref_constant(value):
 
 def _ref_delta(value):
     unit, zero = Polynomial1D((complex(value),)), Polynomial1D((0j,))
-    return lambda idx: unit if idx.norm == 0 else zero
+    return lambda idx: unit if sum(idx) == 0 else zero
 
 
 def _ref_sqrt_degree():
-    return lambda idx: Polynomial1D((0,) * math.isqrt(idx.norm) + (1,))
+    return lambda idx: Polynomial1D((0,) * math.isqrt(sum(idx)) + (1,))
 
 
 def _ref_arrays(provider, k, max_norm):
-    indices = [MultiIndex(e) for j in range(max_norm + 1) for e in _ref_compositions(j, k)]
+    indices = [e for j in range(max_norm + 1) for e in _ref_compositions(j, k)]
     polys = [provider(idx) for idx in indices]
-    entries = np.array([idx.entries for idx in indices], dtype=np.int64).reshape(-1, k)
+    entries = np.array(indices, dtype=np.int64).reshape(-1, k)
     norms = entries.sum(axis=1)
     return {"entries": entries, "norms": norms,
             "degrees": np.array([p.degree for p in polys], dtype=np.float64),
@@ -1176,7 +1174,7 @@ def test_builtin_family_arrays_match_reference(family, k, max_norm):
 def test_builtin_family_stores_one_block_per_norm(family, k, max_norm):
     build, args, provider = family
     seq = build(*args, max_norm, k)
-    per_norm = [len(provider(MultiIndex((j,) + (0,) * (k - 1))).coefficients)
+    per_norm = [len(provider((j,) + (0,) * (k - 1)).coefficients)
                 for j in range(max_norm + 1)]
     assert len(seq.counts) == max_norm + 1 and seq.counts.tolist() == per_norm
     assert len(seq.coeffs) == sum(per_norm)
@@ -1188,8 +1186,9 @@ def _tables(draw):
     """(entries, max_norm, k) of a table_sequence; some entries lie beyond max_norm."""
     k = draw(st.sampled_from((1, 2, 3)))
     max_norm = draw(st.integers(0, 5))
-    entries = {idx.entries: Polynomial1D(draw(_COEFFS))
-               for idx in iter_indices(k, 0, max_norm + 1) if draw(st.booleans())}
+    entries = {idx: Polynomial1D(draw(_COEFFS))
+               for idx in map(tuple, _index_rows(k, max_norm + 1).tolist())
+               if draw(st.booleans())}
     return entries, max_norm, k
 
 
@@ -1198,18 +1197,21 @@ def _tables(draw):
 def test_table_arrays_match_reference(table):
     entries, max_norm, k = table
     zero = Polynomial1D((0j,))
-    ref = _ref_arrays(lambda idx: entries.get(idx.entries, zero), k, max_norm)
+    ref = _ref_arrays(lambda idx: entries.get(idx, zero), k, max_norm)
     _assert_arrays_equal(table_sequence(entries, max_norm, k), ref)
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
-def test_iter_indices_match_recursive_enumeration(k):
+def test_index_rows_match_recursive_enumeration(k):
     rows = [e for j in range(9) for e in _ref_compositions(j, k)]
-    assert [extension._row(e) for e in rows] == list(range(len(rows)))
+    assert [extension._row(e, k) for e in rows] == list(range(len(rows)))
+    for max_norm in range(9):
+        want = rows[:math.comb(max_norm + k, k)]   # the indices of norm <= max_norm
+        assert list(map(tuple, _index_rows(k, max_norm).tolist())) == want
+    seq = constant_sequence(1, 8, k)   # its rows of norm lo to hi, by seq.starts
     for lo in range(9):
         for hi in range(lo, 9):
-            want = [MultiIndex(e) for e in rows if lo <= sum(e) <= hi]
-            assert list(iter_indices(k, lo, hi)) == want
+            assert _indices(seq, lo, hi) == [e for e in rows if lo <= sum(e) <= hi]
 
 
 @pytest.mark.parametrize("index, message", [
@@ -1225,15 +1227,15 @@ def test_table_sequence_rejects_malformed_index(index, message):
 
 def _ref_z1_power(z1, idx):
     if len(z1) == 1:
-        return z1[0] ** idx.entries[0]
+        return z1[0] ** idx[0]
     out = 1.0 + 0j
-    for c, e in zip(z1, idx.entries):
+    for c, e in zip(z1, idx):
         out *= c ** e
     return out
 
 
 def _ref_evaluate(cert, seq, z1, z2, tol):
-    """The per-index evaluate loop: one polyval per index, in indices() order."""
+    """The per-index evaluate loop: one polyval per index, in row order."""
     k = seq.k
     coords = tuple(complex(c) for c in ((z1,) if np.ndim(z1) == 0 else z1))
     if len(coords) != k:
@@ -1245,7 +1247,7 @@ def _ref_evaluate(cert, seq, z1, z2, tol):
                          f"got {z1!r}, {z2!r}, {tol!r}")
     r1 = max(map(abs, coords))
     if r1 == 0.0:
-        zero_idx = MultiIndex((0,) * k)
+        zero_idx = (0,) * k
         # added to 0j, as the partial sum below is: a zero's sign is not published
         return extension.EvaluationResult(value=0j + complex(seq.poly(zero_idx)(z2)),
                                           tail_bound=0.0, terms_used=0)
@@ -1272,7 +1274,7 @@ def _ref_evaluate(cert, seq, z1, z2, tol):
             f"tolerance {tol:g} unreachable with indices up to {seq.max_norm}",
             achievable_tail_bound=tail_at(seq.max_norm))
     value = 0j
-    for idx in seq.indices(0, n_used):
+    for idx in _indices(seq, 0, n_used):
         value += complex(seq.poly(idx)(z2)) * _ref_z1_power(coords, idx)
     return extension.EvaluationResult(value=value, tail_bound=tail_at(n_used),
                                       terms_used=n_used)
@@ -1335,17 +1337,17 @@ def test_evaluate_matches_reference_at_each_outcome(z1, tol, kind):
 
 def test_sequence_from_json_builtins():
     geo = sequence_from_json({"kind": "geometric", "lambda": [2, 0], "max_norm": 10})
-    assert geo.poly(MultiIndex((3,))).coefficients[-1] == 8.0
+    assert geo.poly((3,)).coefficients[-1] == 8.0
     const = sequence_from_json({"kind": "constant", "value": [3, 1], "max_norm": 5})
-    assert const.poly(MultiIndex((4,))).coefficients == (3 + 1j,)
+    assert const.poly((4,)).coefficients == (3 + 1j,)
     sq = sequence_from_json({"kind": "sqrt_degree", "max_norm": 50})
-    assert sq.poly(MultiIndex((49,))).degree == 7
+    assert sq.poly((49,)).degree == 7
     table = sequence_from_json({
         "kind": "table", "max_norm": 2,
         "entries": [{"index": [0], "coefficients": [[1, 0]]},
                     {"index": [2], "coefficients": [[0, 0], [0, 1]]}],
         "declared_C0": 0.0, "declared_C1": 0.5,
     })
-    assert table.poly(MultiIndex((2,))).coefficients == (0j, 1j)
-    assert table.poly(MultiIndex((1,))).is_zero
+    assert table.poly((2,)).coefficients == (0j, 1j)
+    assert table.poly((1,)).is_zero
     assert fit_degree_growth(table) == (0.0, 0.5)
