@@ -67,6 +67,24 @@ def _indices(seq, lo=0, hi=None):
     return list(map(tuple, rows.tolist()))
 
 
+def test_multi_index_basics():
+    seq = geometric_sequence(2, 10, k=3)
+    p = seq.poly((2, 0, 3))   # an index is a plain tuple of k entries; its norm is their sum
+    assert p.degree == 5 and p.coefficients == (0j,) * 5 + (32 + 0j,)
+    with pytest.raises(ValueError):
+        geometric_sequence(2, 10).poly((-1,))
+    with pytest.raises(ValueError):
+        geometric_sequence(2, 10).poly(())
+
+
+@given(st.lists(st.integers(min_value=0, max_value=50), min_size=1, max_size=4))
+@settings(max_examples=50, deadline=None)
+def test_multi_index_norm_is_sum(entries):
+    k, norm = len(entries), sum(entries)
+    # the rows of norm j are those after the comb(j + k - 1, k) indices of smaller norm
+    assert math.comb(norm + k - 1, k) <= extension._row(tuple(entries), k) < math.comb(norm + k, k)
+
+
 def test_poly_refuses_an_index_the_sequence_lacks():
     seq = geometric_sequence(2, 10, k=2)
     for index in [(1,), (1, 2, 0), (-1, 2), (1.0, 2), (True, 2)]:
@@ -1202,7 +1220,7 @@ def test_table_arrays_match_reference(table):
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
-def test_index_rows_match_recursive_enumeration(k):
+def test_iter_indices_match_recursive_enumeration(k):
     rows = [e for j in range(9) for e in _ref_compositions(j, k)]
     assert [extension._row(e, k) for e in rows] == list(range(len(rows)))
     for max_norm in range(9):
