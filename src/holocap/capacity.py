@@ -33,13 +33,11 @@ from __future__ import annotations
 
 import functools
 import math
-import numbers
 from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
-from . import schema
 from .errors import FloatOverflow, GreenUndefinedPolarSet
 from .sets import CompactSet, Disk, PointCloud, Segment, UnionSet, discretize
 
@@ -73,8 +71,6 @@ class FeketeResult:
     # ((k, d_k), ...) at the refined sizes: n/2 and n, or the final one alone
     diameter_sequence: tuple
     degenerate: bool = False           # fewer distinct candidates than requested
-    # positions of ``points`` in the candidate array the solve ran over
-    selection: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     @property
     def n(self) -> int:
@@ -229,8 +225,7 @@ def _fekete_over(cand: np.ndarray, n: int, checkpoints: Sequence[int]) -> Fekete
         sel_k, total = _exchange_refine(cand, held[:k], rows[:k])
         lv_k = 0.5 * float(np.sum(total[sel_k]))
         seq.append((k, math.exp(2.0 * lv_k / (k * (k - 1)))))
-    return FeketeResult(points=cand[sel_k], log_vdm=lv_k, diameter_sequence=tuple(seq),
-                        selection=sel_k)
+    return FeketeResult(points=cand[sel_k], log_vdm=lv_k, diameter_sequence=tuple(seq))
 
 
 def _degenerate_fekete(pts: np.ndarray) -> FeketeResult:
@@ -241,7 +236,7 @@ def _degenerate_fekete(pts: np.ndarray) -> FeketeResult:
         prefix_lv += float(logsum[k - 1])
         seq.append((k, math.exp(2.0 * prefix_lv / (k * (k - 1)))))
     return FeketeResult(points=pts, log_vdm=_log_vdm(pts), diameter_sequence=tuple(seq),
-                        degenerate=True, selection=np.arange(len(pts)))
+                        degenerate=True)
 
 
 def _bias_correction(n: int) -> float:
@@ -287,7 +282,7 @@ def _solve(source, n: int, candidates: int, eps_cap: float, *, cloud: bool,
             else _candidates(source, n, candidates))
     if cloud and len(cand) < MIN_POINTS:
         return _estimate_from_fekete(_degenerate_fekete(cand), eps_cap)
-    size = _solve_size(cloud, n, len(cand))
+    size = min(n, len(cand)) if cloud else n
     return _estimate_from_fekete(
         _fekete_over(cand, size, (size,) if final else _checkpoints(size)), eps_cap)
 
@@ -297,11 +292,6 @@ def _floor(n: int) -> int:
     if n < MIN_POINTS:
         raise ValueError(f"capacity needs n >= {MIN_POINTS}, got {n}")
     return n
-
-
-def _solve_size(cloud: bool, n: int, count: int) -> int:
-    """The size a solve refines last over ``count`` distinct candidates."""
-    return min(n, count) if cloud else n
 
 
 def quick_cloud_capacity(points: np.ndarray, n: int) -> float:
@@ -342,20 +332,16 @@ class GreenEvaluator:
     Evaluations clamp tiny negative values (discrete potentials can dip below
     zero near the set) to 0 and refuse a value beyond the float range with
     :class:`FloatOverflow`; the construction-time clamp magnitude is exposed
-    so consumers can widen tolerances.  A Fekete backing keeps its potential's
-    ``points`` and their ``selection``, the positions of the points among the
-    solve's candidates.
+    so consumers can widen tolerances.  A Fekete backing keeps its potential's ``points``.
     """
 
     def __init__(self, backing: str, domain_set: CompactSet, robin_constant: float,
-                 points: np.ndarray | None = None, clamp_magnitude: float = 0.0,
-                 selection: np.ndarray | None = None):
+                 points: np.ndarray | None = None, clamp_magnitude: float = 0.0):
         self.backing = backing
         self.domain_set = domain_set
         self.robin_constant = robin_constant
         self.points = points
         self.clamp_magnitude = clamp_magnitude
-        self.selection = selection
 
     def _raw(self, z: np.ndarray) -> np.ndarray:
         s = self.domain_set
@@ -518,7 +504,7 @@ def fekete_green(set_: CompactSet, est: CapacityEstimate, candidates: int = CAND
         raise GreenUndefinedPolarSet(
             f"capacity estimate {est.value:.3e} below polar threshold {eps_cap:g}")
     ev = GreenEvaluator("fekete_potential", set_, est.robin_constant,
-                        points=est.fekete.points, selection=est.fekete.selection)
+                        points=est.fekete.points)
     # clamp magnitude: worst negative dip of the raw potential on the set itself
     raw = ev._raw(np.asarray(discretize(set_, min(candidates, 4096)), dtype=np.complex128))
     raw = raw[np.isfinite(raw)]
@@ -533,42 +519,21 @@ def _candidates(set_: CompactSet, n: int, candidates: int) -> np.ndarray:
     return _distinct(discretize(set_, max(candidates, n)))
 
 
-def green_from_selection(set_: CompactSet, selection, clamp_magnitude: float,
-                         n: int = FEKETE_N, candidates: int = CANDIDATES,
-                         eps_cap: float = EPS_CAP) -> GreenEvaluator:
-    """The Fekete-backed evaluator of :func:`green_function`, rebuilt from its selection.
-
-    ``selection`` and ``clamp_magnitude`` are an evaluator's own, so no
-    solve runs: :func:`_log_vdm` sums the points as the solve's final totals
-    did (no n x n array), reproducing every value bit for bit.  The selection
-    is checked as outside input (distinct integer positions among the
-    candidates, as many as the solve selects, a capacity not below
-    ``eps_cap``); a violation raises ``ValueError``.
-    """
-    cand = _candidates(set_, _floor(n), candidates)
-    size = _solve_size(isinstance(set_, PointCloud), n, len(cand))
-    if len(selection) != size:
-        raise ValueError(f"{len(selection)} indices where the solve selects {size}")
-    if not (set(map(type, selection)) <= {int}
-            and 0 <= min(selection) <= max(selection) < len(cand)):
-        for i in selection:   # a fault: name the first, checking index by index
-            if isinstance(i, bool) or not isinstance(i, numbers.Integral):
-                raise ValueError(f"index {schema.shown(i)} is not an integer")
-            if not 0 <= i < len(cand):
-                raise ValueError(f"index {schema.shown(i)} is out of range for {len(cand)} "
-                                 "candidates")
-    sel = np.asarray(selection, dtype=np.intp)
-    if len(np.unique(sel)) != len(sel):
-        raise ValueError("an index repeats")
-    pts = cand[sel]
+def green_from_prefix(cloud: PointCloud, clamp_magnitude: float, n: int = FEKETE_N,
+                      eps_cap: float = EPS_CAP) -> GreenEvaluator:
+    """The Fekete-backed evaluator of a cloud's first min(n, distinct count) distinct
+    points, built without a solve.  :func:`_log_vdm` sums them as a solve's final totals
+    do, so a solve that selected them in this order has this Robin constant and these
+    values.  A capacity below ``eps_cap`` raises ``ValueError``."""
+    pts = _distinct(np.asarray(cloud.points, dtype=np.complex128))[:_floor(n)]
     fek = FeketeResult(points=pts, log_vdm=_log_vdm(pts), diameter_sequence=(),
-                       degenerate=len(pts) < MIN_POINTS, selection=sel)
+                       degenerate=len(pts) < MIN_POINTS)
     est = _estimate_from_fekete(fek, eps_cap)
     if est.polar:
-        raise ValueError(f"capacity {est.value:.3e} of the selected points is below "
-                         f"eps_cap {eps_cap:g}")
-    return GreenEvaluator("fekete_potential", set_, est.robin_constant, points=pts,
-                          clamp_magnitude=clamp_magnitude, selection=sel)
+        raise ValueError(f"capacity {est.value:.3e} of its first {len(pts)} distinct points "
+                         f"is below eps_cap {eps_cap:g}")
+    return GreenEvaluator("fekete_potential", cloud, est.robin_constant, points=pts,
+                          clamp_magnitude=clamp_magnitude)
 
 
 def robin_constant(set_: CompactSet, n: int = FEKETE_N, candidates: int = CANDIDATES,

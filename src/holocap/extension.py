@@ -34,7 +34,7 @@ from . import __version__, schema
 from .bernstein import Polynomial1D
 from .capacity import (CANDIDATES, EPS_CAP, FEKETE_N, MIN_POINTS, GreenEvaluator,
                        _closed_form_capacity, capacity_of_cloud, fekete_green,
-                       green_from_selection, green_function)
+                       green_from_prefix, green_function)
 from .errors import (
     AllStrataPolar,
     DegreeGrowthViolated,
@@ -587,8 +587,8 @@ def _certify(seq: PolynomialSequence, samples, cfg: ExtendConfig, c0: float, c1:
     gamma_c = _gamma_c(green, cfg.z2_max)
     cert = ExtensionCertificate(rho0=rho0, rho1=rho1, M0=m0, C0=c0, C1=c1, gammaC=gamma_c,
                                 C2=_domain_c2(rho1, gamma_c, tail_slope, exponent),
-                                exponent=exponent, witness=witness, N_used=seq.max_norm,
-                                thresholds=thresholds,
+                                exponent=exponent, witness=_potential_first(witness, green),
+                                N_used=seq.max_norm, thresholds=thresholds,
                                 exponent_differs=(exponent != 1.0))
     cert._green = green
     return cert
@@ -760,27 +760,34 @@ def ring_multiply(f: PolynomialSequence, g: PolynomialSequence,
 # JSON round trips
 # ---------------------------------------------------------------------------
 
-def certificate_to_json(cert: ExtensionCertificate) -> dict:
-    """The certificate as JSON; a Fekete-backed witness Green adds its selection.
+def _potential_first(witness: CompactSet, green: GreenEvaluator) -> CompactSet:
+    """A cloud witness with the first occurrence of each of its Green potential's points
+    moved to the front, in the potential's order, the other points following in their
+    order: the same multiset.  Any other witness is returned as it is."""
+    if not isinstance(witness, PointCloud):
+        return witness
+    pts = np.asarray(witness.points, dtype=np.complex128)
+    distinct, first = np.unique(pts, return_index=True)
+    head = first[np.searchsorted(distinct, green.points)]
+    return PointCloud(tuple(np.concatenate([pts[head], np.delete(pts, head)]).tolist()))
 
-    ``green_points`` lists the positions of the potential's points among the
-    witness's candidates, in selection order, and ``clamp_magnitude`` is the
-    evaluator's, so :func:`certificate_from_json` rebuilds it without a solve.
-    """
+
+def certificate_to_json(cert: ExtensionCertificate) -> dict:
+    """The certificate as JSON.  A cloud witness is written potential first, with the
+    evaluator's ``clamp_magnitude``, so :func:`certificate_from_json` needs no solve."""
+    green = cert.green()
     doc = {
         "rho0": cert.rho0, "rho1": cert.rho1, "M0": cert.M0,
         "C0": cert.C0, "C1": cert.C1, "gammaC": cert.gammaC, "C2": cert.C2,
         "exponent": cert.exponent, "N_used": cert.N_used,
-        "witness": set_to_json(cert.witness),
+        "witness": set_to_json(_potential_first(cert.witness, green)),
         "thresholds": dict(cert.thresholds),
         "exponent_differs": cert.exponent_differs,
         "tool_version": __version__,
         "guarantee": ("termwise geometric domination: |P_n(z2) z1^n| <= "
                       "M0 exp(C0 g(z2)) q^{||n||}, q = rho1 exp(slope g(z2)) |z1|"),
     }
-    green = cert.green()
     if green.backing == "fekete_potential":
-        doc["green_points"] = green.selection.tolist()
         doc["clamp_magnitude"] = green.clamp_magnitude
     return doc
 
@@ -794,16 +801,16 @@ _CERTIFICATE_FIELDS = _CONSTANTS + (("thresholds", "object"), ("witness", "objec
 _THRESHOLD_FIELDS = (("tail_slope", ">=0"), ("tail_start", "int>=0", 0),
                      ("fekete_n", "int>=1", FEKETE_N), ("candidates", "int>=1", CANDIDATES),
                      ("eps_cap", ">0", EPS_CAP))
-_GREEN_FIELDS = (("green_points", "list"), ("clamp_magnitude", ">=0"))
 
 
 def certificate_from_json(doc: dict) -> ExtensionCertificate:
     """Certificate from :func:`certificate_to_json` output, every field checked.
 
     A witness without a closed-form Green function (not a disk, a segment or a
-    union of collinear segments) needs ``green_points`` and ``clamp_magnitude``;
-    its evaluator is rebuilt from them and no Fekete solve runs.  A missing,
-    wrong-typed or inconsistent field raises ``ValueError`` naming it.
+    union of collinear segments) must be a cloud with ``clamp_magnitude``: its
+    evaluator is rebuilt by :func:`green_from_prefix` and no Fekete solve runs.  A
+    missing, wrong-typed or inconsistent field raises ``ValueError`` naming it, and
+    so does the ``green_points`` of a certificate whose witness is in sample order.
     """
     got = schema.read(schema.check(doc, "object", "certificate"), _CERTIFICATE_FIELDS,
                       "certificate field")
@@ -818,17 +825,25 @@ def certificate_from_json(doc: dict) -> ExtensionCertificate:
     if not abs(floats["C2"] - c2) <= 1e-12 * c2:
         raise ValueError(f"certificate field 'C2' must be exp(-tail_slope * gammaC) / rho1 = "
                          f"{c2!r} to 1e-12 relative, got {floats['C2']!r}")
+    if got["exponent_differs"] != (floats["exponent"] != 1.0):
+        raise ValueError(f"certificate field 'exponent_differs' must be exponent != 1, "
+                         f"got {got['exponent_differs']!r} for exponent {floats['exponent']!r}")
     witness = set_from_json(got.pop("witness"), "certificate field 'witness'")
     cert = ExtensionCertificate(**floats, **got, witness=witness, thresholds=thresholds)
     if _closed_form_capacity(witness) is not None:   # analytic Green backing, nothing stored
         return cert
-    green = schema.read(doc, _GREEN_FIELDS, "certificate field")
+    if not isinstance(witness, PointCloud):
+        raise ValueError("certificate field 'witness' must be a cloud or a set with a "
+                         "closed-form Green function: a disk, a segment or collinear segments")
+    if "green_points" in doc:
+        raise ValueError("certificate field 'green_points': the certificate comes from an "
+                         "earlier holocap, whose witness is in sample order; run extend again")
+    clamp = float(schema.field(doc, "clamp_magnitude", ">=0", "certificate field"))
     try:
-        cert._green = green_from_selection(witness, green["green_points"],
-                                           float(green["clamp_magnitude"]),
-                                           **_green_resolution(cert.thresholds))
+        cert._green = green_from_prefix(witness, clamp, thresholds["fekete_n"],
+                                        thresholds["eps_cap"])
     except ValueError as err:
-        raise ValueError(f"certificate field 'green_points': {err}") from None
+        raise ValueError(f"certificate field 'witness': {err}") from None
     return cert
 
 

@@ -27,7 +27,7 @@ from holocap.capacity import (
     capacity_of_cloud,
     fekete_green,
     fekete_points,
-    green_from_selection,
+    green_from_prefix,
     green_function,
     quick_cloud_capacity,
     robin_constant,
@@ -96,7 +96,7 @@ def test_fekete_degenerate_single_point():
 @pytest.mark.parametrize("n", [8, 100, 128])
 def test_fekete_solve_computes_log_vdm_once_per_checkpoint(monkeypatch, n):
     # each checkpoint's log VDM comes from its one refinement's totals; the
-    # rebuild from points (of green_from_selection) never runs in a solve
+    # rebuild from points (of green_from_prefix) never runs in a solve
     # the package attribute holocap.capacity is the function; patch the module
     module = sys.modules["holocap.capacity"]
     refine, log_vdm, refined, summed = module._exchange_refine, module._log_vdm, [], []
@@ -293,7 +293,7 @@ def reference_fekete_over(cand, n, checkpoints):
                 break
         lv = _log_vdm(cand[sel])
         seq.append((k, math.exp(2.0 * lv / (k * (k - 1)))))
-    return cand[sel], sel, lv, tuple(seq)
+    return cand[sel], lv, tuple(seq)
 
 
 # sets of the whole-solve reference test: shapes at the default candidates, and
@@ -315,11 +315,9 @@ def test_solve_matches_fresh_rows_reference(name, n, final):
     cand = _candidates(set_, n, CANDIDATES)
     size = min(n, len(cand))
     est = _final_estimate(set_, n, CANDIDATES, EPS_CAP) if final else capacity(set_, n)
-    points, sel, lv, seq = reference_fekete_over(cand, size,
-                                                 (size,) if final else _checkpoints(size))
+    points, lv, seq = reference_fekete_over(cand, size, (size,) if final else _checkpoints(size))
     fek = est.fekete
-    assert np.array_equal(fek.points, points)
-    assert np.array_equal(fek.selection, sel)
+    assert fek.points.tobytes() == points.tobytes()
     assert fek.log_vdm == lv
     assert fek.diameter_sequence == seq
 
@@ -344,11 +342,10 @@ def test_solve_refines_n_half_and_n_as_the_doubling_schedule_did(monkeypatch, se
     est = capacity(set_, n)
     assert refined == [n // 2, n]
     doubling = sorted({n // 2, n} | {2 ** j for j in range(1, n.bit_length()) if 2 ** j < n})
-    points, sel, lv, seq = reference_fekete_over(_candidates(set_, n, CANDIDATES), n, doubling)
+    points, lv, seq = reference_fekete_over(_candidates(set_, n, CANDIDATES), n, doubling)
     d = dict(seq)
     fek = est.fekete
-    assert np.array_equal(fek.points, points)
-    assert np.array_equal(fek.selection, sel)
+    assert fek.points.tobytes() == points.tobytes()
     assert fek.log_vdm == lv
     assert fek.diameter_sequence == ((n // 2, d[n // 2]), (n, d[n]))
     assert est.value == d[n] / n ** (1.0 / (n - 1))
@@ -370,7 +367,7 @@ LOG_VDM_SETS = {
 @pytest.mark.parametrize("n", [8, 16, 64, 128, 256, 512])
 @pytest.mark.parametrize("name", list(LOG_VDM_SETS))
 def test_solve_log_vdm_equals_the_rebuild_bit_for_bit(monkeypatch, name, n):
-    # a solve takes log VDM from its exchange totals, green_from_selection from
+    # a solve takes log VDM from its exchange totals, green_from_prefix from
     # the points: eval's Robin constant is extend's only if the two agree exactly
     fek = fekete_points(LOG_VDM_SETS[name], n)
     assert not fek.degenerate
@@ -568,8 +565,7 @@ def test_one_cloud_rule_beyond_default_candidates():
 def test_fekete_points_selects_among_every_cloud_point():
     # a 5,000-point circle: fekete_points takes the candidates capacity takes
     fek, solved = fekete_points(CIRCLE_5000, FEKETE_N), capacity(CIRCLE_5000, FEKETE_N).fekete
-    assert np.array_equal(fek.points, solved.points)
-    assert np.array_equal(fek.selection, solved.selection)
+    assert fek.points.tobytes() == solved.points.tobytes()
 
 
 def test_fekete_points_cloud_n_above_candidates():
@@ -577,8 +573,7 @@ def test_fekete_points_cloud_n_above_candidates():
     # cloud both calls select 4100 of its 5,000 points, and agree (~14 s)
     fek, solved = fekete_points(CIRCLE_5000, 4100), capacity(CIRCLE_5000, 4100).fekete
     assert fek.n == 4100
-    assert np.array_equal(fek.points, solved.points)
-    assert np.array_equal(fek.selection, solved.selection)
+    assert fek.points.tobytes() == solved.points.tobytes()
     assert fek.diameter_sequence == solved.diameter_sequence
     with pytest.raises(ValueError, match="candidates"):
         fekete_points(Disk(0, 1), 4100)
@@ -592,13 +587,14 @@ def _big_cloud() -> PointCloud:
 @pytest.mark.parametrize("set_, n", [
     (DUPLICATED_CIRCLE, 128),
     (_big_cloud(), 32),
-    (UnionSet((Segment(-2, -1), Disk(1, 0.5))), 32),
-], ids=["duplicated_circle", "cloud_beyond_candidates", "union"])
-def test_green_from_selection_reproduces_the_solve(set_, n):
+], ids=["duplicated_circle", "cloud_beyond_candidates"])
+def test_green_from_prefix_reproduces_the_solve(set_, n):
+    # the solve's points, each twice, then the cloud backwards: the potential is the
+    # first min(n, distinct count) distinct points, neither the first n raw nor the last n
     green = green_function(set_, n=n)
-    back = green_from_selection(set_, green.selection.tolist(), green.clamp_magnitude, n=n)
-    assert np.array_equal(back.points, green.points)
-    assert np.array_equal(back.selection, green.selection)
+    listed = np.concatenate([np.repeat(green.points, 2), np.asarray(set_.points)[::-1]])
+    back = green_from_prefix(PointCloud(tuple(listed)), green.clamp_magnitude, n=n)
+    assert back.points.tobytes() == green.points.tobytes()
     assert back.robin_constant == green.robin_constant
     assert back.clamp_magnitude == green.clamp_magnitude
     grid = np.linspace(-3.0, 3.0, 9)[:, None] + 1j * np.linspace(-3.0, 3.0, 9)[None, :]
@@ -646,8 +642,7 @@ def test_green_function_is_capacity_s_evaluator(name):
     green, est = green_function(set_, n=n), capacity(set_, n)
     full = fekete_green(set_, est)
     assert green.robin_constant == full.robin_constant == est.robin_constant
-    assert np.array_equal(green.points, full.points)
-    assert np.array_equal(green.selection, full.selection)
+    assert green.points.tobytes() == full.points.tobytes()
     assert green.clamp_magnitude == full.clamp_magnitude
     zs = _exterior(1000)
     assert np.array_equal(green(zs), full(zs))

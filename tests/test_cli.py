@@ -663,16 +663,6 @@ def test_refusal_cuts_a_long_value(tmp_path, capsys, seq, samples, refused, wher
                                        f"(dict, {len(shown)} characters)\n")
 
 
-def _green_points_item(value):
-    def run(tmp_path):
-        seq_path, cert = _extend_cert(tmp_path)
-        doc = json.loads(cert.read_text())
-        doc["green_points"][3] = value
-        return ["eval", "--cert", write(tmp_path / "bad.json", doc), "--seq", seq_path,
-                "--z1", "0.1+0j", "--z2", "2+0j"]
-    return run
-
-
 @pytest.mark.parametrize("argv, shown", [
     (lambda tmp_path: ["extend", "--samples", write(tmp_path / "s.json", CIRCLE_SAMPLES),
                        "--seq", write(tmp_path / "seq.json", {**TABLE, "entries": [
@@ -683,10 +673,9 @@ def _green_points_item(value):
                        "--config", write(tmp_path / "c.json",
                                          {f"key{i:04d}": 0 for i in range(3000)})],
      "unknown config keys: ['key0000', 'key0001'"),
-    (_green_points_item([0] * 5000), "index [0, 0, 0"),
-], ids=["table_index_5000_entries", "config_3000_unknown_keys", "green_points_item_list"])
+], ids=["table_index_5000_entries", "config_3000_unknown_keys"])
 def test_refusal_outside_schema_is_one_short_line(tmp_path, capsys, argv, shown):
-    """Refusals that repeat a table index, config keys or a selection item cut it too."""
+    """Refusals that repeat a table index or config keys cut them too."""
     assert main(argv(tmp_path) + ["--out", str(tmp_path / "out.json")]) == 2
     err = capsys.readouterr().err
     assert shown in err and "characters)" in err
@@ -997,10 +986,6 @@ def _set(name, value):
     return lambda doc: doc.__setitem__(name, value)
 
 
-def _set_index(i, value):
-    return lambda doc: doc["green_points"].__setitem__(i, value)
-
-
 def _set_witness_points(*bad):
     return lambda doc: doc["witness"]["points"].__setitem__(slice(3, 3 + len(bad)), bad)
 
@@ -1013,6 +998,9 @@ WITNESS = "certificate field 'witness' field 'points' item 3 "
     (_set("rho1", "0.5"), "certificate field 'rho1' must be a finite number > 0, got '0.5'"),
     (_set("N_used", 60.0), "certificate field 'N_used' must be an integer"),
     (_set("exponent_differs", 0), "certificate field 'exponent_differs' must be a boolean"),
+    # a geometric certificate has exponent C1 = 1
+    (_set("exponent_differs", True),
+     "certificate field 'exponent_differs' must be exponent != 1, got True for exponent 1.0"),
     (_drop("witness"), "certificate field 'witness' is missing"),
     (_set("witness", {"shape": "cloud"}), "certificate field 'witness' field 'points' is missing"),
     (_set("thresholds", []), "certificate field 'thresholds' must be an object"),
@@ -1020,18 +1008,22 @@ WITNESS = "certificate field 'witness' field 'points' item 3 "
      "certificate threshold 'tail_slope' is missing"),
     (lambda doc: doc["thresholds"].__setitem__("fekete_n", "128"),
      "certificate threshold 'fekete_n' must be an integer"),
-    (_drop("green_points"), "certificate field 'green_points' is missing"),
-    (_set("green_points", "0,1"), "certificate field 'green_points' must be a list"),
-    (_set_index(3, 1.5), "'green_points': index 1.5 is not an integer"),
-    (_set_index(3, True), "'green_points': index True is not an integer"),
-    (_set_index(3, 10**6), "'green_points': index 1000000 is out of range for 200 candidates"),
-    (_set_index(3, -1), "'green_points': index -1 is out of range for 200 candidates"),
-    (lambda doc: doc["green_points"].__setitem__(1, doc["green_points"][0]),
-     "'green_points': an index repeats"),
-    (lambda doc: doc["green_points"].pop(),
-     "'green_points': 127 indices where the solve selects 128"),
+    # green_points, of any value, marks a witness in sample order: an earlier holocap's
+    (_set("green_points", "0,1"), "certificate field 'green_points': the certificate comes "
+     "from an earlier holocap, whose witness is in sample order; run extend again"),
+    (_set("green_points", list(range(128))), "'green_points': the certificate comes from an "
+     "earlier holocap"),
+    # neither a cloud nor a closed form, refused before its candidates are discretized
+    (lambda doc: (doc.__setitem__("witness", {"shape": "union", "parts": [DISK, SEGMENT]}),
+                  doc["thresholds"].__setitem__("candidates", 10**13)),
+     "certificate field 'witness' must be a cloud or a set with a closed-form Green function"),
+    # fewer than MIN_POINTS distinct points are polar, whatever their spread
+    (lambda doc: doc["witness"].__setitem__("points", doc["witness"]["points"][:7]),
+     "certificate field 'witness': capacity 0.000e+00 of its first 7 distinct points is "
+     "below eps_cap 0.0001"),
     (lambda doc: doc["thresholds"].__setitem__("eps_cap", 1e9),
-     "of the selected points is below eps_cap 1e+09"),
+     "certificate field 'witness': capacity 9.988e-01 of its first 128 distinct points is "
+     "below eps_cap 1e+09"),
     (_drop("clamp_magnitude"), "certificate field 'clamp_magnitude' is missing"),
     (_set("clamp_magnitude", -1e-3),
      "certificate field 'clamp_magnitude' must be a finite number >= 0, got -0.001"),
@@ -1041,9 +1033,8 @@ WITNESS = "certificate field 'witness' field 'points' item 3 "
     (_set_witness_points([math.inf, 0]), WITNESS + PAIR + "[inf, 0]"),
     (_set_witness_points([math.nan, 0], [1, 0], [True, 0]), WITNESS + PAIR + "[nan, 0]"),
     # a tampered resolution is refused for the n >= 8 floor, not for the witness's capacity
-    (lambda doc: (doc["thresholds"].__setitem__("fekete_n", 7),
-                  doc.__setitem__("green_points", doc["green_points"][:7])),
-     "'green_points': capacity needs n >= 8, got 7"),
+    (lambda doc: doc["thresholds"].__setitem__("fekete_n", 7),
+     "certificate field 'witness': capacity needs n >= 8, got 7"),
     # the constants' ranges: those the pipeline produces
     (_set("gammaC", math.inf), "certificate field 'gammaC' must be a finite number >= 0, got inf"),
     # exp(tail_slope * gammaC) underflowed to 0 and C2's rule divided by it
@@ -1060,11 +1051,11 @@ WITNESS = "certificate field 'witness' field 'points' item 3 "
     (lambda doc: (doc.update(C1=1e308, exponent=1e308), doc["thresholds"].update(tail_slope=1e308)),
      "certificate field 'C2' must be exp(-tail_slope * gammaC) / rho1 = 0.0 "),
 ], ids=["rho0_missing", "rho1_string", "N_used_float", "exponent_differs_int",
-        "witness_missing", "witness_malformed", "thresholds_list", "tail_slope_missing",
-        "fekete_n_string", "green_points_missing", "green_points_string", "index_float",
-        "index_bool", "index_too_large", "index_negative", "index_repeats", "count_short",
-        "selection_polar", "clamp_missing", "clamp_negative", "witness_point_bool",
-        "witness_point_string", "witness_point_long", "witness_point_inf",
+        "exponent_differs_flipped", "witness_missing", "witness_malformed", "thresholds_list",
+        "tail_slope_missing", "fekete_n_string", "green_points_string", "green_points_stale",
+        "witness_disk_and_segment", "count_short", "selection_polar", "clamp_missing",
+        "clamp_negative", "witness_point_bool", "witness_point_string", "witness_point_long",
+        "witness_point_inf",
         "witness_bool_after_nan", "fekete_n_below_floor", "gammaC_inf", "gammaC_huge_negative",
         "M0_nan",
         "C0_negative", "C1_negative", "tail_slope_negative", "exponent_half", "C2_off",

@@ -371,23 +371,32 @@ def test_uniform_bound_stratum_estimate_changes_nothing(case):
     fresh = uniform_bound_compact(seq, stratum, rho0)
     assert (carried[4] is est) == (case != "strict_subcloud")   # the estimate was reused
     assert repr(carried) == repr(fresh)
-    assert carried[4].fekete.selection.tobytes() == fresh[4].fekete.selection.tobytes()
+    assert carried[4].fekete.points.tobytes() == fresh[4].fekete.points.tobytes()
+
+
+def _sampled_witness(mode, seq, samples, config) -> tuple:
+    """(stratum, witness) of a certificate's run, the witness in sample order, as
+    uniform_bound_compact returns it."""
+    i, stratum, _ = stratify_and_find_nonpolar(radius_profile(seq, samples, seq.max_norm // 2))
+    rho0 = i / (config or ExtendConfig()).theta
+    return stratum, np.asarray(uniform_bound_compact(seq, stratum, rho0)[0].points)
 
 
 @pytest.mark.parametrize("case", ["geometric_k1", "stratum_2", "strict_subcloud"])
 def test_carried_green_matches_fresh_build(case):
     mode, seq, samples, config = CARRIED_CASES[case]
     cert = _run_certify(mode, seq, samples, config)
-    _, stratum, _ = stratify_and_find_nonpolar(radius_profile(seq, samples, seq.max_norm // 2))
     if case == "stratum_2":
         assert cert.thresholds["stratum_index"] == 2
-    strict = len(cert.witness.points) < len(stratum.points)
+    stratum, sampled = _sampled_witness(mode, seq, samples, config)
+    strict = len(sampled) < len(stratum.points)
     assert strict == (case == "strict_subcloud")
+    # the witness in sample order is the cloud that was solved
     carried = cert.green()
-    fresh = green_function(cert.witness, n=FEKETE_N, eps_cap=cert.thresholds["eps_cap"])
+    fresh = green_function(PointCloud(tuple(sampled)), n=FEKETE_N,
+                           eps_cap=cert.thresholds["eps_cap"])
     assert carried.robin_constant == fresh.robin_constant
     assert carried.points.tobytes() == fresh.points.tobytes()
-    assert carried.selection.tobytes() == fresh.selection.tobytes()
     assert carried.clamp_magnitude == fresh.clamp_magnitude
     radii = np.geomspace(1e-2, cert.thresholds["z2_max"], extension.GAMMA_RADIAL)
     angles = np.exp(1j * np.linspace(0.0, 2.0 * np.pi, extension.GAMMA_ANGULAR,
@@ -406,8 +415,8 @@ def test_certificate_json_round_trip_lossless():
     assert back.witness == cert.witness
     assert back.thresholds == cert.thresholds
     assert doc["tool_version"]
-    assert doc["green_points"] == cert.green().selection.tolist()
-    # the Green function is rebuilt from the stored selection, bit for bit
+    assert "green_points" not in doc
+    # the Green function is rebuilt from the witness's first distinct points, bit for bit
     assert np.array_equal(back.green().points, cert.green().points)
     assert back.green().robin_constant == cert.green().robin_constant
     assert back.green().clamp_magnitude == cert.green().clamp_magnitude
@@ -437,6 +446,83 @@ def test_closed_form_witness_reads_no_green_points(witness):
         want, got = evaluate(cert, seq, z1, z2, 1e-6), evaluate(back, seq, z1, z2, 1e-6)
         assert (got.value, got.tail_bound, got.terms_used) == (
             want.value, want.tail_bound, want.terms_used)
+
+
+# (mode, sequence, samples) of the witness-order tests: 220 samples of 200 distinct
+# points, and 100 distinct points listed twice (fewer than fekete_n = 128)
+ORDER_CASES = {
+    "geometric_k1": ("extension", geometric_sequence(1, 60), CIRCLE),
+    "geometric_k3": ("extension", geometric_sequence(0.5, 12, k=3), CIRCLE),
+    "sqrt_degree": ("uniform", sqrt_degree_sequence(400), CIRCLE),
+    "duplicates": ("extension", geometric_sequence(1, 60), CIRCLE + CIRCLE[::10]),
+    "duplicates_below_n": ("extension", geometric_sequence(1, 60), CIRCLE[::2] * 2),
+}
+
+
+def _order_case(case) -> tuple:
+    """(certificate, its JSON, the witness in sample order) of an order case."""
+    mode, seq, samples = ORDER_CASES[case]
+    cert = _run_certify(mode, seq, samples)
+    return cert, json.loads(json.dumps(certificate_to_json(cert))), _sampled_witness(
+        mode, seq, samples, None)[1]
+
+
+def _with_witness(doc: dict, points: list) -> ExtensionCertificate:
+    return certificate_from_json({**doc, "witness": {"shape": "cloud", "points": points}})
+
+
+@pytest.mark.parametrize("case", list(ORDER_CASES))
+def test_witness_lists_its_potential_first(case):
+    cert, doc, sampled = _order_case(case)
+    head = cert.green().points
+    n = len(head)
+    assert n == min(FEKETE_N, len(set(sampled.tolist())))
+    # a permutation of the cloud: the potential's points first, in its order, then every
+    # other point in sample order, duplicates kept
+    first = {}
+    for j, z in enumerate(sampled.tolist()):
+        first.setdefault(z, j)
+    moved = {first[z] for z in head.tolist()}
+    rest = np.asarray([z for j, z in enumerate(sampled.tolist()) if j not in moved],
+                      dtype=np.complex128)
+    for witness in (cert.witness, certificate_from_json(doc).witness):
+        listed = np.asarray(witness.points)
+        assert np.sort(listed, kind="stable").tobytes() == np.sort(
+            sampled, kind="stable").tobytes()
+        assert listed[:n].tobytes() == head.tobytes()
+        assert listed[n:].tobytes() == rest.tobytes()
+    back = certificate_from_json(doc)
+    assert back.green().points.tobytes() == head.tobytes()
+    assert back.green().robin_constant == cert.green().robin_constant
+
+
+@pytest.mark.parametrize("case", list(ORDER_CASES))
+def test_eval_ignores_the_witness_tail_order(case):
+    cert, doc, _ = _order_case(case)
+    n, points = len(cert.green().points), doc["witness"]["points"]
+    assert len(points) > n
+    back, flipped = certificate_from_json(doc), _with_witness(doc, points[:n] + points[:n - 1:-1])
+    assert flipped.witness != back.witness
+    seq, share = ORDER_CASES[case][1], 0.15 if case == "geometric_k3" else 0.5
+    for z2 in (0.5 + 0.5j, 2.0, -3.0 + 1.0j):
+        z1 = share * cert.certified_radius(z2)
+        z1 = z1 if seq.k == 1 else (z1,) * seq.k
+        want, got = evaluate(back, seq, z1, z2, 1e-8), evaluate(flipped, seq, z1, z2, 1e-8)
+        assert repr((got.value, got.tail_bound, got.terms_used)) == repr(
+            (want.value, want.tail_bound, want.terms_used))
+
+
+@pytest.mark.parametrize("case", [c for c in ORDER_CASES if c != "duplicates_below_n"])
+def test_swapping_a_witness_head_point_changes_g(case):
+    # every distinct point is in the head of duplicates_below_n: its tail has no other
+    cert, doc, _ = _order_case(case)
+    n, points = len(cert.green().points), doc["witness"]["points"]
+    j = max(j for j in range(n, len(points)) if points[j] not in points[:n])
+    swapped = list(points)
+    swapped[0], swapped[j] = swapped[j], swapped[0]
+    grid = np.linspace(-3.0, 3.0, 9)[:, None] + 1j * np.linspace(-3.0, 3.0, 9)[None, :]
+    g = certificate_from_json(doc).green()(grid)
+    assert not np.array_equal(_with_witness(doc, swapped).green()(grid), g)
 
 
 # ---------------------------------------------------------------------------
