@@ -20,10 +20,10 @@ other set; :func:`capacity` estimates every shape, those three included.
 Every capacity solve (of :func:`capacity`, :func:`capacity_of_cloud`,
 :func:`green_function` and :func:`robin_constant`) keeps one rule: n is at
 least ``MIN_POINTS``; a shape is solved at n over ``max(candidates, n)``
-discretization points; a cloud at min(n, distinct count) over its distinct
-points, and below ``MIN_POINTS`` distinct points it is polar at sampled scale
-(finite sets have capacity zero).  Otherwise "polar" is an estimate below
-``EPS_CAP``.
+discretization points; a cloud by :func:`_cloud_size`, at min(n, distinct
+count) over its distinct points, and below ``MIN_POINTS`` distinct points it is
+polar at sampled scale (finite sets have capacity zero).  Otherwise "polar" is
+an estimate below ``EPS_CAP``.
 
 All operations are pure and deterministic: ties in argmax resolve to the
 lowest index, reductions run in a fixed order.
@@ -255,7 +255,7 @@ def capacity(set_: CompactSet, n: int, candidates: int = CANDIDATES,
     """
     if isinstance(set_, PointCloud):
         return capacity_of_cloud(set_.points, n, eps_cap)
-    return _solve(set_, n, candidates, eps_cap, cloud=False)
+    return _estimate_from_fekete(fekete_points(set_, _floor(n), max(candidates, n)), eps_cap)
 
 
 def capacity_of_cloud(points: Sequence[complex] | np.ndarray, n: int = FEKETE_N,
@@ -266,25 +266,20 @@ def capacity_of_cloud(points: Sequence[complex] | np.ndarray, n: int = FEKETE_N,
     with fewer than ``MIN_POINTS`` distinct points are polar at sampled
     scale: value 0, Robin constant +inf.
     """
-    return _solve(points, n, CANDIDATES, eps_cap, cloud=True)
+    return _estimate_from_fekete(_cloud_fekete(points, n, _checkpoints), eps_cap)
 
 
-def _solve(source, n: int, candidates: int, eps_cap: float, *, cloud: bool,
-           final: bool = False) -> CapacityEstimate:
-    """Solve a cloud's points or a shape by the module's rule: sizes n/2 and
-    n (a shape's through :func:`fekete_points`) or, if ``final``, the final
-    size alone, refined from the same greedy prefix, so that only
-    ``error_indicator`` (then 0) differs."""
-    _floor(n)
-    if not cloud and not final:
-        return _estimate_from_fekete(fekete_points(source, n, max(candidates, n)), eps_cap)
-    cand = (_distinct(np.asarray(source, dtype=np.complex128)) if cloud
-            else _candidates(source, n, candidates))
-    if cloud and len(cand) < MIN_POINTS:
-        return _estimate_from_fekete(_degenerate_fekete(cand), eps_cap)
-    size = min(n, len(cand)) if cloud else n
-    return _estimate_from_fekete(
-        _fekete_over(cand, size, (size,) if final else _checkpoints(size)), eps_cap)
+def _cloud_size(points, n: int) -> tuple:
+    """A cloud's distinct points, first occurrences in order, and the size a solve at n
+    selects: min(n, distinct count), or 0 (polar at sampled scale) below ``MIN_POINTS``."""
+    pts = _distinct(np.asarray(points, dtype=np.complex128))
+    return pts, min(n, len(pts)) if len(pts) >= MIN_POINTS else 0
+
+
+def _cloud_fekete(points, n: int, checkpoints) -> FeketeResult:
+    """A cloud's selection at the size of :func:`_cloud_size`, refined at ``checkpoints(size)``."""
+    pts, size = _cloud_size(points, _floor(n))
+    return _fekete_over(pts, size, checkpoints(size)) if size else _degenerate_fekete(pts)
 
 
 def _floor(n: int) -> int:
@@ -296,10 +291,9 @@ def _floor(n: int) -> int:
 
 def quick_cloud_capacity(points: np.ndarray, n: int) -> float:
     """Greedy-only capacity estimate of a cloud, for fiber positivity screening."""
-    pts = _distinct(points)
-    if len(pts) < MIN_POINTS:
+    pts, n = _cloud_size(points, n)
+    if not n:
         return 0.0
-    n = min(n, len(pts))
     _, prefix_lv = _greedy_leja(pts, n)
     return math.exp(2.0 * prefix_lv[n - 1] / (n * (n - 1))) / _bias_correction(n)
 
@@ -491,9 +485,11 @@ def _union_green(set_: UnionSet) -> tuple | None:
 
 def _final_estimate(set_: CompactSet, n: int, candidates: int,
                     eps_cap: float) -> CapacityEstimate:
-    """:func:`capacity`'s estimate of the set with only its final size refined."""
-    cloud = isinstance(set_, PointCloud)
-    return _solve(set_.points if cloud else set_, n, candidates, eps_cap, cloud=cloud, final=True)
+    """:func:`capacity`'s estimate of the set with only its final size refined, from
+    the same greedy prefix, so that only ``error_indicator`` (then 0) differs."""
+    fek = (_cloud_fekete(set_.points, n, lambda size: (size,)) if isinstance(set_, PointCloud)
+           else _fekete_over(_candidates(set_, _floor(n), candidates), n, (n,)))
+    return _estimate_from_fekete(fek, eps_cap)
 
 
 def fekete_green(set_: CompactSet, est: CapacityEstimate, candidates: int = CANDIDATES,
@@ -525,9 +521,10 @@ def green_from_prefix(cloud: PointCloud, clamp_magnitude: float, n: int = FEKETE
     points, built without a solve.  :func:`_log_vdm` sums them as a solve's final totals
     do, so a solve that selected them in this order has this Robin constant and these
     values.  A capacity below ``eps_cap`` raises ``ValueError``."""
-    pts = _distinct(np.asarray(cloud.points, dtype=np.complex128))[:_floor(n)]
+    pts, size = _cloud_size(cloud.points, _floor(n))
+    pts = pts[:n]   # all of them if size is 0: fewer than MIN_POINTS <= n
     fek = FeketeResult(points=pts, log_vdm=_log_vdm(pts), diameter_sequence=(),
-                       degenerate=len(pts) < MIN_POINTS)
+                       degenerate=not size)
     est = _estimate_from_fekete(fek, eps_cap)
     if est.polar:
         raise ValueError(f"capacity {est.value:.3e} of its first {len(pts)} distinct points "

@@ -228,8 +228,7 @@ def _extend(args, docs):
 def _eval(args, docs):
     cert = certificate_from_json(docs["cert"])
     seq = sequence_from_json(docs["seq"])
-    z1 = [_parse_complex(part, "--z1") for part in args.z1.split(",")]
-    z1 = z1[0] if len(z1) == 1 else tuple(z1)
+    z1 = tuple(_parse_complex(part, "--z1") for part in args.z1.split(","))
     result = evaluate(cert, seq, z1, _parse_complex(args.z2, "--z2"), args.tol)
     doc = {"value": [result.value.real, result.value.imag], "tail_bound": result.tail_bound,
            "terms_used": result.terms_used}

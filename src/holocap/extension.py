@@ -32,12 +32,12 @@ import numpy as np
 
 from . import __version__, schema
 from .bernstein import Polynomial1D
-from .capacity import (CANDIDATES, EPS_CAP, FEKETE_N, MIN_POINTS, GreenEvaluator,
-                       _closed_form_capacity, capacity_of_cloud, fekete_green,
-                       green_from_prefix, green_function)
+from .capacity import (CANDIDATES, EPS_CAP, FEKETE_N, GreenEvaluator, _closed_form_capacity,
+                       capacity_of_cloud, fekete_green, green_from_prefix, green_function)
 from .errors import (
     AllStrataPolar,
     DegreeGrowthViolated,
+    FloatOverflow,
     HolocapError,
     InsufficientData,
     NoUniformStratum,
@@ -353,11 +353,11 @@ def radius_profile(seq: PolynomialSequence, samples, window: int) -> RadiusProfi
 
 def _first_nonpolar(clouds, eps_cap: float) -> tuple | None:
     """First (key, points, estimate) of ``clouds``, nested (key, points, own estimate
-    or None) triples, with >= MIN_POINTS points and capacity above ``eps_cap``, or
-    None.  A cloud no larger than the one before is that one: it is not solved again."""
+    or None) triples, with capacity above ``eps_cap``, or None.  A cloud no larger than
+    the one before is that one: it is not solved again."""
     last = 0
     for key, pts, est in clouds:
-        if len(pts) >= MIN_POINTS and len(pts) > last:
+        if len(pts) > last:
             est = est if est is not None else capacity_of_cloud(pts, n=FEKETE_N, eps_cap=eps_cap)
             if est.value > eps_cap:
                 return key, pts, est
@@ -456,14 +456,20 @@ class ExtensionCertificate:
     witness: CompactSet
     N_used: int
     thresholds: dict
-    exponent_differs: bool = False   # flagged when exponent != 1 (domain shape
-                                     # is then not the first-power reference form)
     _green: GreenEvaluator | None = field(default=None, repr=False, compare=False)
 
     def green(self) -> GreenEvaluator:
+        """The carried evaluator (a cloud's, from extend or its JSON) or a closed form's."""
         if self._green is None:
-            self._green = green_function(self.witness, **_green_resolution(self.thresholds))
+            if _closed_form_capacity(self.witness) is None:
+                raise ValueError("certificate witness carries no Green evaluator: a cloud's "
+                                 "comes from extend or from its certificate JSON")
+            self._green = green_function(self.witness)
         return self._green
+
+    @property
+    def exponent_differs(self) -> bool:   # the domain is not of the first-power reference form
+        return self.exponent != 1.0
 
     @property
     def tail_slope(self) -> float:
@@ -526,13 +532,6 @@ def _gamma_c(green: GreenEvaluator, z2_max: float) -> float:
     return float(max(vals.max(), green.robin_constant))
 
 
-def _green_resolution(thresholds: dict) -> dict:
-    """The Green-solve settings recorded in a certificate's thresholds."""
-    return {"n": int(thresholds.get("fekete_n", FEKETE_N)),
-            "candidates": int(thresholds.get("candidates", CANDIDATES)),
-            "eps_cap": float(thresholds.get("eps_cap", EPS_CAP))}
-
-
 def _run_stage(name: str, fn, *args, **kwargs):
     try:
         return fn(*args, **kwargs)
@@ -585,13 +584,10 @@ def _certify(seq: PolynomialSequence, samples, cfg: ExtendConfig, c0: float, c1:
     }
     green = _run_stage("green", fekete_green, witness, est, CANDIDATES, cfg.eps_cap)
     gamma_c = _gamma_c(green, cfg.z2_max)
-    cert = ExtensionCertificate(rho0=rho0, rho1=rho1, M0=m0, C0=c0, C1=c1, gammaC=gamma_c,
+    return ExtensionCertificate(rho0=rho0, rho1=rho1, M0=m0, C0=c0, C1=c1, gammaC=gamma_c,
                                 C2=_domain_c2(rho1, gamma_c, tail_slope, exponent),
                                 exponent=exponent, witness=_potential_first(witness, green),
-                                N_used=seq.max_norm, thresholds=thresholds,
-                                exponent_differs=(exponent != 1.0))
-    cert._green = green
-    return cert
+                                N_used=seq.max_norm, thresholds=thresholds, _green=green)
 
 
 def certify_extension(seq: PolynomialSequence, K_samples,
@@ -678,6 +674,8 @@ def evaluate(cert: ExtensionCertificate, seq: PolynomialSequence, z1, z2: comple
     q >= 1 are outside the certified domain even if the series happens to
     converge there; an unreachable tolerance raises
     :class:`InsufficientData` carrying the bound achievable at max_norm.
+    At z1 = 0 the sum is P_0(z2), bound 0.  A sum or a power of z1 beyond the
+    float range raises :class:`FloatOverflow` at stage "evaluate".
     ``z1`` is a number when k = 1 and k numbers otherwise.
     """
     k = seq.k
@@ -690,40 +688,42 @@ def evaluate(cert: ExtensionCertificate, seq: PolynomialSequence, z1, z2: comple
         raise ValueError(f"z1, z2 and tol must be finite and tol positive, "
                          f"got {z1!r}, {z2!r}, {tol!r}")
     r1 = max(map(abs, coords))
-    if r1 == 0.0:   # P_0(z2), summed from 0j as every partial sum is: never -0.0
-        value = seq._horner(np.array([z2]), seq.blocks[:1])[0, 0]
-        return EvaluationResult(value=0j + complex(value), tail_bound=0.0, terms_used=0)
+    n_used, tail = 0, 0.0   # at z1 = 0 the sum is P_0(z2)
+    if r1 > 0.0:
+        g = float(cert.green()(z2))
+        q = cert.rho1 * _exp(cert.tail_slope * g) * r1   # inf, so refused, beyond the float range
+        if q >= 1.0:
+            raise OutsideCertifiedDomain(
+                f"q = {q:.6g} >= 1 at z1 norm {r1:.6g}, z2 = {z2}")
+        amp = cert.M0 * _exp(cert.C0 * g) if cert.M0 else 0.0   # not 0 * inf = NaN
 
-    g = float(cert.green()(z2))
-    q = cert.rho1 * _exp(cert.tail_slope * g) * r1   # inf, so refused, beyond the float range
-    if q >= 1.0:
-        raise OutsideCertifiedDomain(
-            f"q = {q:.6g} >= 1 at z1 norm {r1:.6g}, z2 = {z2}")
-    amp = cert.M0 * _exp(cert.C0 * g) if cert.M0 else 0.0   # not 0 * inf = NaN
+        def tail_at(n: int) -> float:
+            c = (n + k) / (n + 1)
+            if c * q >= 1.0 or amp == math.inf:   # not inf * 0 = NaN where q ** (n + 1) underflows
+                return math.inf
+            return amp * comb(n + k - 1, k - 1) * q ** (n + 1) * c / (1.0 - c * q)
 
-    def tail_at(n: int) -> float:
-        c = (n + k) / (n + 1)
-        if c * q >= 1.0 or amp == math.inf:   # not inf * 0 = NaN where q ** (n + 1) underflows
-            return math.inf
-        return amp * comb(n + k - 1, k - 1) * q ** (n + 1) * c / (1.0 - c * q)
-
-    n_used = None
-    for n in range(cert.tail_start, seq.max_norm + 1):
-        if tail_at(n) <= tol:
-            n_used = n
-            break
-    if n_used is None:
-        raise InsufficientData(
-            f"tolerance {tol:g} unreachable with indices up to {seq.max_norm}",
-            achievable_tail_bound=tail_at(seq.max_norm))
-    tail = tail_at(n_used)
-    assert math.isfinite(tail) and tail >= 0.0, f"tail bound {tail!r}"
+        for n_used in range(cert.tail_start, seq.max_norm + 1):
+            tail = tail_at(n_used)
+            if tail <= tol:   # the least N >= tail_start within tol
+                break
+        else:
+            raise InsufficientData(
+                f"tolerance {tol:g} unreachable with indices up to {seq.max_norm}",
+                achievable_tail_bound=tail_at(seq.max_norm))
+        assert math.isfinite(tail) and tail >= 0.0, f"tail bound {tail!r}"
 
     stop = seq.starts[n_used + 1]
-    value = 0j
-    for term, entries in zip(seq._horner(np.array([z2]), seq.blocks[:stop])[:, 0].tolist(),
-                             seq.entries[:stop].tolist()):
-        value += term * _z1_power(coords, entries)
+    value = 0j   # summed from 0j: no zero's sign (-0.0) is published
+    try:
+        for term, entries in zip(seq._horner(np.array([z2]), seq.blocks[:stop])[:, 0].tolist(),
+                                 seq.entries[:stop].tolist()):
+            value += term * _z1_power(coords, entries)
+    except OverflowError:   # complex ** beyond the float range
+        value = complex(math.inf)
+    if not cmath.isfinite(value):
+        raise FloatOverflow(f"the partial sum to norm {n_used} at z2 = {z2} is beyond "
+                            "the float range").with_stage("evaluate")
     return EvaluationResult(value=value, tail_bound=tail, terms_used=n_used)
 
 
@@ -760,12 +760,10 @@ def ring_multiply(f: PolynomialSequence, g: PolynomialSequence,
 # JSON round trips
 # ---------------------------------------------------------------------------
 
-def _potential_first(witness: CompactSet, green: GreenEvaluator) -> CompactSet:
-    """A cloud witness with the first occurrence of each of its Green potential's points
+def _potential_first(witness: PointCloud, green: GreenEvaluator) -> PointCloud:
+    """The cloud witness with the first occurrence of each of its Green potential's points
     moved to the front, in the potential's order, the other points following in their
-    order: the same multiset.  Any other witness is returned as it is."""
-    if not isinstance(witness, PointCloud):
-        return witness
+    order: the same multiset."""
     pts = np.asarray(witness.points, dtype=np.complex128)
     distinct, first = np.unique(pts, return_index=True)
     head = first[np.searchsorted(distinct, green.points)]
@@ -773,14 +771,14 @@ def _potential_first(witness: CompactSet, green: GreenEvaluator) -> CompactSet:
 
 
 def certificate_to_json(cert: ExtensionCertificate) -> dict:
-    """The certificate as JSON.  A cloud witness is written potential first, with the
-    evaluator's ``clamp_magnitude``, so :func:`certificate_from_json` needs no solve."""
+    """The certificate as JSON.  A cloud witness, potential first as extend leaves it, goes
+    with its evaluator's ``clamp_magnitude``: :func:`certificate_from_json` needs no solve."""
     green = cert.green()
     doc = {
         "rho0": cert.rho0, "rho1": cert.rho1, "M0": cert.M0,
         "C0": cert.C0, "C1": cert.C1, "gammaC": cert.gammaC, "C2": cert.C2,
         "exponent": cert.exponent, "N_used": cert.N_used,
-        "witness": set_to_json(_potential_first(cert.witness, green)),
+        "witness": set_to_json(cert.witness),
         "thresholds": dict(cert.thresholds),
         "exponent_differs": cert.exponent_differs,
         "tool_version": __version__,
@@ -829,7 +827,8 @@ def certificate_from_json(doc: dict) -> ExtensionCertificate:
         raise ValueError(f"certificate field 'exponent_differs' must be exponent != 1, "
                          f"got {got['exponent_differs']!r} for exponent {floats['exponent']!r}")
     witness = set_from_json(got.pop("witness"), "certificate field 'witness'")
-    cert = ExtensionCertificate(**floats, **got, witness=witness, thresholds=thresholds)
+    cert = ExtensionCertificate(**floats, N_used=got["N_used"], witness=witness,
+                                thresholds=thresholds)
     if _closed_form_capacity(witness) is not None:   # analytic Green backing, nothing stored
         return cert
     if not isinstance(witness, PointCloud):

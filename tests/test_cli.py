@@ -940,6 +940,39 @@ def test_eval_non_finite_input_exit_two(tmp_path, capsys, z1, z2, tol, message):
     assert not out.exists()
 
 
+# the CI smoke's inputs: geometric lambda = 1, max_norm 60, on 100 unit-circle samples
+SMOKE_SAMPLES = DUPLICATED_CIRCLE["points"][:100]
+
+
+@pytest.mark.parametrize("seq, z1, z2, tol", [
+    # P_n(1e10) overflows past n = 30 where 5e-11^n underflows: inf * 0 is NaN, though
+    # the sum is about 2
+    (GEOMETRIC, "5e-11+0j", "1e10+0j", "1e-10"),
+    # (1e190)^2 overflows in complex **, which raises OverflowError
+    ({**GEOMETRIC, "lambda": [1e-200, 0]}, "1e190+0j", "0.5+0j", "1e-30"),
+    # z1 = 0: the sum P_0(1e300) = 1e310 is beyond the float range, with tail bound 0
+    ({"kind": "table", "max_norm": 4,
+      "entries": [{"index": [0], "coefficients": [[0, 0], [1e10, 0]]}]},
+     "0+0j", "1e300+0j", "1e-10"),
+], ids=["nan_value", "power_traceback", "infinite_p0"])
+def test_eval_refuses_a_non_finite_value(tmp_path, capsys, seq, z1, z2, tol):
+    seq_path = write(tmp_path / "seq.json", seq)
+    cert, out = tmp_path / "cert.json", tmp_path / "v.json"
+    assert main(["extend", "--seq", seq_path, "--samples",
+                 write(tmp_path / "samples.json", SMOKE_SAMPLES), "--out", str(cert)]) == 0
+    capsys.readouterr()
+    argv = ["eval", "--cert", str(cert), "--seq", seq_path, "--z1", z1, "--tol", tol]
+    assert main(argv + ["--z2", z2, "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("pipeline failure [evaluate]: the partial sum to norm "), err
+    assert err.endswith(" is beyond the float range\n"), err
+    assert not out.exists()
+    if seq is GEOMETRIC:   # z2 = 1e9 sums within the float range: 1 / (1 - 0.05)
+        assert main(argv + ["--z2", "1e9+0j", "--out", str(out)]) == 0
+        value = json.loads(out.read_text())
+        assert abs(complex(*value["value"]) - 1.0 / 0.95) <= value["tail_bound"] + 1e-12
+
+
 def test_extend_overflowing_values_warn_nothing(tmp_path, capsys):
     # P_n = 1e300 z^n overflows at |z| = 1e5 for n >= 2: every radius is 0, so no
     # stratum is non-polar, and Horner's rule prints no numpy overflow warning

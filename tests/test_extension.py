@@ -19,6 +19,7 @@ from holocap.capacity import FEKETE_N, MIN_POINTS, capacity_of_cloud, green_func
 from holocap.errors import (
     AllStrataPolar,
     DegreeGrowthViolated,
+    FloatOverflow,
     InsufficientData,
     NotSublinear,
     NoUniformStratum,
@@ -448,6 +449,45 @@ def test_closed_form_witness_reads_no_green_points(witness):
             want.value, want.tail_bound, want.terms_used)
 
 
+@pytest.mark.parametrize("exponent", [0.5, 0.0], ids=["extension_half", "uniform"])
+def test_code_built_certificate_round_trips(exponent):
+    # exponent_differs is the exponent's: a certificate built in code with exponent 0.5
+    # or 0 (C2 by the rule of its mode) writes the flag certificate_from_json requires
+    cert = ExtensionCertificate(
+        rho0=2.0, rho1=0.5, M0=1.0, C0=0.0, C1=0.5, gammaC=0.25,
+        C2=extension._domain_c2(0.5, 0.25, 0.5, exponent), exponent=exponent,
+        witness=Disk(0.5j, 1.5), N_used=40, thresholds={"tail_slope": 0.5})
+    assert cert.exponent_differs
+    doc = json.loads(json.dumps(certificate_to_json(cert)))
+    assert doc["exponent_differs"] is True
+    back = certificate_from_json(doc)
+    assert back.exponent_differs
+    for name in ("rho0", "rho1", "M0", "C0", "C1", "gammaC", "C2", "exponent", "N_used"):
+        assert getattr(back, name) == getattr(cert, name)
+    assert back.witness == cert.witness
+    assert certificate_to_json(back) == {**doc, "thresholds": back.thresholds}
+
+
+@pytest.mark.parametrize("witness", [
+    CIRCLE_CLOUD, UnionSet((Segment(-2, -1), Disk(1, 0.5))),
+], ids=["cloud", "disk_and_segment"])
+def test_green_refuses_a_witness_without_an_evaluator(witness):
+    # no certificate solves its witness: a cloud's evaluator comes from extend, which
+    # passes it to the constructor, or from the certificate's JSON
+    cert = ExtensionCertificate(
+        rho0=2.0, rho1=1.0, M0=1.0, C0=0.0, C1=1.0, gammaC=0.0, C2=1.0, exponent=1.0,
+        witness=witness, N_used=60, thresholds={"tail_slope": 1.0})
+    seq = geometric_sequence(1, 60)
+    for call in (cert.green, lambda: certificate_to_json(cert),
+                 lambda: evaluate(cert, seq, 0.1, 2.0, 1e-10)):
+        with pytest.raises(ValueError, match="^certificate witness carries no Green evaluator"):
+            call()
+    carried = certify_extension(seq, CIRCLE)
+    given = ExtensionCertificate(**vars(carried))   # the _green extend passed, passed again
+    assert given.green() is carried.green()
+    assert evaluate(given, seq, 0.1, 2.0, 1e-10) == evaluate(carried, seq, 0.1, 2.0, 1e-10)
+
+
 # (mode, sequence, samples) of the witness-order tests: 220 samples of 200 distinct
 # points, and 100 distinct points listed twice (fewer than fekete_n = 128)
 ORDER_CASES = {
@@ -579,6 +619,31 @@ def test_evaluate_outside_domain():
     cert = certify_extension(seq, CIRCLE)
     with pytest.raises(OutsideCertifiedDomain):
         evaluate(cert, seq, 0.9, 2.0, tol=1e-10)
+
+
+# (sequence, certificate, z1, z2, tol) whose partial sum is beyond the float range:
+# P_0(1e300) = 1e310 at z1 = 0; 1e10^n overflows past n = 30 while 5e-11^n underflows,
+# a NaN product; (1e190)^3 raises OverflowError in complex ** (k = 1 and k = 2)
+NON_FINITE_SUMS = {
+    "p0_infinite": (table_sequence({(0,): Polynomial1D((0, 1e10))}, 4),
+                    lambda seq: _disk_cert(1.0, 1.0, 0.0, 1.0, 0, 1.0), 0.0, 1e300, 1e-10),
+    "inf_times_zero": (geometric_sequence(1, 60),
+                       lambda seq: certify_extension(seq, CIRCLE), 5e-11, 1e10, 1e-10),
+    "power_k1": (geometric_sequence(1e-200, 12), lambda seq: _disk_cert(1e-200, 1.0, 0.0,
+                                                                         1.0, 0, 1.0),
+                 1e190, 0.5, 1e-30),
+    "power_k2": (geometric_sequence(1e-200, 12, k=2),
+                 lambda seq: _disk_cert(1e-200, 1.0, 0.0, 1.0, 0, 1.0),
+                 (1e190, 1e190j), 0.5, 1e-30),
+}
+
+
+@pytest.mark.parametrize("case", list(NON_FINITE_SUMS))
+def test_evaluate_refuses_a_sum_beyond_the_float_range(case):
+    seq, cert, z1, z2, tol = NON_FINITE_SUMS[case]
+    with pytest.raises(FloatOverflow, match="is beyond the float range") as err:
+        evaluate(cert(seq), seq, z1, z2, tol)
+    assert err.value.stage == "evaluate"
 
 
 def test_evaluate_insufficient_data():

@@ -8,8 +8,13 @@ must exit 0, 2 or 3 without raising or a numpy warning, an exit 2 must name a
 field, a flag, a list position or a CSV line, and no artifact may hold a NaN.  Sizes stay small (at
 most 40 samples, ``max_norm`` at most 12, ``cap --n 16``, no solve above n = 40
 in green or bernstein), so the 240 examples take a few seconds.
+
+Eval's flags are drawn too: z2 of any phase and a modulus log-uniform in [1e-3,
+1e300], z1 a share of the certified radius at z2, inside or outside it.  Under
+the same exits, every value and tail bound eval writes is finite.
 """
 
+import cmath
 import contextlib
 import copy
 import io
@@ -157,3 +162,28 @@ def test_mutated_documents_exit_named(certificate, command, data):
             assert NAMED.search(err.getvalue()), err.getvalue()
         for artifact in Path(tmp).glob("out*"):
             assert "NaN" not in artifact.read_text(), artifact.name
+
+
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_eval_arguments_exit_named(certificate, data):
+    z2 = 10.0 ** data.draw(st.floats(-3.0, 300.0), label="log10 |z2|") * cmath.exp(
+        1j * data.draw(st.floats(0.0, 2.0 * math.pi), label="arg z2"))
+    radius = certificate["C2"] / (1.0 + abs(z2)) ** certificate["exponent"]
+    share = data.draw(st.one_of(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+                                st.floats(1.0, 4.0)), label="share of the certified radius")
+    z1 = share * radius * cmath.exp(1j * data.draw(st.floats(0.0, 2.0 * math.pi), label="arg z1"))
+    with tempfile.TemporaryDirectory() as tmp:
+        cert, seq, out = (str(Path(tmp) / name) for name in ("cert.json", "seq.json", "out.json"))
+        Path(cert).write_text(json.dumps(certificate))
+        Path(seq).write_text(json.dumps(GEOMETRIC))
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = main(["eval", "--cert", cert, "--seq", seq, f"--z1={z1!r}", f"--z2={z2!r}",
+                         "--tol", "1e-6", "--out", out])
+        assert code in (0, 2, 3), err.getvalue()
+        if code == 2:
+            assert NAMED.search(err.getvalue()), err.getvalue()
+        for artifact in Path(tmp).glob("out*"):
+            doc = json.loads(artifact.read_text())
+            assert all(map(math.isfinite, doc["value"] + [doc["tail_bound"]])), doc
