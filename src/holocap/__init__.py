@@ -64,7 +64,6 @@ from .extension import (  # noqa: F401
     certify_extension,
     certify_uniform,
     constant_sequence,
-    delta_sequence,
     evaluate,
     fit_degree_growth,
     geometric_sequence,

@@ -23,7 +23,7 @@ least ``MIN_POINTS``; a shape is solved at n over ``max(candidates, n)``
 discretization points; a cloud by :func:`_cloud_size`, at min(n, distinct
 count) over its distinct points, and below ``MIN_POINTS`` distinct points it is
 polar at sampled scale (finite sets have capacity zero).  Otherwise "polar" is
-an estimate below ``EPS_CAP``.
+an estimate at or below ``EPS_CAP``.
 
 All operations are pure and deterministic: ties in argmax resolve to the
 lowest index, reductions run in a fixed order.
@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
@@ -41,7 +41,7 @@ import numpy as np
 from .errors import FloatOverflow, GreenUndefinedPolarSet
 from .sets import CompactSet, Disk, PointCloud, Segment, UnionSet, discretize
 
-#: capacity estimates below this are treated as polar
+#: capacity estimates at or below this are polar
 EPS_CAP = 1e-4
 
 #: clouds with fewer distinct points than this are polar at sampled scale
@@ -68,7 +68,7 @@ class FeketeResult:
 
     points: np.ndarray                 # selected points, complex128
     log_vdm: float                     # sum over pairs of log distances: _log_vdm(points)
-    # ((k, d_k), ...) at the refined sizes: n/2 and n, or the final one alone
+    # ((k, d_k), ...) at the refined sizes (n/2 and n, or n alone), or at a degenerate size
     diameter_sequence: tuple
     degenerate: bool = False           # fewer distinct candidates than requested
 
@@ -190,7 +190,7 @@ def fekete_points(set_: CompactSet, n: int, candidates: int = CANDIDATES) -> Fek
     by pairwise-exchange refinement.  The diameter sequence lists n/2 and n,
     each refined from its own greedy prefix, so a solve at n = k gives d_k of
     any other size k as its last row.  A set with fewer than ``n`` distinct
-    candidate points yields all of them with ``degenerate=True``.
+    candidate points yields all of them and d at their count alone (``degenerate``).
     """
     if candidates < n and not isinstance(set_, PointCloud):
         raise ValueError(f"candidates ({candidates}) must be >= n ({n})")
@@ -229,14 +229,9 @@ def _fekete_over(cand: np.ndarray, n: int, checkpoints: Sequence[int]) -> Fekete
 
 
 def _degenerate_fekete(pts: np.ndarray) -> FeketeResult:
-    """All of too few distinct points; prefix diameters from running sums as in _greedy_leja."""
-    logsum, row, prefix_lv, seq = np.zeros(len(pts)), np.empty(len(pts)), 0.0, []
-    for k in range(2, len(pts) + 1):
-        logsum += _log_dist_row(pts, k - 2, row)
-        prefix_lv += float(logsum[k - 1])
-        seq.append((k, math.exp(2.0 * prefix_lv / (k * (k - 1)))))
-    return FeketeResult(points=pts, log_vdm=_log_vdm(pts), diameter_sequence=tuple(seq),
-                        degenerate=True)
+    """All of too few distinct points, with the one diameter they measure: d at their size."""
+    fek = FeketeResult(points=pts, log_vdm=_log_vdm(pts), diameter_sequence=(), degenerate=True)
+    return replace(fek, diameter_sequence=((fek.n, fek.d_n),) if fek.n >= 2 else ())
 
 
 def _bias_correction(n: int) -> float:
@@ -307,7 +302,7 @@ def _estimate_from_fekete(fek: FeketeResult, eps_cap: float) -> CapacityEstimate
     value = fek.d_n / _bias_correction(fek.n)
     d_half = dict(fek.diameter_sequence).get(max(2, fek.n // 2), fek.d_n)
     err = abs(d_half - fek.d_n)
-    polar = value < eps_cap
+    polar = not value > eps_cap   # at or below eps_cap, or NaN
     robin = math.inf if polar else -math.log(value)
     return CapacityEstimate(value=value, n_used=fek.n, error_indicator=err,
                             robin_constant=robin, polar=polar,
@@ -498,7 +493,7 @@ def fekete_green(set_: CompactSet, est: CapacityEstimate, candidates: int = CAND
     estimate ``est`` without a solve; raises :class:`GreenUndefinedPolarSet` if polar."""
     if est.polar:
         raise GreenUndefinedPolarSet(
-            f"capacity estimate {est.value:.3e} below polar threshold {eps_cap:g}")
+            f"capacity estimate {est.value:.3e} at or below polar threshold {eps_cap:g}")
     ev = GreenEvaluator("fekete_potential", set_, est.robin_constant,
                         points=est.fekete.points)
     # clamp magnitude: worst negative dip of the raw potential on the set itself
@@ -520,7 +515,7 @@ def green_from_prefix(cloud: PointCloud, clamp_magnitude: float, n: int = FEKETE
     """The Fekete-backed evaluator of a cloud's first min(n, distinct count) distinct
     points, built without a solve.  :func:`_log_vdm` sums them as a solve's final totals
     do, so a solve that selected them in this order has this Robin constant and these
-    values.  A capacity below ``eps_cap`` raises ``ValueError``."""
+    values.  A capacity at or below ``eps_cap`` raises ``ValueError``."""
     pts, size = _cloud_size(cloud.points, _floor(n))
     pts = pts[:n]   # all of them if size is 0: fewer than MIN_POINTS <= n
     fek = FeketeResult(points=pts, log_vdm=_log_vdm(pts), diameter_sequence=(),
@@ -528,7 +523,7 @@ def green_from_prefix(cloud: PointCloud, clamp_magnitude: float, n: int = FEKETE
     est = _estimate_from_fekete(fek, eps_cap)
     if est.polar:
         raise ValueError(f"capacity {est.value:.3e} of its first {len(pts)} distinct points "
-                         f"is below eps_cap {eps_cap:g}")
+                         f"is at or below eps_cap {eps_cap:g}")
     return GreenEvaluator("fekete_potential", cloud, est.robin_constant, points=pts,
                           clamp_magnitude=clamp_magnitude)
 

@@ -196,6 +196,10 @@ def _bernstein(args, docs):
 
 
 def _gammacap(args, docs):
+    if args.unitaries < 1:
+        raise ValueError(f"argument --unitaries: expected a count >= 1, got {args.unitaries}")
+    if args.seed < 0:
+        raise ValueError(f"argument --seed: expected an integer >= 0, got {args.seed}")
     pred = predicate_from_json(docs["set"])
     result = gamma_cap(pred, unitary_count=args.unitaries, seed=args.seed)
     best = result.best_unitary

@@ -216,11 +216,6 @@ def constant_sequence(value: complex, max_norm: int, k: int = 1) -> PolynomialSe
     return _family(k, max_norm, lambda j: 1, lambda j: complex(value))
 
 
-def delta_sequence(value: complex, max_norm: int, k: int = 1) -> PolynomialSequence:
-    """P_0 = value, every other index zero (multiplicative unit at value=1)."""
-    return _family(k, max_norm, lambda j: 1, lambda j: complex(value) if j == 0 else 0j)
-
-
 def sqrt_degree_sequence(max_norm: int, k: int = 1) -> PolynomialSequence:
     """P_n(z) = z^{isqrt(||n||)}; degrees grow like the square root of the norm."""
     return _family(k, max_norm, lambda j: isqrt(j) + 1, lambda j: 1)
@@ -359,7 +354,7 @@ def _first_nonpolar(clouds, eps_cap: float) -> tuple | None:
     for key, pts, est in clouds:
         if len(pts) > last:
             est = est if est is not None else capacity_of_cloud(pts, n=FEKETE_N, eps_cap=eps_cap)
-            if est.value > eps_cap:
+            if not est.polar:
                 return key, pts, est
         last = len(pts)
     return None
@@ -651,15 +646,6 @@ class EvaluationResult:
     terms_used: int
 
 
-def _z1_power(z1: tuple, entries: list) -> complex:
-    if len(z1) == 1:
-        return z1[0] ** entries[0]
-    out = 1.0 + 0j
-    for c, e in zip(z1, entries):
-        out *= c ** e
-    return out
-
-
 def evaluate(cert: ExtensionCertificate, seq: PolynomialSequence, z1, z2: complex,
              tol: float) -> EvaluationResult:
     """Partial sum with a certified geometric tail bound below ``tol``.
@@ -718,7 +704,7 @@ def evaluate(cert: ExtensionCertificate, seq: PolynomialSequence, z1, z2: comple
     try:
         for term, entries in zip(seq._horner(np.array([z2]), seq.blocks[:stop])[:, 0].tolist(),
                                  seq.entries[:stop].tolist()):
-            value += term * _z1_power(coords, entries)
+            value += term * math.prod(c ** e for c, e in zip(coords, entries))
     except OverflowError:   # complex ** beyond the float range
         value = complex(math.inf)
     if not cmath.isfinite(value):

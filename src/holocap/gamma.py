@@ -18,7 +18,8 @@ the last coordinate enters, so the projection is empty when one of those
 images is polar at scale (cap(K_i)/|b_i| <= ``eps_cap``), is again a preimage
 when only one factor is involved, and is otherwise decided prefix by prefix
 from the closed-form capacity of the intersection (exact for segments,
-bracketed for two disks, the cloud rule for point clouds).  Balls and their
+bracketed for two disks, the cloud rule for point clouds; three or more disks,
+like unions, and straddling brackets take boundary samples).  Balls and their
 linear images are ellipsoids {z : |B(z - c)| <= r}; every fiber of an
 ellipsoid is a disk, a disk's capacity is its radius, and the prefixes whose
 fiber disk has radius above ``eps_cap`` form an ellipsoid again, so these sets

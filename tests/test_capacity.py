@@ -409,24 +409,33 @@ def test_fekete_solve_peaks_at_its_one_row_matrix():
 
 @pytest.mark.parametrize("count", [1, 2, MIN_POINTS - 1, 60])
 def test_degenerate_sequence_is_the_prefix_log_vdms(count):
-    # a cloud below MIN_POINTS, and fekete_points asked for more than a cloud has
+    # a cloud below MIN_POINTS, and fekete_points asked for more than a cloud has: the
+    # one diameter measured is d at the whole prefix, the cloud's own size; none below 2
     pts = _distinct(_exchange_inputs(512)["cloud"])[:count]
     fek = (capacity_of_cloud(pts).fekete if count < MIN_POINTS
            else fekete_points(PointCloud(tuple(pts)), count + 1))
     assert fek.degenerate and np.array_equal(fek.points, pts)
     assert fek.log_vdm == _log_vdm(pts)
-    assert [k for k, _ in fek.diameter_sequence] == list(range(2, len(pts) + 1))
-    for k, d_k in fek.diameter_sequence:
-        assert d_k == pytest.approx(math.exp(2.0 * _log_vdm(pts[:k]) / (k * (k - 1))),
-                                    rel=1e-14)
+    want = [(count, math.exp(2.0 * _log_vdm(pts) / (count * (count - 1))))] if count > 1 else []
+    assert list(fek.diameter_sequence) == want
+
+
+def test_fekete_points_beyond_a_cloud_lists_its_own_diameter():
+    # 60 points at n = 61: one row, d_60 of all of them, as the pairwise distances give it
+    pts = _distinct(_exchange_inputs(512)["cloud"])[:60]
+    fek = fekete_points(PointCloud(tuple(pts)), 61)
+    pairs = np.abs(pts[:, None] - pts)[np.triu_indices(60, 1)]
+    assert len(fek.diameter_sequence) == 1 and fek.diameter_sequence[0][0] == 60
+    assert fek.diameter_sequence[0][1] == pytest.approx(math.exp(np.mean(np.log(pairs))),
+                                                        rel=1e-13)
 
 
 def test_degenerate_sequence_runs_in_quadratic_time():
-    # 1,000 points at n = 1,001: the prefix sums take one row per point,
-    # where a log VDM per prefix took seconds
+    # 1,000 points at n = 1,001: one log VDM over the pairs gives the one row
     start = time.perf_counter()
     fek = fekete_points(PointCloud(CIRCLE_5000.points[::5]), 1001)
-    assert fek.degenerate and len(fek.diameter_sequence) == 999
+    assert fek.degenerate and fek.diameter_sequence == ((1000, fek.d_n),)
+    assert fek.d_n == pytest.approx(1000 ** (1 / 999), rel=1e-12)   # r n^(1/(n-1)), r = 1
     assert time.perf_counter() - start < 1.0
 
 

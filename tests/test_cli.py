@@ -77,6 +77,16 @@ def test_cap_polar_cloud_reports_flag_exit_zero(tmp_path):
     assert doc["capacity"]["polar"]
 
 
+def test_cap_polar_cloud_writes_its_own_diameter(tmp_path):
+    # too few points for a solve: the one diameter measured is d_5 of all five, not the
+    # input-order prefixes (d_2 = 0.1 here, where the two farthest points are 5.10 apart)
+    cloud = {"shape": "cloud", "points": [[0, 0], [0.1, 0], [5, 0], [5, 1], [2, 3]]}
+    out = tmp_path / "est.json"
+    assert main(["cap", "--set", write(tmp_path / "five.json", cloud), "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["capacity"]["polar"]
+    assert (tmp_path / "est_dn.csv").read_text() == "n,d_n\n5,2.56309483367476\n"
+
+
 def test_cap_malformed_json_exit_two(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{ not json")
@@ -231,6 +241,28 @@ def test_gammacap_command_and_reproducibility(tmp_path):
 
 
 BALL = {"kind": "ball", "center": [[0, 0], [0, 0]], "radius": 1.0}
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--unitaries", "0"], "argument --unitaries: expected a count >= 1, got 0"),
+    # refused whatever --unitaries is: at 1 no unitary is drawn from the seed
+    (["--unitaries", "2", "--seed=-1"], "argument --seed: expected an integer >= 0, got -1"),
+    (["--seed=-1"], "argument --seed: expected an integer >= 0, got -1"),
+], ids=["unitaries_zero", "seed_negative", "seed_negative_one_unitary"])
+def test_gammacap_count_flags_exit_two(tmp_path, capsys, monkeypatch, flags, message):
+    monkeypatch.setattr("holocap.cli.gamma_cap", lambda *a, **k: pytest.fail("solved"))
+    out = tmp_path / "g.json"
+    assert main(["gammacap", "--set", write(tmp_path / "ball.json", BALL), "--out", str(out)]
+                + flags) == 2
+    assert capsys.readouterr().err == f"input error: {message}\n"
+    assert not out.exists()
+
+
+def test_gammacap_seed_beyond_int64_is_a_seed(tmp_path):
+    out = tmp_path / "g.json"
+    assert main(["gammacap", "--set", write(tmp_path / "ball.json", BALL), "--unitaries", "2",
+                 "--seed", str(2 ** 64 + 1), "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["manifest"]["seed"] == 2 ** 64 + 1
 
 
 def _diagonal_image(d1, d2):
@@ -1053,10 +1085,10 @@ WITNESS = "certificate field 'witness' field 'points' item 3 "
     # fewer than MIN_POINTS distinct points are polar, whatever their spread
     (lambda doc: doc["witness"].__setitem__("points", doc["witness"]["points"][:7]),
      "certificate field 'witness': capacity 0.000e+00 of its first 7 distinct points is "
-     "below eps_cap 0.0001"),
+     "at or below eps_cap 0.0001"),
     (lambda doc: doc["thresholds"].__setitem__("eps_cap", 1e9),
      "certificate field 'witness': capacity 9.988e-01 of its first 128 distinct points is "
-     "below eps_cap 1e+09"),
+     "at or below eps_cap 1e+09"),
     (_drop("clamp_magnitude"), "certificate field 'clamp_magnitude' is missing"),
     (_set("clamp_magnitude", -1e-3),
      "certificate field 'clamp_magnitude' must be a finite number >= 0, got -0.001"),

@@ -15,7 +15,8 @@ from hypothesis import strategies as st
 
 from holocap import extension
 from holocap.bernstein import Polynomial1D
-from holocap.capacity import FEKETE_N, MIN_POINTS, capacity_of_cloud, green_function
+from holocap.capacity import (FEKETE_N, MIN_POINTS, capacity_of_cloud, green_from_prefix,
+                              green_function)
 from holocap.errors import (
     AllStrataPolar,
     DegreeGrowthViolated,
@@ -39,7 +40,6 @@ from holocap.extension import (
     certify_extension,
     certify_uniform,
     constant_sequence,
-    delta_sequence,
     evaluate,
     fit_degree_growth,
     geometric_sequence,
@@ -56,6 +56,11 @@ from holocap.sets import Disk, PointCloud, Segment, UnionSet
 CIRCLE = [complex(np.cos(2 * np.pi * k / 200), np.sin(2 * np.pi * k / 200))
           for k in range(200)]
 CIRCLE_CLOUD = PointCloud(tuple(CIRCLE))
+
+
+def delta_sequence(value: complex, max_norm: int, k: int = 1) -> PolynomialSequence:
+    """P_0 = value, every other index zero (the ring's unit at value = 1): a one-entry table."""
+    return table_sequence({(0,) * k: Polynomial1D((complex(value),))}, max_norm, k)
 
 
 # ---------------------------------------------------------------------------
@@ -183,6 +188,22 @@ def test_stratify_infinite_radii():
 def test_stratify_empty_profile_is_refused():
     with pytest.raises(ValueError, match="radius profile is empty"):
         stratify_and_find_nonpolar(RadiusProfile(()))
+
+
+def test_estimate_at_eps_cap_is_polar_everywhere():
+    # a 40-point circle at eps_cap equal to its own estimate v: the capacity verdict,
+    # the stratum search and the prefix Green rebuild all call v polar
+    circle = CIRCLE[::5]
+    v = capacity_of_cloud(circle).value
+    est = capacity_of_cloud(circle, eps_cap=v)
+    assert est.value == v and est.polar and est.robin_constant == math.inf
+    with pytest.raises(AllStrataPolar):
+        stratify_and_find_nonpolar(RadiusProfile(tuple((z, 1.0) for z in circle)), eps_cap=v)
+    # listed in the solve's selection order, the rebuild's capacity is v bit for bit
+    selected = PointCloud(tuple(capacity_of_cloud(circle).fekete.points))
+    assert green_from_prefix(selected, 0.0).robin_constant == -math.log(v)
+    with pytest.raises(ValueError, match="at or below eps_cap"):
+        green_from_prefix(selected, 0.0, eps_cap=v)
 
 
 def test_stratify_single_good_point_is_polar():
@@ -1324,6 +1345,7 @@ _FAMILIES = [(geometric_sequence, (1.0,), _ref_geometric(1.0)),
              (geometric_sequence, (0,), _ref_geometric(0)),
              (constant_sequence, (2 - 1j,), _ref_constant(2 - 1j)),
              (constant_sequence, (0,), _ref_constant(0)),
+             # the ring's unit, a one-entry table, has the per-index delta family's arrays
              (delta_sequence, (7,), _ref_delta(7)),
              (delta_sequence, (0,), _ref_delta(0)),
              (sqrt_degree_sequence, (), _ref_sqrt_degree())]
@@ -1337,7 +1359,7 @@ def test_builtin_family_arrays_match_reference(family, k, max_norm):
     _assert_arrays_equal(build(*args, max_norm, k), _ref_arrays(provider, k, max_norm))
 
 
-@pytest.mark.parametrize("family", _FAMILIES,
+@pytest.mark.parametrize("family", [f for f in _FAMILIES if f[0] is not delta_sequence],
                          ids=lambda f: f"{f[0].__name__[:-9]}{f[1]}".replace(" ", ""))
 @pytest.mark.parametrize("k, max_norm", [(1, 30), (3, 7)])
 def test_builtin_family_stores_one_block_per_norm(family, k, max_norm):
