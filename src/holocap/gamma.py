@@ -17,15 +17,15 @@ over a prefix is the intersection of the affine images of the factors that
 the last coordinate enters, so the projection is empty when one of those
 images is polar at scale (cap(K_i)/|b_i| <= ``eps_cap``), is again a preimage
 when only one factor is involved, and is otherwise decided prefix by prefix
-from the closed-form capacity of the intersection (exact for segments,
-bracketed for two disks, the cloud rule for point clouds; three or more disks,
-like unions, and straddling brackets take boundary samples).  Balls and their
-linear images are ellipsoids {z : |B(z - c)| <= r}; every fiber of an
-ellipsoid is a disk, a disk's capacity is its radius, and the prefixes whose
-fiber disk has radius above ``eps_cap`` form an ellipsoid again, so these sets
-resolve exactly in closed form.  Only opaque predicates are scanned; there a
-fiber that is a finite point set, or a curve the scan grid misses, is polar
-at sampled scale.
+from the closed-form capacity of the intersection (exact for segments and for
+the lens of two disks, the cloud rule for point clouds; three or more disks,
+like unions, take boundary samples).  Balls and their linear images are
+ellipsoids {z : |B(z - c)| <= r}; every fiber of an ellipsoid is a disk, a
+disk's capacity is its radius, and the prefixes whose fiber disk has radius
+above ``eps_cap`` form an ellipsoid again, so these sets resolve exactly in
+closed form.  Only opaque predicates are scanned; there a fiber that is a
+finite point set, or a curve the scan grid misses, is polar at sampled
+scale.
 
 Resolutions are fixed: a scanned fiber is a ``FIBER_RESOLUTION`` (64) square
 grid screened by a greedy capacity of ``FIBER_CAPACITY_POINTS`` (32) points,
@@ -265,28 +265,25 @@ def _factor_capacity(shape: CompactSet, eps_cap: float) -> float:
     return capacity(shape, n=FEKETE_N, eps_cap=eps_cap).value if value is None else value
 
 
-def _lens_capacity_bounds(dist: np.ndarray, r1: float, r2: float) -> tuple:
-    """Bounds on the capacity of the intersection of two disks at centre distance ``dist``.
+def _lens_capacity(dist: np.ndarray, r1: float, r2: float) -> np.ndarray:
+    """Capacity of the intersection of two disks at centre distance ``dist``.
 
-    Nested disks give the smaller one and disjoint (or tangent) disks a
-    polar set, both exactly.  A proper lens is convex, so diam/4 <= cap <=
-    diam/2 (Ransford 1995, ch. 5): it holds the common chord (length 2h) and
-    an inscribed disk of diameter t = r1 + r2 - dist, so cap >= max(t, h)/2;
-    it lies in the smaller disk, and when both of its arcs are minor in the
-    2h-by-t rectangle over the chord.
+    Nested disks give the smaller one and disjoint (or tangent) disks a polar
+    set.  A proper lens has vertices p, q at the ends of its common chord
+    (half-length h) and exterior angle s = a1 + a2 there, a_i = atan2(h, -x_i)
+    with x_i the signed distance from centre i to the chord toward the other
+    centre.  z -> ((z - p)/(z - q))^(pi/s) maps its exterior onto a half-plane,
+    so cap = pi h / (s sin(pi a_i / s)) (conformal invariance; Ransford 1995,
+    ch. 5); the smaller a_i keeps the sine accurate next to either tangency.
     """
     small, big = min(r1, r2), max(r1, r2)
     with np.errstate(divide="ignore", invalid="ignore"):
         x = (dist + (r1 - r2) / dist * (r1 + r2)) / 2.0   # signed distance from c1 to the chord
         h = np.sqrt(np.maximum(r1 - x, 0.0)) * np.sqrt(np.maximum(r1 + x, 0.0))
-    t = r1 + r2 - dist
-    lower = np.maximum(t, h) / 2.0
-    minor = (x >= 0) & (x <= dist)
-    upper = np.where(minor, np.minimum(small, np.hypot(2.0 * h, t) / 2.0), small)
-    nested, apart = dist + small <= big, dist >= r1 + r2
-    lower = np.where(nested, small, np.where(apart, 0.0, lower))
-    upper = np.where(nested, small, np.where(apart, 0.0, upper))
-    return lower, upper
+        a1, a2 = np.arctan2(h, -x), np.arctan2(h, x - dist)
+        s = a1 + a2
+        lens = math.pi * (h / s) / np.sin(math.pi * np.minimum(a1, a2) / s)
+    return np.where(dist + small <= big, small, np.where(dist >= r1 + r2, 0.0, lens))
 
 
 def _clip_segment(seg: Segment, scale: complex, offsets: np.ndarray, others) -> np.ndarray:
@@ -322,15 +319,15 @@ def _clip_segment(seg: Segment, scale: complex, offsets: np.ndarray, others) -> 
         return np.where(finite, np.maximum(hi - lo, 0.0) * abs(step) / 4.0, 0.0)
 
 
-def _fiber_capacity_bounds(parts: tuple, scales: np.ndarray, offsets: np.ndarray,
-                           cloud_value: Callable) -> tuple:
-    """Lower and upper bounds on cap(intersection of (K_i - offsets[:, i]) / scales[i]).
+def _fiber_capacity(parts: tuple, scales: np.ndarray, offsets: np.ndarray,
+                    cloud_value: Callable) -> np.ndarray | None:
+    """cap(intersection of (K_i - offsets[:, i]) / scales[i]), one value per prefix.
 
     One row of ``offsets`` per prefix.  A point-cloud part is cut to its
     points inside every other part, and ``cloud_value`` gives the cloud
     rule's capacity of those points (scaled, not shifted); a segment part is
-    clipped exactly; two disks are bracketed.  Unions and three or more disks
-    get the trivial bounds (0, inf).
+    clipped exactly; two disks give a lens.  Unions and three or more disks
+    have no closed form here: None.
     """
     kinds = [type(p) for p in parts]
     if PointCloud in kinds:
@@ -341,18 +338,16 @@ def _fiber_capacity_bounds(parts: tuple, scales: np.ndarray, offsets: np.ndarray
         for j, part in enumerate(parts):
             if j != c:
                 inside &= contains(part, offsets[:, j:j + 1] + scales[j] * w)
-        values = np.array([cloud_value(pts[mask] / scales[c]) for mask in inside])
-        return values, values
+        return np.array([cloud_value(pts[mask] / scales[c]) for mask in inside])
     if Segment in kinds and set(kinds) <= {Disk, Segment}:
         s = kinds.index(Segment)
         others = [(p, scales[j], offsets[:, j]) for j, p in enumerate(parts) if j != s]
-        values = _clip_segment(parts[s], scales[s], offsets[:, s], others)
-        return values, values
+        return _clip_segment(parts[s], scales[s], offsets[:, s], others)
     if kinds == [Disk, Disk]:
         (d1, d2), (b1, b2) = parts, scales
         dist = np.abs((d2.center - offsets[:, 1]) / b2 - (d1.center - offsets[:, 0]) / b1)
-        return _lens_capacity_bounds(dist, d1.radius / abs(b1), d2.radius / abs(b2))
-    return np.zeros(len(offsets)), np.full(len(offsets), np.inf)
+        return _lens_capacity(dist, d1.radius / abs(b1), d2.radius / abs(b2))
+    return None
 
 
 def _intersection_samples(parts: tuple, count: int) -> np.ndarray:
@@ -381,11 +376,11 @@ def _project_preimage(pred: SetPredicate, eps_cap: float) -> SetPredicate:
     cap(K_i)/|b_i| whatever p is, so by monotonicity the projection is empty
     when one of them is at most ``eps_cap``.  With one such row the fiber is
     that part, and the kept set is the preimage of the other rows.  With
-    several, each prefix is decided from bounds on the intersection's
-    capacity, and a prefix the bounds leave open gets a quick capacity of the
-    intersection's boundary samples.  A non-finite M can only come from
-    over- or underflow in composing near-singular maps; the projection is
-    then empty rather than a NaN.
+    several, each prefix is decided from the intersection's closed-form
+    capacity (:func:`_fiber_capacity`), or, for unions and three or more
+    disks, from a quick capacity of its boundary samples.  A non-finite M can
+    only come from over- or underflow in composing near-singular maps; the
+    projection is then empty rather than a NaN.
     """
     mat, factors = pred.preimage
     empty = _empty_predicate(pred.dimension - 1)
@@ -415,14 +410,12 @@ def _project_preimage(pred: SetPredicate, eps_cap: float) -> SetPredicate:
         ok = kept.membership(zs)
         idx = np.flatnonzero(ok)
         offsets = zs[idx] @ enter.T
-        lower, upper = _fiber_capacity_bounds(parts, scales, offsets, cloud_value)
-        keep = lower > eps_cap
-        for k in np.flatnonzero(~keep & (upper > eps_cap)):
-            fiber = tuple(affine_image(f, 1 / b, -off / b)
-                          for f, b, off in zip(parts, scales, offsets[k]))
-            keep[k] = quick_cloud_capacity(_intersection_samples(fiber, CANDIDATES),
-                                           FIBER_CAPACITY_POINTS) > eps_cap
-        ok[idx] = keep
+        values = _fiber_capacity(parts, scales, offsets, cloud_value)
+        if values is None:
+            values = np.array([quick_cloud_capacity(_intersection_samples(
+                tuple(affine_image(f, 1 / b, -off / b) for f, b, off in zip(parts, scales, row)),
+                CANDIDATES), FIBER_CAPACITY_POINTS) for row in offsets])
+        ok[idx] = values > eps_cap
         return ok
 
     return SetPredicate(membership=fiber_member, bounding_box=pred.bounding_box[:-1],

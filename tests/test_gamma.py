@@ -9,6 +9,7 @@ from holocap.errors import UnboundedSet
 from holocap.gamma import (
     PROJECTED_RESOLUTION,
     SetPredicate,
+    _lens_capacity,
     ball_predicate,
     gamma_cap,
     gamma_project,
@@ -404,7 +405,7 @@ def test_rotated_disk_times_segment_membership_matches_chord(eps_cap):
     assert checked > 250
 
 
-def _lens_capacity(disks, samples=16384):
+def _lens_reference(disks, samples=16384):
     """Capacity estimate of the intersection of two disks from a dense sample of its
     boundary: the arcs of each circle inside the other disk."""
     arcs = [discretize(d, samples) for d in disks]
@@ -413,21 +414,79 @@ def _lens_capacity(disks, samples=16384):
     return capacity_of_cloud(pts, n=128).value
 
 
-@pytest.mark.parametrize("dist, r1, r2", [
-    (0.0, 1.0, 0.5), (0.3, 1.0, 0.5), (0.9, 1.0, 0.5), (1.4, 1.0, 0.5),
-    (1.0, 1.0, 1.0), (1.9, 1.0, 1.0), (1.99, 1.0, 1.0), (2.5, 1.0, 1.0)])
-def test_lens_bounds_bracket_the_capacity(dist, r1, r2):
-    from holocap.gamma import _lens_capacity_bounds
+def _lens_bracket(dist, r1, r2):
+    """Bounds on the capacity of a lens from its geometry alone: nested disks give the
+    smaller one and disjoint ones 0; otherwise the lens is convex, so diam/4 <= cap <=
+    diam/2.  It holds the common chord (length 2h) and a disk of diameter
+    t = r1 + r2 - dist, and lies in the smaller disk and, when both arcs are minor, in
+    the 2h-by-t rectangle over the chord."""
+    small, big = min(r1, r2), max(r1, r2)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        x = (dist + (r1 - r2) / dist * (r1 + r2)) / 2.0
+        h = np.sqrt(np.maximum(r1 - x, 0.0)) * np.sqrt(np.maximum(r1 + x, 0.0))
+    t = r1 + r2 - dist
+    minor = (x >= 0) & (x <= dist)
+    lower = np.maximum(t, h) / 2.0
+    upper = np.where(minor, np.minimum(small, np.hypot(2.0 * h, t) / 2.0), small)
+    nested, apart = dist + small <= big, dist >= r1 + r2
+    return (np.where(nested, small, np.where(apart, 0.0, lower)),
+            np.where(nested, small, np.where(apart, 0.0, upper)))
 
-    lower, upper = _lens_capacity_bounds(np.array([dist]), r1, r2)
-    estimate = _lens_capacity((Disk(0, r1), Disk(dist, r2))) if dist < r1 + r2 else 0.0
-    assert lower[0] <= upper[0]
-    assert lower[0] * (1 - 0.02) <= estimate <= upper[0] * (1 + 0.02)
+
+LENS_CASES = [(0.0, 1.0, 0.5), (0.3, 1.0, 0.5), (0.9, 1.0, 0.5), (1.4, 1.0, 0.5),
+              (1.0, 1.0, 1.0), (1.9, 1.0, 1.0), (1.99, 1.0, 1.0), (2.5, 1.0, 1.0)]
+
+
+@pytest.mark.parametrize("dist, r1, r2", LENS_CASES)
+def test_lens_bounds_bracket_the_capacity(dist, r1, r2):
+    # the closed form lies in the bracket and agrees with the dense-sample estimate, to
+    # 1e-4 on the first seven and 2.5e-3 on the thin lens at 1.99, whose arcs hold few samples
+    value = _lens_capacity(np.array([dist]), r1, r2)[0]
+    lower, upper = _lens_bracket(np.array([dist]), r1, r2)
+    estimate = _lens_reference((Disk(0, r1), Disk(dist, r2))) if dist < r1 + r2 else 0.0
+    assert lower[0] <= value <= upper[0]
+    assert abs(value - estimate) <= 5e-3 * value
+
+
+def test_lens_capacity_exact_values():
+    # two unit disks at distance 1: s = 4 pi / 3, h = sqrt(3) / 2, so cap = 3 sqrt(3) / 8
+    value = _lens_capacity(np.array([1.0]), 1.0, 1.0)[0]
+    assert abs(value - 3 * math.sqrt(3) / 8) <= 1e-14 * value
+    # Disk(0, 1) cut by a huge disk tangent to the imaginary axis at 0: the half-disk
+    half = 4 / (3 * math.sqrt(3))
+    assert abs(_lens_capacity(np.array([1e8]), 1.0, 1e8)[0] - half) <= 1e-7 * half
+
+
+def test_lens_capacity_at_tangency():
+    gaps = 10.0 ** -np.arange(2, 13)
+    inner = _lens_capacity(0.5 + gaps, 1.0, 0.5)    # Disk(0.5 + gap, 0.5) nearly inside
+    assert np.all(inner <= 0.5) and np.all(np.diff(inner[:6]) > 0)   # below 1e-7: rounding
+    assert abs(_lens_capacity(np.array([0.5 + 1e-6]), 1.0, 0.5)[0] - 0.5) <= 1e-8 * 0.5
+    outer = _lens_capacity(1.5 - gaps, 1.0, 0.5)    # the disks nearly apart
+    assert np.all(outer > 0) and np.all(np.diff(outer) < 0) and outer[-1] < 1e-5
+
+
+@pytest.mark.parametrize("scale", [1e200, 1e-200])
+def test_lens_capacity_scales_with_the_lens(scale):
+    for d, a, b in LENS_CASES:
+        value = _lens_capacity(np.array([d]), a, b)[0]
+        scaled = _lens_capacity(np.array([d * scale]), a * scale, b * scale)[0] / scale
+        assert abs(scaled - value) <= 1e-10 * value
+
+
+def test_lens_capacity_lies_in_the_bracket():
+    rng = np.random.default_rng(42)
+    r1, r2 = 10.0 ** rng.uniform(-1, 1, (2, 4000))
+    dist = rng.uniform(0, 1.2, 4000) * (r1 + r2)
+    for d, a, b in zip(dist, r1, r2):
+        value = _lens_capacity(np.array([d]), a, b)[0]
+        lower, upper = _lens_bracket(np.array([d]), a, b)
+        assert lower[0] <= value <= upper[0], (d, a, b)
 
 
 def test_rotated_bidisk_membership_matches_lens_capacity():
-    # at eps_cap = 0.3 many fibers are lenses whose bounds straddle the threshold,
-    # so those prefixes are decided from the lens's boundary samples
+    # at eps_cap = 0.3 many fibers are lenses whose capacity is near the threshold,
+    # and each prefix is decided from the lens's closed-form capacity
     u = _haar(4)
     inv = np.linalg.inv(u)
     eps_cap = 0.3
@@ -436,10 +495,34 @@ def test_rotated_bidisk_membership_matches_lens_capacity():
     checked = 0
     for p in 0.8 * (rng.standard_normal(120) + 1j * rng.standard_normal(120)):
         # over p the fiber is the intersection of the disks |M_i0 p + M_i1 w| <= 1, M = inv(U)
-        estimate = _lens_capacity([Disk(-inv[i, 0] * p / inv[i, 1], 1 / abs(inv[i, 1]))
-                                   for i in range(2)])
+        estimate = _lens_reference([Disk(-inv[i, 0] * p / inv[i, 1], 1 / abs(inv[i, 1]))
+                                    for i in range(2)])
         if abs(estimate - eps_cap) < 0.05 * eps_cap:
             continue
         assert proj.membership(np.array([[p]]))[0] == (estimate > eps_cap)
         checked += 1
     assert checked > 100
+
+
+def test_rotated_bidisk_keeps_the_prefixes_just_above_eps_cap():
+    # the fiber over p is the lens of the disks |M_i0 p + M_i1 w| <= 1, M = inv(U), whose
+    # centres lie |p| |M00/M01 - M10/M11| apart; put |p| where the lens capacity is a
+    # hair above eps_cap, and keep every prefix whose dense-sample capacity confirms it
+    eps_cap = 0.3
+    checked = 0
+    for entropy in range(6):
+        u = _haar(entropy)
+        inv = np.linalg.inv(u)
+        proj = gamma_project(linear_image(u, BIDISK), eps_cap=eps_cap)
+        r1, r2 = 1 / np.abs(inv[:, 1])
+        dists = np.linspace(abs(r1 - r2), r1 + r2, 100001)
+        caps = _lens_capacity(dists, r1, r2)
+        for target, phase in ((1.0015, 0.3), (1.003, 2.1)):
+            dist = np.interp(-target * eps_cap, -caps, dists)   # caps fall as dist grows
+            p = dist / abs(inv[0, 0] / inv[0, 1] - inv[1, 0] / inv[1, 1]) * np.exp(1j * phase)
+            reference = _lens_reference([Disk(-inv[i, 0] * p / inv[i, 1], 1 / abs(inv[i, 1]))
+                                         for i in range(2)])
+            if 1.0005 * eps_cap <= reference <= 1.004 * eps_cap:
+                assert proj.membership(np.array([[p]]))[0], (entropy, target, reference)
+                checked += 1
+    assert checked >= 10
